@@ -19,11 +19,8 @@ from .axioms import (
 )
 from .core import (
     ArityClass,
-    ExtendedReal,
     Interval,
     NaryOp,
-    NEG_INF,
-    POS_INF,
     arity_member,
     builtin_lookup,
     interval_contains,
@@ -84,9 +81,6 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     # core
-    "ExtendedReal",
-    "NEG_INF",
-    "POS_INF",
     "Interval",
     "NaryOp",
     "ArityClass",

@@ -118,8 +118,8 @@ def _estimate_codomain(phi, domain: Interval) -> Interval:
     (snapped to zero when tiny)."""
     from .generator import _approach, _safe_phi
 
-    lo = domain.lo.to_float()
-    hi = domain.hi.to_float()
+    lo = domain.lo
+    hi = domain.hi
     if math.isfinite(lo) and math.isfinite(hi):
         x0 = 0.5 * (lo + hi)
     elif math.isfinite(lo):

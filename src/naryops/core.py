@@ -14,9 +14,6 @@ from typing import Callable
 from .errors import DomainEscapeError, RegistryError
 
 __all__ = [
-    "ExtendedReal",
-    "NEG_INF",
-    "POS_INF",
     "Interval",
     "interval_contains",
     "NaryOp",
@@ -28,92 +25,41 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, order=True)
-class ExtendedReal:
-    """A real number or one of the two symbolic infinities.
-
-    ``sign`` is -1 for -inf, 0 for finite, +1 for +inf; ``value`` is only
-    meaningful when finite. The derived ordering (sign, value) is the
-    standard total order on the extended line.
-    """
-
-    sign: int
-    value: float = 0.0
-
-    def __post_init__(self):
-        if self.sign not in (-1, 0, 1):
-            raise ValueError("sign must be -1, 0, or +1")
-        if self.sign == 0 and not math.isfinite(self.value):
-            raise ValueError("finite ExtendedReal needs a finite value")
-        if self.sign != 0 and self.value != 0.0:
-            raise ValueError("infinite ExtendedReal carries no value")
-
-    @classmethod
-    def of(cls, x: float) -> "ExtendedReal":
-        if math.isinf(x):
-            return POS_INF if x > 0 else NEG_INF
-        return cls(0, float(x) + 0.0)  # normalizes -0.0
-
-    @property
-    def finite(self) -> bool:
-        return self.sign == 0
-
-    def to_float(self) -> float:
-        if self.sign > 0:
-            return math.inf
-        if self.sign < 0:
-            return -math.inf
-        return self.value
-
-    def __repr__(self) -> str:
-        if self.sign > 0:
-            return "+inf"
-        if self.sign < 0:
-            return "-inf"
-        return repr(self.value)
-
-
-NEG_INF = ExtendedReal(-1)
-POS_INF = ExtendedReal(1)
-
-
 @dataclass(frozen=True)
 class Interval:
     """A nontrivial real interval with independent open/closed endpoints.
 
-    Infinite endpoints are forced open; ``lo < hi`` so the interval is
-    neither empty nor a singleton.
+    ``lo`` and ``hi`` are floats, with -inf and +inf for unbounded ends
+    (Python floats already order the extended line) and ``-0.0`` stored
+    as ``0.0``. Infinite endpoints are forced open; ``lo < hi`` so the
+    interval is neither empty nor a singleton, and a NaN endpoint fails
+    that test.
     """
 
-    lo: ExtendedReal
-    hi: ExtendedReal
+    lo: float
+    hi: float
     lo_open: bool = True
     hi_open: bool = True
 
     def __post_init__(self):
-        if not self.lo < self.hi:
+        lo = float(self.lo) + 0.0  # normalizes -0.0
+        hi = float(self.hi) + 0.0
+        if not lo < hi:
             raise ValueError("interval needs lo < hi")
-        if not self.lo.finite and not self.lo_open:
+        if (math.isinf(lo) and not self.lo_open) or (math.isinf(hi) and not self.hi_open):
             raise ValueError("infinite endpoint must be open")
-        if not self.hi.finite and not self.hi_open:
-            raise ValueError("infinite endpoint must be open")
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
 
     @classmethod
     def make(
         cls, lo: float, hi: float, lo_open: bool = True, hi_open: bool = True
     ) -> "Interval":
-        lo_e = ExtendedReal.of(lo)
-        hi_e = ExtendedReal.of(hi)
-        return cls(
-            lo_e,
-            hi_e,
-            lo_open or not lo_e.finite,
-            hi_open or not hi_e.finite,
-        )
+        return cls(lo, hi, lo_open or math.isinf(lo), hi_open or math.isinf(hi))
 
     @classmethod
     def real_line(cls) -> "Interval":
-        return cls(NEG_INF, POS_INF, True, True)
+        return cls(-math.inf, math.inf, True, True)
 
     @classmethod
     def parse(cls, text: str) -> "Interval":
@@ -148,12 +94,12 @@ class Interval:
     def render(self) -> str:
         left = "(" if self.lo_open else "["
         right = ")" if self.hi_open else "]"
-        return f"{left}{self.lo},{self.hi}{right}"
+        return f"{left}{_render_endpoint(self.lo)},{_render_endpoint(self.hi)}{right}"
 
     def clamp_window(self, window: float) -> tuple[float, float]:
         """Finite bounds of the interval intersected with [-window, window]."""
-        lo = max(self.lo.to_float(), -window)
-        hi = min(self.hi.to_float(), window)
+        lo = max(self.lo, -window)
+        hi = min(self.hi, window)
         if not lo < hi:
             raise ValueError(
                 f"interval {self.render()} does not meet window [-{window}, {window}]"
@@ -161,22 +107,19 @@ class Interval:
         return lo, hi
 
 
+def _render_endpoint(v: float) -> str:
+    if math.isinf(v):
+        return "+inf" if v > 0 else "-inf"
+    return repr(v)
+
+
 def interval_contains(iv: Interval, x: float) -> bool:
     """True iff x lies in iv, respecting open and closed endpoints."""
-    if math.isnan(x):
+    if x != x:  # NaN lies in no interval
         return False
-    xe = ExtendedReal.of(x)
-    if iv.lo_open:
-        if not iv.lo < xe:
-            return False
-    elif not iv.lo <= xe:
+    if (x <= iv.lo) if iv.lo_open else (x < iv.lo):
         return False
-    if iv.hi_open:
-        if not xe < iv.hi:
-            return False
-    elif not xe <= iv.hi:
-        return False
-    return True
+    return (x < iv.hi) if iv.hi_open else (x <= iv.hi)
 
 
 def lattice(iv: Interval, window: float = 10.0, step: float = 0.125) -> tuple[int, int, float]:
@@ -195,10 +138,10 @@ def lattice(iv: Interval, window: float = 10.0, step: float = 0.125) -> tuple[in
     while (hi - lo) / h < 16.0 and h > 2.0**-40:
         h /= 2.0
     j_min = math.ceil(lo / h)
-    if j_min * h == lo and iv.lo_open and lo == iv.lo.to_float():
+    if j_min * h == lo and iv.lo_open and lo == iv.lo:
         j_min += 1
     j_max = math.floor(hi / h)
-    if j_max * h == hi and iv.hi_open and hi == iv.hi.to_float():
+    if j_max * h == hi and iv.hi_open and hi == iv.hi:
         j_max -= 1
     if j_min > j_max:
         raise ValueError(f"interval {iv.render()} too thin to sample")

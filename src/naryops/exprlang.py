@@ -10,8 +10,11 @@ Grammar (whitespace-insensitive, no implicit multiplication)::
     atom   := NUMBER | 'pi' | 'e' | VAR | FUNC '(' expr ')' | '(' expr ')'
 
 Variables are ``x`` (arity 1 only) or ``x1 .. xn``. Functions: ``ln``,
-``exp``, ``sqrt``, ``abs``. Evaluation never raises on bad inputs; the
-partial functions return a :class:`DomainError` value instead.
+``exp``, ``sqrt``, ``abs``. :func:`eval_expr` is the reference tree
+walk: it never raises on bad inputs, the partial functions return a
+:class:`DomainError` value instead. :func:`make_callable` compiles an AST
+once into closures with the same float results that raise
+:class:`DomainEscapeError` where the walk returns a :class:`DomainError`.
 """
 
 from __future__ import annotations
@@ -20,6 +23,8 @@ import math
 import re
 from dataclasses import dataclass
 from typing import Callable, Sequence, Union
+
+from .errors import DomainEscapeError
 
 __all__ = [
     "Num",
@@ -315,17 +320,89 @@ def to_source(e: Expr) -> str:
     raise TypeError(f"not an expression node: {e!r}")
 
 
+def _ln(v: float) -> float:
+    if v <= 0.0:
+        raise DomainEscapeError(f"ln of non-positive {v!r}")
+    return math.log(v)
+
+
+def _exp(v: float) -> float:
+    try:
+        return math.exp(v)
+    except OverflowError:
+        return math.inf
+
+
+def _sqrt(v: float) -> float:
+    if v < 0.0:
+        raise DomainEscapeError(f"sqrt of negative {v!r}")
+    return math.sqrt(v)
+
+
+def _div(a: float, b: float) -> float:
+    if b == 0.0:
+        raise DomainEscapeError("division by zero")
+    return a / b
+
+
+def _pow(a: float, b: float) -> float:
+    if a == 0.0 and b < 0.0:
+        raise DomainEscapeError("zero raised to a negative power")
+    if a < 0.0 and b != int(b):
+        raise DomainEscapeError(f"negative base {a!r} with fractional exponent")
+    try:
+        return math.pow(a, b)
+    except OverflowError:
+        return math.inf
+
+
+_CALLS = {"ln": _ln, "exp": _exp, "sqrt": _sqrt, "abs": abs}
+
+
+def _compile(e: Expr) -> Callable[[Sequence[float]], float]:
+    """Nested closures over the argument tuple that apply the same float
+    operations in the same order as :func:`eval_expr`, raising
+    :class:`DomainEscapeError` with the same reason where it would return
+    a :class:`DomainError`."""
+    if isinstance(e, (Num, Const)):
+        value = e.value if isinstance(e, Num) else CONSTANTS[e.name]
+        return lambda args: value
+    if isinstance(e, Var):
+        i = e.index - 1
+        return lambda args: float(args[i])
+    if isinstance(e, Neg):
+        arg = _compile(e.arg)
+        return lambda args: -arg(args)
+    if isinstance(e, Call):
+        arg, fn = _compile(e.arg), _CALLS[e.fn]
+        return lambda args: fn(arg(args))
+    if not isinstance(e, BinOp):
+        raise TypeError(f"not an expression node: {e!r}")
+    left, right = _compile(e.left), _compile(e.right)
+    # operators inline rather than from a table of functions: one call fewer per node
+    if e.op == "+":
+        return lambda args: left(args) + right(args)
+    if e.op == "-":
+        return lambda args: left(args) - right(args)
+    if e.op == "*":
+        return lambda args: left(args) * right(args)
+    if e.op == "/":
+        return lambda args: _div(left(args), right(args))
+    if e.op == "^":
+        return lambda args: _pow(left(args), right(args))
+    raise AssertionError(f"unknown operator {e.op}")
+
+
 def make_callable(e: Expr, arity: int) -> Callable[..., float]:
-    """Wrap an AST as a plain function that raises on domain errors, for
-    plugging into :class:`naryops.core.NaryOp`."""
-    from .errors import DomainEscapeError
+    """Compile an AST once into a plain function that raises
+    :class:`DomainEscapeError` on domain errors, for plugging into
+    :class:`naryops.core.NaryOp`. Results match :func:`eval_expr` bit for
+    bit."""
+    body = _compile(e)
 
     def fn(*args: float) -> float:
         if len(args) != arity:
             raise TypeError(f"expected {arity} arguments, got {len(args)}")
-        v = eval_expr(e, args)
-        if is_domain_error(v):
-            raise DomainEscapeError(v.reason)
-        return v
+        return body(args)
 
     return fn

@@ -74,14 +74,7 @@ class ExtendedOp:
         entry = self._powers.setdefault(c, {1: float(c)})
         if p in entry:
             return entry[p]
-        step = self.arity_class.step()
-        top = max(entry)
-        acc = entry[top]
-        while top < p:
-            acc = self.base.checked(acc, *([c] * step))
-            top += step
-            entry[top] = acc
-        return acc
+        return self._grow(entry, p, c)
 
     def string_power(self, x: float, k: int, c: float, q: int) -> float:
         """g(x^k c^q) for k in the arity class and q = 0 (mod n-1)."""
@@ -95,10 +88,19 @@ class ExtendedOp:
         entry = self._mixed.setdefault((x, k, c), {0: self.power(x, k)})
         if q in entry:
             return entry[q]
-        top = max(e for e in entry if e <= q)
+        return self._grow(entry, q, c)
+
+    def _grow(self, entry: dict[int, float], target: int, c: float) -> float:
+        """Extend a cache entry by absorbing n-1 copies of c per step until
+        it reaches ``target``. Fills append consecutive multiples of the
+        step, so the last inserted key is the largest one cached."""
+        step = self.arity_class.step()
+        tail = (c,) * step
+        checked = self.base.checked
+        top = next(reversed(entry))
         acc = entry[top]
-        while top < q:
-            acc = self.base.checked(acc, *([c] * step))
+        while top < target:
+            acc = checked(acc, *tail)
             top += step
             entry[top] = acc
         return acc

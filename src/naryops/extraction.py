@@ -18,6 +18,7 @@ import enum
 import math
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 from .axioms import AxiomReport, Witness, scaled_tolerance
@@ -189,9 +190,9 @@ def select_base_point(
 
     lo, hi = f.domain.clamp_window(cfg.scan_window)
     width = hi - lo
-    if f.domain.lo_open and lo == f.domain.lo.to_float():
+    if f.domain.lo_open and lo == f.domain.lo:
         lo += 1e-3 * width
-    if f.domain.hi_open and hi == f.domain.hi.to_float():
+    if f.domain.hi_open and hi == f.domain.hi:
         hi -= 1e-3 * width
     best_c = None
     best_d = 0.0
@@ -459,11 +460,12 @@ class ExtractedGenerator:
     band: float
     estimates: tuple[PhiEstimate, ...] = field(repr=False, default=())
 
-    @property
+    # Unzipped once per instance: ``interpolate`` reads both on every call.
+    @cached_property
     def x_values(self) -> tuple[float, ...]:
         return tuple(x for x, _ in self.samples)
 
-    @property
+    @cached_property
     def phi_values(self) -> tuple[float, ...]:
         return tuple(v for _, v in self.samples)
 

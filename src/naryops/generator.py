@@ -65,12 +65,12 @@ def validate_codomain(J: Interval, n: int) -> CodomainForm:
     """
     if n < 2:
         raise ValueError("n must be >= 2")
-    lo_inf = not J.lo.finite
-    hi_inf = not J.hi.finite
+    lo_inf = math.isinf(J.lo)
+    hi_inf = math.isinf(J.hi)
     if lo_inf and hi_inf:
         return CodomainForm("full_line", None)
     if lo_inf:
-        b = J.hi.value
+        b = J.hi
         # elements below b sum to anything below n*b; closure needs n*b <= b
         if n * b > b:
             raise CodomainError(
@@ -79,7 +79,7 @@ def validate_codomain(J: Interval, n: int) -> CodomainForm:
             )
         return CodomainForm("neg_open_b" if J.hi_open else "neg_closed_b", b)
     if hi_inf:
-        a = J.lo.value
+        a = J.lo
         if n * a < a:
             raise CodomainError(
                 f"codomain {J.render()} not closed under {n}-term sums "
@@ -131,8 +131,8 @@ def invert_monotone(
     """
     if tol is None:
         tol = 1e-12 * (1.0 + abs(y))
-    lo = bracket.lo.to_float()
-    hi = bracket.hi.to_float()
+    lo = bracket.lo
+    hi = bracket.hi
     if math.isfinite(lo) and math.isfinite(hi):
         x0 = 0.5 * (lo + hi)
     elif math.isfinite(lo):
@@ -223,8 +223,8 @@ class GeneratorSpec:
             raise ValueError("scale factor must be nonzero")
         phi = self.phi
         inv = self.phi_inverse
-        lo_f = self.codomain.lo.to_float()
-        hi_f = self.codomain.hi.to_float()
+        lo_f = self.codomain.lo
+        hi_f = self.codomain.hi
         if r > 0:
             J = Interval.make(r * lo_f, r * hi_f, self.codomain.lo_open, self.codomain.hi_open)
         else:

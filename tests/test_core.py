@@ -6,10 +6,7 @@ from hypothesis import given, strategies as st
 
 from naryops.core import (
     ArityClass,
-    ExtendedReal,
     Interval,
-    NEG_INF,
-    POS_INF,
     arity_member,
     builtin_lookup,
     interval_contains,
@@ -19,18 +16,47 @@ from naryops.errors import RegistryError
 from naryops.generator import GeneratorSpec
 
 
-def test_extended_real_total_order():
-    assert NEG_INF < ExtendedReal.of(-1e300) < ExtendedReal.of(0.0) < POS_INF
-    assert ExtendedReal.of(2.0) == ExtendedReal.of(2.0)
-    assert not POS_INF < POS_INF
-
-
-def test_extended_real_exactly_one_kind():
-    assert ExtendedReal.of(math.inf) is POS_INF
-    assert ExtendedReal.of(-math.inf) is NEG_INF
-    assert ExtendedReal.of(3.0).finite
+def test_interval_orders_against_infinite_bounds():
+    line = Interval.real_line()
+    assert line.lo == -math.inf and line.hi == math.inf
+    assert all(line.contains(x) for x in (-1e300, -0.0, 0.0, 1e300))
+    assert not line.contains(-math.inf) and not line.contains(math.inf)
+    upper = Interval.make(0.0, math.inf, lo_open=False)
+    assert upper.contains(0.0) and upper.contains(1e300) and not upper.contains(math.inf)
+    assert not upper.contains(-1e-300)
+    lower = Interval.make(-math.inf, 0.0, hi_open=False)
+    assert lower.contains(-1e300) and lower.contains(-0.0) and not lower.contains(5e-324)
     with pytest.raises(ValueError):
-        ExtendedReal(0, math.inf)
+        Interval.make(math.inf, math.inf)
+
+
+def test_interval_endpoint_validation():
+    # an infinite endpoint must be open
+    for lo, hi, lo_open, hi_open in (
+        (-math.inf, 0.0, False, True),
+        (0.0, math.inf, True, False),
+    ):
+        with pytest.raises(ValueError):
+            Interval(lo, hi, lo_open, hi_open)
+    # lo < hi, with a NaN endpoint failing the comparison
+    for lo, hi in ((1.0, 1.0), (math.nan, 1.0), (0.0, math.nan), (math.nan, math.nan)):
+        with pytest.raises(ValueError):
+            Interval(lo, hi)
+        with pytest.raises(ValueError):
+            Interval.make(lo, hi)
+    # -0.0 is stored, and rendered, as 0.0
+    iv = Interval.make(-0.0, math.inf)
+    assert math.copysign(1.0, iv.lo) == 1.0
+    assert iv.render() == "(0.0,+inf)"
+    iv = Interval(-1.0, -0.0, True, False)
+    assert math.copysign(1.0, iv.hi) == 1.0
+    assert iv.render() == "(-1.0,0.0]"
+    assert Interval.parse("[-0.0,1)").render() == "[0.0,1.0)"
+    assert Interval.real_line().render() == "(-inf,+inf)"
+    # NaN lies in no interval
+    for iv in (Interval.real_line(), Interval.make(0.0, 1.0, False, False)):
+        assert not iv.contains(math.nan)
+        assert not interval_contains(iv, math.nan)
 
 
 def test_interval_requires_lo_below_hi():
@@ -44,7 +70,7 @@ def test_infinite_endpoints_forced_open():
     iv = Interval.make(0.0, math.inf, lo_open=False, hi_open=False)
     assert not iv.lo_open and iv.hi_open
     with pytest.raises(ValueError):
-        Interval(NEG_INF, POS_INF, False, True)
+        Interval(-math.inf, math.inf, False, True)
 
 
 def test_interval_contains_open_and_closed_ends():

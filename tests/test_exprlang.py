@@ -1,9 +1,14 @@
+import math
 import random
+import struct
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from naryops.errors import DomainEscapeError
 from naryops.exprlang import (
+    CONSTANTS,
+    FUNCTIONS,
     BinOp,
     Call,
     Const,
@@ -14,6 +19,7 @@ from naryops.exprlang import (
     Var,
     eval_expr,
     is_domain_error,
+    make_callable,
     parse,
     to_source,
 )
@@ -136,3 +142,75 @@ def test_print_parse_round_trip():
         arity = rng.randint(1, 4)
         ast = _random_ast(rng, rng.randint(0, 6), arity)
         assert parse(to_source(ast), arity) == ast
+
+
+# Values for constants and arguments: zeros of both signs, negatives, the
+# edges of the float range and the infinities, plus arbitrary floats.
+_VALUES = st.one_of(
+    st.sampled_from(
+        (0.0, -0.0, 1.0, -1.0, 0.5, -2.5, 3.0, 1e300, -1e300, 5e-324, math.inf, -math.inf)
+    ),
+    st.floats(),
+)
+
+
+def _exprs(arity: int):
+    leaves = st.one_of(
+        st.builds(Num, _VALUES.filter(lambda v: not math.isnan(v))),
+        st.builds(Var, st.integers(min_value=1, max_value=arity)),
+        st.builds(Const, st.sampled_from(sorted(CONSTANTS))),
+    )
+    return st.recursive(
+        leaves,
+        lambda sub: st.one_of(
+            st.builds(Neg, sub),
+            st.builds(Call, st.sampled_from(FUNCTIONS), sub),
+            st.builds(BinOp, st.sampled_from("+-*/^"), sub, sub),
+        ),
+        max_leaves=10,
+    )
+
+
+# (AST, arguments) at arities 1-3; integer arguments must come out as floats
+_ARGS = st.one_of(_VALUES, st.integers(min_value=-3, max_value=3))
+_CASES = st.one_of(
+    *(st.tuples(_exprs(n), st.lists(_ARGS, min_size=n, max_size=n)) for n in (1, 2, 3))
+)
+
+
+def _outcome(evaluate):
+    """What an evaluation did, comparable bit for bit: a float's type and
+    bytes (every NaN alike, zeros by sign), a domain error's reason, or
+    the type and text of any other exception."""
+    try:
+        v = evaluate()
+    except DomainEscapeError as exc:
+        return ("domain", str(exc))
+    except Exception as exc:  # e.g. int() of an infinite exponent
+        return ("raised", type(exc).__name__, str(exc))
+    if is_domain_error(v):
+        return ("domain", v.reason)
+    return ("value", type(v), "nan" if math.isnan(v) else struct.pack("<d", v))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_CASES)
+@example((Neg(Var(1)), [0.0]))  # -0.0
+@example((BinOp("^", Neg(Num(2.0)), Var(1)), [math.inf]))  # int(inf) overflows
+@example((BinOp("^", Var(1), Var(2)), [-1.0, math.nan]))  # int(nan) is invalid
+@example((BinOp("-", Var(1), Var(1)), [math.inf]))  # nan
+def test_compiled_callable_matches_eval_expr(case):
+    ast, args = case
+    fn = make_callable(ast, len(args))
+    assert _outcome(lambda: fn(*args)) == _outcome(lambda: eval_expr(ast, args))
+
+
+@given(st.integers(min_value=1, max_value=3), st.integers(min_value=0, max_value=5))
+def test_compiled_callable_checks_arity(arity, given_args):
+    fn = make_callable(parse("+".join(f"x{i}" for i in range(1, arity + 1)), arity), arity)
+    args = (1.0,) * given_args
+    if given_args == arity:
+        assert fn(*args) == float(arity)
+    else:
+        with pytest.raises(TypeError, match=f"expected {arity} arguments, got {given_args}"):
+            fn(*args)
