@@ -1,10 +1,14 @@
 """Sampling-based falsification checks: associativity, symmetry,
-cancellativity, and idempotent search.
+cancellativity, and idempotent search, and the one loop every sampled
+identity check of the package runs through.
 
 These checks can falsify an axiom with a concrete, replayable witness;
 they cannot certify it. Samples are drawn from a dyadic lattice inside
 the domain window so that operations built from +, -, * are evaluated
 exactly and residuals of genuinely associative ops are identically zero.
+Operations are evaluated through :meth:`NaryOp.checked`, so a non-finite
+value or a domain escape raises :class:`DomainEscapeError` instead of
+passing as a residual that compares false.
 """
 
 from __future__ import annotations
@@ -26,13 +30,8 @@ __all__ = [
     "check_symmetry",
     "check_cancellativity",
     "find_idempotents",
-    "scaled_tolerance",
+    "falsify",
 ]
-
-
-def scaled_tolerance(tol: float, lhs: float, rhs: float) -> float:
-    """Relative tolerance: tol * (1 + |lhs| + |rhs|)."""
-    return tol * (1.0 + abs(lhs) + abs(rhs))
 
 
 @dataclass(frozen=True)
@@ -50,8 +49,10 @@ class Witness:
     def replay(self, op, helper=None) -> float:
         """Recompute the residual from the stored inputs.
 
-        ``op`` is the NaryOp (or ExtendedOp for the identity kinds);
-        ``helper`` carries the second operation for reduction witnesses.
+        ``op`` is the NaryOp (the ExtendedOp for the identity kinds, the
+        AdjoinedStructure for neutrality); ``helper`` carries the binary
+        candidate for reduction witnesses, the rebuilt operation for
+        round-trip witnesses and the ExtractedGenerator for additivity.
         """
         if self.kind == "associativity":
             xs = self.inputs[0]
@@ -64,23 +65,27 @@ class Witness:
         if self.kind == "cancellativity":
             a, b = self.inputs
             return op.eval(*b) - op.eval(*a)
-        if self.kind == "nested_identity":
-            x, y, z = self.inputs
-            inner = op.eval(y)
-            return abs(op.eval(x + (inner,) + z) - op.eval(x + y + z))
-        if self.kind == "split_identity":
-            blocks = self.inputs
-            heads = tuple(op.eval(b) for b in blocks)
-            flat = tuple(itertools.chain.from_iterable(blocks))
-            return abs(op.eval(heads) - op.eval(flat))
+        if self.kind in ("nested_identity", "split_identity"):
+            from .extension import nested_trials, split_trials  # extension imports this module
+
+            trials = nested_trials if self.kind == "nested_identity" else split_trials
+            lhs, rhs, _ = next(trials(op, [self.inputs]))
+            return abs(lhs - rhs)
         if self.kind == "reduction":
             xs = self.inputs[0]
             acc = xs[0]
             for v in xs[1:]:
                 acc = helper.eval(acc, v)
             return abs(op.eval(*xs) - acc)
+        if self.kind == "roundtrip":
+            xs = self.inputs[0]
+            return abs(helper.eval(*xs) - op.eval(*xs))
         if self.kind == "additivity":
-            raise ValueError("additivity witnesses replay through the extracted generator")
+            xs = self.inputs[0]
+            rhs = math.fsum(helper.interpolate(v) for v in xs)
+            return abs(helper.interpolate(op.eval(*xs)) - rhs)
+        if self.kind == "neutrality":
+            return op.max_neutrality_residual(self.inputs[0])
         raise ValueError(f"unknown witness kind {self.kind!r}")
 
     def to_dict(self) -> dict:
@@ -151,12 +156,57 @@ def lattice_sampler(
     return lambda: rng.randint(j_min, j_max) * h
 
 
+def falsify(
+    kind: str,
+    trials,
+    tol: float,
+    *,
+    slack: float | None = None,
+    axiom: str = "identity",
+    samples: int = 1,
+    seed: int = 0,
+    label: str = "",
+) -> AxiomReport:
+    """The one sample-and-falsify loop.
+
+    ``trials`` yields ``(lhs, rhs, fields)``: the two sides of an identity
+    on one sample, evaluated through :meth:`NaryOp.checked`, and the
+    :class:`Witness` fields (inputs and the like) that replay it. A trial
+    fails unless its residual ``|lhs - rhs|`` is at most the threshold
+    ``slack + tol * (1 + |lhs| + |rhs|)``; the comparison is written so
+    that a NaN residual fails too. The witness is the failing trial with
+    the largest margin (residual minus threshold), the first one on a tie.
+    The report's tolerance is ``slack`` when given and ``tol`` otherwise.
+    """
+    base = 0.0 if slack is None else slack
+    max_residual = 0.0
+    witness = None
+    worst = -math.inf
+    for lhs, rhs, fields in trials:
+        residual = abs(lhs - rhs)
+        if residual > max_residual:
+            max_residual = residual
+        threshold = base + tol * (1.0 + abs(lhs) + abs(rhs))
+        if not residual <= threshold and (witness is None or residual - threshold > worst):
+            worst = residual - threshold
+            witness = Witness(kind=kind, residual=residual, **fields)
+    return AxiomReport(
+        axiom=axiom,
+        passed=witness is None,
+        max_residual=max_residual,
+        witness=witness,
+        samples_used=samples,
+        seed=seed,
+        tolerance=tol if slack is None else slack,
+        label=label,
+    )
+
+
 def _nesting(f: NaryOp, xs: Sequence[float], i: int) -> float:
     """Evaluate the (2n-1)-tuple with the inner application at offset i."""
     n = f.arity
     inner = f.checked(*xs[i : i + n])
-    outer = tuple(xs[:i]) + (inner,) + tuple(xs[i + n :])
-    return f.eval(*outer)
+    return f.checked(*xs[:i], inner, *xs[i + n :])
 
 
 def check_associativity(
@@ -174,36 +224,18 @@ def check_associativity(
     if samples < 1:
         raise ValueError("samples must be >= 1")
     n = f.arity
-    rng = random.Random(seed)
-    draw = lattice_sampler(f.domain, window, rng)
-    max_residual = 0.0
-    witness = None
-    worst_violation = -math.inf
-    for _ in range(samples):
-        xs = tuple(draw() for _ in range(2 * n - 1))
-        values = [_nesting(f, xs, i) for i in range(n)]
-        for i in range(n - 1):
-            lhs, rhs = values[i], values[i + 1]
-            residual = abs(lhs - rhs)
-            max_residual = max(max_residual, residual)
-            margin = residual - scaled_tolerance(tol, lhs, rhs)
-            if margin > 0.0 and margin > worst_violation:
-                worst_violation = margin
-                witness = Witness(
-                    kind="associativity",
-                    inputs=(xs,),
-                    residual=residual,
-                    equation_index=i + 1,
-                )
-    return AxiomReport(
-        axiom="associativity",
-        passed=witness is None,
-        max_residual=max_residual,
-        witness=witness,
-        samples_used=samples,
-        seed=seed,
-        tolerance=tol,
-        label=f.label,
+    draw = lattice_sampler(f.domain, window, random.Random(seed))
+
+    def trials():
+        for _ in range(samples):
+            xs = tuple(draw() for _ in range(2 * n - 1))
+            values = [_nesting(f, xs, i) for i in range(n)]
+            for i in range(n - 1):
+                yield values[i], values[i + 1], {"inputs": (xs,), "equation_index": i + 1}
+
+    return falsify(
+        "associativity", trials(), tol,
+        axiom="associativity", samples=samples, seed=seed, label=f.label,
     )
 
 
@@ -235,34 +267,18 @@ def check_symmetry(
     n = f.arity
     rng = random.Random(seed)
     draw = lattice_sampler(f.domain, window, rng)
-    max_residual = 0.0
-    witness = None
-    worst_violation = -math.inf
-    for _ in range(samples):
-        xs = tuple(draw() for _ in range(n))
-        base = f.eval(*xs)
-        for perm in _permutations_for(n, rng):
-            other = f.eval(*(xs[j] for j in perm))
-            residual = abs(base - other)
-            max_residual = max(max_residual, residual)
-            margin = residual - scaled_tolerance(tol, base, other)
-            if margin > 0.0 and margin > worst_violation:
-                worst_violation = margin
-                witness = Witness(
-                    kind="symmetry",
-                    inputs=(xs,),
-                    residual=residual,
-                    permutation=perm,
-                )
-    return AxiomReport(
-        axiom="symmetry",
-        passed=witness is None,
-        max_residual=max_residual,
-        witness=witness,
-        samples_used=samples,
-        seed=seed,
-        tolerance=tol,
-        label=f.label,
+
+    def trials():
+        for _ in range(samples):
+            xs = tuple(draw() for _ in range(n))
+            base = f.checked(*xs)
+            for perm in _permutations_for(n, rng):
+                other = f.checked(*(xs[j] for j in perm))
+                yield base, other, {"inputs": (xs,), "permutation": perm}
+
+    return falsify(
+        "symmetry", trials(), tol,
+        axiom="symmetry", samples=samples, seed=seed, label=f.label,
     )
 
 
@@ -305,7 +321,7 @@ def check_cancellativity(
             tuples = [
                 frozen[:coord] + (x,) + frozen[coord:] for x in grid
             ]
-            values = [f.eval(*t) for t in tuples]
+            values = [f.checked(*t) for t in tuples]
             sections += 1
             scale = 1.0 + max(abs(v) for v in values)
             thr = strict_tol * scale

@@ -4,7 +4,8 @@ Subcommands: axioms, extend, build, extract, roundtrip, reduce, gallery.
 Reports are written as JSON, CSV (tabulated generators), or text. Exit
 codes: 0 all checks passed, 1 a check failed and carries a witness,
 2 usage or configuration error, 3 numeric failure (overflow, missing
-bracket, idempotent scan, monotonicity breakdown).
+bracket, idempotent scan, monotonicity breakdown, a non-finite value or
+domain escape inside a check).
 """
 
 from __future__ import annotations
@@ -15,45 +16,25 @@ import math
 import random
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 from . import axioms as axioms_mod
 from .core import Interval, NaryOp, builtin_lookup
-from .errors import (
-    AllIdempotentError,
-    ArityClassError,
-    BracketNotFoundError,
-    CodomainError,
-    DomainEscapeError,
-    InversionError,
-    MonotonicityViolationError,
-    PrecisionExhaustedError,
-    RegistryError,
-)
+from .errors import CodomainError, NaryError, RegistryError
 from .exprlang import ParseError, make_callable, parse as parse_expr
 from .extension import (
     ExtendedOp,
-    check_nested_identity,
-    check_split_identity,
+    nested_trials,
     random_nested_decomposition,
     random_split_blocks,
+    split_trials,
 )
-from .extraction import ExtractionConfig, extract_generator, verify_additivity
-from .generator import GeneratorSpec, build_aczelian, validate_codomain
+from .extraction import ExtractionConfig, extract_generator, verify_additivity, verify_roundtrip
+from .generator import GeneratorSpec, build_aczelian, estimate_codomain, validate_codomain
 from .reducibility import adjoin_neutral, derive_binary, verify_reduction
 
 __all__ = ["RunConfig", "run", "write_report", "load_opspec", "load_generator", "main"]
-
-_NUMERIC_ERRORS = (
-    PrecisionExhaustedError,
-    BracketNotFoundError,
-    AllIdempotentError,
-    MonotonicityViolationError,
-    DomainEscapeError,
-    InversionError,
-    ArityClassError,
-)
 
 
 @dataclass
@@ -78,21 +59,10 @@ class RunConfig:
     out: str = "-"
 
     def echo(self) -> dict:
-        return {
-            "op": self.op,
-            "phi": self.phi,
-            "phi_inv": self.phi_inv,
-            "codomain": self.codomain,
-            "n": self.n,
-            "interval": self.interval,
-            "grid": self.grid,
-            "samples": self.samples,
-            "seed": self.seed,
-            "resolution": self.resolution,
-            "tol": self.tol,
-            "c": self.c,
-            "window": self.window,
-        }
+        """The flags that shape the result: all but the command and the
+        output format and path."""
+        skip = ("command", "fmt", "out")
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name not in skip}
 
 
 def load_opspec(source: str, n: int, interval: str | None = None) -> NaryOp:
@@ -111,43 +81,6 @@ def load_opspec(source: str, n: int, interval: str | None = None) -> NaryOp:
     return obj
 
 
-def _estimate_codomain(phi, domain: Interval) -> Interval:
-    """Heuristic image interval of a monotone map: chase each endpoint
-    with a ladder of approach points; a limit still moving at the ladder
-    end counts as infinite, a settled one as an open finite bound
-    (snapped to zero when tiny)."""
-    from .generator import _approach, _safe_phi
-
-    lo = domain.lo
-    hi = domain.hi
-    if math.isfinite(lo) and math.isfinite(hi):
-        x0 = 0.5 * (lo + hi)
-    elif math.isfinite(lo):
-        x0 = lo + 1.0
-    elif math.isfinite(hi):
-        x0 = hi - 1.0
-    else:
-        x0 = 0.0
-
-    def chase(endpoint, open_end, toward_low):
-        prev = None
-        last = _safe_phi(phi, x0)
-        for pt in _approach(endpoint, open_end, x0, toward_low):
-            prev, last = last, _safe_phi(phi, pt)
-            if not math.isfinite(last):
-                return math.copysign(math.inf, last)
-        if prev is not None and abs(last - prev) > 1e-6 * (1.0 + abs(last)):
-            return math.copysign(math.inf, last - prev) if last != prev else last
-        if abs(last) <= 1e-9:
-            return 0.0
-        return last
-
-    v_lo = chase(lo, domain.lo_open, True)
-    v_hi = chase(hi, domain.hi_open, False)
-    a, b = min(v_lo, v_hi), max(v_lo, v_hi)
-    return Interval.make(a, b, True, True)
-
-
 def load_generator(
     phi_src: str,
     phi_inv_src: str | None,
@@ -163,48 +96,26 @@ def load_generator(
     if phi_inv_src:
         inv_ast = parse_expr(phi_inv_src, 1)
         inv = make_callable(inv_ast, 1)
-    J = Interval.parse(codomain) if codomain else _estimate_codomain(phi, iv)
+    J = Interval.parse(codomain) if codomain else estimate_codomain(phi, iv)
     return GeneratorSpec(
         phi=phi, domain=iv, codomain=J, phi_inverse=inv, label=phi_src
     )
 
 
-_BUILTIN_GENERATORS = {
-    "sum": lambda n: builtin_lookup("identity_generator"),
-    "product": lambda n: builtin_lookup("log_generator"),
-    "translated_sum": lambda n: GeneratorSpec(
-        phi=lambda x, _s=1.0 / (n - 1): x + _s,
-        domain=Interval.real_line(),
-        codomain=Interval.real_line(),
-        phi_inverse=lambda y, _s=1.0 / (n - 1): y - _s,
-        label=f"x + 1/{n - 1}",
-    ),
-    "bounded_product": lambda n: GeneratorSpec(
-        phi=math.log,
-        domain=Interval.make(0.0, 1.0),
-        codomain=Interval.make(-math.inf, 0.0),
-        phi_inverse=math.exp,
-        label="ln on (0,1)",
-    ),
-}
-
-
 def parse_grid(text: str) -> tuple[float, ...]:
-    """``lo:hi:step`` (inclusive of endpoints within half a step) or a
-    comma-separated list."""
+    """``lo:hi:step`` (the points lo + i*step, inclusive of hi within half
+    a step) or a comma-separated list."""
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
             raise ValueError(f"grid {text!r} must be lo:hi:step")
         lo, hi, step = (float(p) for p in parts)
+        if not (math.isfinite(lo) and math.isfinite(hi) and math.isfinite(step)):
+            raise ValueError(f"grid {text!r} needs finite lo, hi and step")
         if step <= 0 or hi < lo:
             raise ValueError(f"grid {text!r} needs lo <= hi and step > 0")
-        out = []
-        v = lo
-        while v <= hi + step / 2.0:
-            out.append(v)
-            v += step
-        return tuple(out)
+        count = math.floor((hi - lo) / step + 0.5)
+        return tuple(lo + i * step for i in range(count + 1))
     return tuple(float(p) for p in text.split(","))
 
 
@@ -227,19 +138,23 @@ def _suite_report(cfg: RunConfig, checks: dict, extra: dict | None = None) -> tu
     return (0 if passed else 1), report
 
 
-def _cmd_axioms(cfg: RunConfig) -> tuple[int, dict]:
-    f = load_opspec(cfg.op, cfg.n, cfg.interval)
-    checks = {
+def _associativity_and_symmetry(f: NaryOp, cfg: RunConfig, tol: float) -> dict:
+    return {
         "associativity": axioms_mod.check_associativity(
-            f, cfg.samples, cfg.seed, cfg.tol, cfg.window
+            f, cfg.samples, cfg.seed, tol, cfg.window
         ).to_dict(),
         "symmetry": axioms_mod.check_symmetry(
-            f, cfg.samples, cfg.seed + 1, cfg.tol, cfg.window
-        ).to_dict(),
-        "cancellativity": axioms_mod.check_cancellativity(
-            f, max(10, cfg.samples // 5), 9, cfg.seed + 2, cfg.window
+            f, cfg.samples, cfg.seed + 1, tol, cfg.window
         ).to_dict(),
     }
+
+
+def _cmd_axioms(cfg: RunConfig) -> tuple[int, dict]:
+    f = load_opspec(cfg.op, cfg.n, cfg.interval)
+    checks = _associativity_and_symmetry(f, cfg, cfg.tol)
+    checks["cancellativity"] = axioms_mod.check_cancellativity(
+        f, max(10, cfg.samples // 5), 9, cfg.seed + 2, cfg.window
+    ).to_dict()
     return _suite_report(cfg, checks)
 
 
@@ -248,36 +163,20 @@ def _cmd_extend(cfg: RunConfig) -> tuple[int, dict]:
     g = ExtendedOp(f)
     rng = random.Random(cfg.seed)
     draw = axioms_mod.lattice_sampler(f.domain, cfg.window, rng)
-    worst_nested = worst_split = None
-    max_nested = max_split = 0.0
+    splits, block_lists = [], []
     for _ in range(cfg.samples):
-        lx, ly, lz = random_nested_decomposition(rng, cfg.n)
-        x = tuple(draw() for _ in range(lx))
-        y = tuple(draw() for _ in range(ly))
-        z = tuple(draw() for _ in range(lz))
-        rep = check_nested_identity(g, x, y, z, cfg.tol)
-        max_nested = max(max_nested, rep.max_residual)
-        if not rep.passed and worst_nested is None:
-            worst_nested = rep
+        lengths = random_nested_decomposition(rng, cfg.n)
+        splits.append(tuple(tuple(draw() for _ in range(m)) for m in lengths))
         lengths = random_split_blocks(rng, cfg.n)
-        blocks = [tuple(draw() for _ in range(m)) for m in lengths]
-        rep = check_split_identity(g, blocks, cfg.tol)
-        max_split = max(max_split, rep.max_residual)
-        if not rep.passed and worst_split is None:
-            worst_split = rep
+        block_lists.append([tuple(draw() for _ in range(m)) for m in lengths])
+    common = {"samples": cfg.samples, "seed": cfg.seed, "label": f.label}
     checks = {
-        "nested_identity": {
-            "pass": worst_nested is None,
-            "max_residual": max_nested,
-            "witness": worst_nested.witness.to_dict() if worst_nested else None,
-            "samples_used": cfg.samples,
-        },
-        "split_identity": {
-            "pass": worst_split is None,
-            "max_residual": max_split,
-            "witness": worst_split.witness.to_dict() if worst_split else None,
-            "samples_used": cfg.samples,
-        },
+        "nested_identity": axioms_mod.falsify(
+            "nested_identity", nested_trials(g, splits), cfg.tol, **common
+        ).to_dict(),
+        "split_identity": axioms_mod.falsify(
+            "split_identity", split_trials(g, block_lists), cfg.tol, **common
+        ).to_dict(),
     }
     return _suite_report(cfg, checks)
 
@@ -288,14 +187,7 @@ def _cmd_build(cfg: RunConfig) -> tuple[int, dict]:
     spec = load_generator(cfg.phi, cfg.phi_inv, cfg.interval, cfg.codomain)
     form = validate_codomain(spec.codomain, cfg.n)
     f = build_aczelian(spec, cfg.n)
-    checks = {
-        "associativity": axioms_mod.check_associativity(
-            f, cfg.samples, cfg.seed, max(cfg.tol, 1e-8), cfg.window
-        ).to_dict(),
-        "symmetry": axioms_mod.check_symmetry(
-            f, cfg.samples, cfg.seed + 1, max(cfg.tol, 1e-8), cfg.window
-        ).to_dict(),
-    }
+    checks = _associativity_and_symmetry(f, cfg, max(cfg.tol, 1e-8))
     extra = {"codomain_form": {"form": form.form, "bound": form.bound}, "op_label": f.label}
     return _suite_report(cfg, checks, extra)
 
@@ -311,91 +203,49 @@ def _extraction_config(cfg: RunConfig) -> ExtractionConfig:
     )
 
 
-def _cmd_extract(cfg: RunConfig) -> tuple[int, dict]:
+def _extract(cfg: RunConfig):
+    """The operation, its extracted generator, and the report fields both
+    extraction commands share."""
     f = load_opspec(cfg.op, cfg.n, cfg.interval)
     gen = extract_generator(f, _extraction_config(cfg))
-    additivity = verify_additivity(gen, f, samples=100, seed=cfg.seed).to_dict()
-    checks = {"additivity": additivity}
     extra = {
         "table": [[x, v] for x, v in gen.samples],
         "base_point": gen.c,
-        "direction": gen.direction.value,
-        "normalization": gen.normalization,
         "resolution_bound": gen.resolution_bound,
-        "realized_resolution": gen.realized_resolution,
-        "interp_slack": gen.interp_slack,
     }
-    return _suite_report(cfg, checks, extra)
+    return f, gen, extra
+
+
+def _cmd_extract(cfg: RunConfig) -> tuple[int, dict]:
+    f, gen, extra = _extract(cfg)
+    additivity = verify_additivity(gen, f, samples=100, seed=cfg.seed).to_dict()
+    extra.update(
+        direction=gen.direction.value,
+        normalization=gen.normalization,
+        realized_resolution=gen.realized_resolution,
+        interp_slack=gen.interp_slack,
+    )
+    return _suite_report(cfg, {"additivity": additivity}, extra)
 
 
 def _cmd_roundtrip(cfg: RunConfig) -> tuple[int, dict]:
-    f = load_opspec(cfg.op, cfg.n, cfg.interval)
-    gen = extract_generator(f, _extraction_config(cfg))
+    f, gen, extra = _extract(cfg)
     rebuilt = build_aczelian(gen.as_generator_spec(), cfg.n)
-    xs = gen.x_values
-    lo, hi = xs[0], xs[-1]
-    ys = gen.phi_values
-    rng = random.Random(cfg.seed)
-    n = cfg.n
-    max_residual = 0.0
-    worst_tuple = None
-    accepted = 0
-    attempts = 0
-    samples = min(cfg.samples, 1000)
-    while accepted < samples:
-        attempts += 1
-        if attempts > 500 * samples:
-            raise BracketNotFoundError(
-                "could not sample tuples whose generator sums stay tabulated"
-            )
-        tup = tuple(rng.uniform(lo, hi) for _ in range(n))
-        s = math.fsum(gen.interpolate(v) for v in tup)
-        if not ys[0] <= s <= ys[-1]:
-            continue
-        accepted += 1
-        residual = abs(rebuilt.eval(*tup) - f.eval(*tup))
-        if residual > max_residual:
-            max_residual = residual
-            worst_tuple = tup
-    slope = gen.max_inverse_slope()
-    bound_res = max(gen.resolution_bound, gen.realized_resolution / 2.0)
-    threshold = 10.0 * bound_res * max(slope, 1e-300) + 1e-9
-    passed = max_residual <= threshold
-    checks = {
-        "roundtrip": {
-            "pass": passed,
-            "max_residual": max_residual,
-            "witness": {"kind": "roundtrip", "inputs": [list(worst_tuple)], "residual": max_residual}
-            if not passed
-            else None,
-            "samples_used": samples,
-        }
-    }
-    extra = {
-        "table": [[x, v] for x, v in gen.samples],
-        "threshold": threshold,
-        "inverse_slope_bound": slope,
-        "resolution_bound": gen.resolution_bound,
-        "base_point": gen.c,
-    }
-    return _suite_report(cfg, checks, extra)
+    roundtrip = verify_roundtrip(gen, f, rebuilt, min(cfg.samples, 1000), cfg.seed)
+    extra.update(threshold=roundtrip.tolerance, inverse_slope_bound=gen.max_inverse_slope())
+    return _suite_report(cfg, {"roundtrip": roundtrip.to_dict()}, extra)
 
 
 def _cmd_reduce(cfg: RunConfig) -> tuple[int, dict]:
+    f = load_opspec(cfg.op, cfg.n, cfg.interval) if cfg.op else None
     if cfg.phi:
         spec = load_generator(cfg.phi, cfg.phi_inv, cfg.interval, cfg.codomain)
-    elif cfg.op in _BUILTIN_GENERATORS:
-        spec = _BUILTIN_GENERATORS[cfg.op](cfg.n)
+    elif f is not None and f.generator is not None:
+        spec = f.generator
     else:
-        raise ValueError(
-            "reduce needs --phi, or --op with a generator-backed builtin "
-            f"({', '.join(sorted(_BUILTIN_GENERATORS))})"
-        )
-    f = (
-        load_opspec(cfg.op, cfg.n, cfg.interval)
-        if cfg.op
-        else build_aczelian(spec, cfg.n)
-    )
+        raise ValueError("reduce needs --phi, or --op with a builtin that has a generator")
+    if f is None:
+        f = build_aczelian(spec, cfg.n)
     diamond = derive_binary(spec)
     reduction = verify_reduction(
         f, diamond, cfg.samples, cfg.seed, max(cfg.tol, 1e-8), cfg.window
@@ -407,13 +257,13 @@ def _cmd_reduce(cfg: RunConfig) -> tuple[int, dict]:
     lo, hi = spec.domain.clamp_window(cfg.window)
     rng = random.Random(cfg.seed + 2)
     probes = [lo + (hi - lo) * rng.random() for _ in range(20)]
-    neutral_residual = structure.max_neutrality_residual(probes)
-    neutrality = {
-        "pass": neutral_residual <= 1e-8 * (1.0 + max(abs(v) for v in probes)),
-        "max_residual": neutral_residual,
-        "witness": None,
-        "samples_used": len(probes),
-    }
+    # one trial per probe: its worst residual over the n positions
+    trials = ((structure.max_neutrality_residual([x]), 0.0, {"inputs": ((x,),)}) for x in probes)
+    neutrality = axioms_mod.falsify(
+        "neutrality", trials, 0.0,
+        slack=1e-8 * (1.0 + max(abs(v) for v in probes)),
+        samples=len(probes), seed=cfg.seed + 2, label=f"neutrality[{spec.label}]",
+    ).to_dict()
     checks = {
         "reduction": reduction,
         "binary_associativity": binary_assoc,
@@ -475,18 +325,13 @@ def _cmd_gallery(cfg: RunConfig) -> tuple[int, dict]:
     ok = True
     for name, n in (("sum", 2), ("product", 3)):
         f = builtin_lookup(name, n)
-        ge = ExtendedOp(f)
         draw = axioms_mod.lattice_sampler(f.domain, 4.0, rng)
-        for _ in range(100):
-            lx, ly, lz = random_nested_decomposition(rng, n)
-            rep_n = check_nested_identity(
-                ge,
-                tuple(draw() for _ in range(lx)),
-                tuple(draw() for _ in range(ly)),
-                tuple(draw() for _ in range(lz)),
-            )
-            if not rep_n.passed:
-                ok = False
+        splits = (
+            tuple(tuple(draw() for _ in range(m)) for m in random_nested_decomposition(rng, n))
+            for _ in range(100)
+        )
+        trials = nested_trials(ExtendedOp(f), splits)
+        ok &= axioms_mod.falsify("nested_identity", trials, 1e-9).passed
     record("substitution_identities", ok)
 
     # the non-associative fixture is rejected
@@ -625,24 +470,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        command=args.command,
-        op=args.op,
-        phi=args.phi,
-        phi_inv=args.phi_inv,
-        codomain=args.codomain,
-        n=args.n,
-        interval=args.interval,
-        grid=args.grid,
-        samples=args.samples,
-        seed=args.seed,
-        resolution=args.resolution,
-        tol=args.tol,
-        c=args.c,
-        window=args.window,
-        fmt=args.fmt,
-        out=args.out,
-    )
+    """Every parser destination is a RunConfig field of the same name."""
+    return RunConfig(**vars(args))
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -661,7 +490,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except OSError as exc:
         print(f"naryops: cannot write report: {exc}", file=sys.stderr)
         return 2
-    except _NUMERIC_ERRORS as exc:
+    except NaryError as exc:  # every other package error is a numeric failure
         print(f"naryops: numeric failure: {exc}", file=sys.stderr)
         return 3
 

@@ -9,9 +9,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 from .errors import DomainEscapeError, RegistryError
+
+if TYPE_CHECKING:
+    from .generator import GeneratorSpec
 
 __all__ = [
     "Interval",
@@ -160,6 +163,8 @@ class NaryOp:
     domain: Interval
     eval: Callable[..., float] = field(compare=False)
     label: str = ""
+    #: the additive generator, for registry operations that have one
+    generator: GeneratorSpec | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if self.arity < 2:
@@ -171,13 +176,14 @@ class NaryOp:
         return self.eval(*xs)
 
     def checked(self, *xs: float) -> float:
-        """Evaluate and verify the result stayed finite and in the domain."""
+        """Evaluate and verify the result stayed finite and in the domain.
+        The error names the inputs, so a failure replays from its message."""
         y = self.eval(*xs)
         if not math.isfinite(y):
-            raise DomainEscapeError(f"{self.label or 'op'} produced non-finite {y!r}")
+            raise DomainEscapeError(f"{self.label or 'op'} produced non-finite {y!r} at {xs!r}")
         if not self.domain.contains(y):
             raise DomainEscapeError(
-                f"{self.label or 'op'} escaped domain {self.domain.render()}: {y!r}"
+                f"{self.label or 'op'} escaped domain {self.domain.render()}: {y!r} at {xs!r}"
             )
         return y
 
@@ -231,7 +237,8 @@ BUILTIN_NAMES = (
 def builtin_lookup(name: str, n: int = 2):
     """Instantiate a registry entry at arity n.
 
-    Operation names return :class:`NaryOp`; generator names return a
+    Operation names return :class:`NaryOp`, carrying their generator when
+    they have one; generator names return a
     :class:`naryops.generator.GeneratorSpec`. ``alternating`` requires an
     odd arity n >= 3.
     """
@@ -239,44 +246,48 @@ def builtin_lookup(name: str, n: int = 2):
 
     if name not in BUILTIN_NAMES:
         raise RegistryError(f"unknown builtin {name!r}; known: {', '.join(BUILTIN_NAMES)}")
-    if name in ("identity_generator", "log_generator"):
-        if name == "identity_generator":
-            return GeneratorSpec(
-                phi=lambda x: x,
-                phi_inverse=lambda y: y,
-                domain=Interval.real_line(),
-                codomain=Interval.real_line(),
-                label="identity_generator",
-            )
-        return GeneratorSpec(
-            phi=math.log,
-            phi_inverse=math.exp,
-            domain=Interval.make(0.0, math.inf),
-            codomain=Interval.real_line(),
-            label="log_generator",
-        )
+    line = Interval.real_line()
+    half_line = Interval.make(0.0, math.inf)
+    identity = GeneratorSpec(
+        phi=lambda x: x, domain=line, codomain=line, phi_inverse=lambda y: y,
+        label="identity_generator",
+    )
+    log = GeneratorSpec(
+        phi=math.log, domain=half_line, codomain=line, phi_inverse=math.exp,
+        label="log_generator",
+    )
+    if name == "identity_generator":
+        return identity
+    if name == "log_generator":
+        return log
 
     if n < 2:
         raise RegistryError(f"builtin {name!r} needs arity n >= 2, got {n}")
     if name == "sum":
-        return NaryOp(n, Interval.real_line(), lambda *xs: math.fsum(xs), f"sum/{n}")
+        return NaryOp(n, line, lambda *xs: math.fsum(xs), f"sum/{n}", identity)
     if name == "translated_sum":
         # phi(x) = x + 1/(n-1), so f = sum + 1 and the neutral point is -1/(n-1)
-        return NaryOp(
-            n, Interval.real_line(), lambda *xs: math.fsum(xs) + 1.0, f"translated_sum/{n}"
+        s = 1.0 / (n - 1)
+        shifted = GeneratorSpec(
+            phi=lambda x: x + s, domain=line, codomain=line, phi_inverse=lambda y: y - s,
+            label=f"x + 1/{n - 1}",
         )
+        return NaryOp(n, line, lambda *xs: math.fsum(xs) + 1.0, f"translated_sum/{n}", shifted)
     if name == "product":
-        return NaryOp(n, Interval.make(0.0, math.inf), lambda *xs: math.prod(xs), f"product/{n}")
+        return NaryOp(n, half_line, lambda *xs: math.prod(xs), f"product/{n}", log)
     if name == "bounded_product":
-        return NaryOp(
-            n, Interval.make(0.0, 1.0), lambda *xs: math.prod(xs), f"bounded_product/{n}"
+        unit = Interval.make(0.0, 1.0)
+        neg_log = GeneratorSpec(
+            phi=math.log, domain=unit, codomain=Interval.make(-math.inf, 0.0),
+            phi_inverse=math.exp, label="ln on (0,1)",
         )
+        return NaryOp(n, unit, lambda *xs: math.prod(xs), f"bounded_product/{n}", neg_log)
     if name == "alternating":
         if n < 3 or n % 2 == 0:
             raise RegistryError(f"alternating requires an odd arity n >= 3, got {n}")
         return NaryOp(
             n,
-            Interval.real_line(),
+            line,
             lambda *xs: math.fsum(x if i % 2 == 0 else -x for i, x in enumerate(xs)),
             f"alternating/{n}",
         )

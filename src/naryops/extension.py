@@ -12,7 +12,7 @@ import itertools
 import random
 from typing import Sequence
 
-from .axioms import AxiomReport, Witness, scaled_tolerance
+from .axioms import AxiomReport, falsify
 from .core import ArityClass, NaryOp
 from .errors import ArityClassError
 
@@ -21,6 +21,8 @@ __all__ = [
     "extend_eval",
     "check_nested_identity",
     "check_split_identity",
+    "nested_trials",
+    "split_trials",
     "random_nested_decomposition",
     "random_split_blocks",
     "eval_random_nesting",
@@ -111,6 +113,37 @@ def extend_eval(g: ExtendedOp, xs: Sequence[float]) -> float:
     return g.eval(xs)
 
 
+def nested_trials(g: ExtendedOp, splits):
+    """Trials of the nested identity g(x g(y) z) = g(x y z), one per
+    (x, y, z) split, for :func:`naryops.axioms.falsify`."""
+    for x, y, z in splits:
+        x, y, z = tuple(x), tuple(y), tuple(z)
+        if not g.arity_class.member(len(y)):
+            raise ArityClassError(f"inner block length {len(y)} not in the arity class")
+        if not g.arity_class.member(len(x) + 1 + len(z)):
+            raise ArityClassError(
+                f"outer length {len(x) + 1 + len(z)} not in the arity class"
+            )
+        inner = g.eval(y)
+        yield g.eval(x + (inner,) + z), g.eval(x + y + z), {"inputs": (x, y, z)}
+
+
+def split_trials(g: ExtendedOp, block_lists):
+    """Trials of the split identity g(g(b1) ... g(bn)) = g(b1 ... bn), one
+    per list of n blocks, for :func:`naryops.axioms.falsify`."""
+    n = g.base.arity
+    for blocks in block_lists:
+        blocks = tuple(tuple(b) for b in blocks)
+        if len(blocks) != n:
+            raise ArityClassError(f"need exactly {n} blocks, got {len(blocks)}")
+        for b in blocks:
+            if not g.arity_class.member(len(b)):
+                raise ArityClassError(f"block length {len(b)} not in the arity class")
+        heads = tuple(g.eval(b) for b in blocks)
+        flat = tuple(itertools.chain.from_iterable(blocks))
+        yield g.eval(heads), g.eval(flat), {"inputs": blocks}
+
+
 def check_nested_identity(
     g: ExtendedOp,
     x: Sequence[float],
@@ -120,31 +153,7 @@ def check_nested_identity(
 ) -> AxiomReport:
     """Residual of replacing an inner block by its value:
     g(x g(y) z) versus g(x y z)."""
-    x, y, z = tuple(x), tuple(y), tuple(z)
-    if not g.arity_class.member(len(y)):
-        raise ArityClassError(f"inner block length {len(y)} not in the arity class")
-    if not g.arity_class.member(len(x) + 1 + len(z)):
-        raise ArityClassError(
-            f"outer length {len(x) + 1 + len(z)} not in the arity class"
-        )
-    inner = g.eval(y)
-    lhs = g.eval(x + (inner,) + z)
-    rhs = g.eval(x + y + z)
-    residual = abs(lhs - rhs)
-    passed = residual <= scaled_tolerance(tol, lhs, rhs)
-    witness = None
-    if not passed:
-        witness = Witness(kind="nested_identity", inputs=(x, y, z), residual=residual)
-    return AxiomReport(
-        axiom="identity",
-        passed=passed,
-        max_residual=residual,
-        witness=witness,
-        samples_used=1,
-        seed=0,
-        tolerance=tol,
-        label=g.base.label,
-    )
+    return falsify("nested_identity", nested_trials(g, [(x, y, z)]), tol, label=g.base.label)
 
 
 def check_split_identity(
@@ -152,32 +161,7 @@ def check_split_identity(
 ) -> AxiomReport:
     """Residual of evaluating block heads first:
     g(g(b1) ... g(bn)) versus g(b1 ... bn)."""
-    n = g.base.arity
-    blocks = tuple(tuple(b) for b in blocks)
-    if len(blocks) != n:
-        raise ArityClassError(f"need exactly {n} blocks, got {len(blocks)}")
-    for b in blocks:
-        if not g.arity_class.member(len(b)):
-            raise ArityClassError(f"block length {len(b)} not in the arity class")
-    heads = tuple(g.eval(b) for b in blocks)
-    flat = tuple(itertools.chain.from_iterable(blocks))
-    lhs = g.eval(heads)
-    rhs = g.eval(flat)
-    residual = abs(lhs - rhs)
-    passed = residual <= scaled_tolerance(tol, lhs, rhs)
-    witness = None
-    if not passed:
-        witness = Witness(kind="split_identity", inputs=blocks, residual=residual)
-    return AxiomReport(
-        axiom="identity",
-        passed=passed,
-        max_residual=residual,
-        witness=witness,
-        samples_used=1,
-        seed=0,
-        tolerance=tol,
-        label=g.base.label,
-    )
+    return falsify("split_identity", split_trials(g, [blocks]), tol, label=g.base.label)
 
 
 def random_nested_decomposition(

@@ -13,7 +13,6 @@ with value -1 at the base point there, +1 otherwise.
 
 from __future__ import annotations
 
-import bisect as _bisect
 import enum
 import math
 import random
@@ -21,7 +20,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Sequence
 
-from .axioms import AxiomReport, Witness, scaled_tolerance
+from .axioms import AxiomReport, falsify
 from .core import ArityClass, NaryOp
 from .errors import (
     AllIdempotentError,
@@ -32,7 +31,7 @@ from .errors import (
     PrecisionExhaustedError,
 )
 from .extension import ExtendedOp
-from .generator import GeneratorSpec, tabulated_generator
+from .generator import GeneratorSpec, piecewise_linear, tabulated_generator
 
 __all__ = [
     "RationalIndex",
@@ -50,6 +49,7 @@ __all__ = [
     "phi_at",
     "extract_generator",
     "verify_additivity",
+    "verify_roundtrip",
     "compare_scales",
 ]
 
@@ -238,13 +238,10 @@ def detect_open_end(
                 f"iterate escaped after {step - 1} steps at {x!r}: {exc}; a closed "
                 "endpoint on the escape side contradicts this operation class"
             ) from exc
-        if upward and not nxt > x:
+        if not (nxt > x if upward else nxt < x):
             raise MonotonicityViolationError(
-                f"iterate failed to increase at step {step}: {nxt!r} <= {x!r}"
-            )
-        if not upward and not nxt < x:
-            raise MonotonicityViolationError(
-                f"iterate failed to decrease at step {step}: {nxt!r} >= {x!r}"
+                f"iterate failed to {'increase' if upward else 'decrease'} at step {step}: "
+                f"{nxt!r} {'<=' if upward else '>='} {x!r}"
             )
         x = nxt
     return OpenEndReport(
@@ -282,18 +279,12 @@ def sx_membership(
             q=idx.q,
             k=idx.k,
         ) from exc
-    d = a - b
+    d = a - b if direction is BranchDirection.C_BELOW else b - a
     thr = band * (abs(a) + abs(b))
-    if direction is BranchDirection.C_BELOW:
-        if d > thr:
-            return MembershipOutcome.IN
-        if d < -thr:
-            return MembershipOutcome.OUT
-    else:
-        if d < -thr:
-            return MembershipOutcome.IN
-        if d > thr:
-            return MembershipOutcome.OUT
+    if d > thr:
+        return MembershipOutcome.IN
+    if d < -thr:
+        return MembershipOutcome.OUT
     return MembershipOutcome.UNDETERMINED
 
 
@@ -359,6 +350,8 @@ def phi_at(
     if first is MembershipOutcome.UNDETERMINED:
         return _pinned(x, RationalIndex(1, 0, k), used)
 
+    q_fixed = 0
+    grow = True
     if first is MembershipOutcome.IN:
         # push q up until the rational (1 - q)/k drops below the threshold
         q = step
@@ -376,42 +369,23 @@ def phi_at(
                 )
             q *= 2
         q_fixed = q
-        p_lo = 1
-        # (1 + q - q)/k reproduces the In seen at (1, 0)
-        p_hi = 1 + q_fixed
-        confirm = member(p_hi, q_fixed)
+        # (1 + q - q)/k reproduces the In seen at (1, 0); an Out here is
+        # band flakiness, and p grows below as after an Out at (1, 0)
+        confirm = member(1 + q_fixed, q_fixed)
         if confirm is MembershipOutcome.UNDETERMINED:
-            return _pinned(x, RationalIndex(p_hi, q_fixed, k), used)
-        if confirm is MembershipOutcome.OUT:
-            # band flakiness; grow p until In reappears
-            offset = step
-            doublings = 0
-            while True:
-                p_hi = 1 + q_fixed + offset
-                o = member(p_hi, q_fixed)
-                if o is MembershipOutcome.IN:
-                    break
-                if o is MembershipOutcome.UNDETERMINED:
-                    return _pinned(x, RationalIndex(p_hi, q_fixed, k), used)
-                p_lo = p_hi
-                doublings += 1
-                if doublings > cfg.max_doublings:
-                    raise BracketNotFoundError(
-                        f"no In outcome after {doublings} doublings at x={x!r}"
-                    )
-                offset *= 2
-    else:
-        q_fixed = 0
-        p_lo = 1
+            return _pinned(x, RationalIndex(1 + q_fixed, q_fixed, k), used)
+        grow = confirm is MembershipOutcome.OUT
+    p_lo, p_hi = 1, 1 + q_fixed
+    if grow:
         offset = step
         doublings = 0
         while True:
-            p_hi = 1 + offset
-            o = member(p_hi, 0)
+            p_hi = 1 + q_fixed + offset
+            o = member(p_hi, q_fixed)
             if o is MembershipOutcome.IN:
                 break
             if o is MembershipOutcome.UNDETERMINED:
-                return _pinned(x, RationalIndex(p_hi, 0, k), used)
+                return _pinned(x, RationalIndex(p_hi, q_fixed, k), used)
             p_lo = p_hi
             doublings += 1
             if doublings > cfg.max_doublings:
@@ -470,15 +444,14 @@ class ExtractedGenerator:
         return tuple(v for _, v in self.samples)
 
     def interpolate(self, t: float) -> float:
-        xs = self.x_values
-        ys = self.phi_values
-        if not xs[0] <= t <= xs[-1]:
-            raise ValueError(f"{t!r} outside tabulated range [{xs[0]}, {xs[-1]}]")
-        i = _bisect.bisect_right(xs, t) - 1
-        if i == len(xs) - 1:
-            return ys[-1]
-        w = (t - xs[i]) / (xs[i + 1] - xs[i])
-        return ys[i] + w * (ys[i + 1] - ys[i])
+        return piecewise_linear(self.x_values, self.phi_values, t)
+
+    @property
+    def knot_error(self) -> float:
+        """Error bound e of one interpolated generator value: the per-knot
+        resolution bound plus the interpolation slack. Every check of an
+        extracted table derives its threshold from e."""
+        return self.resolution_bound + self.interp_slack
 
     def as_generator_spec(self) -> GeneratorSpec:
         return tabulated_generator(
@@ -544,6 +517,27 @@ def extract_generator(f: NaryOp, cfg: ExtractionConfig) -> ExtractedGenerator:
     )
 
 
+def _window_trials(gen: ExtractedGenerator, n: int, samples: int, seed: int, trial):
+    """Rejection-sample n-tuples uniformly over the tabulated window until
+    ``samples`` of them give a trial; ``trial(tup)`` returns the trial, or
+    None to reject the tuple. Raises :class:`BracketNotFoundError` after
+    500 draws per sample."""
+    lo, hi = gen.x_values[0], gen.x_values[-1]
+    rng = random.Random(seed)
+    accepted = draws = 0
+    while accepted < samples:
+        draws += 1
+        if draws > 500 * samples:
+            raise BracketNotFoundError(
+                f"could not sample {samples} tuples inside the tabulated window "
+                f"[{lo!r}, {hi!r}] in {draws - 1} draws"
+            )
+        t = trial(tuple(rng.uniform(lo, hi) for _ in range(n)))
+        if t is not None:
+            accepted += 1
+            yield t
+
+
 def verify_additivity(
     gen: ExtractedGenerator,
     f: NaryOp,
@@ -555,47 +549,53 @@ def verify_additivity(
 
     Tuples are drawn inside the tabulated window and rejected unless the
     operation value lands back inside it (interpolation only, never
-    extrapolation). The pass threshold combines per-knot resolution error
-    with the stored interpolation slack.
+    extrapolation). The pass threshold is (n+1) * gen.knot_error: n
+    interpolated inputs and one interpolated output.
     """
     n = f.arity
-    xs = gen.x_values
-    lo, hi = xs[0], xs[-1]
-    rng = random.Random(seed)
-    threshold_base = (n + 1) * (gen.resolution_bound + gen.interp_slack)
-    max_residual = 0.0
-    witness = None
-    worst = -math.inf
-    accepted = 0
-    attempts = 0
-    while accepted < samples:
-        attempts += 1
-        if attempts > 200 * samples:
-            raise ValueError(
-                "could not sample tuples mapping back into the tabulated range"
-            )
-        tup = tuple(rng.uniform(lo, hi) for _ in range(n))
-        y = f.eval(*tup)
+    lo, hi = gen.x_values[0], gen.x_values[-1]
+
+    def trial(tup):
+        y = f.checked(*tup)
         if not lo <= y <= hi:
-            continue
-        accepted += 1
+            return None
         lhs = gen.interpolate(y)
-        rhs = math.fsum(gen.interpolate(v) for v in tup)
-        residual = abs(lhs - rhs)
-        max_residual = max(max_residual, residual)
-        margin = residual - (threshold_base + scaled_tolerance(1e-12, lhs, rhs))
-        if margin > 0.0 and margin > worst:
-            worst = margin
-            witness = Witness(kind="additivity", inputs=(tup,), residual=residual)
-    return AxiomReport(
-        axiom="identity",
-        passed=witness is None,
-        max_residual=max_residual,
-        witness=witness,
-        samples_used=samples,
-        seed=seed,
-        tolerance=threshold_base,
+        return lhs, math.fsum(gen.interpolate(v) for v in tup), {"inputs": (tup,)}
+
+    return falsify(
+        "additivity", _window_trials(gen, n, samples, seed, trial), 1e-12,
+        slack=(n + 1) * gen.knot_error, samples=samples, seed=seed,
         label=f"additivity[{f.label}]",
+    )
+
+
+def verify_roundtrip(
+    gen: ExtractedGenerator,
+    f: NaryOp,
+    rebuilt: NaryOp,
+    samples: int = 100,
+    seed: int = 0,
+) -> AxiomReport:
+    """Compare the operation rebuilt from the table against f on tuples
+    whose generator sums stay inside the table.
+
+    The threshold is the additivity bound (n+1) * gen.knot_error mapped
+    into operation space through the largest inverse slope of the table,
+    plus 1e-9 for rounding.
+    """
+    n = f.arity
+    ys = gen.phi_values
+
+    def trial(tup):
+        s = math.fsum(gen.interpolate(v) for v in tup)
+        if not ys[0] <= s <= ys[-1]:
+            return None
+        return rebuilt.checked(*tup), f.checked(*tup), {"inputs": (tup,)}
+
+    threshold = (n + 1) * gen.knot_error * gen.max_inverse_slope() + 1e-9
+    return falsify(
+        "roundtrip", _window_trials(gen, n, samples, seed, trial), 0.0,
+        slack=threshold, samples=samples, seed=seed, label=f"roundtrip[{f.label}]",
     )
 
 
@@ -633,8 +633,7 @@ def compare_scales(
             continue
         r = v1 / v2
         ratios.append(r)
-        e1 = gen1.resolution_bound + gen1.interp_slack
-        e2 = gen2.resolution_bound + gen2.interp_slack
+        e1, e2 = gen1.knot_error, gen2.knot_error
         errors.append((e1 + abs(r) * e2) / max(abs(v2) - e2, 1e-300))
     if not ratios:
         raise ValueError("every grid point sits too close to the generators' zero")

@@ -12,6 +12,7 @@ from __future__ import annotations
 import bisect as _bisect
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Sequence
 
 from .core import Interval, NaryOp
@@ -23,6 +24,8 @@ __all__ = [
     "validate_codomain",
     "build_aczelian",
     "invert_monotone",
+    "estimate_codomain",
+    "piecewise_linear",
     "tabulated_generator",
 ]
 
@@ -114,6 +117,43 @@ def _safe_phi(phi: Callable[[float], float], x: float) -> float:
         return math.inf
 
 
+def _start_point(iv: Interval) -> float:
+    """Where searches over an interval start: the midpoint when bounded,
+    one unit inside a single finite end, zero on the whole line."""
+    if math.isfinite(iv.lo) and math.isfinite(iv.hi):
+        return 0.5 * (iv.lo + iv.hi)
+    if math.isfinite(iv.lo):
+        return iv.lo + 1.0
+    if math.isfinite(iv.hi):
+        return iv.hi - 1.0
+    return 0.0
+
+
+def estimate_codomain(phi: Callable[[float], float], domain: Interval) -> Interval:
+    """Heuristic image interval of a monotone map: chase each endpoint
+    with a ladder of approach points; a limit still moving at the ladder
+    end counts as infinite, a settled one as an open finite bound
+    (snapped to zero when tiny)."""
+    x0 = _start_point(domain)
+
+    def chase(endpoint, open_end, toward_low):
+        prev = None
+        last = _safe_phi(phi, x0)
+        for pt in _approach(endpoint, open_end, x0, toward_low):
+            prev, last = last, _safe_phi(phi, pt)
+            if not math.isfinite(last):
+                return math.copysign(math.inf, last)
+        if prev is not None and abs(last - prev) > 1e-6 * (1.0 + abs(last)):
+            return math.copysign(math.inf, last - prev) if last != prev else last
+        if abs(last) <= 1e-9:
+            return 0.0
+        return last
+
+    v_lo = chase(domain.lo, domain.lo_open, True)
+    v_hi = chase(domain.hi, domain.hi_open, False)
+    return Interval.make(min(v_lo, v_hi), max(v_lo, v_hi), True, True)
+
+
 def invert_monotone(
     phi: Callable[[float], float],
     y: float,
@@ -131,24 +171,14 @@ def invert_monotone(
     """
     if tol is None:
         tol = 1e-12 * (1.0 + abs(y))
-    lo = bracket.lo
-    hi = bracket.hi
-    if math.isfinite(lo) and math.isfinite(hi):
-        x0 = 0.5 * (lo + hi)
-    elif math.isfinite(lo):
-        x0 = lo + 1.0
-    elif math.isfinite(hi):
-        x0 = hi - 1.0
-    else:
-        x0 = 0.0
-
+    x0 = _start_point(bracket)
     f0 = _safe_phi(phi, x0)
     if f0 == y:
         return x0
     a = b = x0
     fa = fb = f0
-    low_points = _approach(lo, bracket.lo_open, x0, True)
-    high_points = _approach(hi, bracket.hi_open, x0, False)
+    low_points = _approach(bracket.lo, bracket.lo_open, x0, True)
+    high_points = _approach(bracket.hi, bracket.hi_open, x0, False)
     while (fa - y) * (fb - y) > 0.0:
         advanced = False
         cand = next(low_points, None)
@@ -261,6 +291,20 @@ def build_aczelian(spec: GeneratorSpec, n: int, inversion_tol: float | None = No
     return NaryOp(n, spec.domain, eval_fn, label)
 
 
+def piecewise_linear(xs: Sequence[float], ys: Sequence[float], t: float) -> float:
+    """Value at t of the polyline through the knots (xs[i], ys[i]), xs
+    strictly increasing; ValueError outside [xs[0], xs[-1]] (no
+    extrapolation). With the roles of xs and ys swapped it inverts an
+    increasing polyline."""
+    if not xs[0] <= t <= xs[-1]:
+        raise ValueError(f"{t!r} outside tabulated range [{xs[0]}, {xs[-1]}]")
+    i = _bisect.bisect_right(xs, t) - 1
+    if i == len(xs) - 1:
+        return ys[-1]
+    w = (t - xs[i]) / (xs[i + 1] - xs[i])
+    return ys[i] + w * (ys[i + 1] - ys[i])
+
+
 def tabulated_generator(
     xs: Sequence[float], ys: Sequence[float], label: str = "tabulated"
 ) -> GeneratorSpec:
@@ -273,36 +317,14 @@ def tabulated_generator(
     ys = [float(v) for v in ys]
     if len(xs) != len(ys) or len(xs) < 2:
         raise ValueError("need at least two knots with matching lengths")
-    for a, b in zip(xs, xs[1:]):
-        if not a < b:
-            raise ValueError("knot abscissae must be strictly increasing")
-    for a, b in zip(ys, ys[1:]):
-        if not a < b:
-            raise ValueError("knot values must be strictly increasing")
-
-    def interp(t: float) -> float:
-        if not xs[0] <= t <= xs[-1]:
-            raise ValueError(f"{t!r} outside tabulated range [{xs[0]}, {xs[-1]}]")
-        i = _bisect.bisect_right(xs, t) - 1
-        if i == len(xs) - 1:
-            return ys[-1]
-        w = (t - xs[i]) / (xs[i + 1] - xs[i])
-        return ys[i] + w * (ys[i + 1] - ys[i])
-
-    def interp_inv(v: float) -> float:
-        if not ys[0] <= v <= ys[-1]:
-            raise ValueError(f"{v!r} outside tabulated range [{ys[0]}, {ys[-1]}]")
-        i = _bisect.bisect_right(ys, v) - 1
-        if i == len(ys) - 1:
-            return xs[-1]
-        w = (v - ys[i]) / (ys[i + 1] - ys[i])
-        return xs[i] + w * (xs[i + 1] - xs[i])
-
+    for knots, what in ((xs, "abscissae"), (ys, "values")):
+        if not all(a < b for a, b in zip(knots, knots[1:])):
+            raise ValueError(f"knot {what} must be strictly increasing")
     return GeneratorSpec(
-        phi=interp,
+        phi=partial(piecewise_linear, xs, ys),
         domain=Interval.make(xs[0], xs[-1], False, False),
         codomain=Interval.make(ys[0], ys[-1], False, False),
-        phi_inverse=interp_inv,
+        phi_inverse=partial(piecewise_linear, ys, xs),
         kind="tabulated",
         label=label,
     )

@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass
 from typing import Sequence, Union
 
-from .axioms import AxiomReport, Witness, lattice_sampler, scaled_tolerance
+from .axioms import AxiomReport, falsify, lattice_sampler
 from .core import Interval, NaryOp, interval_contains
 from .errors import DomainEscapeError
 from .generator import GeneratorSpec
@@ -86,32 +86,20 @@ def verify_reduction(
     if diamond.arity != 2:
         raise ValueError("the reduction candidate must be binary")
     n = f.arity
-    rng = random.Random(seed)
-    draw = lattice_sampler(f.domain, window, rng)
-    max_residual = 0.0
-    witness = None
-    worst = -math.inf
-    for _ in range(samples):
-        xs = tuple(draw() for _ in range(n))
-        lhs = f.eval(*xs)
-        acc = xs[0]
-        for v in xs[1:]:
-            acc = diamond.eval(acc, v)
-        residual = abs(lhs - acc)
-        max_residual = max(max_residual, residual)
-        margin = residual - scaled_tolerance(tol, lhs, acc)
-        if margin > 0.0 and margin > worst:
-            worst = margin
-            witness = Witness(kind="reduction", inputs=(xs,), residual=residual)
-    return AxiomReport(
-        axiom="identity",
-        passed=witness is None,
-        max_residual=max_residual,
-        witness=witness,
-        samples_used=samples,
-        seed=seed,
-        tolerance=tol,
-        label=f"reduction[{f.label} vs {diamond.label}]",
+    draw = lattice_sampler(f.domain, window, random.Random(seed))
+
+    def trials():
+        for _ in range(samples):
+            xs = tuple(draw() for _ in range(n))
+            lhs = f.checked(*xs)
+            acc = xs[0]
+            for v in xs[1:]:
+                acc = diamond.checked(acc, v)
+            yield lhs, acc, {"inputs": (xs,)}
+
+    return falsify(
+        "reduction", trials(), tol,
+        samples=samples, seed=seed, label=f"reduction[{f.label} vs {diamond.label}]",
     )
 
 
