@@ -367,7 +367,9 @@ def find_idempotents(
     """Roots of f(x,...,x) - x over the grid, bisection-refined.
 
     Returns the :data:`ALL_SAMPLED_IDEMPOTENT` marker when the residual is
-    within refine_tol at every grid point.
+    within refine_tol at every grid point. Evaluation is checked, so a
+    non-finite value raises :class:`DomainEscapeError` naming the inputs
+    instead of dropping out of the sign scan.
     """
     pts = list(grid)
     if pts != sorted(pts):
@@ -378,7 +380,7 @@ def find_idempotents(
     n = f.arity
 
     def h(x: float) -> float:
-        return f.eval(*([x] * n)) - x
+        return f.checked(*([x] * n)) - x
 
     values = [h(x) for x in pts]
     if all(abs(v) <= refine_tol for v in values):

@@ -162,8 +162,10 @@ def select_base_point(
 ) -> tuple[float, BranchDirection]:
     """Pick a calibration point c with f(c^n) clearly away from c.
 
-    An explicit cfg.base_point is validated and used as-is; otherwise the
-    scan window is swept and the displacement |f(c^n) - c| maximized.
+    An explicit cfg.base_point is validated and used as-is, its
+    displacement evaluated checked (a non-finite value raises
+    :class:`DomainEscapeError` naming the inputs); otherwise the scan
+    window is swept and the displacement |f(c^n) - c| maximized.
     Raises :class:`AllIdempotentError` when nothing exceeds ten comparison
     bands: then every candidate looks idempotent and no branch exists.
     """
@@ -179,7 +181,7 @@ def select_base_point(
         c = cfg.base_point
         if not f.domain.contains(c):
             raise ValueError(f"base point {c!r} outside {f.domain.render()}")
-        d = displacement(c)
+        d = f.checked(*([c] * n)) - c
         if abs(d) <= threshold(c, d + c):
             raise AllIdempotentError(
                 f"explicit base point {c!r} is numerically idempotent",

@@ -3,8 +3,8 @@
 A generator is a continuous, strictly monotone map phi from the domain
 interval onto a codomain interval J that is closed under n-term sums.
 The induced operation is phi-inverse of the sum of phi values. Inversion
-uses an exact expression when one is supplied and monotone bisection
-otherwise.
+uses an exact expression when one is supplied and ITP root-finding
+(:func:`invert_monotone`) otherwise.
 """
 
 from __future__ import annotations
@@ -154,71 +154,141 @@ def estimate_codomain(phi: Callable[[float], float], domain: Interval) -> Interv
     return Interval.make(min(v_lo, v_hi), max(v_lo, v_hi), True, True)
 
 
+#: ITP constants (Oliveira & Takahashi, ACM TOMS 47(1), 2021). In a
+#: bracket of width w that started at width w0, the regula falsi point
+#: moves toward the midpoint by _KAPPA1 * w0 * (w / w0) ** _KAPPA2; kappa2
+#: inside ITP's [1, 1 + golden ratio) keeps convergence superlinear. The
+#: projection allows _N0 steps more than bisection would take.
+_KAPPA1 = 0.25
+_KAPPA2 = 2.5
+_N0 = 1
+
+
+def _between(y: float, u: float, v: float) -> bool:
+    """y lies in the closed range spanned by u and v (False for NaN)."""
+    return u <= y <= v or v <= y <= u
+
+
+def _samples(phi: Callable[[float], float], points, x0: float, toward_low: bool):
+    """(x, phi(x)) along an approach ladder, skipping points that do not
+    move past the previous one."""
+    last = x0
+    for x in points:
+        if x < last if toward_low else x > last:
+            last = x
+            yield x, _safe_phi(phi, x)
+
+
+def _check_monotone(x: float, fx: float, fa: float, fb: float, slack: float) -> None:
+    """Raise unless phi(x) = fx lies between the values fa and fb that phi
+    takes at the ends of a bracket around x, up to slack."""
+    if not min(fa, fb) - slack <= fx <= max(fa, fb) + slack:
+        raise InversionError(
+            f"sign pattern violates monotonicity near x={x!r}: "
+            f"phi(x)={fx!r} outside [{fa!r}, {fb!r}]"
+        )
+
+
 def invert_monotone(
     phi: Callable[[float], float],
     y: float,
     bracket: Interval,
     tol: float | None = None,
 ) -> float:
-    """Solve phi(x) = y for strictly monotone phi by bisection.
+    """Solve phi(x) = y for strictly monotone phi by ITP root-finding.
 
-    The result x is within tol of the true preimage inside the bracket;
-    with the default tol of 1e-12 * (1 + |y|) the phi-residual stays far
-    below axiom tolerances for generators of moderate slope. Open ends are
-    approached by a shrinking offset sequence, infinite ends by geometric
-    expansion; a sign pattern incompatible with monotonicity raises
-    :class:`InversionError`.
+    Bracketing starts at the start point of ``bracket`` and takes one step
+    toward each end: the end itself when closed, a shrinking offset
+    sequence when finite and open, geometric expansion when infinite.
+    Once these steps show on which side y lies, only that side grows, and
+    the bracket narrows to the last two samples. ITP then refines it:
+    regula falsi, truncated toward the midpoint and projected so that it
+    takes at most ceil(log2(width / tol)) + 1 steps. The result is the
+    midpoint of a final bracket no wider than tol, an absolute width in x.
+    The default tol is four ulps of the bracket end nearer zero, or of the
+    farther end when the bracket reaches zero. A target outside the
+    sampled range, or a phi value outside the values at the bracket ends,
+    raises :class:`InversionError`.
     """
-    if tol is None:
-        tol = 1e-12 * (1.0 + abs(y))
     x0 = _start_point(bracket)
     f0 = _safe_phi(phi, x0)
     if f0 == y:
         return x0
-    a = b = x0
-    fa = fb = f0
-    low_points = _approach(bracket.lo, bracket.lo_open, x0, True)
-    high_points = _approach(bracket.hi, bracket.hi_open, x0, False)
-    while (fa - y) * (fb - y) > 0.0:
-        advanced = False
-        cand = next(low_points, None)
-        if cand is not None and cand < a:
-            a, fa = cand, _safe_phi(phi, cand)
-            advanced = True
-        if (fa - y) * (fb - y) <= 0.0:
-            break
-        cand = next(high_points, None)
-        if cand is not None and cand > b:
-            b, fb = cand, _safe_phi(phi, cand)
-            advanced = True
-        if not advanced:
-            raise InversionError(
-                f"target {y!r} outside the sampled range "
-                f"[{min(fa, fb)!r}, {max(fa, fb)!r}] of {bracket.render()}"
-            )
+    lows = _samples(phi, _approach(bracket.lo, bracket.lo_open, x0, True), x0, True)
+    highs = _samples(phi, _approach(bracket.hi, bracket.hi_open, x0, False), x0, False)
+    a, fa = next(lows, (x0, f0))
     if fa == y:
         return a
-    if fb == y:
-        return b
+    b, fb = x0, f0
+    if not _between(y, fa, f0):
+        b, fb = next(highs, (x0, f0))
+        if fb == y:
+            return b
+        _check_monotone(x0, f0, fa, fb, 1e-12 * (1.0 + min(abs(fa), abs(fb))))
+        if _between(y, f0, fb):
+            a, fa = x0, f0
+        else:
+            up = (fb > fa) == (y > fb)
+            ladder, near, f_near, f_far = (highs, b, fb, fa) if up else (lows, a, fa, fb)
+            for x, fx in ladder:
+                if fx == y:
+                    return x
+                if _between(y, f_near, fx):
+                    break
+                near, f_near = x, fx
+            else:
+                raise InversionError(
+                    f"target {y!r} outside the sampled range "
+                    f"[{min(f_far, f_near)!r}, {max(f_far, f_near)!r}] of {bracket.render()}"
+                )
+            (a, fa), (b, fb) = ((near, f_near), (x, fx)) if up else ((x, fx), (near, f_near))
+    if tol is None:
+        tol = 4.0 * math.ulp(min(abs(a), abs(b)) if a > 0.0 or b < 0.0 else max(abs(a), abs(b)))
+    return _itp(phi, y, a, fa, b, fb, tol)
 
+
+def _itp(
+    phi: Callable[[float], float], y: float, a: float, fa: float, b: float, fb: float, tol: float
+) -> float:
+    """Midpoint of a bracket no wider than tol, shrunk from [a, b] whose
+    end values fa, fb lie on either side of y."""
+    if not tol > 0.0:
+        tol = math.ulp(0.0)  # no width is narrower; the loop ends when the bracket collapses
+    w0 = b - a
+    if w0 <= tol:
+        return 0.5 * (a + b)
     increasing = fb > fa
     slack = 1e-12 * (1.0 + min(abs(fa), abs(fb)))
-    while b - a > tol:
-        mid = 0.5 * (a + b)
-        if mid <= a or mid >= b:
+    ratio = w0 / tol
+    halvings = math.log2(ratio) if ratio < math.inf else math.log2(w0) - math.log2(tol)
+    n_max = math.ceil(halvings) + _N0
+    for j in range(n_max):
+        w = b - a
+        if w <= tol:
             break
-        fm = phi(mid)
-        if fm == y:
-            return mid
-        if fm < min(fa, fb) - slack or fm > max(fa, fb) + slack:
-            raise InversionError(
-                f"sign pattern violates monotonicity near x={mid!r}: "
-                f"phi(mid)={fm!r} outside [{fa!r}, {fb!r}]"
-            )
-        if (fm < y) == increasing:
-            a, fa = mid, fm
+        mid = 0.5 * (a + b)
+        x_f = a + (y - fa) * w / (fb - fa)
+        if not a < x_f < b:  # an infinite end value, or rounding onto an end
+            x_f = mid
+        sigma = 1.0 if mid >= x_f else -1.0
+        # never below half of tol, so a point already on the root lands
+        # across it and closes the bracket
+        delta = max(_KAPPA1 * w0 * (w / w0) ** _KAPPA2, 0.5 * tol)
+        x_t = x_f + sigma * delta if delta <= abs(mid - x_f) else mid
+        r = math.ldexp(tol, n_max - j - 1) - 0.5 * w
+        x = x_t if abs(x_t - mid) <= r else mid - sigma * r
+        if not a < x < b:
+            x = mid
+            if not a < x < b:
+                break
+        fx = _safe_phi(phi, x)
+        if fx == y:
+            return x
+        _check_monotone(x, fx, fa, fb, slack)
+        if (fx < y) == increasing:
+            a, fa = x, fx
         else:
-            b, fb = mid, fm
+            b, fb = x, fx
     return 0.5 * (a + b)
 
 
@@ -227,8 +297,9 @@ class GeneratorSpec:
     """A strictly monotone continuous generator with domain and codomain.
 
     ``phi_inverse`` may be an exact callable; when absent, inversion falls
-    back to monotone bisection over the domain. ``kind`` distinguishes
-    closed-form generators from tabulated ones reconstructed by extraction.
+    back to ITP root-finding over the domain (:func:`invert_monotone`).
+    ``kind`` distinguishes closed-form generators from tabulated ones
+    reconstructed by extraction.
     """
 
     phi: Callable[[float], float] = field(compare=False)
@@ -242,10 +313,10 @@ class GeneratorSpec:
         if self.kind not in ("closed_form", "tabulated"):
             raise ValueError(f"unknown generator kind {self.kind!r}")
 
-    def inverse(self, y: float, tol: float | None = None) -> float:
+    def inverse(self, y: float) -> float:
         if self.phi_inverse is not None:
             return self.phi_inverse(y)
-        return invert_monotone(self.phi, y, self.domain, tol)
+        return invert_monotone(self.phi, y, self.domain)
 
     def scaled(self, r: float) -> "GeneratorSpec":
         """The generator r * phi, with the codomain mirrored when r < 0."""
@@ -269,7 +340,7 @@ class GeneratorSpec:
         )
 
 
-def build_aczelian(spec: GeneratorSpec, n: int, inversion_tol: float | None = None) -> NaryOp:
+def build_aczelian(spec: GeneratorSpec, n: int) -> NaryOp:
     """The n-ary operation induced by a generator: invert the sum of
     generator values.
 
@@ -285,7 +356,7 @@ def build_aczelian(spec: GeneratorSpec, n: int, inversion_tol: float | None = No
 
     def eval_fn(*xs: float) -> float:
         s = math.fsum(phi(x) for x in xs)
-        return inverse(s, inversion_tol)
+        return inverse(s)
 
     label = f"generated[{spec.label or 'phi'}]/{n}"
     return NaryOp(n, spec.domain, eval_fn, label)

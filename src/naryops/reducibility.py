@@ -44,7 +44,7 @@ ADJOINED_NEUTRAL = AdjoinedNeutral()
 Point = Union[float, AdjoinedNeutral]
 
 
-def derive_binary(spec: GeneratorSpec, inversion_tol: float | None = None) -> NaryOp:
+def derive_binary(spec: GeneratorSpec) -> NaryOp:
     """The binary operation with the same generator: invert the pairwise
     sum of generator values.
 
@@ -67,7 +67,7 @@ def derive_binary(spec: GeneratorSpec, inversion_tol: float | None = None) -> Na
             raise DomainEscapeError(
                 f"pairwise generator sum {s!r} escapes codomain {J.render()}"
             )
-        return spec.inverse(s, inversion_tol)
+        return spec.inverse(s)
 
     return NaryOp(2, spec.domain, eval_fn, f"derived[{spec.label or 'phi'}]")
 

@@ -10,7 +10,13 @@ from pathlib import Path
 
 import pytest
 
-from naryops.axioms import AxiomReport, check_associativity, check_cancellativity, check_symmetry
+from naryops.axioms import (
+    AxiomReport,
+    check_associativity,
+    check_cancellativity,
+    check_symmetry,
+    find_idempotents,
+)
 from naryops.cli import main, parse_grid
 from naryops.core import Interval, NaryOp
 from naryops.errors import DomainEscapeError
@@ -53,6 +59,21 @@ def test_nan_tail_axioms_exit_three():
     )
     assert code == 3
     assert "non-finite nan at (" in err
+
+
+def test_find_idempotents_raises_on_nan():
+    with pytest.raises(DomainEscapeError, match=r"non-finite nan at \(-1\.0, -1\.0\)"):
+        find_idempotents(NAN_EVERYWHERE, [-1.0, 0.0, 1.0])
+
+
+def test_explicit_base_point_nan_fails_at_selection():
+    code, _, err = run_json(
+        "extract", "--op", "expr:x1+x2+(exp(1000*(x1-15))-exp(1000*(x1-15)))",
+        "--n", "2", "--c", "16", "--grid", "0,1",
+    )
+    assert code == 3
+    assert "non-finite nan at (16.0, 16.0)" in err
+    assert "reduce the resolution" not in err
 
 
 @pytest.mark.parametrize("check", [check_symmetry, check_cancellativity])

@@ -1,9 +1,15 @@
+import io
 import math
 import random
+from collections import Counter
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from naryops import generator
 from naryops.axioms import check_associativity, check_symmetry, lattice_sampler
+from naryops.cli import main
 from naryops.core import Interval, builtin_lookup
 from naryops.errors import CodomainError, InversionError
 from naryops.generator import (
@@ -109,10 +115,99 @@ def test_invert_monotone_infinite_bracket():
     assert abs(root - math.exp(-20.0)) <= 1e-12
 
 
+def test_invert_monotone_far_target_across_overflow():
+    # exp overflows inside the bracket [512, 1024]; an overflow reads as
+    # +inf in every phi call, and the tolerance is measured in x, not in y
+    root = invert_monotone(lambda x: x + math.exp(x), 1e300, Interval.real_line())
+    assert abs(root - math.log(1e300)) <= 4.0 * math.ulp(512.0)
+
+
 def test_invert_monotone_open_end_reach_is_bounded():
     # the offset ladder walks 12 decades into an open end and no further
     with pytest.raises(InversionError):
         invert_monotone(math.log, -40.0, Interval.parse("(0,inf)"), tol=1e-30)
+
+
+#: closed-form generators without an inverse expression: phi, domain,
+#: preimages to draw, and the magnitude below which accuracy is measured
+#: in ulps of that magnitude instead of the root's (a real-line bracket
+#: whose end is the start point 0 reaches out to the first step, 2)
+CLOSED_FORMS = {
+    "x^3+x": (lambda x: x**3 + x, Interval.real_line(), st.floats(-50.0, 50.0), 2.0),
+    "x+exp(x)": (lambda x: x + math.exp(x), Interval.real_line(), st.floats(-30.0, 30.0), 2.0),
+    "x^5+x": (lambda x: x**5 + x, Interval.real_line(), st.floats(-20.0, 20.0), 2.0),
+    "-2x": (lambda x: -2.0 * x, Interval.real_line(), st.floats(-1e3, 1e3), 2.0),
+    "ln": (math.log, Interval.parse("(0,inf)"), st.floats(1e-11, 1e12), 0.0),
+    "atan(50x)": (lambda x: math.atan(50.0 * x), Interval.real_line(), st.floats(-2.0, 2.0), 2.0),
+}
+
+
+def _between(y, u, v):
+    return u <= y <= v or v <= y <= u
+
+
+@settings(max_examples=300, deadline=None)
+@given(name=st.sampled_from(sorted(CLOSED_FORMS)), data=st.data())
+def test_inverse_is_ulp_accurate_within_the_itp_step_bound(name, data):
+    phi, domain, preimages, floor = CLOSED_FORMS[name]
+    y = phi(data.draw(preimages))
+    calls = []
+
+    def counting(x):
+        calls.append((x, phi(x)))
+        return calls[-1][1]
+
+    root = invert_monotone(counting, y, domain)
+    if phi(root) == y:
+        return
+    # bracketing samples each widen the sampled range; refinement samples
+    # fall strictly inside the bracket of the two samples next to them
+    start = next(
+        i for i, (x, _) in enumerate(calls)
+        if i and min(u for u, _ in calls[:i]) < x < max(u for u, _ in calls[:i])
+    )
+    first = calls[start][0]
+    a = max(u for u, _ in calls[:start] if u < first)
+    b = min(u for u, _ in calls[:start] if u > first)
+    tol = 4.0 * math.ulp(min(abs(a), abs(b)) if a > 0.0 or b < 0.0 else max(abs(a), abs(b)))
+    assert len(calls) - start <= math.ceil(math.log2((b - a) / tol)) + 1
+    # the root sits in an evaluated bracket at most four ulps wide whose
+    # values straddle y
+    assert any(
+        u <= root <= v and v - u <= 4.0 * math.ulp(max(abs(root), floor)) and _between(y, fu, fv)
+        for u, fu in calls
+        for v, fv in calls
+    )
+
+
+def test_quintic_build_passes():
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(["build", "--phi", "x^5+x", "--n", "3", "--samples", "20"])
+    assert code == 0, out.getvalue()
+
+
+def test_cubic_build_phi_calls_are_pinned(monkeypatch):
+    # counted from outside the package, by wrapping the phi handed to
+    # generator.invert_monotone; bisection took 51,343 calls here
+    counts = Counter()
+    invert = generator.invert_monotone
+
+    def counting_invert(phi, y, bracket, tol=None):
+        counts["inversions"] += 1
+
+        def counted(x):
+            counts["phi"] += 1
+            return phi(x)
+
+        return invert(counted, y, bracket, tol)
+
+    monkeypatch.setattr(generator, "invert_monotone", counting_invert)
+    with redirect_stdout(io.StringIO()):
+        code = main(["build", "--phi", "x^3+x", "--n", "2", "--samples", "200"])
+    assert code == 0
+    assert counts["inversions"] == 1200
+    assert counts["phi"] == 16525
 
 
 def test_generator_inverse_fallback_round_trip():
@@ -122,7 +217,7 @@ def test_generator_inverse_fallback_round_trip():
 
 
 def test_numeric_inverse_round_trip_axioms():
-    # no explicit inverse: the operation runs through bisection each call
+    # no explicit inverse: the operation runs through invert_monotone each call
     spec = GeneratorSpec(phi=lambda x: x**3, label="cube")
     f = build_aczelian(spec, 2)
     rep = check_associativity(f, samples=200, seed=3, tol=1e-8, window=4.0)
