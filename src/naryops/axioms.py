@@ -282,13 +282,16 @@ def check_symmetry(
     )
 
 
+#: relative step below which a section counts as flat in check_cancellativity
+_STRICT_TOL = 1e-12
+
+
 def check_cancellativity(
     f: NaryOp,
     lines: int = 100,
     points_per_line: int = 9,
     seed: int = 0,
     window: float = 10.0,
-    strict_tol: float = 1e-12,
 ) -> AxiomReport:
     """Check that every sampled one-variable section is strictly monotone.
 
@@ -324,7 +327,7 @@ def check_cancellativity(
             values = [f.checked(*t) for t in tuples]
             sections += 1
             scale = 1.0 + max(abs(v) for v in values)
-            thr = strict_tol * scale
+            thr = _STRICT_TOL * scale
             signs = []
             for t in range(len(values) - 1):
                 d = values[t + 1] - values[t]
@@ -356,7 +359,7 @@ def check_cancellativity(
         witness=witness,
         samples_used=sections,
         seed=seed,
-        tolerance=strict_tol,
+        tolerance=_STRICT_TOL,
         label=f.label,
     )
 

@@ -199,7 +199,6 @@ def _extraction_config(cfg: RunConfig) -> ExtractionConfig:
         grid=grid,
         resolution=cfg.resolution,
         scan_window=cfg.window,
-        seed=cfg.seed,
     )
 
 

@@ -125,11 +125,15 @@ def interval_contains(iv: Interval, x: float) -> bool:
     return (x < iv.hi) if iv.hi_open else (x <= iv.hi)
 
 
-def lattice(iv: Interval, window: float = 10.0, step: float = 0.125) -> tuple[int, int, float]:
-    """Dyadic sampling lattice for an interval: indices j with j*step inside
+#: the widest spacing of the sampling lattice
+_LATTICE_STEP = 0.125
+
+
+def lattice(iv: Interval, window: float = 10.0) -> tuple[int, int, float]:
+    """Dyadic sampling lattice for an interval: indices j with j*h inside
     ``iv`` intersected with ``[-window, window]``.
 
-    Returns (j_min, j_max, step). Lattice points are exact binary floats, so
+    Returns (j_min, j_max, h). Lattice points are exact binary floats, so
     operations built from +, -, * stay exact on samples and associativity
     residuals of exact ops are identically zero. The step is halved until the
     window holds at least 16 points.
@@ -137,7 +141,7 @@ def lattice(iv: Interval, window: float = 10.0, step: float = 0.125) -> tuple[in
     Raises ValueError when the interval is too thin to sample (degenerate).
     """
     lo, hi = iv.clamp_window(window)
-    h = step
+    h = _LATTICE_STEP
     while (hi - lo) / h < 16.0 and h > 2.0**-40:
         h /= 2.0
     j_min = math.ceil(lo / h)

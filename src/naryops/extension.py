@@ -73,8 +73,10 @@ class ExtendedOp:
         """g(c^p) with incremental, per-point caching."""
         if not self.arity_class.member(p):
             raise ArityClassError(f"exponent {p} not in the arity class of {self.base.arity}")
-        entry = self._powers.setdefault(c, {1: float(c)})
-        if p in entry:
+        entry = self._powers.get(c)
+        if entry is None:
+            entry = self._powers[c] = {1: float(c)}
+        elif p in entry:
             return entry[p]
         return self._grow(entry, p, c)
 
@@ -87,8 +89,10 @@ class ExtendedOp:
             raise ArityClassError(f"tail length {q} must be a nonnegative multiple of {step}")
         if q == 0:
             return self.power(x, k)
-        entry = self._mixed.setdefault((x, k, c), {0: self.power(x, k)})
-        if q in entry:
+        entry = self._mixed.get((x, k, c))
+        if entry is None:
+            entry = self._mixed[x, k, c] = {0: self.power(x, k)}
+        elif q in entry:
             return entry[q]
         return self._grow(entry, q, c)
 
@@ -164,28 +168,29 @@ def check_split_identity(
     return falsify("split_identity", split_trials(g, [blocks]), tol, label=g.base.label)
 
 
-def random_nested_decomposition(
-    rng: random.Random, n: int, max_total: int | None = None
-) -> tuple[int, int, int]:
+#: string lengths of the random identity trials, in steps of n-1 beyond 1
+_NESTED_STEPS = 5
+_SPLIT_STEPS = 2
+
+
+def random_nested_decomposition(rng: random.Random, n: int) -> tuple[int, int, int]:
     """Lengths (|x|, |y|, |z|) with |y| and |x|+1+|z| in the arity class.
 
-    Total length is at most ``max_total`` (default 1 + 5(n-1)).
+    Total length is at most 1 + _NESTED_STEPS * (n-1).
     """
     step = ArityClass(n).step()
-    cap = max_total if max_total is not None else 1 + 5 * step
-    total = 1 + step * rng.randint(1, (cap - 1) // step)
+    total = 1 + step * rng.randint(1, _NESTED_STEPS)
     inner = 1 + step * rng.randint(0, (total - 1) // step)
     rest = total - inner
     left = rng.randint(0, rest)
     return left, inner, rest - left
 
 
-def random_split_blocks(
-    rng: random.Random, n: int, max_blocks: int = 3
-) -> tuple[int, ...]:
-    """n block lengths, each in the arity class."""
+def random_split_blocks(rng: random.Random, n: int) -> tuple[int, ...]:
+    """n block lengths, each in the arity class and at most
+    1 + _SPLIT_STEPS * (n-1)."""
     step = ArityClass(n).step()
-    return tuple(1 + step * rng.randint(0, max_blocks - 1) for _ in range(n))
+    return tuple(1 + step * rng.randint(0, _SPLIT_STEPS) for _ in range(n))
 
 
 def eval_random_nesting(

@@ -95,6 +95,12 @@ class RationalIndex:
         return RationalIndex(self.p + j, self.q + j, self.k)
 
 
+#: candidate base points swept across the scan window
+_SCAN_POINTS = 257
+#: string-length doublings allowed while bracketing one threshold
+_MAX_DOUBLINGS = 60
+
+
 class BranchDirection(enum.Enum):
     """Which side of its own n-fold power the base point sits on."""
 
@@ -122,9 +128,6 @@ class ExtractionConfig:
     resolution: float = 1.0 / 64.0
     comparison_band: float = 1e-9
     scan_window: float = 10.0
-    scan_points: int = 257
-    seed: int = 0
-    max_doublings: int = 60
 
     def __post_init__(self):
         if self.resolution <= 0.0:
@@ -199,8 +202,8 @@ def select_base_point(
     best_c = None
     best_d = 0.0
     scanned = 0
-    for i in range(cfg.scan_points):
-        c = lo + (hi - lo) * i / (cfg.scan_points - 1)
+    for i in range(_SCAN_POINTS):
+        c = lo + (hi - lo) * i / (_SCAN_POINTS - 1)
         try:
             d = displacement(c)
         except DomainEscapeError:
@@ -314,9 +317,23 @@ def rational_grid(n: int, target: float, resolution: float) -> RationalIndex:
     return idx
 
 
-def _pinned(x: float, idx: RationalIndex, used: int) -> PhiEstimate:
-    return PhiEstimate(
-        x=x, value=idx.value, half_width=0.0, pinned=True, k=idx.k, memberships=used
+class _Pinned(Exception):
+    """An undetermined comparison at the RationalIndex it carries: the
+    threshold sits exactly there (the equality case)."""
+
+
+def _gallop(hit, step: int, x: float, wanted: str) -> tuple[int, int]:
+    """The first offset among step, 2*step, 4*step, ... at which
+    ``hit(offset)`` holds, and the offset tried before it (0 when the
+    first one hits). Raises :class:`BracketNotFoundError` after
+    _MAX_DOUBLINGS + 1 misses."""
+    before, offset = 0, step
+    for _ in range(_MAX_DOUBLINGS + 1):
+        if hit(offset):
+            return before, offset
+        before, offset = offset, 2 * offset
+    raise BracketNotFoundError(
+        f"no {wanted} outcome after {_MAX_DOUBLINGS + 1} doublings at x={x!r}"
     )
 
 
@@ -336,82 +353,51 @@ def phi_at(
     Raises :class:`BracketNotFoundError` when the doubling cap is hit and
     :class:`PrecisionExhaustedError` when string values overflow.
     """
-    n = g.base.arity
-    step = n - 1
-    cls = ArityClass(n)
-    k = cls.ceil(math.ceil(step / cfg.resolution))
-    band = cfg.comparison_band
+    step = g.base.arity - 1
+    k = ArityClass(g.base.arity).ceil(math.ceil(step / cfg.resolution))
     used = 0
 
-    def member(p: int, q: int) -> MembershipOutcome:
+    def member(p: int, q: int) -> bool:
         nonlocal used
         used += 1
-        return sx_membership(g, c, x, RationalIndex(p, q, k), direction, band)
+        idx = RationalIndex(p, q, k)
+        outcome = sx_membership(g, c, x, idx, direction, cfg.comparison_band)
+        if outcome is MembershipOutcome.UNDETERMINED:
+            raise _Pinned(idx)
+        return outcome is MembershipOutcome.IN
 
-    first = member(1, 0)
-    if first is MembershipOutcome.UNDETERMINED:
-        return _pinned(x, RationalIndex(1, 0, k), used)
-
-    q_fixed = 0
-    grow = True
-    if first is MembershipOutcome.IN:
-        # push q up until the rational (1 - q)/k drops below the threshold
-        q = step
-        doublings = 0
-        while True:
-            out = member(1, q)
-            if out is MembershipOutcome.UNDETERMINED:
-                return _pinned(x, RationalIndex(1, q, k), used)
-            if out is MembershipOutcome.OUT:
-                break
-            doublings += 1
-            if doublings > cfg.max_doublings:
-                raise BracketNotFoundError(
-                    f"no Out outcome after {doublings} doublings at x={x!r}"
-                )
-            q *= 2
-        q_fixed = q
-        # (1 + q - q)/k reproduces the In seen at (1, 0); an Out here is
-        # band flakiness, and p grows below as after an Out at (1, 0)
-        confirm = member(1 + q_fixed, q_fixed)
-        if confirm is MembershipOutcome.UNDETERMINED:
-            return _pinned(x, RationalIndex(1 + q_fixed, q_fixed, k), used)
-        grow = confirm is MembershipOutcome.OUT
-    p_lo, p_hi = 1, 1 + q_fixed
-    if grow:
-        offset = step
-        doublings = 0
-        while True:
-            p_hi = 1 + q_fixed + offset
-            o = member(p_hi, q_fixed)
-            if o is MembershipOutcome.IN:
-                break
-            if o is MembershipOutcome.UNDETERMINED:
-                return _pinned(x, RationalIndex(p_hi, q_fixed, k), used)
-            p_lo = p_hi
-            doublings += 1
-            if doublings > cfg.max_doublings:
-                raise BracketNotFoundError(
-                    f"no In outcome after {doublings} doublings at x={x!r}"
-                )
-            offset *= 2
-
-    # bisect p: membership is monotone in the rational by the upper-set
-    # property, so the threshold sits between the last Out and first In
-    while p_hi - p_lo > step:
-        span = (p_hi - p_lo) // step
-        p_mid = p_lo + (span // 2) * step
-        o = member(p_mid, q_fixed)
-        if o is MembershipOutcome.UNDETERMINED:
-            return _pinned(x, RationalIndex(p_mid, q_fixed, k), used)
-        if o is MembershipOutcome.IN:
-            p_hi = p_mid
-        else:
-            p_lo = p_mid
-    value = (0.5 * (p_lo + p_hi) - q_fixed) / k
-    half = 0.5 * step / k
+    try:
+        q = 0
+        if member(1, 0):
+            # push q up until the rational (1 - q)/k drops below the threshold
+            q = _gallop(lambda off: not member(1, off), step, x, "Out")[1]
+        # (1 + q - q)/k reproduces the In seen at (1, 0); an Out there is
+        # band flakiness, and p grows as after an Out at (1, 0)
+        p_lo, p_hi = 1, 1 + q
+        if q == 0 or not member(1 + q, q):
+            before, offset = _gallop(lambda off: member(1 + q + off, q), step, x, "In")
+            p_hi = 1 + q + offset
+            if before:
+                p_lo = 1 + q + before
+        # bisect p: membership is monotone in the rational by the upper-set
+        # property, so the threshold sits between the last Out and first In
+        while p_hi - p_lo > step:
+            p_mid = p_lo + ((p_hi - p_lo) // step // 2) * step
+            if member(p_mid, q):
+                p_hi = p_mid
+            else:
+                p_lo = p_mid
+    except _Pinned as pin:
+        return PhiEstimate(
+            x=x, value=pin.args[0].value, half_width=0.0, pinned=True, k=k, memberships=used
+        )
     return PhiEstimate(
-        x=x, value=value, half_width=half, pinned=False, k=k, memberships=used
+        x=x,
+        value=(0.5 * (p_lo + p_hi) - q) / k,
+        half_width=0.5 * step / k,
+        pinned=False,
+        k=k,
+        memberships=used,
     )
 
 

@@ -16,7 +16,7 @@ from functools import partial
 from typing import Callable, Sequence
 
 from .core import Interval, NaryOp
-from .errors import CodomainError, InversionError
+from .errors import CodomainError, DomainEscapeError, InversionError
 
 __all__ = [
     "GeneratorSpec",
@@ -110,11 +110,15 @@ def _approach(endpoint: float, open_end: bool, x0: float, toward_low: bool):
             yield endpoint + off if toward_low else endpoint - off
 
 
-def _safe_phi(phi: Callable[[float], float], x: float) -> float:
+def _safe_phi(
+    phi: Callable[[float], float], x: float, f_from: float = 0.0, f_to: float = 0.0
+) -> float:
+    """phi(x), with an OverflowError read as the infinity phi is heading
+    toward: -inf when phi moved down from f_from to f_to, +inf otherwise."""
     try:
         return phi(x)
     except OverflowError:
-        return math.inf
+        return -math.inf if f_to < f_from else math.inf
 
 
 def _start_point(iv: Interval) -> float:
@@ -135,12 +139,13 @@ def estimate_codomain(phi: Callable[[float], float], domain: Interval) -> Interv
     end counts as infinite, a settled one as an open finite bound
     (snapped to zero when tiny)."""
     x0 = _start_point(domain)
+    f0 = _safe_phi(phi, x0)
 
     def chase(endpoint, open_end, toward_low):
         prev = None
-        last = _safe_phi(phi, x0)
+        last = f0
         for pt in _approach(endpoint, open_end, x0, toward_low):
-            prev, last = last, _safe_phi(phi, pt)
+            prev, last = last, _safe_phi(phi, pt, f0, last)
             if not math.isfinite(last):
                 return math.copysign(math.inf, last)
         if prev is not None and abs(last - prev) > 1e-6 * (1.0 + abs(last)):
@@ -169,14 +174,14 @@ def _between(y: float, u: float, v: float) -> bool:
     return u <= y <= v or v <= y <= u
 
 
-def _samples(phi: Callable[[float], float], points, x0: float, toward_low: bool):
-    """(x, phi(x)) along an approach ladder, skipping points that do not
-    move past the previous one."""
-    last = x0
+def _samples(phi: Callable[[float], float], points, x0: float, f0: float, toward_low: bool):
+    """(x, phi(x)) along an approach ladder from (x0, f0), skipping points
+    that do not move past the previous one."""
+    last, f_last = x0, f0
     for x in points:
         if x < last if toward_low else x > last:
-            last = x
-            yield x, _safe_phi(phi, x)
+            last, f_last = x, _safe_phi(phi, x, f0, f_last)
+            yield last, f_last
 
 
 def _check_monotone(x: float, fx: float, fa: float, fb: float, slack: float) -> None:
@@ -214,8 +219,8 @@ def invert_monotone(
     f0 = _safe_phi(phi, x0)
     if f0 == y:
         return x0
-    lows = _samples(phi, _approach(bracket.lo, bracket.lo_open, x0, True), x0, True)
-    highs = _samples(phi, _approach(bracket.hi, bracket.hi_open, x0, False), x0, False)
+    lows = _samples(phi, _approach(bracket.lo, bracket.lo_open, x0, True), x0, f0, True)
+    highs = _samples(phi, _approach(bracket.hi, bracket.hi_open, x0, False), x0, f0, False)
     a, fa = next(lows, (x0, f0))
     if fa == y:
         return a
@@ -259,6 +264,10 @@ def _itp(
         return 0.5 * (a + b)
     increasing = fb > fa
     slack = 1e-12 * (1.0 + min(abs(fa), abs(fb)))
+    # a monotone phi overflows inside the bracket only next to an end whose
+    # value is infinite, so an overflow reads as that infinity (with two
+    # finite ends, as an infinity that fails the monotonicity check)
+    f_end = fb if math.isinf(fb) else fa
     ratio = w0 / tol
     halvings = math.log2(ratio) if ratio < math.inf else math.log2(w0) - math.log2(tol)
     n_max = math.ceil(halvings) + _N0
@@ -281,7 +290,7 @@ def _itp(
             x = mid
             if not a < x < b:
                 break
-        fx = _safe_phi(phi, x)
+        fx = _safe_phi(phi, x, 0.0, f_end)
         if fx == y:
             return x
         _check_monotone(x, fx, fa, fb, slack)
@@ -314,6 +323,13 @@ class GeneratorSpec:
             raise ValueError(f"unknown generator kind {self.kind!r}")
 
     def inverse(self, y: float) -> float:
+        """The point whose generator value is y: the one place a sum of
+        generator values turns back into a point. A y outside the codomain
+        raises :class:`DomainEscapeError` naming y and the codomain."""
+        if not self.codomain.contains(y):
+            raise DomainEscapeError(
+                f"generator sum {y!r} escapes codomain {self.codomain.render()}"
+            )
         if self.phi_inverse is not None:
             return self.phi_inverse(y)
         return invert_monotone(self.phi, y, self.domain)
@@ -346,7 +362,8 @@ def build_aczelian(spec: GeneratorSpec, n: int) -> NaryOp:
 
     Closed-form generators must have an admissible codomain. Tabulated
     generators carry a finite window of the true codomain, so the form
-    check is skipped and evaluation fails when a sum leaves the window.
+    check is skipped. Either way a sum outside the codomain raises
+    :class:`DomainEscapeError` (see :meth:`GeneratorSpec.inverse`).
     """
     if spec.kind == "closed_form":
         validate_codomain(spec.codomain, n)
@@ -355,7 +372,11 @@ def build_aczelian(spec: GeneratorSpec, n: int) -> NaryOp:
     inverse = spec.inverse
 
     def eval_fn(*xs: float) -> float:
-        s = math.fsum(phi(x) for x in xs)
+        values = [phi(x) for x in xs]
+        try:
+            s = math.fsum(values)
+        except OverflowError:  # the plain sum carries the infinity to the guard
+            s = sum(values)
         return inverse(s)
 
     label = f"generated[{spec.label or 'phi'}]/{n}"

@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence, Union
 
 from .axioms import AxiomReport, falsify, lattice_sampler
 from .core import Interval, NaryOp, interval_contains
 from .errors import DomainEscapeError
-from .generator import GeneratorSpec
+from .generator import GeneratorSpec, build_aczelian
 
 __all__ = [
     "AdjoinedNeutral",
@@ -45,31 +45,10 @@ Point = Union[float, AdjoinedNeutral]
 
 
 def derive_binary(spec: GeneratorSpec) -> NaryOp:
-    """The binary operation with the same generator: invert the pairwise
-    sum of generator values.
-
-    For admissible codomains pairwise sums stay inside, so the operation
-    is total on the interval; a sum landing exactly at zero outside the
-    codomain means the result is the adjoined neutral element, reported
-    as an error naming it.
-    """
-    phi = spec.phi
-    J = spec.codomain
-
-    def eval_fn(x: float, y: float) -> float:
-        s = phi(x) + phi(y)
-        if not interval_contains(J, s):
-            if s == 0.0:
-                raise DomainEscapeError(
-                    "pairwise sum hits the adjoined neutral element e* "
-                    f"outside codomain {J.render()}"
-                )
-            raise DomainEscapeError(
-                f"pairwise generator sum {s!r} escapes codomain {J.render()}"
-            )
-        return spec.inverse(s)
-
-    return NaryOp(2, spec.domain, eval_fn, f"derived[{spec.label or 'phi'}]")
+    """The binary operation with the same generator: the generated
+    operation at arity 2, labelled ``derived[...]``. A pairwise sum
+    outside the codomain raises :class:`DomainEscapeError`."""
+    return replace(build_aczelian(spec, 2), label=f"derived[{spec.label or 'phi'}]")
 
 
 def verify_reduction(
@@ -130,15 +109,14 @@ class AdjoinedStructure:
         """Evaluate an n-tuple that may contain the adjoined point."""
         if len(xs) != self.arity:
             raise ValueError(f"expected {self.arity} points")
-        s = math.fsum(self.phi_prime(v) for v in xs)
-        if interval_contains(self.generator.codomain, s):
-            return self.generator.inverse(s)
-        if s == 0.0:
+        values = [self.phi_prime(v) for v in xs]
+        try:
+            s = math.fsum(values)
+        except OverflowError:  # the plain sum carries the infinity to the guard
+            s = sum(values)
+        if s == 0.0 and self.neutral_is_adjoined:
             return self.neutral
-        raise DomainEscapeError(
-            f"extended generator sum {s!r} escapes "
-            f"{self.generator.codomain.render()} and is not the neutral sum"
-        )
+        return self.generator.inverse(s)
 
     def max_neutrality_residual(self, xs: Sequence[float]) -> float:
         """Worst |f'(e^{n-1} with x at one position) - x| over the sample,

@@ -241,3 +241,15 @@ def test_extend_command():
          "--samples", "50", "--seed", "4"]
     )
     assert code == 1
+
+
+@pytest.mark.parametrize("command", ["build", "reduce"])
+def test_generator_sum_past_float_range_exits_three(command, capsys):
+    # exp values near 709.5 are finite, their pairwise sums are not
+    code = main(
+        [command, "--phi", "exp(x)", "--phi-inv", "ln(x)", "--codomain", "(0,inf)",
+         "--n", "2", "--interval", "(709.1,709.7)", "--window", "710", "--samples", "50"]
+    )
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "numeric failure: generator sum inf escapes codomain (0.0,+inf)" in err

@@ -1,12 +1,18 @@
+import io
 import math
 import random
+from collections import Counter
+from contextlib import redirect_stdout
 
 import pytest
 
+from naryops import extension, extraction
+from naryops.cli import main
 from naryops.core import Interval, NaryOp, builtin_lookup
 from naryops.errors import (
     AllIdempotentError,
     ArityClassError,
+    BracketNotFoundError,
     DomainEscapeError,
     MonotonicityViolationError,
     PrecisionExhaustedError,
@@ -452,3 +458,66 @@ def test_roundtrip_rebuild_matches_original():
             continue
         checked += 1
         assert abs(rebuilt.eval(x, y) - SUM2.eval(x, y)) <= bound
+
+
+class _ConstantStrings:
+    """Stands in for ExtendedOp: every pure-c string evaluates to ``pure``
+    and every mixed string to ``mixed``, so each comparison has the same
+    outcome."""
+
+    base = SUM2
+
+    def __init__(self, pure, mixed):
+        self.pure, self.mixed = pure, mixed
+
+    def power(self, c, p):
+        return self.pure
+
+    def string_power(self, x, k, c, q):
+        return self.mixed
+
+
+def _count_memberships(monkeypatch):
+    # counted from outside the package, through the module global that
+    # phi_at calls
+    counts = Counter()
+    membership = extraction.sx_membership
+
+    def counting(*args):
+        counts["memberships"] += 1
+        return membership(*args)
+
+    monkeypatch.setattr(extraction, "sx_membership", counting)
+    return counts
+
+
+@pytest.mark.parametrize(
+    "pure, mixed, missing", [(2.0, 1.0, "Out"), (1.0, 2.0, "In")], ids=["always_in", "always_out"]
+)
+def test_phi_at_doubling_cap(monkeypatch, pure, mixed, missing):
+    # the first comparison, then 61 doublings that never see the other outcome
+    counts = _count_memberships(monkeypatch)
+    g = _ConstantStrings(pure, mixed)
+    with pytest.raises(BracketNotFoundError) as exc:
+        phi_at(g, 1.0, 0.5, BranchDirection.C_BELOW, ExtractionConfig())
+    assert str(exc.value) == f"no {missing} outcome after 61 doublings at x=0.5"
+    assert counts["memberships"] == 62
+
+
+def test_reference_extraction_work_is_pinned(monkeypatch):
+    counts = _count_memberships(monkeypatch)
+    power = extension.ExtendedOp.power
+
+    def counting_power(self, c, p):
+        counts["power"] += 1
+        return power(self, c, p)
+
+    monkeypatch.setattr(extension.ExtendedOp, "power", counting_power)
+    argv = ["extract", "--op", "sum", "--n", "2", "--c", "1", "--grid=-2:2:0.25",
+            "--resolution", "0.0009765625"]
+    with redirect_stdout(io.StringIO()):
+        assert main(argv) == 0
+    assert counts["memberships"] == 366
+    # one per pure-c string, plus one per mixed string without a tail or
+    # with a new cache entry; building the entry on every call took 732
+    assert counts["power"] == 554

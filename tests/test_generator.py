@@ -11,7 +11,7 @@ from naryops import generator
 from naryops.axioms import check_associativity, check_symmetry, lattice_sampler
 from naryops.cli import main
 from naryops.core import Interval, builtin_lookup
-from naryops.errors import CodomainError, InversionError
+from naryops.errors import CodomainError, DomainEscapeError, InversionError
 from naryops.generator import (
     GeneratorSpec,
     build_aczelian,
@@ -120,6 +120,15 @@ def test_invert_monotone_far_target_across_overflow():
     # +inf in every phi call, and the tolerance is measured in x, not in y
     root = invert_monotone(lambda x: x + math.exp(x), 1e300, Interval.real_line())
     assert abs(root - math.log(1e300)) <= 4.0 * math.ulp(512.0)
+
+
+def test_overflow_reads_as_the_infinity_phi_heads_toward():
+    # -exp falls toward -inf and overflows past x = 709.78: an overflow
+    # there is -inf, not +inf
+    root = invert_monotone(lambda x: -math.exp(x), -1e300, Interval.real_line())
+    assert abs(root - math.log(1e300)) <= 4.0 * math.ulp(512.0)
+    J = generator.estimate_codomain(lambda x: -math.exp(x), Interval.real_line())
+    assert J.render() == "(-inf,0.0)"
 
 
 def test_invert_monotone_open_end_reach_is_bounded():
@@ -308,5 +317,5 @@ def test_build_from_tabulated_skips_form_check():
     spec = tabulated_generator([-2.0, -1.0, 0.0, 1.0, 2.0], [-2.0, -1.0, 0.0, 1.0, 2.0])
     f = build_aczelian(spec, 2)
     assert abs(f.eval(0.5, 0.75) - 1.25) <= 1e-12
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainEscapeError):
         f.eval(1.5, 1.5)

@@ -6,7 +6,7 @@ import pytest
 from naryops.axioms import check_associativity
 from naryops.core import Interval, NaryOp, builtin_lookup
 from naryops.errors import DomainEscapeError
-from naryops.generator import GeneratorSpec
+from naryops.generator import GeneratorSpec, build_aczelian, tabulated_generator
 from naryops.reducibility import (
     ADJOINED_NEUTRAL,
     AdjoinedNeutral,
@@ -153,3 +153,36 @@ def test_extracted_generator_reduces_its_operation():
         for v in xs[1:]:
             acc = diamond.eval(acc, v)
         assert abs(lhs - acc) <= 4.0 * (gen.resolution_bound + gen.interp_slack) + 1e-9
+
+
+EXP_SPEC = GeneratorSpec(
+    phi=math.exp,
+    codomain=Interval.make(0.0, math.inf, True, True),
+    phi_inverse=math.log,
+    label="exp",
+)
+TABLE_SPEC = tabulated_generator([-2.0, -1.0, 0.0, 1.0, 2.0], [-2.0, -1.0, 0.5, 1.0, 2.0])
+
+
+@pytest.mark.parametrize(
+    "spec, inside, outside",
+    [
+        # the table's pairwise sums leave the window [-2, 2]
+        (TABLE_SPEC, [-1.0, -0.75, 0.0, 0.25, 0.5, 1.0], [(1.5, 1.5), (-2.0, -0.5)]),
+        # exp values are finite below 709.78, their pairwise sums overflow
+        (EXP_SPEC, [-3.0, -0.5, 0.0, 1.25, 4.0], [(709.5, 709.5), (709.7, 709.2)]),
+    ],
+    ids=["tabulated", "closed_form"],
+)
+def test_generator_evaluators_agree(spec, inside, outside):
+    generated = build_aczelian(spec, 2)
+    derived = derive_binary(spec)
+    adjoined = adjoin_neutral(spec, 2)
+    for x in inside:
+        for y in inside:
+            v = generated.eval(x, y)
+            assert derived.eval(x, y) == v and adjoined.eval((x, y)) == v
+    for x, y in outside:
+        for evaluate in (generated.eval, derived.eval, lambda *xs: adjoined.eval(xs)):
+            with pytest.raises(DomainEscapeError, match="escapes codomain"):
+                evaluate(x, y)
