@@ -54,7 +54,6 @@ from .extraction import (
     detect_open_end,
     extract_generator,
     phi_at,
-    rational_grid,
     select_base_point,
     sx_membership,
     verify_additivity,
@@ -117,7 +116,6 @@ __all__ = [
     "select_base_point",
     "detect_open_end",
     "sx_membership",
-    "rational_grid",
     "phi_at",
     "extract_generator",
     "verify_additivity",

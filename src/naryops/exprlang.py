@@ -297,7 +297,7 @@ def eval_expr(e: Expr, args: Sequence[float]):
             try:
                 return math.pow(a, b)
             except OverflowError:
-                return math.inf
+                return _overflowed_pow(a, b)
         raise AssertionError(f"unknown operator {e.op}")
     raise TypeError(f"not an expression node: {e!r}")
 
@@ -353,7 +353,13 @@ def _pow(a: float, b: float) -> float:
     try:
         return math.pow(a, b)
     except OverflowError:
-        return math.inf
+        return _overflowed_pow(a, b)
+
+
+def _overflowed_pow(a: float, b: float) -> float:
+    """The infinity an overflowing a^b heads toward: -inf for a negative
+    base under an odd exponent (a negative base has an integral one)."""
+    return -math.inf if a < 0.0 and math.fmod(b, 2.0) != 0.0 else math.inf
 
 
 _CALLS = {"ln": _ln, "exp": _exp, "sqrt": _sqrt, "abs": abs}

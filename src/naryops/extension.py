@@ -4,19 +4,31 @@ An arity-n operation evaluates strings whose length m satisfies
 m = 1 (mod n-1) by left-nested substitution: fold the first n points,
 then absorb n-1 further points per step. The unary rule is the identity,
 which makes substituting a single evaluated point a no-op.
+
+The repeated-point strings c^p and x^k c^q, their exponents
+(:class:`RationalIndex`) and their three-way comparison
+(:func:`sx_membership`) are the string search that generator extraction
+ran before it walked diagonal units; the tests' string oracle and the
+benchmark's tracer still use them.
 """
 
 from __future__ import annotations
 
+import enum
 import itertools
 import random
+from dataclasses import dataclass
 from typing import Sequence
 
 from .axioms import AxiomReport, falsify
 from .core import ArityClass, NaryOp
-from .errors import ArityClassError
+from .errors import ArityClassError, DomainEscapeError, PrecisionExhaustedError
 
 __all__ = [
+    "BranchDirection",
+    "RationalIndex",
+    "MembershipOutcome",
+    "sx_membership",
     "ExtendedOp",
     "extend_eval",
     "check_nested_identity",
@@ -110,6 +122,101 @@ class ExtendedOp:
             top += step
             entry[top] = acc
         return acc
+
+
+@dataclass(frozen=True)
+class RationalIndex:
+    """An admissible rational (p - q)/k: at arity n the congruences are
+    p = k = 1 and q = 0 (mod n-1), with p, k >= 1 and q >= 0."""
+
+    p: int
+    q: int
+    k: int
+
+    def __post_init__(self):
+        if self.p < 1 or self.k < 1 or self.q < 0:
+            raise ValueError(f"index ({self.p}, {self.q}, {self.k}) out of range")
+
+    @property
+    def value(self) -> float:
+        return (self.p - self.q) / self.k
+
+    def admissible(self, n: int) -> bool:
+        cls = ArityClass(n)
+        return cls.member(self.p) and cls.member(self.k) and cls.member(self.q + 1)
+
+    def require_admissible(self, n: int) -> None:
+        if not self.admissible(n):
+            raise ArityClassError(
+                f"index ({self.p}, {self.q}, {self.k}) violates the congruences mod {n - 1}"
+            )
+
+    def scaled(self, kappa: int, n: int) -> "RationalIndex":
+        """The same rational written with every part multiplied by an
+        admissible factor kappa."""
+        if not ArityClass(n).member(kappa):
+            raise ArityClassError(f"scale factor {kappa} not in the arity class")
+        return RationalIndex(self.p * kappa, self.q * kappa, self.k * kappa)
+
+    def shifted(self, j: int, n: int) -> "RationalIndex":
+        """The same rational with j added to both p and q (j = 0 mod n-1)."""
+        if j < 0 or j % (n - 1) != 0:
+            raise ArityClassError(f"shift {j} must be a nonnegative multiple of {n - 1}")
+        return RationalIndex(self.p + j, self.q + j, self.k)
+
+
+
+class BranchDirection(enum.Enum):
+    """Which side of its own n-fold power the base point sits on."""
+
+    C_BELOW = "c_below"  # c < f(c^n): powers of c climb
+    C_ABOVE = "c_above"  # c > f(c^n): powers of c descend
+
+
+class MembershipOutcome(enum.Enum):
+    IN = "in"
+    OUT = "out"
+    UNDETERMINED = "undetermined"
+
+
+
+def sx_membership(
+    g: ExtendedOp,
+    c: float,
+    x: float,
+    idx: RationalIndex,
+    direction: BranchDirection,
+    band: float = 1e-9,
+) -> MembershipOutcome:
+    """Three-way comparison of g(c^p) against g(x^k c^q).
+
+    In the climbing branch the rational (p - q)/k is a member when the
+    pure-c string evaluates strictly above the mixed string; the mirrored
+    branch flips the comparison. Differences within band * (|lhs| + |rhs|)
+    are undetermined, the float reading of the exact equality case; the
+    scale is purely relative because string values legitimately range from
+    huge (growing products) to tiny (products inside the unit interval).
+    """
+    n = g.base.arity
+    idx.require_admissible(n)
+    try:
+        a = g.power(c, idx.p)
+        b = g.string_power(x, idx.k, c, idx.q)
+    except DomainEscapeError as exc:
+        raise PrecisionExhaustedError(
+            f"power string evaluation failed at (p={idx.p}, q={idx.q}, k={idx.k}): {exc}; "
+            "reduce the resolution or move the base point toward the idempotent",
+            p=idx.p,
+            q=idx.q,
+            k=idx.k,
+        ) from exc
+    d = a - b if direction is BranchDirection.C_BELOW else b - a
+    thr = band * (abs(a) + abs(b))
+    if d > thr:
+        return MembershipOutcome.IN
+    if d < -thr:
+        return MembershipOutcome.OUT
+    return MembershipOutcome.UNDETERMINED
 
 
 def extend_eval(g: ExtendedOp, xs: Sequence[float]) -> float:

@@ -1,36 +1,43 @@
 """Numeric reconstruction of the additive generator of a black-box
-operation.
+operation, by Aczel's construction of n-adic units.
 
 Given a continuous, symmetric, cancellative, associative operation f and
-a non-idempotent base point c, the generator value at x is the infimum of
-the admissible rationals r = (p - q)/k for which the repeated-point string
-c^p evaluates strictly above x^k c^q. That set is an upper set, so at a
-fixed denominator k the threshold is found by bisecting p. The branch with
-c above its own power (c > f(c^n)) runs the mirrored comparison and the
-final table is negated, so the reported generator is always increasing
-with value -1 at the base point there, +1 otherwise.
+a non-idempotent base point c, write psi for the branch-local generator
+with psi(c) = 1. The units U_0 = c, U_{j+1} = f(U_j, ..., U_j) and U_{j-1},
+the root of the diagonal f(t, ..., t) = U_j, have psi(U_j) = n^j. A step
+y <- f(y, U_j, ..., U_j) adds (n-1) n^j to psi(y), so a walk of steps from
+c to x, or from x to c, reads psi(x) off the steps it takes: about n op
+evaluations per level. The resolution fixes the lowest level -J, with
+J = ceil(log_n((n-1)/resolution)). Each value lies within its half-width,
+half the step of its last effective level, or is pinned when a step lands
+exactly on the target. Below float precision a walk stops where units no
+longer differ or a step no longer moves y, so its half-width stays true
+up to a precision floor: the rounding of each step, a few ulps of
+max(1, |psi(x)|) per evaluation. The branch with c above its own power
+(c > f(c^n)) walks in mirrored order and the final table is negated, so
+the reported generator is always increasing with value -1 at the base
+point there, +1 otherwise.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 import random
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Sequence
 
+from . import generator
 from .axioms import AxiomReport, falsify
-from .core import ArityClass, NaryOp
+from .core import Interval, NaryOp
 from .errors import (
     AllIdempotentError,
-    ArityClassError,
     BracketNotFoundError,
     DomainEscapeError,
+    InversionError,
     MonotonicityViolationError,
-    PrecisionExhaustedError,
 )
-from .extension import ExtendedOp
+from .extension import BranchDirection, MembershipOutcome, RationalIndex, sx_membership
 from .generator import GeneratorSpec, piecewise_linear, tabulated_generator
 
 __all__ = [
@@ -45,7 +52,6 @@ __all__ = [
     "select_base_point",
     "detect_open_end",
     "sx_membership",
-    "rational_grid",
     "phi_at",
     "extract_generator",
     "verify_additivity",
@@ -54,73 +60,18 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class RationalIndex:
-    """An admissible rational (p - q)/k: at arity n the congruences are
-    p = k = 1 and q = 0 (mod n-1), with p, k >= 1 and q >= 0."""
-
-    p: int
-    q: int
-    k: int
-
-    def __post_init__(self):
-        if self.p < 1 or self.k < 1 or self.q < 0:
-            raise ValueError(f"index ({self.p}, {self.q}, {self.k}) out of range")
-
-    @property
-    def value(self) -> float:
-        return (self.p - self.q) / self.k
-
-    def admissible(self, n: int) -> bool:
-        cls = ArityClass(n)
-        return cls.member(self.p) and cls.member(self.k) and cls.member(self.q + 1)
-
-    def require_admissible(self, n: int) -> None:
-        if not self.admissible(n):
-            raise ArityClassError(
-                f"index ({self.p}, {self.q}, {self.k}) violates the congruences mod {n - 1}"
-            )
-
-    def scaled(self, kappa: int, n: int) -> "RationalIndex":
-        """The same rational written with every part multiplied by an
-        admissible factor kappa."""
-        if not ArityClass(n).member(kappa):
-            raise ArityClassError(f"scale factor {kappa} not in the arity class")
-        return RationalIndex(self.p * kappa, self.q * kappa, self.k * kappa)
-
-    def shifted(self, j: int, n: int) -> "RationalIndex":
-        """The same rational with j added to both p and q (j = 0 mod n-1)."""
-        if j < 0 or j % (n - 1) != 0:
-            raise ArityClassError(f"shift {j} must be a nonnegative multiple of {n - 1}")
-        return RationalIndex(self.p + j, self.q + j, self.k)
-
-
 #: candidate base points swept across the scan window
 _SCAN_POINTS = 257
-#: string-length doublings allowed while bracketing one threshold
-_MAX_DOUBLINGS = 60
-
-
-class BranchDirection(enum.Enum):
-    """Which side of its own n-fold power the base point sits on."""
-
-    C_BELOW = "c_below"  # c < f(c^n): powers of c climb
-    C_ABOVE = "c_above"  # c > f(c^n): powers of c descend
-
-
-class MembershipOutcome(enum.Enum):
-    IN = "in"
-    OUT = "out"
-    UNDETERMINED = "undetermined"
 
 
 @dataclass(frozen=True)
 class ExtractionConfig:
     """Knobs for the extraction pipeline.
 
-    ``resolution`` is the target rational spacing (n-1)/k; the comparison
-    band is a relative tolerance below which a string comparison is
-    declared undetermined (the float reading of an exact equality).
+    ``resolution`` fixes the lowest level -J of the unit walk, the highest
+    level whose step (n-1) n^-J is at most the resolution. The comparison
+    band is a relative tolerance below which a base point counts as
+    idempotent.
     """
 
     base_point: float | None = None
@@ -130,23 +81,25 @@ class ExtractionConfig:
     scan_window: float = 10.0
 
     def __post_init__(self):
-        if self.resolution <= 0.0:
-            raise ValueError("resolution must be positive")
+        if not 0.0 < self.resolution < math.inf:
+            raise ValueError("resolution must be positive and finite")
         if self.comparison_band < 0.0:
             raise ValueError("comparison band must be nonnegative")
 
 
 @dataclass(frozen=True)
 class PhiEstimate:
-    """One extracted generator value: a rational midpoint with a half-width
-    bound, pinned exactly when an equality case was detected."""
+    """One extracted generator value: the midpoint of its last effective
+    level with half that level's step as half-width, or the exact value,
+    pinned, when a step landed on the target. ``levels`` counts the levels
+    walked and ``evaluations`` the op evaluations of the walk."""
 
     x: float
     value: float
     half_width: float
     pinned: bool
-    k: int
-    memberships: int
+    levels: int
+    evaluations: int
 
 
 @dataclass(frozen=True)
@@ -254,151 +207,171 @@ def detect_open_end(
     )
 
 
-def sx_membership(
-    g: ExtendedOp,
-    c: float,
-    x: float,
-    idx: RationalIndex,
-    direction: BranchDirection,
-    band: float = 1e-9,
-) -> MembershipOutcome:
-    """Three-way comparison of g(c^p) against g(x^k c^q).
+def _lowest_level(n: int, resolution: float) -> int:
+    """-J = -ceil(log_n((n-1)/resolution)): the highest level whose step
+    (n-1) n^level is at most the resolution, compared exactly."""
+    p, q = resolution.as_integer_ratio()
 
-    In the climbing branch the rational (p - q)/k is a member when the
-    pure-c string evaluates strictly above the mixed string; the mirrored
-    branch flips the comparison. Differences within band * (|lhs| + |rhs|)
-    are undetermined, the float reading of the exact equality case; the
-    scale is purely relative because string values legitimately range from
-    huge (growing products) to tiny (products inside the unit interval).
-    """
-    n = g.base.arity
-    idx.require_admissible(n)
-    try:
-        a = g.power(c, idx.p)
-        b = g.string_power(x, idx.k, c, idx.q)
-    except DomainEscapeError as exc:
-        raise PrecisionExhaustedError(
-            f"power string evaluation failed at (p={idx.p}, q={idx.q}, k={idx.k}): {exc}; "
-            "reduce the resolution or move the base point toward the idempotent",
-            p=idx.p,
-            q=idx.q,
-            k=idx.k,
-        ) from exc
-    d = a - b if direction is BranchDirection.C_BELOW else b - a
-    thr = band * (abs(a) + abs(b))
-    if d > thr:
-        return MembershipOutcome.IN
-    if d < -thr:
-        return MembershipOutcome.OUT
-    return MembershipOutcome.UNDETERMINED
+    def fits(level: int) -> bool:
+        return (n - 1) * q * n ** max(level, 0) <= p * n ** max(-level, 0)
+
+    level = math.floor((math.log(resolution) - math.log(n - 1)) / math.log(n))
+    while not fits(level):
+        level -= 1
+    while fits(level + 1):
+        level += 1
+    return level
 
 
-def rational_grid(n: int, target: float, resolution: float) -> RationalIndex:
-    """The admissible rational nearest the target on the grid of spacing
-    (n-1)/k, with k the smallest admissible denominator at or below the
-    requested resolution and q the smallest admissible value making p >= 1.
-    """
-    if resolution <= 0.0:
-        raise ValueError("resolution must be positive")
-    cls = ArityClass(n)
-    step = cls.step()
-    k = cls.ceil(math.ceil(step / resolution))
-    # numerator d = p - q must be = 1 (mod n-1); pick the admissible value
-    # closest to k * target
-    d = 1 + step * round((k * target - 1) / step)
-    if d >= 1:
-        q = 0
-        p = d
-    else:
-        q = step * math.ceil((1 - d) / step)
-        p = d + q
-    idx = RationalIndex(p, q, k)
-    idx.require_admissible(n)
-    return idx
+#: steps allowed at the top of a unit table that the float range ends
+_MAX_LEVEL_STEPS = 64
 
 
-class _Pinned(Exception):
-    """An undetermined comparison at the RationalIndex it carries: the
-    threshold sits exactly there (the equality case)."""
+class _Units:
+    """The units U_j of one extraction, built on first use and shared by
+    its points: U_0 = c, U_{j+1} = f(U_j, ..., U_j), and U_{j-1} the root
+    of the diagonal t -> f(t, ..., t) = U_j, so the branch-local generator
+    is n^j at U_j. The table ends above at the last unit inside the floats
+    and the domain, below at the lowest level or where no float lies
+    strictly between U_j and the root."""
 
+    def __init__(self, f: NaryOp, c: float, direction: BranchDirection, lowest: int):
+        self.f, self.n, self.table = f, f.arity, {0: c}
+        self.ahead = direction is BranchDirection.C_BELOW  # branch order is the real order
+        self.low = self.high = 0
+        self.top, self.bottom = math.inf, lowest
 
-def _gallop(hit, step: int, x: float, wanted: str) -> tuple[int, int]:
-    """The first offset among step, 2*step, 4*step, ... at which
-    ``hit(offset)`` holds, and the offset tried before it (0 when the
-    first one hits). Raises :class:`BracketNotFoundError` after
-    _MAX_DOUBLINGS + 1 misses."""
-    before, offset = 0, step
-    for _ in range(_MAX_DOUBLINGS + 1):
-        if hit(offset):
-            return before, offset
-        before, offset = offset, 2 * offset
-    raise BracketNotFoundError(
-        f"no {wanted} outcome after {_MAX_DOUBLINGS + 1} doublings at x={x!r}"
-    )
+    def before(self, a: float, b: float) -> bool:
+        return a < b if self.ahead else a > b
 
+    def eval(self, args: tuple, ok) -> float:
+        """f.checked(*args), except that a value escaping the floats or the
+        domain is returned when ``ok(value)``: when it lies past the target
+        of a step along the direction of travel."""
+        try:
+            return self.f.checked(*args)
+        except DomainEscapeError:
+            if ok(v := self.f.eval(*args)):
+                return v
+            raise
 
-def phi_at(
-    g: ExtendedOp,
-    c: float,
-    x: float,
-    direction: BranchDirection,
-    cfg: ExtractionConfig,
-) -> PhiEstimate:
-    """Bracket and bisect the membership threshold for one point.
+    def diagonal(self, t: float) -> float:
+        return self.eval((t,) * self.n, lambda v: v == v)
 
-    The rational value of the branch-local generator at x is the infimum
-    of the members; expansion doubles the string lengths until both an
-    Out and an In are seen, then p is bisected at fixed k and q. An
-    undetermined comparison pins the value exactly (the equality case).
-    Raises :class:`BracketNotFoundError` when the doubling cap is hit and
-    :class:`PrecisionExhaustedError` when string values overflow.
-    """
-    step = g.base.arity - 1
-    k = ArityClass(g.base.arity).ceil(math.ceil(step / cfg.resolution))
-    used = 0
-
-    def member(p: int, q: int) -> bool:
-        nonlocal used
-        used += 1
-        idx = RationalIndex(p, q, k)
-        outcome = sx_membership(g, c, x, idx, direction, cfg.comparison_band)
-        if outcome is MembershipOutcome.UNDETERMINED:
-            raise _Pinned(idx)
-        return outcome is MembershipOutcome.IN
-
-    try:
-        q = 0
-        if member(1, 0):
-            # push q up until the rational (1 - q)/k drops below the threshold
-            q = _gallop(lambda off: not member(1, off), step, x, "Out")[1]
-        # (1 + q - q)/k reproduces the In seen at (1, 0); an Out there is
-        # band flakiness, and p grows as after an Out at (1, 0)
-        p_lo, p_hi = 1, 1 + q
-        if q == 0 or not member(1 + q, q):
-            before, offset = _gallop(lambda off: member(1 + q + off, q), step, x, "In")
-            p_hi = 1 + q + offset
-            if before:
-                p_lo = 1 + q + before
-        # bisect p: membership is monotone in the rational by the upper-set
-        # property, so the threshold sits between the last Out and first In
-        while p_hi - p_lo > step:
-            p_mid = p_lo + ((p_hi - p_lo) // step // 2) * step
-            if member(p_mid, q):
-                p_hi = p_mid
+    def __call__(self, j: int) -> float | None:
+        """U_j, or None beyond either end of the table."""
+        while self.high < min(j, self.top):
+            u = self.table[self.high]
+            v = self.eval((u,) * self.n, lambda v: self.before(u, v))
+            if not self.f.domain.contains(v):
+                self.top = self.high
+            elif not self.before(u, v):
+                raise MonotonicityViolationError(f"U_{self.high + 1} = {v!r} is not past {u!r}")
             else:
-                p_lo = p_mid
-    except _Pinned as pin:
-        return PhiEstimate(
-            x=x, value=pin.args[0].value, half_width=0.0, pinned=True, k=k, memberships=used
+                self.high += 1
+                self.table[self.high] = v
+        while self.low > max(j, self.bottom):
+            if (v := self._root(self.table[self.low])) is None:
+                self.bottom = self.low
+            else:
+                self.low -= 1
+                self.table[self.low] = v
+        return self.table.get(j)
+
+    def _root(self, u: float) -> float | None:
+        """The unit below u, by :func:`naryops.generator.invert_monotone`
+        run to the last float, or None when no float lies strictly between
+        the root and u. The bracket [far, nxt] has the root in its middle
+        for a near-linear generator; when it misses, the bracket reaches
+        out to the domain end."""
+        dom = self.f.domain
+        nxt = math.nextafter(u, -math.inf if self.ahead else math.inf)
+        if not dom.contains(nxt) or self.before(d := self.diagonal(nxt), u):
+            return None  # the root lies between nxt and u
+        if d == u:
+            return nxt
+        if self.low < self.high:
+            far = u - 2.0 * (self.table[self.low + 1] - u) / self.n
+            if dom.contains(far) and self.before(far, nxt):
+                bracket = Interval.make(min(far, nxt), max(far, nxt), False, False)
+                try:
+                    return generator.invert_monotone(self.diagonal, u, bracket, 0.0)
+                except InversionError:  # the diagonal bends away beyond far
+                    pass
+        if self.ahead:
+            return generator.invert_monotone(
+                self.diagonal, u, Interval.make(dom.lo, nxt, dom.lo_open, False), 0.0
+            )
+        return generator.invert_monotone(
+            self.diagonal, u, Interval.make(nxt, dom.hi, False, dom.hi_open), 0.0
         )
-    return PhiEstimate(
-        x=x,
-        value=(0.5 * (p_lo + p_hi) - q) / k,
-        half_width=0.5 * step / k,
-        pinned=False,
-        k=k,
-        memberships=used,
-    )
+
+
+def phi_at(units: _Units, x: float) -> PhiEstimate:
+    """Walk the units from whichever of c and x comes first in branch order
+    toward the other one, the target.
+
+    A step at level j, y <- f(y, U_j, ..., U_j), adds (n-1) n^j to the
+    generator value of y and is taken unless it passes the target; a value
+    that escapes the floats or the domain past the target passes it. The
+    walk climbs one step per level while steps do not pass, then descends
+    level by level with at most n - 1 steps each. It stops at the bottom
+    of the table, where a step no longer moves y, or on the target, which
+    pins the value. Otherwise the value is the steps taken plus half a step
+    of the last effective level, its half-width. Raises
+    :class:`BracketNotFoundError` when the top level of a table that the
+    float range ends needs more than _MAX_LEVEL_STEPS steps.
+    """
+    n, c = units.n, units(0)
+    ahead = units.before(c, x)
+    y, target = (c, x) if ahead else (x, c)
+    digits: dict[int, int] = {}
+    evaluations = levels = 0
+
+    def passes(v: float) -> bool:
+        return units.before(target, v)
+
+    def walk(level: int, steps: int, climbing: bool = False) -> str:
+        """Up to ``steps`` steps at one level; why the walk stopped."""
+        nonlocal y, evaluations, levels
+        if (u := units(level)) is None:
+            return "table"
+        levels += 1
+        for _ in range(steps):
+            evaluations += 1
+            t = units.eval((y,) + (u,) * (n - 1), passes)
+            if passes(t):
+                return "passed"
+            if t == y and not climbing:
+                return "still"
+            y, digits[level] = t, digits.get(level, 0) + 1
+            if t == target:
+                return "pinned"
+        return "steps"
+
+    level, repeats, why = 0, 0, "pinned" if x == c else walk(0, 1, True)
+    while why == "steps":  # climb; past the float range, repeat the top level
+        if units(level + 1) is not None:
+            level += 1
+        elif (repeats := repeats + 1) > _MAX_LEVEL_STEPS:
+            raise BracketNotFoundError(f"U_{level} steps do not reach {target!r} from x={x!r}")
+        why = walk(level, 1, True)
+    while why in ("passed", "steps") and level > units.bottom:
+        level -= 1
+        why = walk(level, n - 1)
+    bottom = level if why in ("passed", "steps") else level + 1
+    # 1 +- (steps + half a bottom step) as a ratio of integers, which
+    # rounds once; the steps count in halves of (n-1) n^low
+    low = min([0, bottom, *digits])
+    half_steps = sum(2 * d * n ** (j - low) for j, d in digits.items())
+    half_steps += 0 if why == "pinned" else n ** (bottom - low)
+    den = 2 * n**-low
+    try:
+        value = (den + (n - 1) * half_steps if ahead else den - (n - 1) * half_steps) / den
+        half_width = 0.0 if why == "pinned" else 0.5 * (n - 1) * float(n) ** bottom
+    except OverflowError:
+        raise DomainEscapeError(f"generator value at x={x!r} exceeds the float range") from None
+    return PhiEstimate(x, value, half_width, why == "pinned", levels, evaluations)
 
 
 @dataclass(frozen=True)
@@ -466,39 +439,43 @@ def _chord_slack(xs: Sequence[float], ys: Sequence[float]) -> float:
 
 
 def extract_generator(f: NaryOp, cfg: ExtractionConfig) -> ExtractedGenerator:
-    """Run the full reconstruction: base point, per-point thresholds, the
-    mirror negation, and monotonicity verification.
+    """Run the full reconstruction: base point, one unit walk per grid
+    point over a shared unit table, the mirror negation, and monotonicity
+    verification.
 
     The base point is always included among the samples so the
     normalization (+1 climbing, -1 mirrored) is exact by construction.
+    ``resolution_bound`` is the largest half-width over the points, and
+    ``realized_resolution`` twice that, or the step of the lowest level
+    when every point is finer.
     """
     c, direction = select_base_point(f, cfg)
     grid = sorted(set(float(v) for v in cfg.grid) | {float(c)})
     for v in grid:
         if not f.domain.contains(v):
             raise ValueError(f"grid point {v!r} outside {f.domain.render()}")
-    g = ExtendedOp(f)
-    estimates = tuple(phi_at(g, c, v, direction, cfg) for v in grid)
+    lowest = _lowest_level(f.arity, cfg.resolution)
+    units = _Units(f, c, direction, lowest)
+    estimates = tuple(phi_at(units, v) for v in grid)
     sign = 1.0 if direction is BranchDirection.C_BELOW else -1.0
     values = [sign * e.value for e in estimates]
     resolution_bound = max(e.half_width for e in estimates)
-    allowed_regression = 2.0 * resolution_bound
     pairs = list(zip(grid, values))
     for (x0, y0), (x1, y1) in zip(pairs, pairs[1:]):
-        if y1 - y0 < -allowed_regression:
+        # values within the comparison band of each other are equal to float
+        # precision, which the rounding of a walk reaches
+        if y1 - y0 < -2.0 * resolution_bound - cfg.comparison_band * (abs(y0) + abs(y1)):
             raise MonotonicityViolationError(
                 f"extracted values regress from {y0!r} at {x0!r} to {y1!r} at {x1!r} "
                 f"beyond 2 * {resolution_bound!r}"
             )
-    step = f.arity - 1
-    k = estimates[0].k
     return ExtractedGenerator(
         samples=tuple(pairs),
         c=c,
         direction=direction,
         resolution_bound=resolution_bound,
         normalization=sign,
-        realized_resolution=step / k,
+        realized_resolution=max(2.0 * resolution_bound, (f.arity - 1) * float(f.arity) ** lowest),
         interp_slack=_chord_slack(grid, values),
         band=cfg.comparison_band,
         estimates=estimates,

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import bisect as _bisect
 import math
+import struct
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Sequence
@@ -94,20 +95,41 @@ def validate_codomain(J: Interval, n: int) -> CodomainForm:
     )
 
 
-def _approach(endpoint: float, open_end: bool, x0: float, toward_low: bool):
+def _float_key(x: float) -> int:
+    """Position of x on the float line: neighbouring floats get
+    consecutive integers, and 0.0 and -0.0 both get 0."""
+    bits = struct.unpack("<q", struct.pack("<d", x))[0]
+    return bits if bits >= 0 else -(bits & 0x7FFF_FFFF_FFFF_FFFF)
+
+
+def _key_float(key: int) -> float:
+    """The float at a position of :func:`_float_key`."""
+    if key >= 0:
+        return struct.unpack("<d", struct.pack("<q", key))[0]
+    return struct.unpack("<d", struct.pack("<Q", -key | 1 << 63))[0]
+
+
+def _approach(endpoint: float, open_end: bool, x0: float, toward_low: bool, decades=False):
     """Points marching from x0 toward an endpoint: the endpoint itself when
-    closed, a shrinking offset sequence width * 10^-k when finite and open,
-    geometric expansion when infinite."""
+    closed, geometric expansion when infinite. Toward a finite open end,
+    a ladder of 12 decades width * 10^-k when ``decades``; otherwise a
+    gallop that halves the number of floats left between the point and
+    the end, so it reaches the float next to the end in at most 64 points."""
     if math.isinf(endpoint):
         for k in range(1, 200):
             yield x0 - 2.0**k if toward_low else x0 + 2.0**k
     elif not open_end:
         yield endpoint
-    else:
+    elif decades:
         width = abs(x0 - endpoint)
         for k in range(1, 13):
             off = width * 10.0 ** (-k)
             yield endpoint + off if toward_low else endpoint - off
+    else:
+        key, end = _float_key(x0), _float_key(endpoint)
+        while abs(end - key) > 1:
+            key = (key + end) // 2
+            yield _key_float(key)
 
 
 def _safe_phi(
@@ -144,7 +166,7 @@ def estimate_codomain(phi: Callable[[float], float], domain: Interval) -> Interv
     def chase(endpoint, open_end, toward_low):
         prev = None
         last = f0
-        for pt in _approach(endpoint, open_end, x0, toward_low):
+        for pt in _approach(endpoint, open_end, x0, toward_low, decades=True):
             prev, last = last, _safe_phi(phi, pt, f0, last)
             if not math.isfinite(last):
                 return math.copysign(math.inf, last)
@@ -247,6 +269,21 @@ def invert_monotone(
                     f"[{min(f_far, f_near)!r}, {max(f_far, f_near)!r}] of {bracket.render()}"
                 )
             (a, fa), (b, fb) = ((near, f_near), (x, fx)) if up else ((x, fx), (near, f_near))
+    # a gallop toward an open end can leave a bracket across many binades;
+    # bisect it in float space until its ends are within a factor of two,
+    # since ITP steps in real space
+    slack = 1e-12 * (1.0 + min(abs(fa), abs(fb)))
+    f_end = fb if math.isinf(fb) else fa
+    while (a > 0.0 or b < 0.0) and max(abs(a), abs(b)) > 2.0 * min(abs(a), abs(b)):
+        x = _key_float((_float_key(a) + _float_key(b)) // 2)
+        fx = _safe_phi(phi, x, 0.0, f_end)
+        if fx == y:
+            return x
+        _check_monotone(x, fx, fa, fb, slack)
+        if _between(y, fa, fx):
+            b, fb = x, fx
+        else:
+            a, fa = x, fx
     if tol is None:
         tol = 4.0 * math.ulp(min(abs(a), abs(b)) if a > 0.0 or b < 0.0 else max(abs(a), abs(b)))
     return _itp(phi, y, a, fa, b, fb, tol)
@@ -377,6 +414,8 @@ def build_aczelian(spec: GeneratorSpec, n: int) -> NaryOp:
             s = math.fsum(values)
         except OverflowError:  # the plain sum carries the infinity to the guard
             s = sum(values)
+        except ValueError:  # fsum of -inf and +inf
+            raise DomainEscapeError(f"generator values {values!r} at {xs!r} have no sum") from None
         return inverse(s)
 
     label = f"generated[{spec.label or 'phi'}]/{n}"

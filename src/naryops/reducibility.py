@@ -114,6 +114,8 @@ class AdjoinedStructure:
             s = math.fsum(values)
         except OverflowError:  # the plain sum carries the infinity to the guard
             s = sum(values)
+        except ValueError:  # fsum of -inf and +inf
+            raise DomainEscapeError(f"generator values {values!r} at {xs!r} have no sum") from None
         if s == 0.0 and self.neutral_is_adjoined:
             return self.neutral
         return self.generator.inverse(s)

@@ -13,6 +13,7 @@ from naryops.cli import (
     run,
 )
 from naryops.core import builtin_lookup
+from naryops.exprlang import make_callable, parse as parse_expr
 
 
 def test_load_opspec_builtin():
@@ -253,3 +254,24 @@ def test_generator_sum_past_float_range_exits_three(command, capsys):
     assert code == 3
     err = capsys.readouterr().err
     assert "numeric failure: generator sum inf escapes codomain (0.0,+inf)" in err
+
+
+@pytest.mark.parametrize("resolution", ["nan", "inf", "0", "-1"])
+def test_resolution_must_be_positive_and_finite(resolution, capsys):
+    code = main(
+        ["extract", "--op", "sum", "--n", "2", "--c", "1", "--grid", "0,2", f"--resolution={resolution}"]
+    )
+    assert code == 2
+    assert "configuration error: resolution must be positive and finite" in capsys.readouterr().err
+
+
+def test_odd_power_overflow_keeps_its_sign(capsys):
+    # x^3 at -1e200 is -inf; read as +inf it made the estimated codomain
+    # empty, a configuration error
+    assert make_callable(parse_expr("x^3", 1), 1)(-1e200) == -math.inf
+    code = main(
+        ["build", "--phi", "x^3", "--phi-inv", "x", "--interval", "(-1e200,1e200)",
+         "--window", "1e200", "--samples", "20"]
+    )
+    assert code in (0, 1, 3)
+    assert "configuration error" not in capsys.readouterr().err

@@ -1,13 +1,16 @@
 import io
 import math
 import random
+import time
 from collections import Counter
 from contextlib import redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from naryops import extension, extraction
-from naryops.cli import main
+from naryops import core, extraction
+from naryops.cli import load_generator, main
 from naryops.core import Interval, NaryOp, builtin_lookup
 from naryops.errors import (
     AllIdempotentError,
@@ -27,12 +30,12 @@ from naryops.extraction import (
     compare_scales,
     detect_open_end,
     extract_generator,
-    phi_at,
-    rational_grid,
     select_base_point,
     sx_membership,
     verify_additivity,
 )
+from naryops.generator import build_aczelian
+from string_oracle import phi_at as string_phi_at, rational_grid
 
 SUM2 = builtin_lookup("sum", 2)
 SUM3 = builtin_lookup("sum", 3)
@@ -209,29 +212,30 @@ def test_detect_open_end_monotonicity_violation():
 # --- per-point estimation ----------------------------------------------------
 
 
+def estimate(f, c, x, resolution=1.0 / 64.0):
+    """The PhiEstimate that extraction makes at x, normalized at c."""
+    gen = extract_generator(f, ExtractionConfig(base_point=c, grid=(x,), resolution=resolution))
+    return next(e for e in gen.estimates if e.x == x)
+
+
 def test_phi_at_sum_is_exact_on_grid_rationals():
-    g = ExtendedOp(SUM2)
-    cfg = ExtractionConfig(resolution=1.0 / 64.0)
-    est = phi_at(g, 1.0, 1.5, BranchDirection.C_BELOW, cfg)
+    est = estimate(SUM2, 1.0, 1.5)
     assert est.value == 1.5 and est.pinned
-    est = phi_at(g, 1.0, -2.0, BranchDirection.C_BELOW, cfg)
+    est = estimate(SUM2, 1.0, -2.0)
     assert est.value == -2.0
 
 
 def test_phi_at_product_log_oracle():
-    g = ExtendedOp(PRODUCT3)
-    cfg = ExtractionConfig(resolution=2.0 / 129.0)
-    est = phi_at(g, 2.0, 8.0, BranchDirection.C_BELOW, cfg)
+    est = estimate(PRODUCT3, 2.0, 8.0, 2.0 / 129.0)
     assert abs(est.value - 3.0) <= 2.0 / 129.0
-    est = phi_at(g, 2.0, 3.0, BranchDirection.C_BELOW, cfg)
+    est = estimate(PRODUCT3, 2.0, 3.0, 2.0 / 129.0)
     assert abs(est.value - math.log2(3.0)) <= 2.0 / 129.0 + 1e-12
 
 
 def test_phi_at_base_point_is_one():
     for f in (SUM2, SUM3, PRODUCT2, PRODUCT3):
-        g = ExtendedOp(f)
         c = 2.0 if "product" in f.label else 1.0
-        est = phi_at(g, c, c, BranchDirection.C_BELOW, ExtractionConfig())
+        est = estimate(f, c, c)
         assert est.value == 1.0 and est.pinned
 
 
@@ -324,10 +328,35 @@ def test_extract_rejects_offgrid_domain_points():
         extract_generator(PRODUCT2, cfg)
 
 
-def test_extraction_overflow_is_precision_exhausted():
-    cfg = ExtractionConfig(base_point=2.0, grid=(1e6,), resolution=1 / 64)
-    with pytest.raises(PrecisionExhaustedError):
-        extract_generator(PRODUCT2, cfg)
+def test_bounded_product_reaches_units_next_to_one():
+    # the units below c = 0.5 approach the open end 1 within one float
+    with redirect_stdout(io.StringIO()):
+        code = main(
+            ["extract", "--op", "bounded_product", "--n", "2", "--c", "0.5",
+             "--grid", "0.1,0.3,0.7,0.9", "--resolution", "1e-300"]
+        )
+    assert code == 0
+
+
+def test_neighbouring_floats_extract_below_float_precision():
+    # the walks of neighbouring points round apart by a few ulps, which the
+    # monotonicity check must not read as a regression
+    f = build_aczelian(load_generator("x^3+x", None, None), 3)
+    x = 0.6171807908182833
+    grid = tuple(x + k * math.ulp(x) for k in range(4))
+    gen = extract_generator(f, ExtractionConfig(base_point=1.0, grid=grid, resolution=1e-300))
+    assert [v for v, _ in gen.samples] == sorted(grid + (1.0,))
+
+
+def test_extraction_far_points_stay_in_the_float_range():
+    # the units 2^(2^j) overflow past 2^1024, beyond the target 1e200: an
+    # overflow past the target counts as passing it
+    for x in (1e6, 1e200):
+        cfg = ExtractionConfig(base_point=2.0, grid=(x,), resolution=1 / 64)
+        gen = extract_generator(PRODUCT2, cfg)
+        (v, est), = [(v, e) for (t, v), e in zip(gen.samples, gen.estimates) if t == x]
+        floor = FLOOR_ULPS * (est.evaluations + 1) * math.ulp(math.log2(x))
+        assert abs(v - math.log2(x)) <= est.half_width + floor
 
 
 # --- membership structure probes ---------------------------------------------
@@ -479,7 +508,7 @@ class _ConstantStrings:
 
 def _count_memberships(monkeypatch):
     # counted from outside the package, through the module global that
-    # phi_at calls
+    # the string search calls
     counts = Counter()
     membership = extraction.sx_membership
 
@@ -495,29 +524,127 @@ def _count_memberships(monkeypatch):
     "pure, mixed, missing", [(2.0, 1.0, "Out"), (1.0, 2.0, "In")], ids=["always_in", "always_out"]
 )
 def test_phi_at_doubling_cap(monkeypatch, pure, mixed, missing):
-    # the first comparison, then 61 doublings that never see the other outcome
+    # the string oracle: the first comparison, then 61 doublings that never
+    # see the other outcome
     counts = _count_memberships(monkeypatch)
     g = _ConstantStrings(pure, mixed)
     with pytest.raises(BracketNotFoundError) as exc:
-        phi_at(g, 1.0, 0.5, BranchDirection.C_BELOW, ExtractionConfig())
+        string_phi_at(g, 1.0, 0.5, BranchDirection.C_BELOW, ExtractionConfig())
     assert str(exc.value) == f"no {missing} outcome after 61 doublings at x=0.5"
     assert counts["memberships"] == 62
 
 
-def test_reference_extraction_work_is_pinned(monkeypatch):
-    counts = _count_memberships(monkeypatch)
-    power = extension.ExtendedOp.power
+def _count_evaluations(monkeypatch, argv):
+    """Op evaluations of one CLI run, counted from outside the package:
+    per grid point, those of its unit walk and those that built units on
+    the way (checked evaluations inside phi_at, less the walk's)."""
+    calls = Counter()
+    checked, phi_at = core.NaryOp.checked, extraction.phi_at
 
-    def counting_power(self, c, p):
-        counts["power"] += 1
-        return power(self, c, p)
+    def counting_checked(self, *xs):
+        calls["checked"] += 1
+        return checked(self, *xs)
 
-    monkeypatch.setattr(extension.ExtendedOp, "power", counting_power)
-    argv = ["extract", "--op", "sum", "--n", "2", "--c", "1", "--grid=-2:2:0.25",
-            "--resolution", "0.0009765625"]
+    def counting_phi_at(units, x):
+        before = calls["checked"]
+        est = phi_at(units, x)
+        walks.append(est.evaluations)
+        calls["units"] += calls["checked"] - before - est.evaluations
+        return est
+
+    walks = []
+    monkeypatch.setattr(core.NaryOp, "checked", counting_checked)
+    monkeypatch.setattr(extraction, "phi_at", counting_phi_at)
     with redirect_stdout(io.StringIO()):
         assert main(argv) == 0
-    assert counts["memberships"] == 366
-    # one per pure-c string, plus one per mixed string without a tail or
-    # with a new cache entry; building the entry on every call took 732
-    assert counts["power"] == 554
+    return walks, calls["units"]
+
+
+REFERENCE = ["extract", "--op", "sum", "--n", "2", "--c", "1", "--grid=-2:2:0.25"]
+
+
+def test_reference_extraction_work_is_pinned(monkeypatch):
+    # the string search made 366 comparisons of power strings here, and
+    # 2,077 op evaluations per point; every point of this grid is pinned
+    walks, units = _count_evaluations(monkeypatch, REFERENCE + ["--resolution", "0.0009765625"])
+    assert walks == [2, 5, 4, 5, 3, 5, 4, 5, 1, 3, 2, 3, 0, 3, 2, 3, 1]
+    assert units == 19
+
+
+@pytest.mark.parametrize("n, walked, most, units", [("2", 51, 5, 19), ("3", 855, 70, 297)])
+def test_extraction_at_1e_300_is_bounded(monkeypatch, n, walked, most, units):
+    # below float precision a walk stops where a step no longer moves y,
+    # so 1e-300 costs what 1e-16 costs
+    argv = ["extract", "--op", "sum", "--n", n, "--c", "1", "--grid=-2:2:0.25", "--resolution", "1e-300"]
+    t0 = time.perf_counter()
+    with redirect_stdout(io.StringIO()):
+        assert main(argv) == 0
+    assert time.perf_counter() - t0 < 0.1
+    walks, built = _count_evaluations(monkeypatch, argv)
+    assert (sum(walks), max(walks), built) == (walked, most, units)
+
+
+# --- the oracle property -------------------------------------------------------
+
+#: closed-form fixtures: the operation at arity n, the increasing
+#: generator, and strategies for the base point and the grid points
+FIXTURES = {
+    "sum": (
+        lambda n: builtin_lookup("sum", n), lambda n: (lambda x: x),
+        st.floats(0.5, 2.0) | st.floats(-2.0, -0.5), st.floats(-4.0, 4.0),
+    ),
+    "product": (
+        lambda n: builtin_lookup("product", n), lambda n: math.log,
+        st.floats(0.2, 0.6) | st.floats(1.6, 5.0), st.floats(0.05, 20.0),
+    ),
+    "translated_sum": (
+        lambda n: builtin_lookup("translated_sum", n), lambda n: (lambda x: x + 1.0 / (n - 1)),
+        st.floats(0.5, 2.0) | st.floats(-3.0, -1.5), st.floats(-4.0, 4.0),
+    ),
+    "bounded_product": (
+        lambda n: builtin_lookup("bounded_product", n), lambda n: math.log,
+        st.just(0.5), st.floats(0.001, 0.999),
+    ),
+    "x^3+x": (
+        lambda n: build_aczelian(load_generator("x^3+x", None, None), n),
+        lambda n: (lambda x: x**3 + x),
+        st.floats(0.5, 1.5) | st.floats(-1.5, -0.5), st.floats(-2.0, 2.0),
+    ),
+}
+
+#: the precision floor, in ulps of max(1, |psi(x)|) per op evaluation of
+#: the walk (a walk spans from c, where psi is 1, to x): each step rounds
+#: once, within the few ulps of its numeric inverse for x^3+x, and uses a
+#: unit that carries the rounding of its own root. On 1,800 random cases
+#: the largest excess was 2.4 ulps per evaluation, 127 ulps in all.
+FLOOR_ULPS = 4
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    name=st.sampled_from(sorted(FIXTURES)),
+    n=st.integers(2, 5),
+    resolution=st.sampled_from([1 / 16, 1 / 64, 1 / 1024]) | st.floats(-300.0, -1.2).map(lambda e: 10.0**e),
+    data=st.data(),
+)
+def test_extracted_values_lie_within_their_half_width(name, n, resolution, data):
+    make, generator_of, base_points, points = FIXTURES[name]
+    f, phi = make(n), generator_of(n)
+    c = data.draw(base_points)
+    grid = tuple(data.draw(st.lists(points, min_size=1, max_size=3)))
+    gen = extract_generator(f, ExtractionConfig(base_point=c, grid=grid, resolution=resolution))
+    scale = abs(phi(c))
+    assert gen.resolution_bound == max(e.half_width for e in gen.estimates)
+    for (x, v), est in zip(gen.samples, gen.estimates):
+        psi = phi(x) / scale
+        floor = FLOOR_ULPS * (est.evaluations + 1) * math.ulp(max(1.0, abs(psi)))
+        assert abs(v - psi) <= est.half_width + floor, (x, v, psi, est)
+    # the string search agrees within the summed half-widths where it runs:
+    # its strings grow as 1/resolution, and on the products they leave the
+    # float range or lose precision among subnormal values
+    if resolution < 1 / 1024 or "product" in name:
+        return
+    for (x, v), est in zip(gen.samples, gen.estimates):
+        ref = string_phi_at(ExtendedOp(f), gen.c, x, gen.direction, ExtractionConfig(resolution=resolution))
+        floor = FLOOR_ULPS * (est.evaluations + 1) * math.ulp(max(1.0, abs(v)))
+        assert abs(v - gen.normalization * ref.value) <= est.half_width + ref.half_width + floor

@@ -132,9 +132,27 @@ def test_overflow_reads_as_the_infinity_phi_heads_toward():
 
 
 def test_invert_monotone_open_end_reach_is_bounded():
-    # the offset ladder walks 12 decades into an open end and no further
+    # the gallop into an open end halves the floats left before it, so it
+    # reaches the float next to the end within 64 samples; the start point,
+    # one step each way and the gallop bound the calls on a miss
+    calls = []
+
+    def counting(x):
+        calls.append(x)
+        return math.log(x)
+
+    root = invert_monotone(counting, -40.0, Interval.parse("(0,inf)"), tol=1e-30)
+    assert root == math.exp(-40.0)
+    assert len(calls) <= 30
+    calls.clear()
+    # the root exp(-800) lies below the smallest positive float
     with pytest.raises(InversionError):
-        invert_monotone(math.log, -40.0, Interval.parse("(0,inf)"), tol=1e-30)
+        invert_monotone(counting, -800.0, Interval.parse("(0,inf)"))
+    assert calls[-1] == math.ulp(0.0)
+    assert len(calls) <= 3 + 64
+    assert invert_monotone(lambda t: t * t, 0.9999999999993695, Interval.make(0.0, 1.0)) == (
+        0.9999999999996847
+    )
 
 
 #: closed-form generators without an inverse expression: phi, domain,

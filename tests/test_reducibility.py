@@ -4,6 +4,7 @@ import random
 import pytest
 
 from naryops.axioms import check_associativity
+from naryops.cli import load_generator
 from naryops.core import Interval, NaryOp, builtin_lookup
 from naryops.errors import DomainEscapeError
 from naryops.generator import GeneratorSpec, build_aczelian, tabulated_generator
@@ -186,3 +187,13 @@ def test_generator_evaluators_agree(spec, inside, outside):
         for evaluate in (generated.eval, derived.eval, lambda *xs: adjoined.eval(xs)):
             with pytest.raises(DomainEscapeError, match="escapes codomain"):
                 evaluate(x, y)
+
+
+def test_undefined_generator_sum_is_a_domain_escape():
+    # exp(x)-exp(-x) is +inf at 800 and -inf at -800; fsum has no value
+    # for their sum
+    spec = load_generator("exp(x)-exp(-x)", None, None, "(-inf,inf)")
+    with pytest.raises(DomainEscapeError, match=r"at \(800\.0, -800\.0\) have no sum"):
+        build_aczelian(spec, 2).checked(800.0, -800.0)
+    with pytest.raises(DomainEscapeError, match=r"at \[800\.0, -800\.0\] have no sum"):
+        adjoin_neutral(spec, 2).eval([800.0, -800.0])
