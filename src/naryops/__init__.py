@@ -17,14 +17,7 @@ from .axioms import (
     check_symmetry,
     find_idempotents,
 )
-from .core import (
-    ArityClass,
-    Interval,
-    NaryOp,
-    arity_member,
-    builtin_lookup,
-    interval_contains,
-)
+from .core import ArityClass, Interval, NaryOp, builtin_lookup
 from .errors import (
     AllIdempotentError,
     ArityClassError,
@@ -34,28 +27,16 @@ from .errors import (
     InversionError,
     MonotonicityViolationError,
     NaryError,
-    PrecisionExhaustedError,
     RegistryError,
 )
-from .exprlang import ParseError, eval_expr, parse
-from .extension import (
-    ExtendedOp,
-    check_nested_identity,
-    check_split_identity,
-    extend_eval,
-)
+from .exprlang import ParseError, parse
+from .extension import ExtendedOp
 from .extraction import (
     BranchDirection,
     ExtractedGenerator,
     ExtractionConfig,
-    MembershipOutcome,
-    RationalIndex,
-    compare_scales,
-    detect_open_end,
     extract_generator,
-    phi_at,
     select_base_point,
-    sx_membership,
     verify_additivity,
 )
 from .generator import (
@@ -83,8 +64,6 @@ __all__ = [
     "Interval",
     "NaryOp",
     "ArityClass",
-    "arity_member",
-    "interval_contains",
     "builtin_lookup",
     # axioms
     "AxiomReport",
@@ -97,9 +76,6 @@ __all__ = [
     "find_idempotents",
     # extension
     "ExtendedOp",
-    "extend_eval",
-    "check_nested_identity",
-    "check_split_identity",
     # generator
     "GeneratorSpec",
     "CodomainForm",
@@ -108,18 +84,12 @@ __all__ = [
     "invert_monotone",
     "tabulated_generator",
     # extraction
-    "RationalIndex",
     "BranchDirection",
-    "MembershipOutcome",
     "ExtractionConfig",
     "ExtractedGenerator",
     "select_base_point",
-    "detect_open_end",
-    "sx_membership",
-    "phi_at",
     "extract_generator",
     "verify_additivity",
-    "compare_scales",
     # reducibility
     "AdjoinedNeutral",
     "ADJOINED_NEUTRAL",
@@ -129,7 +99,6 @@ __all__ = [
     "adjoin_neutral",
     # exprlang
     "parse",
-    "eval_expr",
     "ParseError",
     # errors
     "NaryError",
@@ -139,7 +108,6 @@ __all__ = [
     "InversionError",
     "RegistryError",
     "AllIdempotentError",
-    "PrecisionExhaustedError",
     "BracketNotFoundError",
     "MonotonicityViolationError",
 ]

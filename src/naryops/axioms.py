@@ -285,23 +285,24 @@ def check_symmetry(
 #: relative step below which a section counts as flat in check_cancellativity
 _STRICT_TOL = 1e-12
 
+#: lattice points sampled along each section in check_cancellativity
+_POINTS_PER_LINE = 9
+
 
 def check_cancellativity(
     f: NaryOp,
     lines: int = 100,
-    points_per_line: int = 9,
     seed: int = 0,
     window: float = 10.0,
 ) -> AxiomReport:
-    """Check that every sampled one-variable section is strictly monotone.
+    """Check that every sampled one-variable section, _POINTS_PER_LINE
+    lattice points along one coordinate, is strictly monotone.
 
     For continuous f this falsifies injectivity-per-variable; it cannot
     certify it. The first line per coordinate freezes the other variables
     at the lattice point nearest zero so annihilator-style failures
     (a constant section) are found deterministically.
     """
-    if points_per_line < 3:
-        raise ValueError("points_per_line must be >= 3")
     n = f.arity
     rng = random.Random(seed)
     j_min, j_max, h = lattice(f.domain, window)
@@ -316,10 +317,10 @@ def check_cancellativity(
             else:
                 frozen = tuple(rng.randint(j_min, j_max) * h for _ in range(n - 1))
             span = j_max - j_min + 1
-            if span <= points_per_line:
+            if span <= _POINTS_PER_LINE:
                 js = list(range(j_min, j_max + 1))
             else:
-                js = sorted(rng.sample(range(j_min, j_max + 1), points_per_line))
+                js = sorted(rng.sample(range(j_min, j_max + 1), _POINTS_PER_LINE))
             grid = [j * h for j in js]
             tuples = [
                 frozen[:coord] + (x,) + frozen[coord:] for x in grid
@@ -364,13 +365,16 @@ def check_cancellativity(
     )
 
 
-def find_idempotents(
-    f: NaryOp, grid: Sequence[float], refine_tol: float = 1e-9
-):
-    """Roots of f(x,...,x) - x over the grid, bisection-refined.
+#: width to which find_idempotents bisects a root, and the residual within
+#: which a grid point counts as idempotent
+_REFINE_TOL = 1e-9
+
+
+def find_idempotents(f: NaryOp, grid: Sequence[float]):
+    """Roots of f(x,...,x) - x over the grid, bisected to _REFINE_TOL.
 
     Returns the :data:`ALL_SAMPLED_IDEMPOTENT` marker when the residual is
-    within refine_tol at every grid point. Evaluation is checked, so a
+    within _REFINE_TOL at every grid point. Evaluation is checked, so a
     non-finite value raises :class:`DomainEscapeError` naming the inputs
     instead of dropping out of the sign scan.
     """
@@ -386,7 +390,7 @@ def find_idempotents(
         return f.checked(*([x] * n)) - x
 
     values = [h(x) for x in pts]
-    if all(abs(v) <= refine_tol for v in values):
+    if all(abs(v) <= _REFINE_TOL for v in values):
         return ALL_SAMPLED_IDEMPOTENT
 
     roots: list[float] = []
@@ -396,7 +400,7 @@ def find_idempotents(
     for (a, va), (b, vb) in zip(zip(pts, values), zip(pts[1:], values[1:])):
         if va * vb < 0.0:
             lo, hi, vlo = a, b, va
-            while hi - lo > refine_tol:
+            while hi - lo > _REFINE_TOL:
                 mid = 0.5 * (lo + hi)
                 vm = h(mid)
                 if vm == 0.0:
@@ -411,6 +415,6 @@ def find_idempotents(
     roots.sort()
     merged: list[float] = []
     for r in roots:
-        if not merged or r - merged[-1] > 2.0 * refine_tol:
+        if not merged or r - merged[-1] > 2.0 * _REFINE_TOL:
             merged.append(r)
     return merged

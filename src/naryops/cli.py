@@ -153,7 +153,7 @@ def _cmd_axioms(cfg: RunConfig) -> tuple[int, dict]:
     f = load_opspec(cfg.op, cfg.n, cfg.interval)
     checks = _associativity_and_symmetry(f, cfg, cfg.tol)
     checks["cancellativity"] = axioms_mod.check_cancellativity(
-        f, max(10, cfg.samples // 5), 9, cfg.seed + 2, cfg.window
+        f, max(10, cfg.samples // 5), cfg.seed + 2, cfg.window
     ).to_dict()
     return _suite_report(cfg, checks)
 
@@ -304,7 +304,7 @@ def _cmd_gallery(cfg: RunConfig) -> tuple[int, dict]:
         f = builtin_lookup(name, n)
         rep_a = axioms_mod.check_associativity(f, 200, cfg.seed, window=cfg.window)
         rep_s = axioms_mod.check_symmetry(f, 200, cfg.seed + 1, window=cfg.window)
-        rep_c = axioms_mod.check_cancellativity(f, 40, 9, cfg.seed + 2, cfg.window)
+        rep_c = axioms_mod.check_cancellativity(f, 40, cfg.seed + 2, cfg.window)
         record(
             f"axioms_{name}_{n}",
             rep_a.passed and rep_s.passed and rep_c.passed,

@@ -21,7 +21,6 @@ __all__ = [
     "interval_contains",
     "NaryOp",
     "ArityClass",
-    "arity_member",
     "lattice",
     "builtin_lookup",
     "BUILTIN_NAMES",
@@ -208,21 +207,6 @@ class ArityClass:
 
     def step(self) -> int:
         return self.n - 1
-
-    def floor(self, m: int) -> int:
-        """Largest class member <= m (m must be >= 1)."""
-        return 1 + ((m - 1) // (self.n - 1)) * (self.n - 1)
-
-    def ceil(self, m: int) -> int:
-        """Smallest class member >= max(m, 1)."""
-        if m <= 1:
-            return 1
-        return 1 + -((1 - m) // (self.n - 1)) * (self.n - 1)
-
-
-def arity_member(m: int, n: int) -> bool:
-    """True iff a string of length m is evaluable by an arity-n operation."""
-    return ArityClass(n).member(m)
 
 
 # --- Built-in gallery -------------------------------------------------------

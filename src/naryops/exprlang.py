@@ -1,4 +1,4 @@
-"""A small total expression language for user-defined operations and
+"""A small expression language for user-defined operations and
 generators.
 
 Grammar (whitespace-insensitive, no implicit multiplication)::
@@ -10,11 +10,11 @@ Grammar (whitespace-insensitive, no implicit multiplication)::
     atom   := NUMBER | 'pi' | 'e' | VAR | FUNC '(' expr ')' | '(' expr ')'
 
 Variables are ``x`` (arity 1 only) or ``x1 .. xn``. Functions: ``ln``,
-``exp``, ``sqrt``, ``abs``. :func:`eval_expr` is the reference tree
-walk: it never raises on bad inputs, the partial functions return a
-:class:`DomainError` value instead. :func:`make_callable` compiles an AST
-once into closures with the same float results that raise
-:class:`DomainEscapeError` where the walk returns a :class:`DomainError`.
+``exp``, ``sqrt``, ``abs``. :func:`make_callable` compiles an AST once
+into closures, the one evaluator: a partial function outside its domain
+(ln of a non-positive, sqrt of a negative, division by zero, 0 or a
+negative raised badly) raises :class:`DomainEscapeError`. The tests keep
+a reference tree walk that the closures must match bit for bit.
 """
 
 from __future__ import annotations
@@ -35,11 +35,7 @@ __all__ = [
     "BinOp",
     "Expr",
     "ParseError",
-    "DomainError",
     "parse",
-    "eval_expr",
-    "to_source",
-    "is_domain_error",
     "make_callable",
 ]
 
@@ -91,18 +87,6 @@ class ParseError(ValueError):
         self.expected = expected
         self.found = found
         super().__init__(f"at offset {position}: expected {expected}, found {found!r}")
-
-
-@dataclass(frozen=True)
-class DomainError:
-    """Out-of-domain evaluation result (ln of a non-positive, sqrt of a
-    negative, division by zero, 0 or a negative raised badly)."""
-
-    reason: str
-
-
-def is_domain_error(v) -> bool:
-    return isinstance(v, DomainError)
 
 
 _TOKEN = re.compile(
@@ -240,86 +224,6 @@ def parse(src: str, arity: int) -> Expr:
     return _Parser(src, arity).parse()
 
 
-def eval_expr(e: Expr, args: Sequence[float]):
-    """Evaluate with standard real semantics; returns a float or a
-    :class:`DomainError` value, never raises on bad inputs."""
-    if isinstance(e, Num):
-        return e.value
-    if isinstance(e, Var):
-        return float(args[e.index - 1])
-    if isinstance(e, Const):
-        return CONSTANTS[e.name]
-    if isinstance(e, Neg):
-        v = eval_expr(e.arg, args)
-        return v if is_domain_error(v) else -v
-    if isinstance(e, Call):
-        v = eval_expr(e.arg, args)
-        if is_domain_error(v):
-            return v
-        if e.fn == "ln":
-            if v <= 0.0:
-                return DomainError(f"ln of non-positive {v!r}")
-            return math.log(v)
-        if e.fn == "exp":
-            try:
-                return math.exp(v)
-            except OverflowError:
-                return math.inf
-        if e.fn == "sqrt":
-            if v < 0.0:
-                return DomainError(f"sqrt of negative {v!r}")
-            return math.sqrt(v)
-        if e.fn == "abs":
-            return abs(v)
-        raise AssertionError(f"unknown function {e.fn}")
-    if isinstance(e, BinOp):
-        a = eval_expr(e.left, args)
-        if is_domain_error(a):
-            return a
-        b = eval_expr(e.right, args)
-        if is_domain_error(b):
-            return b
-        if e.op == "+":
-            return a + b
-        if e.op == "-":
-            return a - b
-        if e.op == "*":
-            return a * b
-        if e.op == "/":
-            if b == 0.0:
-                return DomainError("division by zero")
-            return a / b
-        if e.op == "^":
-            if a == 0.0 and b < 0.0:
-                return DomainError("zero raised to a negative power")
-            if a < 0.0 and b != int(b):
-                return DomainError(f"negative base {a!r} with fractional exponent")
-            try:
-                return math.pow(a, b)
-            except OverflowError:
-                return _overflowed_pow(a, b)
-        raise AssertionError(f"unknown operator {e.op}")
-    raise TypeError(f"not an expression node: {e!r}")
-
-
-def to_source(e: Expr) -> str:
-    """Canonical fully parenthesized rendering; parsing it reproduces the
-    AST node for node."""
-    if isinstance(e, Num):
-        return repr(e.value)
-    if isinstance(e, Var):
-        return f"x{e.index}"
-    if isinstance(e, Const):
-        return e.name
-    if isinstance(e, Neg):
-        return f"(-{to_source(e.arg)})"
-    if isinstance(e, Call):
-        return f"{e.fn}({to_source(e.arg)})"
-    if isinstance(e, BinOp):
-        return f"({to_source(e.left)} {e.op} {to_source(e.right)})"
-    raise TypeError(f"not an expression node: {e!r}")
-
-
 def _ln(v: float) -> float:
     if v <= 0.0:
         raise DomainEscapeError(f"ln of non-positive {v!r}")
@@ -366,10 +270,10 @@ _CALLS = {"ln": _ln, "exp": _exp, "sqrt": _sqrt, "abs": abs}
 
 
 def _compile(e: Expr) -> Callable[[Sequence[float]], float]:
-    """Nested closures over the argument tuple that apply the same float
-    operations in the same order as :func:`eval_expr`, raising
-    :class:`DomainEscapeError` with the same reason where it would return
-    a :class:`DomainError`."""
+    """Nested closures over the argument tuple that apply the float
+    operations of the tree in evaluation order, raising
+    :class:`DomainEscapeError` where a partial function leaves its
+    domain."""
     if isinstance(e, (Num, Const)):
         value = e.value if isinstance(e, Num) else CONSTANTS[e.name]
         return lambda args: value
@@ -402,8 +306,7 @@ def _compile(e: Expr) -> Callable[[Sequence[float]], float]:
 def make_callable(e: Expr, arity: int) -> Callable[..., float]:
     """Compile an AST once into a plain function that raises
     :class:`DomainEscapeError` on domain errors, for plugging into
-    :class:`naryops.core.NaryOp`. Results match :func:`eval_expr` bit for
-    bit."""
+    :class:`naryops.core.NaryOp`."""
     body = _compile(e)
 
     def fn(*args: float) -> float:

@@ -20,7 +20,6 @@ import random
 from dataclasses import dataclass
 from typing import Sequence
 
-from .axioms import AxiomReport, falsify
 from .core import ArityClass, NaryOp
 from .errors import ArityClassError, DomainEscapeError, PrecisionExhaustedError
 
@@ -30,25 +29,23 @@ __all__ = [
     "MembershipOutcome",
     "sx_membership",
     "ExtendedOp",
-    "extend_eval",
-    "check_nested_identity",
-    "check_split_identity",
     "nested_trials",
     "split_trials",
     "random_nested_decomposition",
     "random_split_blocks",
-    "eval_random_nesting",
 ]
 
 
 class ExtendedOp:
-    """A base operation together with caches for repeated-point strings.
+    """A base operation evaluable on every string length of its arity
+    class, with caches for the repeated-point strings c^p and x^k c^q.
 
-    The caches only matter for generator extraction, which evaluates
-    thousands of strings of the form c^p and x^k c^q with shared prefixes.
-    Cached growth applies exactly the same calls in the same order as a
-    fresh left-nested evaluation, so cached and fresh values are equal
-    bit for bit.
+    No command reads the caches: generator extraction walks diagonal units
+    instead. They serve the string search of the tests and the
+    benchmark's tracer, which evaluate thousands of such strings with
+    shared prefixes. Cached growth applies exactly the same calls in the
+    same order as a fresh left-nested evaluation, so cached and fresh
+    values are equal bit for bit.
 
     Concurrency: evaluation is pure; cache fills are idempotent, so a
     racing reader may recompute an entry redundantly without harm.
@@ -151,20 +148,6 @@ class RationalIndex:
                 f"index ({self.p}, {self.q}, {self.k}) violates the congruences mod {n - 1}"
             )
 
-    def scaled(self, kappa: int, n: int) -> "RationalIndex":
-        """The same rational written with every part multiplied by an
-        admissible factor kappa."""
-        if not ArityClass(n).member(kappa):
-            raise ArityClassError(f"scale factor {kappa} not in the arity class")
-        return RationalIndex(self.p * kappa, self.q * kappa, self.k * kappa)
-
-    def shifted(self, j: int, n: int) -> "RationalIndex":
-        """The same rational with j added to both p and q (j = 0 mod n-1)."""
-        if j < 0 or j % (n - 1) != 0:
-            raise ArityClassError(f"shift {j} must be a nonnegative multiple of {n - 1}")
-        return RationalIndex(self.p + j, self.q + j, self.k)
-
-
 
 class BranchDirection(enum.Enum):
     """Which side of its own n-fold power the base point sits on."""
@@ -177,7 +160,6 @@ class MembershipOutcome(enum.Enum):
     IN = "in"
     OUT = "out"
     UNDETERMINED = "undetermined"
-
 
 
 def sx_membership(
@@ -219,11 +201,6 @@ def sx_membership(
     return MembershipOutcome.UNDETERMINED
 
 
-def extend_eval(g: ExtendedOp, xs: Sequence[float]) -> float:
-    """Evaluate the extension on a string; see :meth:`ExtendedOp.eval`."""
-    return g.eval(xs)
-
-
 def nested_trials(g: ExtendedOp, splits):
     """Trials of the nested identity g(x g(y) z) = g(x y z), one per
     (x, y, z) split, for :func:`naryops.axioms.falsify`."""
@@ -255,26 +232,6 @@ def split_trials(g: ExtendedOp, block_lists):
         yield g.eval(heads), g.eval(flat), {"inputs": blocks}
 
 
-def check_nested_identity(
-    g: ExtendedOp,
-    x: Sequence[float],
-    y: Sequence[float],
-    z: Sequence[float],
-    tol: float = 1e-9,
-) -> AxiomReport:
-    """Residual of replacing an inner block by its value:
-    g(x g(y) z) versus g(x y z)."""
-    return falsify("nested_identity", nested_trials(g, [(x, y, z)]), tol, label=g.base.label)
-
-
-def check_split_identity(
-    g: ExtendedOp, blocks: Sequence[Sequence[float]], tol: float = 1e-9
-) -> AxiomReport:
-    """Residual of evaluating block heads first:
-    g(g(b1) ... g(bn)) versus g(b1 ... bn)."""
-    return falsify("split_identity", split_trials(g, [blocks]), tol, label=g.base.label)
-
-
 #: string lengths of the random identity trials, in steps of n-1 beyond 1
 _NESTED_STEPS = 5
 _SPLIT_STEPS = 2
@@ -298,21 +255,3 @@ def random_split_blocks(rng: random.Random, n: int) -> tuple[int, ...]:
     1 + _SPLIT_STEPS * (n-1)."""
     step = ArityClass(n).step()
     return tuple(1 + step * rng.randint(0, _SPLIT_STEPS) for _ in range(n))
-
-
-def eval_random_nesting(
-    g: ExtendedOp, xs: Sequence[float], rng: random.Random
-) -> float:
-    """Evaluate a string by repeatedly collapsing a random n-window.
-
-    Every collapse order is a legal nesting, so for an associative base
-    the result matches the left-nested fold.
-    """
-    n = g.base.arity
-    work = [float(v) for v in xs]
-    if not g.arity_class.member(len(work)):
-        raise ArityClassError(f"string length {len(work)} not in the arity class")
-    while len(work) > 1:
-        i = rng.randint(0, len(work) - n)
-        work[i : i + n] = [g.base.checked(*work[i : i + n])]
-    return work[0]

@@ -37,54 +37,51 @@ from .errors import (
     InversionError,
     MonotonicityViolationError,
 )
-from .extension import BranchDirection, MembershipOutcome, RationalIndex, sx_membership
+# sx_membership is looked up here by the tests' string oracle and patched
+# here by the benchmark's tracer
+from .extension import BranchDirection, sx_membership
 from .generator import GeneratorSpec, piecewise_linear, tabulated_generator
 
 __all__ = [
-    "RationalIndex",
     "BranchDirection",
-    "MembershipOutcome",
     "ExtractionConfig",
     "PhiEstimate",
     "ExtractedGenerator",
-    "OpenEndReport",
-    "ScaleReport",
     "select_base_point",
-    "detect_open_end",
     "sx_membership",
     "phi_at",
     "extract_generator",
     "verify_additivity",
     "verify_roundtrip",
-    "compare_scales",
 ]
 
 
 #: candidate base points swept across the scan window
 _SCAN_POINTS = 257
 
+#: relative tolerance below which a base point counts as idempotent, and
+#: below which two extracted values count as equal to float precision
+_COMPARISON_BAND = 1e-9
+
 
 @dataclass(frozen=True)
 class ExtractionConfig:
-    """Knobs for the extraction pipeline.
+    """What one extraction runs on: the CLI's ``--c``, ``--grid``,
+    ``--resolution`` and ``--window``.
 
     ``resolution`` fixes the lowest level -J of the unit walk, the highest
-    level whose step (n-1) n^-J is at most the resolution. The comparison
-    band is a relative tolerance below which a base point counts as
-    idempotent.
+    level whose step (n-1) n^-J is at most the resolution. Without a
+    ``base_point``, one is chosen across ``[-scan_window, scan_window]``.
     """
 
     base_point: float | None = None
     grid: tuple[float, ...] = ()
     resolution: float = 1.0 / 64.0
-    comparison_band: float = 1e-9
     scan_window: float = 10.0
 
     def __post_init__(self):
         if not 0.0 < self.resolution < math.inf:
             raise ValueError("resolution must be positive and finite")
-        if self.comparison_band < 0.0:
-            raise ValueError("comparison band must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -102,17 +99,6 @@ class PhiEstimate:
     evaluations: int
 
 
-@dataclass(frozen=True)
-class OpenEndReport:
-    """Outcome of iterating x -> f(x c^{n-1}): the sequence must move
-    strictly toward the open end of the interval."""
-
-    direction: BranchDirection
-    steps_run: int
-    last_value: float
-    strictly_monotone: bool
-
-
 def select_base_point(
     f: NaryOp, cfg: ExtractionConfig
 ) -> tuple[float, BranchDirection]:
@@ -122,8 +108,9 @@ def select_base_point(
     displacement evaluated checked (a non-finite value raises
     :class:`DomainEscapeError` naming the inputs); otherwise the scan
     window is swept and the displacement |f(c^n) - c| maximized.
-    Raises :class:`AllIdempotentError` when nothing exceeds ten comparison
-    bands: then every candidate looks idempotent and no branch exists.
+    Raises :class:`AllIdempotentError` when no displacement exceeds
+    10 * _COMPARISON_BAND * (1 + |c| + |f(c^n)|): then every candidate
+    looks idempotent and no branch exists.
     """
     n = f.arity
 
@@ -131,7 +118,7 @@ def select_base_point(
         return f.eval(*([c] * n)) - c
 
     def threshold(c: float, fc: float) -> float:
-        return 10.0 * cfg.comparison_band * (1.0 + abs(c) + abs(fc))
+        return 10.0 * _COMPARISON_BAND * (1.0 + abs(c) + abs(fc))
 
     if cfg.base_point is not None:
         c = cfg.base_point
@@ -170,41 +157,9 @@ def select_base_point(
         raise AllIdempotentError(
             f"all {scanned} scanned points of {f.label or 'op'} look idempotent",
             scanned=scanned,
-            threshold=10.0 * cfg.comparison_band,
+            threshold=10.0 * _COMPARISON_BAND,
         )
     return best_c, BranchDirection.C_BELOW if best_d > 0 else BranchDirection.C_ABOVE
-
-
-def detect_open_end(
-    f: NaryOp, c: float, direction: BranchDirection, steps: int = 20
-) -> OpenEndReport:
-    """Iterate x -> f(x c^{n-1}) from c and confirm strict movement toward
-    the interval end (upward for the climbing branch, downward mirrored).
-
-    A non-monotone step raises :class:`MonotonicityViolationError`; leaving
-    the domain raises :class:`DomainEscapeError`, which against a closed
-    endpoint means the domain cannot host an operation of this class.
-    """
-    n = f.arity
-    upward = direction is BranchDirection.C_BELOW
-    x = c
-    for step in range(1, steps + 1):
-        try:
-            nxt = f.checked(x, *([c] * (n - 1)))
-        except DomainEscapeError as exc:
-            raise DomainEscapeError(
-                f"iterate escaped after {step - 1} steps at {x!r}: {exc}; a closed "
-                "endpoint on the escape side contradicts this operation class"
-            ) from exc
-        if not (nxt > x if upward else nxt < x):
-            raise MonotonicityViolationError(
-                f"iterate failed to {'increase' if upward else 'decrease'} at step {step}: "
-                f"{nxt!r} {'<=' if upward else '>='} {x!r}"
-            )
-        x = nxt
-    return OpenEndReport(
-        direction=direction, steps_run=steps, last_value=x, strictly_monotone=True
-    )
 
 
 def _lowest_level(n: int, resolution: float) -> int:
@@ -392,7 +347,6 @@ class ExtractedGenerator:
     normalization: float
     realized_resolution: float
     interp_slack: float
-    band: float
     estimates: tuple[PhiEstimate, ...] = field(repr=False, default=())
 
     # Unzipped once per instance: ``interpolate`` reads both on every call.
@@ -464,7 +418,7 @@ def extract_generator(f: NaryOp, cfg: ExtractionConfig) -> ExtractedGenerator:
     for (x0, y0), (x1, y1) in zip(pairs, pairs[1:]):
         # values within the comparison band of each other are equal to float
         # precision, which the rounding of a walk reaches
-        if y1 - y0 < -2.0 * resolution_bound - cfg.comparison_band * (abs(y0) + abs(y1)):
+        if y1 - y0 < -2.0 * resolution_bound - _COMPARISON_BAND * (abs(y0) + abs(y1)):
             raise MonotonicityViolationError(
                 f"extracted values regress from {y0!r} at {x0!r} to {y1!r} at {x1!r} "
                 f"beyond 2 * {resolution_bound!r}"
@@ -477,7 +431,6 @@ def extract_generator(f: NaryOp, cfg: ExtractionConfig) -> ExtractedGenerator:
         normalization=sign,
         realized_resolution=max(2.0 * resolution_bound, (f.arity - 1) * float(f.arity) ** lowest),
         interp_slack=_chord_slack(grid, values),
-        band=cfg.comparison_band,
         estimates=estimates,
     )
 
@@ -561,56 +514,4 @@ def verify_roundtrip(
     return falsify(
         "roundtrip", _window_trials(gen, n, samples, seed, trial), 0.0,
         slack=threshold, samples=samples, seed=seed, label=f"roundtrip[{f.label}]",
-    )
-
-
-@dataclass(frozen=True)
-class ScaleReport:
-    """Pointwise ratio of two extracted generators of the same operation:
-    by uniqueness up to scale the ratio must be constant."""
-
-    points_used: int
-    mean_ratio: float
-    spread: float
-    slack: float
-    passed: bool
-    ratios: tuple[float, ...] = ()
-
-
-def compare_scales(
-    gen1: ExtractedGenerator,
-    gen2: ExtractedGenerator,
-    common_grid: Sequence[float],
-    spread_tol: float | None = None,
-) -> ScaleReport:
-    """Ratios gen1/gen2 on grid points safely away from the shared zero.
-
-    The spread (max - min over mean magnitude) must stay within the
-    resolution-derived slack, or within ``spread_tol`` when given.
-    """
-    floor2 = 5.0 * max(gen2.realized_resolution, gen2.resolution_bound)
-    ratios = []
-    errors = []
-    for t in common_grid:
-        v1 = gen1.interpolate(t)
-        v2 = gen2.interpolate(t)
-        if abs(v2) <= floor2:
-            continue
-        r = v1 / v2
-        ratios.append(r)
-        e1, e2 = gen1.knot_error, gen2.knot_error
-        errors.append((e1 + abs(r) * e2) / max(abs(v2) - e2, 1e-300))
-    if not ratios:
-        raise ValueError("every grid point sits too close to the generators' zero")
-    mean = math.fsum(ratios) / len(ratios)
-    spread = (max(ratios) - min(ratios)) / max(abs(mean), 1e-300)
-    slack = 2.0 * max(errors) / max(abs(mean), 1e-300) + 1e-9
-    allowed = slack if spread_tol is None else max(slack, spread_tol)
-    return ScaleReport(
-        points_used=len(ratios),
-        mean_ratio=mean,
-        spread=spread,
-        slack=slack,
-        passed=spread <= allowed,
-        ratios=tuple(ratios),
     )

@@ -24,6 +24,7 @@ __all__ = [
     "CodomainForm",
     "validate_codomain",
     "build_aczelian",
+    "generator_sum",
     "invert_monotone",
     "estimate_codomain",
     "piecewise_linear",
@@ -371,26 +372,19 @@ class GeneratorSpec:
             return self.phi_inverse(y)
         return invert_monotone(self.phi, y, self.domain)
 
-    def scaled(self, r: float) -> "GeneratorSpec":
-        """The generator r * phi, with the codomain mirrored when r < 0."""
-        if r == 0.0:
-            raise ValueError("scale factor must be nonzero")
-        phi = self.phi
-        inv = self.phi_inverse
-        lo_f = self.codomain.lo
-        hi_f = self.codomain.hi
-        if r > 0:
-            J = Interval.make(r * lo_f, r * hi_f, self.codomain.lo_open, self.codomain.hi_open)
-        else:
-            J = Interval.make(r * hi_f, r * lo_f, self.codomain.hi_open, self.codomain.lo_open)
-        return GeneratorSpec(
-            phi=lambda x: r * phi(x),
-            domain=self.domain,
-            codomain=J,
-            phi_inverse=(lambda y: inv(y / r)) if inv is not None else None,
-            kind=self.kind,
-            label=f"{r}*{self.label}" if self.label else f"{r}*phi",
-        )
+
+def generator_sum(phi: Callable[[float], float], xs: Sequence) -> float:
+    """The sum of the generator values phi(x) over xs, by fsum. On overflow
+    the plain sum carries the infinity on to the codomain guard of
+    :meth:`GeneratorSpec.inverse`; values of -inf and +inf have no sum and
+    raise :class:`DomainEscapeError` naming them and xs."""
+    values = [phi(x) for x in xs]
+    try:
+        return math.fsum(values)
+    except OverflowError:
+        return sum(values)
+    except ValueError:  # fsum of -inf and +inf
+        raise DomainEscapeError(f"generator values {values!r} at {xs!r} have no sum") from None
 
 
 def build_aczelian(spec: GeneratorSpec, n: int) -> NaryOp:
@@ -409,14 +403,7 @@ def build_aczelian(spec: GeneratorSpec, n: int) -> NaryOp:
     inverse = spec.inverse
 
     def eval_fn(*xs: float) -> float:
-        values = [phi(x) for x in xs]
-        try:
-            s = math.fsum(values)
-        except OverflowError:  # the plain sum carries the infinity to the guard
-            s = sum(values)
-        except ValueError:  # fsum of -inf and +inf
-            raise DomainEscapeError(f"generator values {values!r} at {xs!r} have no sum") from None
-        return inverse(s)
+        return inverse(generator_sum(phi, xs))
 
     label = f"generated[{spec.label or 'phi'}]/{n}"
     return NaryOp(n, spec.domain, eval_fn, label)

@@ -16,13 +16,8 @@ from dataclasses import dataclass
 from naryops import extraction
 from naryops.core import ArityClass
 from naryops.errors import BracketNotFoundError
-from naryops.extension import ExtendedOp
-from naryops.extraction import (
-    BranchDirection,
-    ExtractionConfig,
-    MembershipOutcome,
-    RationalIndex,
-)
+from naryops.extension import BranchDirection, ExtendedOp, MembershipOutcome, RationalIndex
+from naryops.extraction import ExtractionConfig
 
 #: string-length doublings allowed while bracketing one threshold
 _MAX_DOUBLINGS = 60
@@ -41,6 +36,14 @@ class StringEstimate:
     memberships: int
 
 
+def class_ceil(n: int, m: int) -> int:
+    """Smallest string length >= max(m, 1) in the arity class of n, the
+    lengths = 1 (mod n-1)."""
+    if m <= 1:
+        return 1
+    return 1 + -((1 - m) // (n - 1)) * (n - 1)
+
+
 def rational_grid(n: int, target: float, resolution: float) -> RationalIndex:
     """The admissible rational nearest the target on the grid of spacing
     (n-1)/k, with k the smallest admissible denominator at or below the
@@ -50,7 +53,7 @@ def rational_grid(n: int, target: float, resolution: float) -> RationalIndex:
         raise ValueError("resolution must be positive")
     cls = ArityClass(n)
     step = cls.step()
-    k = cls.ceil(math.ceil(step / resolution))
+    k = class_ceil(n, math.ceil(step / resolution))
     # numerator d = p - q must be = 1 (mod n-1); pick the admissible value
     # closest to k * target
     d = 1 + step * round((k * target - 1) / step)
@@ -104,14 +107,14 @@ def phi_at(
     ``naryops.extraction.sx_membership``, so a test can count them.
     """
     step = g.base.arity - 1
-    k = ArityClass(g.base.arity).ceil(math.ceil(step / cfg.resolution))
+    k = class_ceil(g.base.arity, math.ceil(step / cfg.resolution))
     used = 0
 
     def member(p: int, q: int) -> bool:
         nonlocal used
         used += 1
         idx = RationalIndex(p, q, k)
-        outcome = extraction.sx_membership(g, c, x, idx, direction, cfg.comparison_band)
+        outcome = extraction.sx_membership(g, c, x, idx, direction)
         if outcome is MembershipOutcome.UNDETERMINED:
             raise _Pinned(idx)
         return outcome is MembershipOutcome.IN

@@ -7,7 +7,6 @@ from hypothesis import given, strategies as st
 from naryops.core import (
     ArityClass,
     Interval,
-    arity_member,
     builtin_lookup,
     interval_contains,
     lattice,
@@ -88,15 +87,15 @@ def test_interval_parse_rejects_garbage():
 
 
 def test_arity_member_examples():
-    assert arity_member(5, 3)
-    assert not arity_member(4, 3)
-    assert arity_member(7, 2)
-    assert not arity_member(0, 2)
+    assert ArityClass(3).member(5)
+    assert not ArityClass(3).member(4)
+    assert ArityClass(2).member(7)
+    assert not ArityClass(2).member(0)
 
 
 @given(st.integers(min_value=2, max_value=12))
 def test_single_point_always_in_class(n):
-    assert arity_member(1, n)
+    assert ArityClass(n).member(1)
 
 
 @given(
@@ -107,17 +106,9 @@ def test_single_point_always_in_class(n):
 def test_class_closed_under_substitution(n, i, j):
     m = 1 + i * (n - 1)
     m2 = 1 + j * (n - 1)
-    assert arity_member(m, n) and arity_member(m2, n)
-    assert arity_member(m + m2 - 1, n)
-
-
-def test_arity_class_floor_ceil():
-    cls = ArityClass(3)
-    assert cls.floor(8) == 7
-    assert cls.ceil(8) == 9
-    assert cls.ceil(1) == 1
-    assert cls.ceil(-5) == 1
-    assert ArityClass(2).ceil(17) == 17
+    cls = ArityClass(n)
+    assert cls.member(m) and cls.member(m2)
+    assert cls.member(m + m2 - 1)
 
 
 def test_builtin_examples():

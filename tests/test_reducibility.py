@@ -98,7 +98,7 @@ def test_adjoin_neutral_translated():
 
 
 def test_adjoin_neutral_outside_interval():
-    s = adjoin_neutral(BOUNDED_SPEC, 2, probe_points=(0.25, 0.5, 0.75))
+    s = adjoin_neutral(BOUNDED_SPEC, 2)
     assert s.neutral_is_adjoined
     assert s.neutral is ADJOINED_NEUTRAL
     assert s.phi_prime(ADJOINED_NEUTRAL) == 0.0
@@ -125,7 +125,7 @@ def test_adjoined_eval_rejects_escaping_sums():
     from naryops.generator import tabulated_generator
 
     spec = tabulated_generator([-2.0, 0.0, 2.0], [-2.0, 0.0, 2.0])
-    s = adjoin_neutral(spec, 2, probe_points=(-1.0, 0.5, 1.0))
+    s = adjoin_neutral(spec, 2)
     assert s.neutral == 0.0
     with pytest.raises(DomainEscapeError):
         s.eval((1.5, 1.5))
