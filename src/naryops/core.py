@@ -173,11 +173,6 @@ class NaryOp:
         if self.arity < 2:
             raise ValueError("arity must be at least 2")
 
-    def __call__(self, *xs: float) -> float:
-        if len(xs) != self.arity:
-            raise TypeError(f"{self.label or 'op'} expects {self.arity} arguments")
-        return self.eval(*xs)
-
     def checked(self, *xs: float) -> float:
         """Evaluate and verify the result stayed finite and in the domain.
         The error names the inputs, so a failure replays from its message."""

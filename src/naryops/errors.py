@@ -55,8 +55,8 @@ class PrecisionExhaustedError(NaryError):
 
 
 class BracketNotFoundError(NaryError):
-    """Membership bracket expansion hit its cap without locating both
-    an In and an Out outcome."""
+    """A capped search gave up: top-level unit steps of ``phi_at`` never
+    reach a grid point, or the window sampler finds too few tuples."""
 
 
 class MonotonicityViolationError(NaryError):

@@ -57,10 +57,6 @@ class ExtendedOp:
         self._powers: dict[float, dict[int, float]] = {}
         self._mixed: dict[tuple[float, int, float], dict[int, float]] = {}
 
-    @property
-    def arity(self) -> int:
-        return self.base.arity
-
     def eval(self, xs: Sequence[float]) -> float:
         """Left-nested evaluation of a string with length in the arity class."""
         m = len(xs)

@@ -369,6 +369,15 @@ class ExtractedGenerator:
         return self.resolution_bound + self.interp_slack
 
     def as_generator_spec(self) -> GeneratorSpec:
+        """The table as a piecewise-linear generator. Extraction lets
+        neighbouring values tie within its error budget, which leaves no
+        inverse: a value not above the one before it raises
+        :class:`MonotonicityViolationError` naming both points."""
+        for (x0, y0), (x1, y1) in zip(self.samples, self.samples[1:]):
+            if not y0 < y1:
+                raise MonotonicityViolationError(
+                    f"extracted values {y0!r} at {x0!r} and {y1!r} at {x1!r} do not increase"
+                )
         return tabulated_generator(
             self.x_values, self.phi_values, label=f"extracted[c={self.c}]"
         )

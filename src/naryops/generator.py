@@ -110,22 +110,16 @@ def _key_float(key: int) -> float:
     return struct.unpack("<d", struct.pack("<Q", -key | 1 << 63))[0]
 
 
-def _approach(endpoint: float, open_end: bool, x0: float, toward_low: bool, decades=False):
+def _approach(endpoint: float, open_end: bool, x0: float, toward_low: bool):
     """Points marching from x0 toward an endpoint: the endpoint itself when
-    closed, geometric expansion when infinite. Toward a finite open end,
-    a ladder of 12 decades width * 10^-k when ``decades``; otherwise a
-    gallop that halves the number of floats left between the point and
+    closed, geometric expansion when infinite, and toward a finite open end
+    a gallop that halves the number of floats left between the point and
     the end, so it reaches the float next to the end in at most 64 points."""
     if math.isinf(endpoint):
         for k in range(1, 200):
             yield x0 - 2.0**k if toward_low else x0 + 2.0**k
     elif not open_end:
         yield endpoint
-    elif decades:
-        width = abs(x0 - endpoint)
-        for k in range(1, 13):
-            off = width * 10.0 ** (-k)
-            yield endpoint + off if toward_low else endpoint - off
     else:
         key, end = _float_key(x0), _float_key(endpoint)
         while abs(end - key) > 1:
@@ -158,21 +152,24 @@ def _start_point(iv: Interval) -> float:
 
 def estimate_codomain(phi: Callable[[float], float], domain: Interval) -> Interval:
     """Heuristic image interval of a monotone map: chase each endpoint
-    with a ladder of approach points; a limit still moving at the ladder
-    end counts as infinite, a settled one as an open finite bound
-    (snapped to zero when tiny)."""
+    along :func:`_approach`, the points that :func:`invert_monotone`
+    brackets with. A limit still moving between the last two samples
+    counts as infinite, a settled one as an open finite bound (snapped to
+    zero when tiny). A NaN value raises :class:`DomainEscapeError`."""
     x0 = _start_point(domain)
     f0 = _safe_phi(phi, x0)
 
     def chase(endpoint, open_end, toward_low):
-        prev = None
-        last = f0
-        for pt in _approach(endpoint, open_end, x0, toward_low, decades=True):
-            prev, last = last, _safe_phi(phi, pt, f0, last)
-            if not math.isfinite(last):
-                return math.copysign(math.inf, last)
+        prev, last = None, f0
+        points = _approach(endpoint, open_end, x0, toward_low)
+        for x, fx in _samples(phi, points, x0, f0, toward_low):
+            if math.isnan(fx):
+                raise DomainEscapeError(f"generator value is nan at x={x!r}")
+            prev, last = last, fx
+            if math.isinf(last):
+                return last
         if prev is not None and abs(last - prev) > 1e-6 * (1.0 + abs(last)):
-            return math.copysign(math.inf, last - prev) if last != prev else last
+            return math.copysign(math.inf, last - prev)
         if abs(last) <= 1e-9:
             return 0.0
         return last
@@ -226,17 +223,16 @@ def invert_monotone(
     """Solve phi(x) = y for strictly monotone phi by ITP root-finding.
 
     Bracketing starts at the start point of ``bracket`` and takes one step
-    toward each end: the end itself when closed, a shrinking offset
-    sequence when finite and open, geometric expansion when infinite.
-    Once these steps show on which side y lies, only that side grows, and
-    the bracket narrows to the last two samples. ITP then refines it:
-    regula falsi, truncated toward the midpoint and projected so that it
-    takes at most ceil(log2(width / tol)) + 1 steps. The result is the
-    midpoint of a final bracket no wider than tol, an absolute width in x.
-    The default tol is four ulps of the bracket end nearer zero, or of the
-    farther end when the bracket reaches zero. A target outside the
-    sampled range, or a phi value outside the values at the bracket ends,
-    raises :class:`InversionError`.
+    toward each end along :func:`_approach`, as :func:`estimate_codomain`
+    does. Once these steps show on which side y lies, only that side
+    grows, and the bracket narrows to the last two samples. ITP then
+    refines it: regula falsi, truncated toward the midpoint and projected
+    so that it takes at most ceil(log2(width / tol)) + 1 steps. The result
+    is the midpoint of a final bracket no wider than tol, an absolute
+    width in x. The default tol is four ulps of the bracket end nearer
+    zero, or of the farther end when the bracket reaches zero. A target
+    outside the sampled range, or a phi value outside the values at the
+    bracket ends, raises :class:`InversionError`.
     """
     x0 = _start_point(bracket)
     f0 = _safe_phi(phi, x0)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 from typing import Sequence, Union
 
 from .axioms import AxiomReport, falsify, lattice_sampler
-from .core import Interval, NaryOp, interval_contains
+from .core import NaryOp, interval_contains
 from .errors import DomainEscapeError
 from .generator import GeneratorSpec, build_aczelian, generator_sum
 
@@ -90,7 +90,6 @@ class AdjoinedStructure:
     containing it are evaluated through extended generator sums.
     """
 
-    base_interval: Interval
     neutral: Point
     generator: GeneratorSpec
     arity: int
@@ -143,9 +142,7 @@ def adjoin_neutral(spec: GeneratorSpec, n: int) -> AdjoinedStructure:
         neutral: Point = spec.inverse(0.0)
     else:
         neutral = ADJOINED_NEUTRAL
-    structure = AdjoinedStructure(
-        base_interval=spec.domain, neutral=neutral, generator=spec, arity=n
-    )
+    structure = AdjoinedStructure(neutral=neutral, generator=spec, arity=n)
     lo, hi = spec.domain.clamp_window(4.0)
     probe_points = [lo + (hi - lo) * t for t in (0.25, 0.5, 0.75)]
     residual = structure.max_neutrality_residual(probe_points)

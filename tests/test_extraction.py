@@ -636,3 +636,19 @@ def test_extracted_values_lie_within_their_half_width(name, n, resolution, data)
         ref = string_phi_at(ExtendedOp(f), gen.c, x, gen.direction, ExtractionConfig(resolution=resolution))
         floor = FLOOR_ULPS * (est.evaluations + 1) * math.ulp(max(1.0, abs(v)))
         assert abs(v - gen.normalization * ref.value) <= est.half_width + ref.half_width + floor
+
+
+def test_tied_extracted_values_exit_three():
+    # 0.3 and 0.3001 share the walk value 0.3046875 at resolution 1/64;
+    # extract accepts the tie, but the table has no inverse to rebuild with
+    args = ["--op", "sum", "--n", "2", "--c", "1", "--grid=-1,0.3,0.3001", "--resolution", "0.015625"]
+    with redirect_stdout(io.StringIO()):
+        assert main(["extract", *args]) == 0
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        code = main(["roundtrip", *args])
+    assert code == 3
+    assert (
+        "numeric failure: extracted values 0.3046875 at 0.3 and 0.3046875 at 0.3001 do not increase"
+        in err.getvalue()
+    )

@@ -12,6 +12,7 @@ from naryops.axioms import check_associativity, check_symmetry, lattice_sampler
 from naryops.cli import main
 from naryops.core import Interval, builtin_lookup
 from naryops.errors import CodomainError, DomainEscapeError, InversionError
+from naryops.exprlang import make_callable, parse as parse_expr
 from naryops.generator import (
     GeneratorSpec,
     build_aczelian,
@@ -329,3 +330,69 @@ def test_build_from_tabulated_skips_form_check():
     assert abs(f.eval(0.5, 0.75) - 1.25) <= 1e-12
     with pytest.raises(DomainEscapeError):
         f.eval(1.5, 1.5)
+
+
+#: expression, domain and the codomain estimate_codomain gives it
+CODOMAIN_TABLE = [
+    ("sqrt(x)", "(0,inf)", "(0.0,+inf)"),
+    ("x^0.1", "(0,inf)", "(0.0,+inf)"),
+    ("exp(x)", "(-inf,0)", "(0.0,1.0)"),
+    ("1-ln(x)", "(0,1)", "(1.0,+inf)"),
+    ("ln(x)", "(0,inf)", "(-inf,+inf)"),
+    ("-1/x", "(0,inf)", "(-inf,0.0)"),
+    ("ln(x)", "(0,1)", "(-inf,0.0)"),
+]
+
+
+@pytest.mark.parametrize("src,interval,expected", CODOMAIN_TABLE)
+def test_estimate_codomain_table(src, interval, expected):
+    # every finite open end is chased to the float next to it, so a limit
+    # approached slowly (sqrt at 0) settles instead of looking unbounded
+    domain = Interval.parse(interval)
+    phi = make_callable(parse_expr(src, 1), 1)
+    xs = []
+
+    def counting(x):
+        xs.append(x)
+        return phi(x)
+
+    assert generator.estimate_codomain(counting, domain).render() == expected
+    x0 = xs[0]
+    for end, open_end in ((domain.lo, domain.lo_open), (domain.hi, domain.hi_open)):
+        if open_end and math.isfinite(end):
+            # phi calls past the start point on the side of this end
+            assert sum(1 for x in xs[1:] if (x < x0) == (end < x0)) <= 64
+
+
+def test_estimate_codomain_nan_names_the_point():
+    # exp(x) - exp(x) is inf - inf = nan once exp overflows
+    phi = make_callable(parse_expr("x+(exp(x)-exp(x))", 1), 1)
+    with pytest.raises(DomainEscapeError, match=r"generator value is nan at x=1024\.0"):
+        generator.estimate_codomain(phi, Interval.real_line())
+
+
+@pytest.mark.parametrize(
+    "command,expected",
+    [("build", '"form": "pos_open_a"'), ("reduce", '"neutral_adjoined": true')],
+)
+def test_sqrt_generator_has_a_half_line_codomain(command, expected):
+    # at 0 the image of sqrt ends at 0, so the codomain is (0,+inf) and
+    # reduce adjoins the neutral element instead of inverting 0
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = main(
+            [command, "--phi", "sqrt(x)", "--interval", "(0,inf)", "--n", "2",
+             "--samples", "20", "--format", "json"]
+        )
+    assert code == 0
+    assert expected in out.getvalue()
+    if command == "build":
+        assert '"bound": 0.0' in out.getvalue()
+
+
+def test_nan_generator_value_exits_three():
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        code = main(["build", "--phi", "x+(exp(x)-exp(x))", "--n", "2", "--samples", "20"])
+    assert code == 3
+    assert "numeric failure: generator value is nan at x=1024.0" in err.getvalue()
