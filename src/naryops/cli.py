@@ -11,6 +11,7 @@ domain escape inside a check).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import random
@@ -422,10 +423,18 @@ def write_report(report: dict, fmt: str, path: str) -> None:
 
 
 def run(cfg: RunConfig) -> tuple[int, dict]:
-    """Dispatch a validated config, write the report, return the exit code
-    and the report."""
+    """Check the numeric flags, dispatch the config, write the report,
+    return the exit code and the report. A flag out of range raises
+    ValueError before any work."""
     if cfg.command not in _HANDLERS:
         raise ValueError(f"unknown command {cfg.command!r}")
+    if cfg.samples < 1:
+        raise ValueError("samples must be >= 1")
+    # NaN fails both comparisons, so these rules also reject it
+    if not 0.0 < cfg.window < math.inf:
+        raise ValueError("window must be positive and finite")
+    if not 0.0 <= cfg.tol < math.inf:
+        raise ValueError("tol must be finite and >= 0")
     t0 = time.perf_counter()
     code, report = _HANDLERS[cfg.command](cfg)
     report["timing_ms"] = (time.perf_counter() - t0) * 1000.0
@@ -433,7 +442,31 @@ def run(cfg: RunConfig) -> tuple[int, dict]:
     return code, report
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the command line, built on the first call and
+    shared by every later one: ``parse_args`` returns a fresh namespace
+    and every default is immutable, so :func:`main` can run any number of
+    times in one process. The flags every subcommand takes are declared
+    once, on a parent parser without its own help."""
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--op", help="builtin name or expr:<expression>")
+    common.add_argument("--phi", help="generator expression in x")
+    common.add_argument("--phi-inv", dest="phi_inv", help="explicit inverse expression")
+    common.add_argument("--codomain", help="generator codomain interval, e.g. '(-inf,0)'")
+    common.add_argument("--n", type=int, default=2, help="arity (default 2)")
+    common.add_argument(
+        "--interval", help="domain interval, e.g. '(0,inf)' (default the real line)"
+    )
+    common.add_argument("--grid", help="lo:hi:step or comma-separated points")
+    common.add_argument("--samples", type=int, default=500)
+    common.add_argument("--seed", type=int, default=0)
+    common.add_argument("--resolution", type=float, default=1.0 / 64.0)
+    common.add_argument("--tol", type=float, default=1e-9)
+    common.add_argument("--c", type=float, default=None, help="explicit base point")
+    common.add_argument("--window", type=float, default=10.0)
+    common.add_argument("--format", dest="fmt", choices=("json", "csv", "text"), default="text")
+    common.add_argument("--out", default="-", help="output path, '-' for stdout")
     parser = argparse.ArgumentParser(
         prog="naryops",
         description="Build, falsify, extend, extract, and reduce n-ary interval operations.",
@@ -449,22 +482,7 @@ def build_parser() -> argparse.ArgumentParser:
         "gallery": "run the built-in fixture suite",
     }
     for name, help_text in specs.items():
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--op", help="builtin name or expr:<expression>")
-        p.add_argument("--phi", help="generator expression in x")
-        p.add_argument("--phi-inv", dest="phi_inv", help="explicit inverse expression")
-        p.add_argument("--codomain", help="generator codomain interval, e.g. '(-inf,0)'")
-        p.add_argument("--n", type=int, default=2, help="arity (default 2)")
-        p.add_argument("--interval", help="domain interval, e.g. '(0,inf)' (default the real line)")
-        p.add_argument("--grid", help="lo:hi:step or comma-separated points")
-        p.add_argument("--samples", type=int, default=500)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--resolution", type=float, default=1.0 / 64.0)
-        p.add_argument("--tol", type=float, default=1e-9)
-        p.add_argument("--c", type=float, default=None, help="explicit base point")
-        p.add_argument("--window", type=float, default=10.0)
-        p.add_argument("--format", dest="fmt", choices=("json", "csv", "text"), default="text")
-        p.add_argument("--out", default="-", help="output path, '-' for stdout")
+        sub.add_parser(name, help=help_text, parents=[common])
     return parser
 
 

@@ -127,6 +127,9 @@ def interval_contains(iv: Interval, x: float) -> bool:
 #: the widest spacing of the sampling lattice
 _LATTICE_STEP = 0.125
 
+#: the most lattice steps a window spans; index ranges stay machine-sized
+_LATTICE_SPAN = 2.0**62
+
 
 def lattice(iv: Interval, window: float = 10.0) -> tuple[int, int, float]:
     """Dyadic sampling lattice for an interval: indices j with j*h inside
@@ -135,14 +138,22 @@ def lattice(iv: Interval, window: float = 10.0) -> tuple[int, int, float]:
     Returns (j_min, j_max, h). Lattice points are exact binary floats, so
     operations built from +, -, * stay exact on samples and associativity
     residuals of exact ops are identically zero. The step is halved until the
-    window holds at least 16 points.
+    window holds at least 16 points, and doubled until it holds at most
+    2**62 steps, so every finite window can be sampled: a window on the
+    real line keeps the step 1/8 up to 2**58 (about 2.9e17).
 
-    Raises ValueError when the interval is too thin to sample (degenerate).
+    Raises ValueError when the interval is too thin to sample (degenerate)
+    or the window is not finite.
     """
     lo, hi = iv.clamp_window(window)
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"window {window!r} leaves {iv.render()} unbounded")
     h = _LATTICE_STEP
     while (hi - lo) / h < 16.0 and h > 2.0**-40:
         h /= 2.0
+    # halved bounds, as hi - lo overflows on the widest windows
+    while hi / 2.0 - lo / 2.0 > _LATTICE_SPAN / 2.0 * h:
+        h *= 2.0
     j_min = math.ceil(lo / h)
     if j_min * h == lo and iv.lo_open and lo == iv.lo:
         j_min += 1
@@ -176,7 +187,10 @@ class NaryOp:
     def checked(self, *xs: float) -> float:
         """Evaluate and verify the result stayed finite and in the domain.
         The error names the inputs, so a failure replays from its message."""
-        y = self.eval(*xs)
+        try:
+            y = self.eval(*xs)
+        except OverflowError:  # fsum's intermediate overflow on huge inputs
+            raise DomainEscapeError(f"{self.label or 'op'} overflowed at {xs!r}") from None
         if not math.isfinite(y):
             raise DomainEscapeError(f"{self.label or 'op'} produced non-finite {y!r} at {xs!r}")
         if not self.domain.contains(y):

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 
@@ -6,6 +7,7 @@ import pytest
 from naryops.axioms import Witness
 from naryops.cli import (
     RunConfig,
+    build_parser,
     load_generator,
     load_opspec,
     main,
@@ -275,3 +277,104 @@ def test_odd_power_overflow_keeps_its_sign(capsys):
     )
     assert code in (0, 1, 3)
     assert "configuration error" not in capsys.readouterr().err
+
+
+def test_main_builds_its_parser_once(monkeypatch, capsys):
+    built = []
+    real_init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    build_parser.cache_clear()
+    assert main(["axioms", "--op", "sum", "--samples", "5"]) == 0
+    assert built, "the first call builds the parser"
+    built.clear()
+    for argv in (
+        ["axioms", "--op", "sum", "--samples", "5"],
+        ["extend", "--op", "sum", "--n", "3", "--samples", "5"],
+        ["axioms", "--op", "nosuch"],
+        ["nosuchcommand"],
+        ["build", "--help"],
+    ):
+        main(argv)
+    assert built == []
+
+
+def test_flags_do_not_leak_between_calls(capsys):
+    argv = ["axioms", "--op", "sum", "--format", "json"]
+    assert main([*argv, "--c", "2", "--samples", "7"]) == 0
+    first = json.loads(capsys.readouterr().out)["config_echo"]
+    assert first["c"] == 2.0 and first["samples"] == 7
+    assert main(argv) == 0
+    second = json.loads(capsys.readouterr().out)["config_echo"]
+    assert second["c"] is None and second["samples"] == 500
+
+
+@pytest.mark.parametrize(
+    "argv,code",
+    [
+        (["--help"], 0),
+        (["build", "--help"], 0),
+        (["extract", "-h"], 0),
+        ([], 2),
+        (["nosuchcommand"], 2),
+        (["axioms", "--n", "two"], 2),
+        (["axioms", "--format", "xml"], 2),
+    ],
+)
+def test_help_and_usage_do_not_depend_on_earlier_calls(argv, code, capsys):
+    build_parser.cache_clear()
+    assert main(argv) == code
+    first = capsys.readouterr()
+    assert (first.out if code == 0 else first.err).startswith("usage: naryops")
+    main(["axioms", "--op", "sum", "--samples", "5", "--c", "1"])
+    main(["axioms", "--bogus"])
+    capsys.readouterr()
+    assert main(argv) == code
+    assert capsys.readouterr() == first
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["extend", "--op", "sum", "--n", "2", "--samples", "0"], "samples must be >= 1"),
+        (["extend", "--op", "sum", "--n", "2", "--samples=-3"], "samples must be >= 1"),
+        (["roundtrip", "--op", "sum", "--n", "2", "--c", "1", "--samples", "0"],
+         "samples must be >= 1"),
+        (["reduce", "--op", "sum", "--n", "2", "--samples", "0"], "samples must be >= 1"),
+        (["axioms", "--op", "sum", "--window", "nan"], "window must be positive and finite"),
+        (["extend", "--op", "sum", "--window", "nan"], "window must be positive and finite"),
+        (["build", "--phi", "x^3+x", "--window", "nan"], "window must be positive and finite"),
+        (["reduce", "--op", "sum", "--window", "inf"], "window must be positive and finite"),
+        (["extract", "--op", "sum", "--window", "nan"], "window must be positive and finite"),
+        (["axioms", "--op", "sum", "--window=-1"], "window must be positive and finite"),
+        (["axioms", "--op", "sum", "--window", "0"], "window must be positive and finite"),
+        (["axioms", "--op", "alternating", "--n", "3", "--tol", "inf"],
+         "tol must be finite and >= 0"),
+        (["axioms", "--op", "sum", "--tol=-1"], "tol must be finite and >= 0"),
+        (["axioms", "--op", "sum", "--tol", "nan"], "tol must be finite and >= 0"),
+    ],
+)
+def test_numeric_flags_are_checked_before_any_work(argv, message, capsys):
+    assert main(argv) == 2
+    assert f"naryops: configuration error: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "op,window,code",
+    [
+        ("sum", "6e17", 0),
+        ("sum", "1e20", 0),
+        ("sum", "1e300", 0),
+        ("sum", "3e307", 0),
+        ("sum", "1e308", 3),
+        ("product", "1e308", 3),
+    ],
+)
+def test_wide_finite_windows_are_sampled(op, window, code, capsys):
+    assert main(["axioms", "--op", op, "--n", "2", "--samples", "20", "--window", window]) == code
+    err = capsys.readouterr().err
+    assert ("numeric failure" in err) == (code == 3)

@@ -173,6 +173,36 @@ def test_lattice_degenerate_interval():
         lattice(Interval.parse("(100,200)"), 10.0)
 
 
+@pytest.mark.parametrize(
+    "domain,window,step",
+    [
+        ("(-inf,inf)", 2.0**58, 0.125),
+        ("(0,inf)", 5e17, 0.125),
+        ("(-inf,inf)", 2.0**59, 0.25),
+        ("(-inf,inf)", 6e17, 0.5),
+        ("(-inf,inf)", 1e300, None),
+        ("(-inf,inf)", 1.7e308, None),
+        ("(1e308,inf)", 1.7e308, None),
+    ],
+)
+def test_lattice_spans_every_finite_window(domain, window, step):
+    iv = Interval.parse(domain)
+    j_min, j_max, h = lattice(iv, window)
+    lo, hi = iv.clamp_window(window)
+    assert j_max - j_min <= 2**62
+    assert lo <= j_min * h and j_max * h <= hi
+    if step is not None:
+        assert h == step
+    # the index range stays machine-sized, as check_cancellativity samples it
+    assert len(random.Random(0).sample(range(j_min, j_max + 1), 9)) == 9
+
+
+@pytest.mark.parametrize("window", [math.inf, math.nan])
+def test_lattice_rejects_unbounded_windows(window):
+    with pytest.raises(ValueError):
+        lattice(Interval.real_line(), window)
+
+
 def test_nary_op_rejects_small_arity():
     from naryops.core import NaryOp
 
