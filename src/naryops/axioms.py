@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .core import Interval, NaryOp, lattice
+from .extension import ExtendedOp, nested_trials, split_trials
 
 __all__ = [
     "Witness",
@@ -66,17 +67,12 @@ class Witness:
             a, b = self.inputs
             return op.eval(*b) - op.eval(*a)
         if self.kind in ("nested_identity", "split_identity"):
-            from .extension import nested_trials, split_trials  # extension imports this module
-
             trials = nested_trials if self.kind == "nested_identity" else split_trials
             lhs, rhs, _ = next(trials(op, [self.inputs]))
             return abs(lhs - rhs)
         if self.kind == "reduction":
             xs = self.inputs[0]
-            acc = xs[0]
-            for v in xs[1:]:
-                acc = helper.eval(acc, v)
-            return abs(op.eval(*xs) - acc)
+            return abs(op.eval(*xs) - ExtendedOp(helper).eval(xs))
         if self.kind == "roundtrip":
             xs = self.inputs[0]
             return abs(helper.eval(*xs) - op.eval(*xs))

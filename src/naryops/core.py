@@ -75,13 +75,8 @@ class Interval:
             raise ValueError(f"malformed interval {text!r}")
 
         def endpoint(token: str) -> float:
-            t = token.strip().lower()
-            if t in ("inf", "+inf", "infinity"):
-                return math.inf
-            if t == "-inf":
-                return -math.inf
-            try:
-                return float(t)
+            try:  # float() also reads inf, +inf, -inf and infinity in any case
+                return float(token)
             except ValueError:
                 raise ValueError(f"bad interval endpoint {token!r}") from None
 

@@ -32,13 +32,10 @@ class RegistryError(NaryError):
 
 
 class AllIdempotentError(NaryError):
-    """Every scanned candidate base point looked idempotent, so the
-    extraction has no anchor to calibrate against."""
-
-    def __init__(self, message, scanned=0, threshold=0.0):
-        super().__init__(message)
-        self.scanned = scanned
-        self.threshold = threshold
+    """The explicit base point, or every point the base-point scan
+    evaluated, looked idempotent, so the extraction has no anchor to
+    calibrate against. A scan that evaluated no point raises
+    :class:`DomainEscapeError` instead."""
 
 
 class PrecisionExhaustedError(NaryError):

@@ -102,64 +102,63 @@ class PhiEstimate:
 def select_base_point(
     f: NaryOp, cfg: ExtractionConfig
 ) -> tuple[float, BranchDirection]:
-    """Pick a calibration point c with f(c^n) clearly away from c.
+    """Pick a calibration point c with f(c^n) clearly away from c: the
+    explicit cfg.base_point, validated, or the one of _SCAN_POINTS evenly
+    spaced points of the scan window with the largest |f(c^n) - c|.
 
-    An explicit cfg.base_point is validated and used as-is, its
-    displacement evaluated checked (a non-finite value raises
-    :class:`DomainEscapeError` naming the inputs); otherwise the scan
-    window is swept and the displacement |f(c^n) - c| maximized.
-    Raises :class:`AllIdempotentError` when no displacement exceeds
-    10 * _COMPARISON_BAND * (1 + |c| + |f(c^n)|): then every candidate
-    looks idempotent and no branch exists.
+    Evaluation is :meth:`NaryOp.checked`, whose :class:`DomainEscapeError`
+    the scan takes as a point to skip; a scan that skips every point
+    raises :class:`DomainEscapeError` naming its range. Raises
+    :class:`AllIdempotentError` when |f(c^n) - c| does not exceed
+    10 * _COMPARISON_BAND * (1 + |c| + |f(c^n)|): no branch exists there.
     """
     n = f.arity
+    band = 10.0 * _COMPARISON_BAND
 
-    def displacement(c: float) -> float:
-        return f.eval(*([c] * n)) - c
-
-    def threshold(c: float, fc: float) -> float:
-        return 10.0 * _COMPARISON_BAND * (1.0 + abs(c) + abs(fc))
+    def displacement(c: float) -> tuple[float, float]:
+        """f(c^n) - c and its idempotence threshold, scaled term by term
+        so that it stays finite next to the largest floats."""
+        fc = f.checked(*([c] * n))
+        return fc - c, band + band * abs(c) + band * abs(fc)
 
     if cfg.base_point is not None:
         c = cfg.base_point
         if not f.domain.contains(c):
             raise ValueError(f"base point {c!r} outside {f.domain.render()}")
-        d = f.checked(*([c] * n)) - c
-        if abs(d) <= threshold(c, d + c):
-            raise AllIdempotentError(
-                f"explicit base point {c!r} is numerically idempotent",
-                scanned=1,
-                threshold=threshold(c, d + c),
-            )
+        d, threshold = displacement(c)
+        if abs(d) <= threshold:
+            raise AllIdempotentError(f"explicit base point {c!r} is numerically idempotent")
         return c, BranchDirection.C_BELOW if d > 0 else BranchDirection.C_ABOVE
 
+    # points and nudges from halved bounds, as hi - lo overflows on the
+    # widest windows; halving is exact, so narrower windows get the points
+    # lo + (hi - lo) * i / (_SCAN_POINTS - 1) bit for bit
     lo, hi = f.domain.clamp_window(cfg.scan_window)
-    width = hi - lo
+    half = hi / 2.0 - lo / 2.0
     if f.domain.lo_open and lo == f.domain.lo:
-        lo += 1e-3 * width
+        lo += 2e-3 * half
     if f.domain.hi_open and hi == f.domain.hi:
-        hi -= 1e-3 * width
-    best_c = None
-    best_d = 0.0
-    scanned = 0
+        hi -= 2e-3 * half
+    half = hi / 2.0 - lo / 2.0
+    best, scanned = None, 0
     for i in range(_SCAN_POINTS):
-        c = lo + (hi - lo) * i / (_SCAN_POINTS - 1)
+        c = 2.0 * (lo / 2.0 + half * (i / (_SCAN_POINTS - 1)))
         try:
-            d = displacement(c)
+            d, threshold = displacement(c)
         except DomainEscapeError:
             continue
-        if not math.isfinite(d):
-            continue
         scanned += 1
-        if abs(d) > abs(best_d):
-            best_c, best_d = c, d
-    if best_c is None or abs(best_d) <= threshold(best_c, best_d + best_c):
-        raise AllIdempotentError(
-            f"all {scanned} scanned points of {f.label or 'op'} look idempotent",
-            scanned=scanned,
-            threshold=10.0 * _COMPARISON_BAND,
+        if best is None or abs(d) > abs(best[1]):
+            best = c, d, threshold
+    label = f.label or "op"
+    if best is None:
+        raise DomainEscapeError(
+            f"no scanned point of {label} in [{lo!r}, {hi!r}] evaluates inside the domain"
         )
-    return best_c, BranchDirection.C_BELOW if best_d > 0 else BranchDirection.C_ABOVE
+    c, d, threshold = best
+    if abs(d) <= threshold:
+        raise AllIdempotentError(f"all {scanned} scanned points of {label} look idempotent")
+    return c, BranchDirection.C_BELOW if d > 0 else BranchDirection.C_ABOVE
 
 
 def _lowest_level(n: int, resolution: float) -> int:

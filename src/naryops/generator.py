@@ -31,33 +31,14 @@ __all__ = [
     "tabulated_generator",
 ]
 
-#: forms a codomain may take: half-lines pinched at a bound on the correct
-#: side of zero, or the whole line
-CODOMAIN_FORMS = (
-    "neg_open_b",
-    "neg_closed_b",
-    "pos_open_a",
-    "pos_closed_a",
-    "full_line",
-)
-
-
 @dataclass(frozen=True)
 class CodomainForm:
+    """An admissible codomain shape, as :func:`validate_codomain` finds it:
+    ``neg_open_b`` or ``neg_closed_b`` (bound b <= 0), ``pos_open_a`` or
+    ``pos_closed_a`` (bound a >= 0), or ``full_line`` (no bound)."""
+
     form: str
     bound: float | None = None
-
-    def __post_init__(self):
-        if self.form not in CODOMAIN_FORMS:
-            raise ValueError(f"unknown codomain form {self.form!r}")
-        if self.form == "full_line":
-            if self.bound is not None:
-                raise ValueError("the full line carries no bound")
-        elif self.form.startswith("neg"):
-            if self.bound is None or self.bound > 0.0:
-                raise ValueError("lower half-line forms need a bound <= 0")
-        elif self.bound is None or self.bound < 0.0:
-            raise ValueError("upper half-line forms need a bound >= 0")
 
 
 def validate_codomain(J: Interval, n: int) -> CodomainForm:

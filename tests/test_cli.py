@@ -8,6 +8,7 @@ from naryops.axioms import Witness
 from naryops.cli import (
     RunConfig,
     build_parser,
+    config_from_args,
     load_generator,
     load_opspec,
     main,
@@ -16,6 +17,7 @@ from naryops.cli import (
 )
 from naryops.core import builtin_lookup
 from naryops.exprlang import make_callable, parse as parse_expr
+from naryops.reducibility import adjoin_neutral
 
 
 def test_load_opspec_builtin():
@@ -378,3 +380,50 @@ def test_wide_finite_windows_are_sampled(op, window, code, capsys):
     assert main(["axioms", "--op", op, "--n", "2", "--samples", "20", "--window", window]) == code
     err = capsys.readouterr().err
     assert ("numeric failure" in err) == (code == 3)
+
+
+def test_parser_holds_only_the_flags_given():
+    # RunConfig is the one table of flag defaults
+    args = build_parser().parse_args(["axioms"])
+    assert vars(args) == {"command": "axioms"}
+    assert config_from_args(args) == RunConfig("axioms")
+    args = build_parser().parse_args(["extract", "--c", "1", "--format", "json"])
+    assert config_from_args(args) == RunConfig("extract", c=1.0, fmt="json")
+
+
+def test_wrong_inverse_fails_neutrality_with_a_witness(tmp_path):
+    # x is not the inverse of 2x+1: the adjoined neutral phi^-1(0) = 0 is
+    # not neutral, which the neutrality check reports with a witness
+    out = tmp_path / "wrong.json"
+    argv = ["reduce", "--phi", "2*x+1", "--phi-inv", "x", "--n", "2", "--samples", "20"]
+    assert main([*argv, "--format", "json", "--out", str(out)]) == 1
+    data = json.loads(out.read_text())
+    assert data["checks"]["neutrality"]["pass"] is False
+    assert data["checks"]["binary_associativity"]["pass"] is False
+    witness = Witness.from_dict(data["checks"]["neutrality"]["witness"])
+    structure = adjoin_neutral(load_generator("2*x+1", "x", None), 2)
+    assert witness.replay(structure) == witness.residual > 0.0
+
+
+@pytest.mark.parametrize(
+    "argv,code,message",
+    [
+        # fsum overflows inside the scan: the point is skipped
+        (["--op", "sum", "--n", "3", "--window", "8e307"], 3, "numeric failure"),
+        # every scan point is finite, and alternating/3 is idempotent
+        (["--op", "alternating", "--n", "3", "--window", "1e308", "--grid=-1,0,1"], 3,
+         "numeric failure: all 257 scanned points of alternating/3 look idempotent"),
+        # the idempotence threshold stays finite next to the largest floats
+        (["--op", "sum", "--n", "2", "--window", "8e307", "--format", "json"], 0,
+         '"base_point": -8e+307'),
+        # every scan point overflows: the scan is empty, not idempotent
+        (["--op", "product", "--n", "2", "--window", "1e308"], 3,
+         "numeric failure: no scanned point of product/2 in [1e+305, 1e+308] "
+         "evaluates inside the domain"),
+    ],
+    ids=["sum3_fsum_overflow", "alternating3_idempotent", "sum2_threshold", "product2_empty"],
+)
+def test_base_point_scan_of_the_widest_windows(argv, code, message, capsys):
+    assert main(["extract", *argv]) == code
+    captured = capsys.readouterr()
+    assert message in (captured.out if code == 0 else captured.err)

@@ -55,3 +55,27 @@ def test_builtin_axioms_exit_zero_one_or_three(builtin, window, samples):
     op, n = builtin
     argv = ["axioms", f"--op={op}", f"--n={n}", f"--window={window!r}", f"--samples={samples}"]
     assert main(argv) in (0, 1, 3)
+
+
+#: a grid inside the domain of each builtin, for the extraction commands
+GRIDS = {"product": "0.5,1,2", "bounded_product": "0.25,0.5,0.75"}
+
+#: windows next to the float range: there the width of the base-point
+#: scan, its idempotence threshold and fsum of the scanned points overflow
+EDGE_WINDOWS = [1.79e308, 1.7e308, 1e308, 8e307, 6e307, 4.5e307, 3.6e307]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    command=st.sampled_from(["extract", "roundtrip"]),
+    builtin=builtins,
+    window=st.one_of(windows, st.sampled_from(EDGE_WINDOWS)),
+    samples=st.integers(5, 20),
+)
+def test_base_point_scans_exit_zero_one_or_three(command, builtin, window, samples):
+    op, n = builtin
+    argv = [
+        command, f"--op={op}", f"--n={n}", f"--grid={GRIDS.get(op, '-1,0,1')}",
+        f"--window={window!r}", f"--samples={samples}",
+    ]
+    assert main(argv) in (0, 1, 3)
