@@ -21,6 +21,7 @@ from typing import Callable, Sequence
 
 from .core import Interval, NaryOp, lattice
 from .extension import ExtendedOp, nested_trials, split_trials
+from .generator import generator_sum
 
 __all__ = [
     "Witness",
@@ -78,7 +79,7 @@ class Witness:
             return abs(helper.eval(*xs) - op.eval(*xs))
         if self.kind == "additivity":
             xs = self.inputs[0]
-            rhs = math.fsum(helper.interpolate(v) for v in xs)
+            rhs = generator_sum(helper.interpolate, xs)
             return abs(helper.interpolate(op.eval(*xs)) - rhs)
         if self.kind == "neutrality":
             return op.max_neutrality_residual(self.inputs[0])
@@ -302,6 +303,7 @@ def check_cancellativity(
     n = f.arity
     rng = random.Random(seed)
     j_min, j_max, h = lattice(f.domain, window)
+    draw = lattice_sampler(f.domain, window, rng)
     anchor_j = min(max(0, j_min), j_max)
     max_residual = 0.0
     witness = None
@@ -311,7 +313,7 @@ def check_cancellativity(
             if line == 0:
                 frozen = tuple(anchor_j * h for _ in range(n - 1))
             else:
-                frozen = tuple(rng.randint(j_min, j_max) * h for _ in range(n - 1))
+                frozen = tuple(draw() for _ in range(n - 1))
             span = j_max - j_min + 1
             if span <= _POINTS_PER_LINE:
                 js = list(range(j_min, j_max + 1))

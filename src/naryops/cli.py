@@ -67,14 +67,22 @@ class RunConfig:
         return {f.name: getattr(self, f.name) for f in fields(self) if f.name not in skip}
 
 
+def _domain(interval: str | None) -> Interval:
+    """The ``--interval`` flag: the real line when not given."""
+    return Interval.parse(interval) if interval else Interval.real_line()
+
+
+def _compile(text: str, n: int):
+    """An expression in n variables as a function of n floats."""
+    return make_callable(parse_expr(text, n), n)
+
+
 def load_opspec(source: str, n: int, interval: str | None = None) -> NaryOp:
     """Build an operation from a builtin name or an ``expr:`` expression."""
     if source is None:
         raise ValueError("an operation source is required (--op)")
     if source.startswith("expr:"):
-        iv = Interval.parse(interval) if interval else Interval.real_line()
-        ast = parse_expr(source[len("expr:") :], n)
-        return NaryOp(n, iv, make_callable(ast, n), source)
+        return NaryOp(n, _domain(interval), _compile(source[len("expr:") :], n), source)
     obj = builtin_lookup(source, n)
     if isinstance(obj, GeneratorSpec):
         raise ValueError(
@@ -91,17 +99,11 @@ def load_generator(
 ) -> GeneratorSpec:
     """Build a generator from expressions; the codomain is parsed when
     given and estimated from the expression otherwise."""
-    iv = Interval.parse(interval) if interval else Interval.real_line()
-    phi_ast = parse_expr(phi_src, 1)
-    phi = make_callable(phi_ast, 1)
-    inv = None
-    if phi_inv_src:
-        inv_ast = parse_expr(phi_inv_src, 1)
-        inv = make_callable(inv_ast, 1)
+    iv = _domain(interval)
+    phi = _compile(phi_src, 1)
+    inv = _compile(phi_inv_src, 1) if phi_inv_src else None
     J = Interval.parse(codomain) if codomain else estimate_codomain(phi, iv)
-    return GeneratorSpec(
-        phi=phi, domain=iv, codomain=J, phi_inverse=inv, label=phi_src
-    )
+    return GeneratorSpec(phi=phi, domain=iv, codomain=J, phi_inverse=inv, label=phi_src)
 
 
 def parse_grid(text: str) -> tuple[float, ...]:
@@ -124,20 +126,29 @@ def parse_grid(text: str) -> tuple[float, ...]:
 # --- command handlers -------------------------------------------------------
 
 
-def _suite_report(cfg: RunConfig, checks: dict, extra: dict | None = None) -> tuple[int, dict]:
-    passed = all(r["pass"] for r in checks.values())
-    report = {
-        "command": cfg.command,
-        "config_echo": cfg.echo(),
-        "pass": passed,
-        "residuals": {name: r["max_residual"] for name, r in checks.items()},
-        "witnesses": [r["witness"] for r in checks.values() if r.get("witness")],
-        "checks": checks,
-        "seed": cfg.seed,
-    }
-    if extra:
-        report.update(extra)
+def _report(cfg: RunConfig, passed: bool, **fields) -> tuple[int, dict]:
+    """The exit code and the report of a command: the fields that every
+    report carries, then the command's own."""
+    report = {"command": cfg.command, "config_echo": cfg.echo(), "pass": passed, "seed": cfg.seed}
+    report.update(fields)
     return (0 if passed else 1), report
+
+
+def _suite_report(cfg: RunConfig, checks: dict, extra: dict | None = None) -> tuple[int, dict]:
+    return _report(
+        cfg,
+        all(r["pass"] for r in checks.values()),
+        residuals={name: r["max_residual"] for name, r in checks.items()},
+        witnesses=[r["witness"] for r in checks.values() if r.get("witness")],
+        checks=checks,
+        **(extra or {}),
+    )
+
+
+def _generated_tol(cfg: RunConfig) -> float:
+    """The tolerance of the checks that run through a generator and its
+    inverse, which round: ``--tol``, but at least 1e-8."""
+    return max(cfg.tol, 1e-8)
 
 
 def _associativity_and_symmetry(f: NaryOp, cfg: RunConfig, tol: float) -> dict:
@@ -189,7 +200,7 @@ def _cmd_build(cfg: RunConfig) -> tuple[int, dict]:
     spec = load_generator(cfg.phi, cfg.phi_inv, cfg.interval, cfg.codomain)
     form = validate_codomain(spec.codomain, cfg.n)
     f = build_aczelian(spec, cfg.n)
-    checks = _associativity_and_symmetry(f, cfg, max(cfg.tol, 1e-8))
+    checks = _associativity_and_symmetry(f, cfg, _generated_tol(cfg))
     extra = {"codomain_form": {"form": form.form, "bound": form.bound}, "op_label": f.label}
     return _suite_report(cfg, checks, extra)
 
@@ -248,11 +259,10 @@ def _cmd_reduce(cfg: RunConfig) -> tuple[int, dict]:
     if f is None:
         f = build_aczelian(spec, cfg.n)
     diamond = derive_binary(spec)
-    reduction = verify_reduction(
-        f, diamond, cfg.samples, cfg.seed, max(cfg.tol, 1e-8), cfg.window
-    ).to_dict()
+    tol = _generated_tol(cfg)
+    reduction = verify_reduction(f, diamond, cfg.samples, cfg.seed, tol, cfg.window).to_dict()
     binary_assoc = axioms_mod.check_associativity(
-        diamond, max(50, cfg.samples // 5), cfg.seed + 1, max(cfg.tol, 1e-8), cfg.window
+        diamond, max(50, cfg.samples // 5), cfg.seed + 1, tol, cfg.window
     ).to_dict()
     structure = adjoin_neutral(spec, cfg.n)
     checks = {
@@ -359,16 +369,7 @@ def _cmd_gallery(cfg: RunConfig) -> tuple[int, dict]:
     record("generated_product", abs(f.eval(2.0, 3.0) - 6.0) <= 1e-9)
 
     passed = all(fx["pass"] for fx in fixtures)
-    report = {
-        "command": "gallery",
-        "config_echo": cfg.echo(),
-        "pass": passed,
-        "residuals": {},
-        "witnesses": [],
-        "fixtures": fixtures,
-        "seed": cfg.seed,
-    }
-    return (0 if passed else 1), report
+    return _report(cfg, passed, residuals={}, witnesses=[], fixtures=fixtures)
 
 
 _HANDLERS = {

@@ -181,18 +181,19 @@ class NaryOp:
 
     def checked(self, *xs: float) -> float:
         """Evaluate and verify the result stayed finite and in the domain.
-        The error names the inputs, so a failure replays from its message."""
+        The error names the inputs, so a failure replays from its message,
+        and carries the rejected value, None after an overflow."""
         try:
             y = self.eval(*xs)
         except OverflowError:  # fsum's intermediate overflow on huge inputs
             raise DomainEscapeError(f"{self.label or 'op'} overflowed at {xs!r}") from None
         if not math.isfinite(y):
-            raise DomainEscapeError(f"{self.label or 'op'} produced non-finite {y!r} at {xs!r}")
-        if not self.domain.contains(y):
-            raise DomainEscapeError(
-                f"{self.label or 'op'} escaped domain {self.domain.render()}: {y!r} at {xs!r}"
-            )
-        return y
+            what = f"produced non-finite {y!r}"
+        elif not self.domain.contains(y):
+            what = f"escaped domain {self.domain.render()}: {y!r}"
+        else:
+            return y
+        raise DomainEscapeError(f"{self.label or 'op'} {what} at {xs!r}", y)
 
 
 @dataclass(frozen=True)

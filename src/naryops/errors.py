@@ -15,7 +15,11 @@ class ArityClassError(NaryError):
 
 class DomainEscapeError(NaryError):
     """An evaluation produced a value outside the operation's domain,
-    or a non-finite intermediate."""
+    or a non-finite intermediate, carried as ``value`` when there is one."""
+
+    def __init__(self, message, value=None):
+        super().__init__(message)
+        self.value = value
 
 
 class CodomainError(NaryError):

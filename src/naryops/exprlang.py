@@ -108,12 +108,8 @@ def _tokenize(src: str) -> list[tuple[str, str, int]]:
                 break
             at = len(src) - len(stripped)
             raise ParseError(at, "a token", src[at])
-        if m.lastgroup == "num":
-            tokens.append(("num", m.group("num"), m.start("num")))
-        elif m.lastgroup == "ident":
-            tokens.append(("ident", m.group("ident"), m.start("ident")))
-        else:
-            tokens.append(("op", m.group("op"), m.start("op")))
+        kind = m.lastgroup  # the group that matched: num, ident or op
+        tokens.append((kind, m.group(kind), m.start(kind)))
         pos = m.end()
     tokens.append(("end", "", len(src)))
     return tokens
@@ -137,6 +133,12 @@ class _Parser:
     def fail(self, expected: str):
         kind, text, offset = self.peek()
         raise ParseError(offset, expected, text if kind != "end" else "end of input")
+
+    def expect(self, op: str, expected: str) -> None:
+        """Consume the operator token ``op``, or fail naming ``expected``."""
+        if self.peek()[:2] != ("op", op):
+            self.fail(expected)
+        self.advance()
 
     def parse(self) -> Expr:
         e = self.expr()
@@ -181,13 +183,9 @@ class _Parser:
             if text in CONSTANTS:
                 return Const(text)
             if text in FUNCTIONS:
-                if self.peek()[:2] != ("op", "("):
-                    self.fail(f"'(' after {text}")
-                self.advance()
+                self.expect("(", f"'(' after {text}")
                 arg = self.expr()
-                if self.peek()[:2] != ("op", ")"):
-                    self.fail("')'")
-                self.advance()
+                self.expect(")", "')'")
                 return Call(text, arg)
             if text == "x":
                 if self.arity != 1:
@@ -207,9 +205,7 @@ class _Parser:
         if kind == "op" and text == "(":
             self.advance()
             e = self.expr()
-            if self.peek()[:2] != ("op", ")"):
-                self.fail("')'")
-            self.advance()
+            self.expect(")", "')'")
             return e
         self.fail("an operand")
 

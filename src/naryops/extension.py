@@ -8,8 +8,10 @@ which makes substituting a single evaluated point a no-op.
 The repeated-point strings c^p and x^k c^q, their exponents
 (:class:`RationalIndex`) and their three-way comparison
 (:func:`sx_membership`) are the string search that generator extraction
-ran before it walked diagonal units; the tests' string oracle and the
-benchmark's tracer still use them.
+ran before it walked diagonal units. No command evaluates them. The power
+strings are plain left folds, kept for the tests' string oracle and under
+the names that the benchmark's tracer patches; the tracer only counts
+their calls and evaluates no string itself.
 """
 
 from __future__ import annotations
@@ -38,24 +40,17 @@ __all__ = [
 
 class ExtendedOp:
     """A base operation evaluable on every string length of its arity
-    class, with caches for the repeated-point strings c^p and x^k c^q.
+    class by one left fold, :meth:`eval`.
 
-    No command reads the caches: generator extraction walks diagonal units
-    instead. They serve the string search of the tests and the
-    benchmark's tracer, which evaluate thousands of such strings with
-    shared prefixes. Cached growth applies exactly the same calls in the
-    same order as a fresh left-nested evaluation, so cached and fresh
-    values are equal bit for bit.
-
-    Concurrency: evaluation is pure; cache fills are idempotent, so a
-    racing reader may recompute an entry redundantly without harm.
+    It holds no cache: :meth:`power` and :meth:`string_power` fold the
+    repeated-point strings c^p and x^k c^q afresh, for the tests' string
+    oracle and the names the benchmark's tracer patches. No command calls
+    them.
     """
 
     def __init__(self, base: NaryOp):
         self.base = base
         self.arity_class = ArityClass(base.arity)
-        self._powers: dict[float, dict[int, float]] = {}
-        self._mixed: dict[tuple[float, int, float], dict[int, float]] = {}
 
     def eval(self, xs: Sequence[float]) -> float:
         """Left-nested evaluation of a string with length in the arity class."""
@@ -75,46 +70,13 @@ class ExtendedOp:
         return acc
 
     def power(self, c: float, p: int) -> float:
-        """g(c^p) with incremental, per-point caching."""
-        if not self.arity_class.member(p):
-            raise ArityClassError(f"exponent {p} not in the arity class of {self.base.arity}")
-        entry = self._powers.get(c)
-        if entry is None:
-            entry = self._powers[c] = {1: float(c)}
-        elif p in entry:
-            return entry[p]
-        return self._grow(entry, p, c)
+        """g(c^p)."""
+        return self.eval((c,) * p)
 
     def string_power(self, x: float, k: int, c: float, q: int) -> float:
-        """g(x^k c^q) for k in the arity class and q = 0 (mod n-1)."""
-        step = self.arity_class.step()
-        if not self.arity_class.member(k):
-            raise ArityClassError(f"repeat count {k} not in the arity class")
-        if q < 0 or q % step != 0:
-            raise ArityClassError(f"tail length {q} must be a nonnegative multiple of {step}")
-        if q == 0:
-            return self.power(x, k)
-        entry = self._mixed.get((x, k, c))
-        if entry is None:
-            entry = self._mixed[x, k, c] = {0: self.power(x, k)}
-        elif q in entry:
-            return entry[q]
-        return self._grow(entry, q, c)
-
-    def _grow(self, entry: dict[int, float], target: int, c: float) -> float:
-        """Extend a cache entry by absorbing n-1 copies of c per step until
-        it reaches ``target``. Fills append consecutive multiples of the
-        step, so the last inserted key is the largest one cached."""
-        step = self.arity_class.step()
-        tail = (c,) * step
-        checked = self.base.checked
-        top = next(reversed(entry))
-        acc = entry[top]
-        while top < target:
-            acc = checked(acc, *tail)
-            top += step
-            entry[top] = acc
-        return acc
+        """g(x^k c^q); :func:`sx_membership` checks k and q against the
+        arity class."""
+        return self.eval((x,) * k + (c,) * q)
 
 
 @dataclass(frozen=True)

@@ -99,6 +99,13 @@ class PhiEstimate:
     evaluations: int
 
 
+def _window_point(lo: float, hi: float, t: float) -> float:
+    """lo + (hi - lo) * t from halved bounds, as hi - lo overflows on the
+    widest windows; halving is exact, so narrower windows get that value
+    bit for bit."""
+    return 2.0 * (lo / 2.0 + (hi / 2.0 - lo / 2.0) * t)
+
+
 def select_base_point(
     f: NaryOp, cfg: ExtractionConfig
 ) -> tuple[float, BranchDirection]:
@@ -130,19 +137,15 @@ def select_base_point(
             raise AllIdempotentError(f"explicit base point {c!r} is numerically idempotent")
         return c, BranchDirection.C_BELOW if d > 0 else BranchDirection.C_ABOVE
 
-    # points and nudges from halved bounds, as hi - lo overflows on the
-    # widest windows; halving is exact, so narrower windows get the points
-    # lo + (hi - lo) * i / (_SCAN_POINTS - 1) bit for bit
     lo, hi = f.domain.clamp_window(cfg.scan_window)
-    half = hi / 2.0 - lo / 2.0
+    nudge = 2e-3 * (hi / 2.0 - lo / 2.0)  # halved bounds, as in _window_point
     if f.domain.lo_open and lo == f.domain.lo:
-        lo += 2e-3 * half
+        lo += nudge
     if f.domain.hi_open and hi == f.domain.hi:
-        hi -= 2e-3 * half
-    half = hi / 2.0 - lo / 2.0
+        hi -= nudge
     best, scanned = None, 0
     for i in range(_SCAN_POINTS):
-        c = 2.0 * (lo / 2.0 + half * (i / (_SCAN_POINTS - 1)))
+        c = _window_point(lo, hi, i / (_SCAN_POINTS - 1))
         try:
             d, threshold = displacement(c)
         except DomainEscapeError:
@@ -201,12 +204,13 @@ class _Units:
     def eval(self, args: tuple, ok) -> float:
         """f.checked(*args), except that a value escaping the floats or the
         domain is returned when ``ok(value)``: when it lies past the target
-        of a step along the direction of travel."""
+        of a step along the direction of travel. An overflow has no value
+        and raises."""
         try:
             return self.f.checked(*args)
-        except DomainEscapeError:
-            if ok(v := self.f.eval(*args)):
-                return v
+        except DomainEscapeError as exc:
+            if exc.value is not None and ok(exc.value):
+                return exc.value
             raise
 
     def diagonal(self, t: float) -> float:
@@ -458,7 +462,7 @@ def _window_trials(gen: ExtractedGenerator, n: int, samples: int, seed: int, tri
                 f"could not sample {samples} tuples inside the tabulated window "
                 f"[{lo!r}, {hi!r}] in {draws - 1} draws"
             )
-        t = trial(tuple(rng.uniform(lo, hi) for _ in range(n)))
+        t = trial(tuple(_window_point(lo, hi, rng.random()) for _ in range(n)))
         if t is not None:
             accepted += 1
             yield t
@@ -486,7 +490,7 @@ def verify_additivity(
         if not lo <= y <= hi:
             return None
         lhs = gen.interpolate(y)
-        return lhs, math.fsum(gen.interpolate(v) for v in tup), {"inputs": (tup,)}
+        return lhs, generator.generator_sum(gen.interpolate, tup), {"inputs": (tup,)}
 
     return falsify(
         "additivity", _window_trials(gen, n, samples, seed, trial), 1e-12,
@@ -513,7 +517,7 @@ def verify_roundtrip(
     ys = gen.phi_values
 
     def trial(tup):
-        s = math.fsum(gen.interpolate(v) for v in tup)
+        s = generator.generator_sum(gen.interpolate, tup)
         if not ys[0] <= s <= ys[-1]:
             return None
         return rebuilt.checked(*tup), f.checked(*tup), {"inputs": (tup,)}

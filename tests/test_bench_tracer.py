@@ -31,5 +31,9 @@ def test_tracer_patches_existing_names_and_counts_the_reference(monkeypatch):
         tracer.uninstall()
     assert code == 0
     assert tracer.calls["extraction.phi_at"] == 17
+    # extraction walks diagonal units and evaluates no power string, which
+    # is why ExtendedOp folds them afresh instead of caching them
+    for name in ("extension.power", "extension.string_power", "extraction.sx_membership"):
+        assert tracer.calls[name] == 0, name
     assert tracer.calls["cli.main"] == 1
     assert all(getattr(owner, attr) is original for owner, attr, original in patched)

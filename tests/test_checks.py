@@ -12,14 +12,18 @@ import pytest
 
 from naryops.axioms import (
     AxiomReport,
+    Witness,
     check_associativity,
     check_cancellativity,
     check_symmetry,
     find_idempotents,
 )
-from naryops.cli import main, parse_grid
+from naryops.cli import load_generator, load_opspec, main, parse_grid
 from naryops.core import Interval, NaryOp
 from naryops.errors import DomainEscapeError
+from naryops.extraction import ExtractionConfig, extract_generator
+from naryops.generator import build_aczelian
+from naryops.reducibility import derive_binary
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "naryops"
 
@@ -153,6 +157,56 @@ def test_extend_witnesses_are_the_worst_trials():
     for name in ("nested_identity", "split_identity"):
         check = report["checks"][name]
         assert check["witness"]["residual"] == check["max_residual"]
+
+
+#: not associative, so the generator extracted on the grid below fails
+#: additivity and the round trip
+SKEWED = "expr:x1+x2+x1*x2*x2/10"
+
+
+def _skewed_extraction():
+    f = load_opspec(SKEWED, 2)
+    return f, extract_generator(f, ExtractionConfig(base_point=1.0, grid=parse_grid("-1:1:0.25")))
+
+
+def _skewed_rebuilt():
+    f, gen = _skewed_extraction()
+    return f, build_aczelian(gen.as_generator_spec(), 2)
+
+
+#: for each witness kind no other test replays: a run that fails that check,
+#: and the operation and helper its witness replays with, rebuilt from the
+#: same flags
+REPLAYS = {
+    "reduction": (
+        ("reduce", "--op", "product", "--n", "3", "--phi", "x", "--samples", "30"),
+        lambda: (load_opspec("product", 3), derive_binary(load_generator("x", None, None))),
+    ),
+    "additivity": (
+        ("extract", "--op", SKEWED, "--n", "2", "--c", "1", "--grid=-1:1:0.25"),
+        _skewed_extraction,
+    ),
+    "roundtrip": (
+        ("roundtrip", "--op", SKEWED, "--n", "2", "--c", "1", "--grid=-1:1:0.25", "--samples", "50"),
+        _skewed_rebuilt,
+    ),
+    "cancellativity": (
+        ("axioms", "--op", "expr:x1*x1+x2", "--n", "2", "--samples", "30"),
+        lambda: (load_opspec("expr:x1*x1+x2", 2),),
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", list(REPLAYS))
+def test_witness_replays_from_the_report(kind):
+    argv, replay_args = REPLAYS[kind]
+    code, out, _ = run_json(*argv)
+    assert code == 1
+    check = json.loads(out)["checks"][kind]
+    assert check["pass"] is False
+    witness = Witness.from_dict(check["witness"])
+    assert witness.kind == kind
+    assert witness.replay(*replay_args()) == witness.residual
 
 
 def _sibling_private_imports(path: Path):

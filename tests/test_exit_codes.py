@@ -1,9 +1,13 @@
 """Every valid configuration ends in a pass, a witnessed failure or a named
-numeric failure: exit 0, 1 or 3, never 2 and never an escaped exception."""
+numeric failure: exit 0, 1 or 3, never an escaped exception, and never 2
+unless a flag names a point outside the domain."""
 
+import io
 import math
+import re
+from contextlib import redirect_stderr, redirect_stdout
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from naryops.cli import main
 
@@ -79,3 +83,55 @@ def test_base_point_scans_exit_zero_one_or_three(command, builtin, window, sampl
         f"--window={window!r}", f"--samples={samples}",
     ]
     assert main(argv) in (0, 1, 3)
+
+
+#: grid ends next to the float range and among the subnormals
+EDGE_ENDS = [1.79e308, 1.7e308, 1e308, 8e307, 1e307, 1e-310, 5e-324]
+
+#: base points across the scale of the grids, inside and outside (0, inf)
+BASE_POINTS = [1.0, -1.0, 0.5, 2.0, 1e307, -1e307, 1e-300]
+
+
+def _extraction_op(kind: str, form: str, n: int) -> list[str]:
+    """--op (and --interval) of a sum or product, builtin or as an expr:."""
+    if form == "builtin":
+        return [f"--op={kind}"]
+    sign, interval = ("+", []) if kind == "sum" else ("*", ["--interval=(0,inf)"])
+    return ["--op=expr:" + sign.join(f"x{i}" for i in range(1, n + 1)), *interval]
+
+
+ends = st.floats(-1.79e308, 1.79e308) | st.sampled_from(EDGE_ENDS).flatmap(
+    lambda v: st.sampled_from([v, -v])
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    command=st.sampled_from(["extract", "roundtrip"]),
+    kind=st.sampled_from(["sum", "product"]),
+    form=st.sampled_from(["builtin", "expr"]),
+    n=st.integers(2, 4),
+    lo=ends,
+    hi=ends,
+    c=st.sampled_from(BASE_POINTS),
+)
+# runs that need one evaluation per unit step (the first two), the overflow
+# rule of generator_sum (the third) and window draws from halved bounds
+# (the fourth)
+@example(command="extract", kind="sum", form="builtin", n=2, lo=-1e308, hi=1e308, c=1.0)
+@example(command="extract", kind="sum", form="builtin", n=3, lo=-1.7e308, hi=1.7e308, c=1e307)
+@example(command="roundtrip", kind="sum", form="builtin", n=3, lo=-8e307, hi=8e307, c=1.0)
+@example(command="roundtrip", kind="sum", form="builtin", n=2, lo=-1e308, hi=1e308, c=1e307)
+def test_extraction_on_float_range_grids_ends_in_a_report_or_a_named_failure(
+    command, kind, form, n, lo, hi, c
+):
+    argv = [
+        command, *_extraction_op(kind, form, n), f"--n={n}", f"--grid={lo!r},{hi!r}",
+        f"--c={c!r}", "--samples=20",
+    ]
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        code = main(argv)
+    # exit 2 only for a grid or base point outside the domain
+    outside = re.search(r"configuration error: (grid|base) point \S+ outside", err.getvalue())
+    assert code in (0, 1, 3) or (code == 2 and outside), (code, err.getvalue())

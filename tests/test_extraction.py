@@ -1,3 +1,5 @@
+import dataclasses
+import functools
 import io
 import math
 import random
@@ -632,8 +634,12 @@ def test_extracted_values_lie_within_their_half_width(name, n, resolution, data)
     # float range or lose precision among subnormal values
     if resolution < 1 / 1024 or "product" in name:
         return
+    # each comparison folds its strings afresh, over prefixes the earlier
+    # ones folded; a memo of the base operation makes a repeated prefix a
+    # lookup, where x^3+x would otherwise pay a numeric inverse per step
+    g = ExtendedOp(dataclasses.replace(f, eval=functools.cache(f.eval)))
     for (x, v), est in zip(gen.samples, gen.estimates):
-        ref = string_phi_at(ExtendedOp(f), gen.c, x, gen.direction, ExtractionConfig(resolution=resolution))
+        ref = string_phi_at(g, gen.c, x, gen.direction, ExtractionConfig(resolution=resolution))
         floor = FLOOR_ULPS * (est.evaluations + 1) * math.ulp(max(1.0, abs(v)))
         assert abs(v - gen.normalization * ref.value) <= est.half_width + ref.half_width + floor
 
