@@ -170,9 +170,11 @@ def falsify(
     on one sample, evaluated through :meth:`NaryOp.checked`, and the
     :class:`Witness` fields (inputs and the like) that replay it. A trial
     fails unless its residual ``|lhs - rhs|`` is at most the threshold
-    ``slack + tol * (1 + |lhs| + |rhs|)``; the comparison is written so
-    that a NaN residual fails too. The witness is the failing trial with
-    the largest margin (residual minus threshold), the first one on a tie.
+    ``slack + tol + tol*|lhs| + tol*|rhs|``, summed term by term so that
+    ``tol`` 0 never meets an infinite ``|lhs| + |rhs|``; the comparison
+    is written so that a NaN residual fails too. The witness is the
+    failing trial with the largest margin (residual minus threshold), the
+    first one on a tie.
     The report's tolerance is ``slack`` when given and ``tol`` otherwise.
     """
     base = 0.0 if slack is None else slack
@@ -183,7 +185,7 @@ def falsify(
         residual = abs(lhs - rhs)
         if residual > max_residual:
             max_residual = residual
-        threshold = base + tol * (1.0 + abs(lhs) + abs(rhs))
+        threshold = base + tol + tol * abs(lhs) + tol * abs(rhs)
         if not residual <= threshold and (witness is None or residual - threshold > worst):
             worst = residual - threshold
             witness = Witness(kind=kind, residual=residual, **fields)
@@ -310,38 +312,21 @@ def check_cancellativity(
     sections = 0
     for coord in range(n):
         for line in range(lines):
-            if line == 0:
-                frozen = tuple(anchor_j * h for _ in range(n - 1))
-            else:
-                frozen = tuple(draw() for _ in range(n - 1))
-            span = j_max - j_min + 1
-            if span <= _POINTS_PER_LINE:
-                js = list(range(j_min, j_max + 1))
-            else:
-                js = sorted(rng.sample(range(j_min, j_max + 1), _POINTS_PER_LINE))
-            grid = [j * h for j in js]
-            tuples = [
-                frozen[:coord] + (x,) + frozen[coord:] for x in grid
-            ]
+            frozen = (anchor_j * h,) * (n - 1) if line == 0 else tuple(draw() for _ in range(n - 1))
+            js = range(j_min, j_max + 1)
+            if len(js) > _POINTS_PER_LINE:
+                js = sorted(rng.sample(js, _POINTS_PER_LINE))
+            tuples = [frozen[:coord] + (j * h,) + frozen[coord:] for j in js]
             values = [f.checked(*t) for t in tuples]
             sections += 1
-            scale = 1.0 + max(abs(v) for v in values)
-            thr = _STRICT_TOL * scale
-            signs = []
-            for t in range(len(values) - 1):
-                d = values[t + 1] - values[t]
-                if d > thr:
-                    signs.append(1)
-                elif d < -thr:
-                    signs.append(-1)
-                else:
-                    signs.append(0)
+            thr = _STRICT_TOL * (1.0 + max(abs(v) for v in values))
+            # each step up (1), down (-1) or flat within thr (0)
+            signs = [(b - a > thr) - (b - a < -thr) for a, b in zip(values, values[1:])]
             bad = None
             if 0 in signs:
                 bad = signs.index(0)
             elif len(set(signs)) > 1:
-                first = signs[0]
-                bad = next(t for t, s in enumerate(signs) if s != first)
+                bad = next(t for t, s in enumerate(signs) if s != signs[0])
             if bad is not None and witness is None:
                 d = values[bad + 1] - values[bad]
                 max_residual = max(max_residual, abs(d))
@@ -391,10 +376,7 @@ def find_idempotents(f: NaryOp, grid: Sequence[float]):
     if all(abs(v) <= _REFINE_TOL for v in values):
         return ALL_SAMPLED_IDEMPOTENT
 
-    roots: list[float] = []
-    for x, v in zip(pts, values):
-        if v == 0.0:
-            roots.append(x)
+    roots = [x for x, v in zip(pts, values) if v == 0.0]
     for (a, va), (b, vb) in zip(zip(pts, values), zip(pts[1:], values[1:])):
         if va * vb < 0.0:
             lo, hi, vlo = a, b, va

@@ -83,12 +83,7 @@ def load_opspec(source: str, n: int, interval: str | None = None) -> NaryOp:
         raise ValueError("an operation source is required (--op)")
     if source.startswith("expr:"):
         return NaryOp(n, _domain(interval), _compile(source[len("expr:") :], n), source)
-    obj = builtin_lookup(source, n)
-    if isinstance(obj, GeneratorSpec):
-        raise ValueError(
-            f"{source!r} is a generator; pass it with --phi or use the build command"
-        )
-    return obj
+    return builtin_lookup(source, n)
 
 
 def load_generator(
@@ -364,8 +359,7 @@ def _cmd_gallery(cfg: RunConfig) -> tuple[int, dict]:
     record("extraction_additive_oracle", ok)
 
     # generated multiplication from the log generator
-    spec = builtin_lookup("log_generator")
-    f = build_aczelian(spec, 2)
+    f = build_aczelian(builtin_lookup("product", 2).generator, 2)
     record("generated_product", abs(f.eval(2.0, 3.0) - 6.0) <= 1e-9)
 
     passed = all(fx["pass"] for fx in fixtures)

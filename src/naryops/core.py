@@ -1,5 +1,5 @@
 """Intervals over the extended reals, n-ary operations, arity classes,
-and the registry of built-in operations and generators.
+and the registry of built-in operations.
 
 Everything here is immutable after construction and evaluation is pure,
 so values can be shared freely across workers.
@@ -22,6 +22,7 @@ __all__ = [
     "NaryOp",
     "ArityClass",
     "lattice",
+    "window_point",
     "builtin_lookup",
     "BUILTIN_NAMES",
 ]
@@ -160,6 +161,15 @@ def lattice(iv: Interval, window: float = 10.0) -> tuple[int, int, float]:
     return j_min, j_max, h
 
 
+def window_point(lo: float, hi: float, t: float) -> float:
+    """The point a fraction t of the way from lo to hi, lo + (hi - lo) * t,
+    from halved bounds, as hi - lo overflows on the widest windows;
+    halving and doubling are exact above the subnormals, so a window of
+    finite width gets that value bit for bit. The one point-at-a-fraction
+    rule of the sampled checks."""
+    return 2.0 * (lo / 2.0 + (hi / 2.0 - lo / 2.0) * t)
+
+
 @dataclass(frozen=True)
 class NaryOp:
     """An arity-n operation on an interval, evaluable as a pure function.
@@ -222,18 +232,14 @@ BUILTIN_NAMES = (
     "product",
     "bounded_product",
     "alternating",
-    "identity_generator",
-    "log_generator",
 )
 
 
 def builtin_lookup(name: str, n: int = 2):
-    """Instantiate a registry entry at arity n.
-
-    Operation names return :class:`NaryOp`, carrying their generator when
-    they have one; generator names return a
-    :class:`naryops.generator.GeneratorSpec`. ``alternating`` requires an
-    odd arity n >= 3.
+    """Instantiate a registry operation at arity n, a :class:`NaryOp`
+    carrying its generator when it has one: the identity for ``sum``,
+    the logarithm for ``product``. ``alternating`` requires an odd arity
+    n >= 3.
     """
     from .generator import GeneratorSpec  # local import avoids a cycle
 
@@ -249,11 +255,6 @@ def builtin_lookup(name: str, n: int = 2):
         phi=math.log, domain=half_line, codomain=line, phi_inverse=math.exp,
         label="log_generator",
     )
-    if name == "identity_generator":
-        return identity
-    if name == "log_generator":
-        return log
-
     if n < 2:
         raise RegistryError(f"builtin {name!r} needs arity n >= 2, got {n}")
     if name == "sum":

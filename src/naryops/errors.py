@@ -57,7 +57,7 @@ class PrecisionExhaustedError(NaryError):
 
 class BracketNotFoundError(NaryError):
     """A capped search gave up: top-level unit steps of ``phi_at`` never
-    reach a grid point, or the window sampler finds too few tuples."""
+    reach a grid point, or a tabulated window yields too few tuples."""
 
 
 class MonotonicityViolationError(NaryError):

@@ -29,7 +29,7 @@ from typing import Sequence
 
 from . import generator
 from .axioms import AxiomReport, falsify
-from .core import Interval, NaryOp
+from .core import Interval, NaryOp, window_point
 from .errors import (
     AllIdempotentError,
     BracketNotFoundError,
@@ -62,6 +62,9 @@ _SCAN_POINTS = 257
 #: relative tolerance below which a base point counts as idempotent, and
 #: below which two extracted values count as equal to float precision
 _COMPARISON_BAND = 1e-9
+
+#: relative rounding allowance of the checks of an extracted table
+_ROUNDING_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -99,13 +102,6 @@ class PhiEstimate:
     evaluations: int
 
 
-def _window_point(lo: float, hi: float, t: float) -> float:
-    """lo + (hi - lo) * t from halved bounds, as hi - lo overflows on the
-    widest windows; halving is exact, so narrower windows get that value
-    bit for bit."""
-    return 2.0 * (lo / 2.0 + (hi / 2.0 - lo / 2.0) * t)
-
-
 def select_base_point(
     f: NaryOp, cfg: ExtractionConfig
 ) -> tuple[float, BranchDirection]:
@@ -138,14 +134,13 @@ def select_base_point(
         return c, BranchDirection.C_BELOW if d > 0 else BranchDirection.C_ABOVE
 
     lo, hi = f.domain.clamp_window(cfg.scan_window)
-    nudge = 2e-3 * (hi / 2.0 - lo / 2.0)  # halved bounds, as in _window_point
-    if f.domain.lo_open and lo == f.domain.lo:
-        lo += nudge
-    if f.domain.hi_open and hi == f.domain.hi:
-        hi -= nudge
+    lo, hi = (  # a thousandth of the window inside an open end of the domain
+        window_point(lo, hi, 1e-3) if f.domain.lo_open and lo == f.domain.lo else lo,
+        window_point(hi, lo, 1e-3) if f.domain.hi_open and hi == f.domain.hi else hi,
+    )
     best, scanned = None, 0
     for i in range(_SCAN_POINTS):
-        c = _window_point(lo, hi, i / (_SCAN_POINTS - 1))
+        c = window_point(lo, hi, i / (_SCAN_POINTS - 1))
         try:
             d, threshold = displacement(c)
         except DomainEscapeError:
@@ -371,11 +366,22 @@ class ExtractedGenerator:
         extracted table derives its threshold from e."""
         return self.resolution_bound + self.interp_slack
 
+    def window(self) -> tuple[float, float]:
+        """The ends of the tabulated window, which the checks sample and
+        the rebuilt operation covers. A grid of the base point alone
+        leaves it zero wide, which raises :class:`BracketNotFoundError`."""
+        lo, hi = self.x_values[0], self.x_values[-1]
+        if lo == hi:
+            raise BracketNotFoundError(f"the tabulated window [{lo!r}, {hi!r}] has zero width")
+        return lo, hi
+
     def as_generator_spec(self) -> GeneratorSpec:
-        """The table as a piecewise-linear generator. Extraction lets
-        neighbouring values tie within its error budget, which leaves no
-        inverse: a value not above the one before it raises
-        :class:`MonotonicityViolationError` naming both points."""
+        """The table as a piecewise-linear generator over its
+        :meth:`window`. Extraction lets neighbouring values tie within its
+        error budget, which leaves no inverse: a value not above the one
+        before it raises :class:`MonotonicityViolationError` naming both
+        points."""
+        self.window()
         for (x0, y0), (x1, y1) in zip(self.samples, self.samples[1:]):
             if not y0 < y1:
                 raise MonotonicityViolationError(
@@ -396,11 +402,12 @@ class ExtractedGenerator:
 
 
 def _chord_slack(xs: Sequence[float], ys: Sequence[float]) -> float:
+    """Largest deviation of a knot from the chord of its neighbours, from
+    halved differences and window_point, which do not overflow."""
     worst = 0.0
     for i in range(1, len(xs) - 1):
-        w = (xs[i] - xs[i - 1]) / (xs[i + 1] - xs[i - 1])
-        chord = ys[i - 1] + w * (ys[i + 1] - ys[i - 1])
-        worst = max(worst, abs(ys[i] - chord))
+        w = (xs[i] / 2.0 - xs[i - 1] / 2.0) / (xs[i + 1] / 2.0 - xs[i - 1] / 2.0)
+        worst = max(worst, abs(ys[i] - window_point(ys[i - 1], ys[i + 1], w)))
     return worst
 
 
@@ -452,7 +459,7 @@ def _window_trials(gen: ExtractedGenerator, n: int, samples: int, seed: int, tri
     ``samples`` of them give a trial; ``trial(tup)`` returns the trial, or
     None to reject the tuple. Raises :class:`BracketNotFoundError` after
     500 draws per sample."""
-    lo, hi = gen.x_values[0], gen.x_values[-1]
+    lo, hi = gen.window()
     rng = random.Random(seed)
     accepted = draws = 0
     while accepted < samples:
@@ -462,7 +469,7 @@ def _window_trials(gen: ExtractedGenerator, n: int, samples: int, seed: int, tri
                 f"could not sample {samples} tuples inside the tabulated window "
                 f"[{lo!r}, {hi!r}] in {draws - 1} draws"
             )
-        t = trial(tuple(_window_point(lo, hi, rng.random()) for _ in range(n)))
+        t = trial(tuple(window_point(lo, hi, rng.random()) for _ in range(n)))
         if t is not None:
             accepted += 1
             yield t
@@ -479,11 +486,11 @@ def verify_additivity(
 
     Tuples are drawn inside the tabulated window and rejected unless the
     operation value lands back inside it (interpolation only, never
-    extrapolation). The pass threshold is (n+1) * gen.knot_error: n
-    interpolated inputs and one interpolated output.
+    extrapolation). The pass threshold is (n+1) * gen.knot_error, for n
+    interpolated inputs and one interpolated output, plus _ROUNDING_TOL.
     """
     n = f.arity
-    lo, hi = gen.x_values[0], gen.x_values[-1]
+    lo, hi = gen.window()
 
     def trial(tup):
         y = f.checked(*tup)
@@ -493,7 +500,7 @@ def verify_additivity(
         return lhs, generator.generator_sum(gen.interpolate, tup), {"inputs": (tup,)}
 
     return falsify(
-        "additivity", _window_trials(gen, n, samples, seed, trial), 1e-12,
+        "additivity", _window_trials(gen, n, samples, seed, trial), _ROUNDING_TOL,
         slack=(n + 1) * gen.knot_error, samples=samples, seed=seed,
         label=f"additivity[{f.label}]",
     )
@@ -511,7 +518,8 @@ def verify_roundtrip(
 
     The threshold is the additivity bound (n+1) * gen.knot_error mapped
     into operation space through the largest inverse slope of the table,
-    plus 1e-9 for rounding.
+    plus the relative rounding allowance _ROUNDING_TOL, as in
+    :func:`verify_additivity`.
     """
     n = f.arity
     ys = gen.phi_values
@@ -522,8 +530,8 @@ def verify_roundtrip(
             return None
         return rebuilt.checked(*tup), f.checked(*tup), {"inputs": (tup,)}
 
-    threshold = (n + 1) * gen.knot_error * gen.max_inverse_slope() + 1e-9
     return falsify(
-        "roundtrip", _window_trials(gen, n, samples, seed, trial), 0.0,
-        slack=threshold, samples=samples, seed=seed, label=f"roundtrip[{f.label}]",
+        "roundtrip", _window_trials(gen, n, samples, seed, trial), _ROUNDING_TOL,
+        slack=(n + 1) * gen.knot_error * gen.max_inverse_slope(),
+        samples=samples, seed=seed, label=f"roundtrip[{f.label}]",
     )

@@ -12,6 +12,7 @@ from __future__ import annotations
 import bisect as _bisect
 import math
 import struct
+import sys
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Sequence
@@ -93,12 +94,16 @@ def _key_float(key: int) -> float:
 
 def _approach(endpoint: float, open_end: bool, x0: float, toward_low: bool):
     """Points marching from x0 toward an endpoint: the endpoint itself when
-    closed, geometric expansion when infinite, and toward a finite open end
-    a gallop that halves the number of floats left between the point and
-    the end, so it reaches the float next to the end in at most 64 points."""
+    closed; toward an infinite end, steps 2, 4, ..., 2^64 from x0, then
+    steps squared while they stay finite, then the largest float, 68
+    points in all; and toward a finite open end a gallop that halves
+    the number of floats left between the point and the end, so it
+    reaches the float next to the end in at most 64 points."""
     if math.isinf(endpoint):
-        for k in range(1, 200):
-            yield x0 - 2.0**k if toward_low else x0 + 2.0**k
+        sign = -1.0 if toward_low else 1.0
+        for k in (*range(1, 65), 128, 256, 512):
+            yield x0 + sign * 2.0**k
+        yield sign * sys.float_info.max
     elif not open_end:
         yield endpoint
     else:
@@ -247,12 +252,15 @@ def invert_monotone(
                     f"[{min(f_far, f_near)!r}, {max(f_far, f_near)!r}] of {bracket.render()}"
                 )
             (a, fa), (b, fb) = ((near, f_near), (x, fx)) if up else ((x, fx), (near, f_near))
-    # a gallop toward an open end can leave a bracket across many binades;
-    # bisect it in float space until its ends are within a factor of two,
-    # since ITP steps in real space
+    # a gallop can leave a bracket across many binades, or one whose width
+    # overflows; ITP steps in real space, so bisect it in float space until
+    # its width is finite and its ends, unless they straddle zero, are
+    # within a factor of two
     slack = 1e-12 * (1.0 + min(abs(fa), abs(fb)))
     f_end = fb if math.isinf(fb) else fa
-    while (a > 0.0 or b < 0.0) and max(abs(a), abs(b)) > 2.0 * min(abs(a), abs(b)):
+    while not b - a < math.inf or (
+        (a > 0.0 or b < 0.0) and max(abs(a), abs(b)) > 2.0 * min(abs(a), abs(b))
+    ):
         x = _key_float((_float_key(a) + _float_key(b)) // 2)
         fx = _safe_phi(phi, x, 0.0, f_end)
         if fx == y:
@@ -267,6 +275,12 @@ def invert_monotone(
     return _itp(phi, y, a, fa, b, fb, tol)
 
 
+def _midpoint(a: float, b: float) -> float:
+    """(a + b) / 2, from halves where the sum overflows."""
+    mid = 0.5 * (a + b)
+    return mid if abs(mid) < math.inf else 0.5 * a + 0.5 * b
+
+
 def _itp(
     phi: Callable[[float], float], y: float, a: float, fa: float, b: float, fb: float, tol: float
 ) -> float:
@@ -276,7 +290,7 @@ def _itp(
         tol = math.ulp(0.0)  # no width is narrower; the loop ends when the bracket collapses
     w0 = b - a
     if w0 <= tol:
-        return 0.5 * (a + b)
+        return _midpoint(a, b)
     increasing = fb > fa
     slack = 1e-12 * (1.0 + min(abs(fa), abs(fb)))
     # a monotone phi overflows inside the bracket only next to an end whose
@@ -290,7 +304,7 @@ def _itp(
         w = b - a
         if w <= tol:
             break
-        mid = 0.5 * (a + b)
+        mid = _midpoint(a, b)
         x_f = a + (y - fa) * w / (fb - fa)
         if not a < x_f < b:  # an infinite end value, or rounding onto an end
             x_f = mid
@@ -313,7 +327,7 @@ def _itp(
             a, fa = x, fx
         else:
             b, fb = x, fx
-    return 0.5 * (a + b)
+    return _midpoint(a, b)
 
 
 @dataclass(frozen=True)

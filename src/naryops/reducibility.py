@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 from typing import Sequence, Union
 
 from .axioms import AxiomReport, falsify, lattice_sampler
-from .core import NaryOp, interval_contains
+from .core import NaryOp, interval_contains, window_point
 from .errors import DomainEscapeError
 from .extension import ExtendedOp
 from .generator import GeneratorSpec, build_aczelian, generator_sum
@@ -112,19 +112,19 @@ class AdjoinedStructure:
         return self.generator.inverse(s)
 
     def max_neutrality_residual(self, xs: Sequence[float]) -> float:
-        """Worst |f'(e^{n-1} with x at one position) - x| over the sample,
-        trying the non-neutral point at every position."""
+        """Worst |f'(x, e, ..., e) - x| over the sample. One position
+        stands for all n: :func:`naryops.generator.generator_sum` adds the
+        generator values by fsum, which rounds their exact sum once, so
+        the sum, and the point it inverts to, is the same float wherever
+        x sits in the tuple."""
         worst = 0.0
         for x in xs:
-            for pos in range(self.arity):
-                tup: list[Point] = [self.neutral] * self.arity
-                tup[pos] = x
-                y = self.eval(tup)
-                if isinstance(y, AdjoinedNeutral):
-                    raise DomainEscapeError(
-                        f"neutrality evaluation collapsed to the adjoined point at x={x!r}"
-                    )
-                worst = max(worst, abs(y - x))
+            y = self.eval([x] + [self.neutral] * (self.arity - 1))
+            if isinstance(y, AdjoinedNeutral):
+                raise DomainEscapeError(
+                    f"neutrality evaluation collapsed to the adjoined point at x={x!r}"
+                )
+            worst = max(worst, abs(y - x))
         return worst
 
 
@@ -149,13 +149,14 @@ _NEUTRALITY_PROBES = 20
 def verify_neutrality(
     structure: AdjoinedStructure, seed: int = 0, window: float = 10.0
 ) -> AxiomReport:
-    """Check the neutral element at every position on _NEUTRALITY_PROBES
-    points drawn from the domain inside [-window, window]: a probe fails
-    when its worst residual exceeds 1e-8 * (1 + the largest |probe|)."""
+    """Check the neutral element on _NEUTRALITY_PROBES points drawn with
+    :func:`naryops.core.window_point` from the domain inside
+    [-window, window]: a probe fails when its residual exceeds
+    1e-8 * (1 + the largest |probe|)."""
     spec = structure.generator
     lo, hi = spec.domain.clamp_window(window)
     rng = random.Random(seed)
-    probes = [lo + (hi - lo) * rng.random() for _ in range(_NEUTRALITY_PROBES)]
+    probes = [window_point(lo, hi, rng.random()) for _ in range(_NEUTRALITY_PROBES)]
     trials = ((structure.max_neutrality_residual([x]), 0.0, {"inputs": ((x,),)}) for x in probes)
     return falsify(
         "neutrality", trials, 0.0,

@@ -320,8 +320,8 @@ def test_criterion_10_idempotents_and_neutrality():
     rng = random.Random(12)
     neutral_ok = True
     specs = (
-        (builtin_lookup("identity_generator"), 2, (-4.0, 4.0)),
-        (builtin_lookup("log_generator"), 3, (0.25, 4.0)),
+        (builtin_lookup("sum", 2).generator, 2, (-4.0, 4.0)),
+        (builtin_lookup("product", 2).generator, 3, (0.25, 4.0)),
         (
             GeneratorSpec(phi=lambda x: x + 0.5, phi_inverse=lambda y: y - 0.5),
             3,

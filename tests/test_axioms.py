@@ -135,7 +135,7 @@ def test_witness_serialization_round_trip():
 def test_generated_ops_pass_axioms():
     from naryops.generator import build_aczelian
 
-    spec = builtin_lookup("log_generator")
+    spec = builtin_lookup("product", 2).generator
     f = build_aczelian(spec, 2)
     rep = check_associativity(f, samples=500, seed=7)
     assert rep.passed
@@ -147,7 +147,7 @@ def test_idempotent_matches_generator_zero():
     # when zero is in the codomain the unique idempotent is the preimage
     from naryops.generator import build_aczelian
 
-    spec = builtin_lookup("log_generator")
+    spec = builtin_lookup("product", 2).generator
     f = build_aczelian(spec, 3)
     roots = find_idempotents(f, [0.25, 0.5, 2.0, 4.0])
     assert len(roots) == 1

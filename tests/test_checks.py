@@ -16,6 +16,7 @@ from naryops.axioms import (
     check_associativity,
     check_cancellativity,
     check_symmetry,
+    falsify,
     find_idempotents,
 )
 from naryops.cli import load_generator, load_opspec, main, parse_grid
@@ -97,8 +98,25 @@ def test_roundtrip_product_passes_under_the_shared_budget():
     code, out, _ = run_json("roundtrip", "--op", "product", "--n", "3", "--c", "2", "--grid", "0.5,1,2")
     report = json.loads(out)
     assert code == 0, report["checks"]["roundtrip"]
-    # (n+1) * (resolution_bound + interp_slack) * inverse slope + 1e-9
+    # (n+1) * (resolution_bound + interp_slack) * inverse slope
     assert abs(report["threshold"] - 1.35) < 0.01
+
+
+def test_falsify_threshold_at_zero_tol_stays_finite():
+    # |lhs| + |rhs| overflows, but the threshold is summed term by term, so
+    # tol 0 adds 0 rather than 0 * inf = nan, and a zero residual passes
+    trials = [(1.7e308, 1.7e308, {"inputs": ((1.0,),)})]
+    assert falsify("roundtrip", iter(trials), 0.0).passed
+    assert falsify("roundtrip", iter(trials), 0.0, slack=0.0).passed
+
+
+@pytest.mark.parametrize("command", ["extract", "roundtrip"])
+def test_one_point_table_is_a_zero_width_window(command):
+    # a grid of the base point alone: no tuple to draw and no segment to
+    # rebuild from, so both commands stop before either
+    code, out, err = run_json(command, "--op", "sum", "--n", "2", "--c", "1", "--grid", "1")
+    assert code == 3 and out == ""
+    assert err == "naryops: numeric failure: the tabulated window [1.0, 1.0] has zero width\n"
 
 
 def test_additivity_sampling_cap_is_numeric():

@@ -16,6 +16,7 @@ from naryops.cli import (
     run,
 )
 from naryops.core import builtin_lookup
+from naryops.errors import RegistryError
 from naryops.exprlang import make_callable, parse as parse_expr
 from naryops.reducibility import adjoin_neutral
 
@@ -33,9 +34,12 @@ def test_load_opspec_expression():
         assert f.eval(*tup) == alt.eval(*tup)
 
 
-def test_load_opspec_rejects_generator_names():
-    with pytest.raises(ValueError):
+def test_load_opspec_rejects_generator_names(capsys):
+    # generator names are no builtins: --op log_generator is a registry error
+    with pytest.raises(RegistryError, match="unknown builtin 'identity_generator'"):
         load_opspec("identity_generator", 2)
+    assert main(["axioms", "--op", "log_generator"]) == 2
+    assert "unknown builtin 'log_generator'" in capsys.readouterr().err
 
 
 def test_load_opspec_parse_error():

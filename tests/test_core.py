@@ -133,10 +133,15 @@ def test_unknown_builtin():
 
 
 def test_generator_entries():
-    spec = builtin_lookup("identity_generator")
-    assert isinstance(spec, GeneratorSpec)
+    # the registry holds operations only; the generators ride on them
+    for name in ("identity_generator", "log_generator"):
+        with pytest.raises(RegistryError, match="unknown builtin"):
+            builtin_lookup(name)
+    spec = builtin_lookup("sum", 2).generator
+    assert isinstance(spec, GeneratorSpec) and spec.label == "identity_generator"
     assert spec.phi(0.25) == 0.25
-    logspec = builtin_lookup("log_generator")
+    logspec = builtin_lookup("product", 2).generator
+    assert logspec.label == "log_generator"
     assert logspec.phi(1.0) == 0.0
     assert logspec.phi_inverse(0.0) == 1.0
 

@@ -122,6 +122,9 @@ ends = st.floats(-1.79e308, 1.79e308) | st.sampled_from(EDGE_ENDS).flatmap(
 @example(command="extract", kind="sum", form="builtin", n=3, lo=-1.7e308, hi=1.7e308, c=1e307)
 @example(command="roundtrip", kind="sum", form="builtin", n=3, lo=-8e307, hi=8e307, c=1.0)
 @example(command="roundtrip", kind="sum", form="builtin", n=2, lo=-1e308, hi=1e308, c=1e307)
+# a grid of the base point alone: a window of zero width, not a rebuild from
+# one knot (exit 2)
+@example(command="roundtrip", kind="sum", form="builtin", n=2, lo=-1e307, hi=-1e307, c=-1e307)
 def test_extraction_on_float_range_grids_ends_in_a_report_or_a_named_failure(
     command, kind, form, n, lo, hi, c
 ):
@@ -135,3 +138,36 @@ def test_extraction_on_float_range_grids_ends_in_a_report_or_a_named_failure(
     # exit 2 only for a grid or base point outside the domain
     outside = re.search(r"configuration error: (grid|base) point \S+ outside", err.getvalue())
     assert code in (0, 1, 3) or (code == 2 and outside), (code, err.getvalue())
+
+
+#: grid points near the float range, of either sign, and zero
+near_range = st.floats(1e300, 1.79e308).flatmap(lambda v: st.sampled_from([v, -v])) | st.just(0.0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    op=st.sampled_from(["sum", "translated_sum"]),
+    form=st.sampled_from(["builtin", "expr"]),
+    n=st.integers(2, 3),
+    grid=st.lists(near_range, min_size=1, max_size=3),
+    c=st.sampled_from(BASE_POINTS + [2.0, 1e300]),
+)
+# an absolute rounding allowance (the first), a NaN threshold at tol 0 (the
+# second) and an infinite one from a window width that overflows (the third)
+@example(op="sum", form="builtin", n=2, grid=[-1e200, 0.0, 1e200], c=1.0)
+@example(op="sum", form="builtin", n=2, grid=[1e307, 1e308], c=1e307)
+@example(op="sum", form="builtin", n=2, grid=[-1e308, 1e308], c=1e307)
+def test_lawful_roundtrips_never_report_a_failure(op, form, n, grid, c):
+    # sum and translated_sum are additive, so their round trip passes or
+    # stops on a named numeric failure, at every magnitude the floats hold
+    source = op if form == "builtin" else "expr:" + "+".join(f"x{i}" for i in range(1, n + 1))
+    if form == "expr" and op == "translated_sum":
+        source += "+1"
+    argv = [
+        "roundtrip", f"--op={source}", f"--n={n}", "--grid=" + ",".join(map(repr, grid)),
+        f"--c={c!r}", "--samples=20",
+    ]
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 3), (argv, code, err.getvalue())

@@ -243,6 +243,13 @@ def test_extract_sum_identity_table():
     assert gen.interpolate(1.0) == 1.0
 
 
+def test_interp_slack_of_a_float_range_table():
+    # the chord weight of 1e307 between -1e308 and 1e308 divides by a width
+    # that overflows unless taken from halved differences
+    gen = extract_generator(SUM2, ExtractionConfig(base_point=1e307, grid=(-1e308, 1e308)))
+    assert gen.interp_slack < gen.resolution_bound
+
+
 def test_extract_mirrored_branch_negates():
     cfg = ExtractionConfig(base_point=-1.0, grid=grid(-2.0, 2.0, 0.5), resolution=1 / 64)
     gen = extract_generator(SUM2, cfg)

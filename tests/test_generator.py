@@ -53,13 +53,13 @@ def test_codomain_rejections():
 
 
 def test_build_identity_generator_is_sum():
-    spec = builtin_lookup("identity_generator")
+    spec = builtin_lookup("sum", 2).generator
     f = build_aczelian(spec, 3)
     assert f.eval(1.0, 2.0, 3.0) == 6.0
 
 
 def test_build_log_generator_is_product():
-    spec = builtin_lookup("log_generator")
+    spec = builtin_lookup("product", 2).generator
     f = build_aczelian(spec, 2)
     assert abs(f.eval(2.0, 3.0) - 6.0) <= 1e-12
 
@@ -154,6 +154,22 @@ def test_invert_monotone_open_end_reach_is_bounded():
     assert invert_monotone(lambda t: t * t, 0.9999999999993695, Interval.make(0.0, 1.0)) == (
         0.9999999999996847
     )
+
+
+def test_invert_monotone_reaches_the_float_range():
+    # toward an infinite end the steps from the start square past 2^64 and
+    # end at the largest float, so a root 1e70 past a start at 1e70 is found
+    assert invert_monotone(lambda x: x, 2e70, Interval.make(1e70, math.inf)) == 2e70
+    assert invert_monotone(lambda x: x, -2e70, Interval.make(-math.inf, -1e70)) == -2e70
+    assert invert_monotone(lambda x: x, 1.7e308, Interval.make(0.0, math.inf)) == 1.7e308
+    # a bracket from -1.8e308 to 1e307 is too wide for a finite width; it is
+    # bisected in float space first
+    root = invert_monotone(lambda x: x, -5.0, Interval.make(-math.inf, 1e307))
+    assert abs(root + 5.0) <= 4.0 * math.ulp(5.0)
+    # that is the down-unit root of x1+x2+x3 from 1e307
+    argv = ["extract", "--op=expr:x1+x2+x3", "--n=3", "--grid=0.0,0.0", "--c=1e+307"]
+    with redirect_stdout(io.StringIO()):
+        assert main(argv) == 0
 
 
 #: closed-form generators without an inverse expression: phi, domain,
@@ -256,7 +272,7 @@ def test_numeric_inverse_round_trip_axioms():
 
 def test_built_sections_strictly_increase():
     # slices through a generated op rise with the increasing generator
-    spec = builtin_lookup("log_generator")
+    spec = builtin_lookup("product", 2).generator
     f = build_aczelian(spec, 3)
     rng = random.Random(8)
     draw = lattice_sampler(f.domain, 8.0, rng)
@@ -274,7 +290,7 @@ def test_built_sections_strictly_increase():
 @pytest.mark.parametrize("r", [2.0, 10.0, -1.0])
 def test_scale_equivalence(r):
     # r * ln on (0, inf) keeps the whole line as its codomain
-    spec = builtin_lookup("log_generator")
+    spec = builtin_lookup("product", 2).generator
     scaled = GeneratorSpec(
         phi=lambda x: r * math.log(x), domain=spec.domain, codomain=spec.codomain,
         phi_inverse=lambda y: math.exp(y / r),
@@ -289,7 +305,7 @@ def test_scale_equivalence(r):
 
 
 def test_generator_monotone_on_grid():
-    spec = builtin_lookup("log_generator")
+    spec = builtin_lookup("product", 2).generator
     grid = [0.25, 0.5, 1.0, 2.0, 4.0]
     values = [spec.phi(x) for x in grid]
     assert all(a < b for a, b in zip(values, values[1:]))

@@ -13,11 +13,12 @@ from naryops.reducibility import (
     AdjoinedNeutral,
     adjoin_neutral,
     derive_binary,
+    verify_neutrality,
     verify_reduction,
 )
 
-LOG_SPEC = builtin_lookup("log_generator")
-ID_SPEC = builtin_lookup("identity_generator")
+LOG_SPEC = builtin_lookup("product", 2).generator
+ID_SPEC = builtin_lookup("sum", 2).generator
 BOUNDED_SPEC = GeneratorSpec(
     phi=math.log,
     domain=Interval.make(0.0, 1.0),
@@ -117,6 +118,16 @@ def test_neutrality_every_position():
             probes = [rng.uniform(-4.0, 4.0) for _ in range(20)]
         residual = s.max_neutrality_residual(probes)
         assert residual <= 1e-9 * (1.0 + max(abs(v) for v in probes))
+        # max_neutrality_residual evaluates x at the first position only:
+        # fsum rounds the sum once, so every position gives the same float
+        for x in probes:
+            tuples = [[s.neutral] * pos + [x] + [s.neutral] * (n - 1 - pos) for pos in range(n)]
+            assert len({s.eval(t) for t in tuples}) == 1
+
+
+def test_neutrality_probes_span_the_float_range():
+    # probes drawn from halved bounds stay finite on [-1e308, 1e308]
+    assert verify_neutrality(adjoin_neutral(ID_SPEC, 2), 0, 1e308).passed
 
 
 def test_adjoined_eval_rejects_escaping_sums():
