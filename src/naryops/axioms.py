@@ -148,9 +148,25 @@ ALL_SAMPLED_IDEMPOTENT = AllSampledIdempotent()
 def lattice_sampler(
     iv: Interval, window: float, rng: random.Random
 ) -> Callable[[], float]:
-    """Draw exact dyadic points from iv clamped to [-window, window]."""
+    """Draw exact dyadic points from iv clamped to [-window, window].
+
+    A draw is ``rng.randint(j_min, j_max) * h`` without randint's
+    argument handling: ``span.bit_length()`` random bits, drawn again
+    while they reach the span, which is how CPython's randint picks its
+    offset (``_randbelow_with_getrandbits``), so a seed gives the same
+    points either way."""
     j_min, j_max, h = lattice(iv, window)
-    return lambda: rng.randint(j_min, j_max) * h
+    span = j_max - j_min + 1
+    k = span.bit_length()
+    getrandbits = rng.getrandbits
+
+    def draw() -> float:
+        r = getrandbits(k)
+        while r >= span:
+            r = getrandbits(k)
+        return (j_min + r) * h
+
+    return draw
 
 
 def falsify(

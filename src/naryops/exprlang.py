@@ -10,11 +10,15 @@ Grammar (whitespace-insensitive, no implicit multiplication)::
     atom   := NUMBER | 'pi' | 'e' | VAR | FUNC '(' expr ')' | '(' expr ')'
 
 Variables are ``x`` (arity 1 only) or ``x1 .. xn``. Functions: ``ln``,
-``exp``, ``sqrt``, ``abs``. :func:`make_callable` compiles an AST once
-into closures, the one evaluator: a partial function outside its domain
-(ln of a non-positive, sqrt of a negative, division by zero, 0 or a
-negative raised badly) raises :class:`DomainEscapeError`. The tests keep
-a reference tree walk that the closures must match bit for bit.
+``exp``, ``sqrt``, ``abs``. Parentheses, calls, unary minus and
+exponents nest at most ``_MAX_NESTING`` levels; chains of ``+ - * /``
+may be any length. :func:`make_callable` compiles an AST once into one
+generated function, the one evaluator: a straight line of assignments,
+one per node, whose source holds no text of the expression. A partial
+function outside its domain (ln of a non-positive, sqrt of a negative,
+division by zero, 0 or a negative raised badly) raises
+:class:`DomainEscapeError`. The tests keep a reference tree walk that
+the generated functions must match bit for bit.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Callable, Sequence, Union
+from typing import Callable, Union
 
 from .errors import DomainEscapeError
 
@@ -115,12 +119,19 @@ def _tokenize(src: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
+#: how deep parentheses, function calls, unary minus and exponents may
+#: nest: the parser descends one to five frames per level, and this keeps
+#: it far below the interpreter's recursion limit
+_MAX_NESTING = 100
+
+
 class _Parser:
     def __init__(self, src: str, arity: int):
         self.src = src
         self.arity = arity
         self.tokens = _tokenize(src)
         self.i = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.i]
@@ -133,6 +144,14 @@ class _Parser:
     def fail(self, expected: str):
         kind, text, offset = self.peek()
         raise ParseError(offset, expected, text if kind != "end" else "end of input")
+
+    def descend(self) -> None:
+        """Enter one more level of nesting at the next token, or fail
+        there once the levels exceed :data:`_MAX_NESTING`; the caller
+        leaves the level by decrementing ``depth``."""
+        if self.depth == _MAX_NESTING:
+            self.fail(f"at most {_MAX_NESTING} levels of nesting")
+        self.depth += 1
 
     def expect(self, op: str, expected: str) -> None:
         """Consume the operator token ``op``, or fail naming ``expected``."""
@@ -162,15 +181,21 @@ class _Parser:
 
     def unary(self) -> Expr:
         if self.peek()[:2] == ("op", "-"):
+            self.descend()
             self.advance()
-            return Neg(self.unary())
+            e = Neg(self.unary())
+            self.depth -= 1
+            return e
         return self.power()
 
     def power(self) -> Expr:
         base = self.atom()
         if self.peek()[:2] == ("op", "^"):
+            self.descend()
             self.advance()
-            return BinOp("^", base, self.unary())
+            e = BinOp("^", base, self.unary())
+            self.depth -= 1
+            return e
         return base
 
     def atom(self) -> Expr:
@@ -183,9 +208,11 @@ class _Parser:
             if text in CONSTANTS:
                 return Const(text)
             if text in FUNCTIONS:
+                self.descend()
                 self.expect("(", f"'(' after {text}")
                 arg = self.expr()
                 self.expect(")", "')'")
+                self.depth -= 1
                 return Call(text, arg)
             if text == "x":
                 if self.arity != 1:
@@ -203,9 +230,11 @@ class _Parser:
                 return Var(index)
             raise ParseError(offset, "a number, variable, constant, or function", text)
         if kind == "op" and text == "(":
+            self.descend()
             self.advance()
             e = self.expr()
             self.expect(")", "')'")
+            self.depth -= 1
             return e
         self.fail("an operand")
 
@@ -262,52 +291,104 @@ def _overflowed_pow(a: float, b: float) -> float:
     return -math.inf if a < 0.0 and math.fmod(b, 2.0) != 0.0 else math.inf
 
 
-_CALLS = {"ln": _ln, "exp": _exp, "sqrt": _sqrt, "abs": abs}
+#: what the generated functions call, by function name or operator
+_HELPERS = {"ln": "_ln", "exp": "_exp", "sqrt": "_sqrt", "abs": "abs", "/": "_div", "^": "_pow"}
+
+#: default of every parameter of a generated function: a parameter still
+#: holding it was not passed
+_NO_ARG = object()
 
 
-def _compile(e: Expr) -> Callable[[Sequence[float]], float]:
-    """Nested closures over the argument tuple that apply the float
-    operations of the tree in evaluation order, raising
-    :class:`DomainEscapeError` where a partial function leaves its
-    domain."""
-    if isinstance(e, (Num, Const)):
-        value = e.value if isinstance(e, Num) else CONSTANTS[e.name]
-        return lambda args: value
-    if isinstance(e, Var):
-        i = e.index - 1
-        return lambda args: float(args[i])
-    if isinstance(e, Neg):
-        arg = _compile(e.arg)
-        return lambda args: -arg(args)
-    if isinstance(e, Call):
-        arg, fn = _compile(e.arg), _CALLS[e.fn]
-        return lambda args: fn(arg(args))
-    if not isinstance(e, BinOp):
-        raise TypeError(f"not an expression node: {e!r}")
-    left, right = _compile(e.left), _compile(e.right)
-    # operators inline rather than from a table of functions: one call fewer per node
-    if e.op == "+":
-        return lambda args: left(args) + right(args)
-    if e.op == "-":
-        return lambda args: left(args) - right(args)
-    if e.op == "*":
-        return lambda args: left(args) * right(args)
-    if e.op == "/":
-        return lambda args: _div(left(args), right(args))
-    if e.op == "^":
-        return lambda args: _pow(left(args), right(args))
-    raise AssertionError(f"unknown operator {e.op}")
+def _arity_error(arity: int, params: tuple, extra: tuple) -> TypeError:
+    given = sum(p is not _NO_ARG for p in params) + len(extra)
+    return TypeError(f"expected {arity} arguments, got {given}")
+
+
+def _emit(e: Expr, arity: int, namespace: dict) -> list[str]:
+    """The statements of the body of the generated function: one
+    assignment per operation node and one ``float`` conversion per
+    variable, in the evaluation order of the tree (operands left to
+    right, then the node), found with an explicit stack so that no depth
+    of tree reaches the recursion limit.
+
+    A variable is converted where the tree first reads it; a constant
+    is bound in ``namespace`` under a name of its own, so no number is
+    rendered into the source."""
+    lines: list[str] = []
+    converted: set[int] = set()
+    values: list[str] = []  # names of the evaluated operands still to be used
+    todo: list[tuple[Expr, bool]] = [(e, False)]
+    while todo:
+        node, expanded = todo.pop()
+        if isinstance(node, (Num, Const)):
+            name = f"c{len(namespace)}"
+            namespace[name] = node.value if isinstance(node, Num) else CONSTANTS[node.name]
+            values.append(name)
+            continue
+        if isinstance(node, Var):
+            if not (isinstance(node.index, int) and 1 <= node.index <= arity):
+                raise ValueError(f"variable index {node.index!r} outside 1..{arity}")
+            name = f"x{node.index}"
+            if node.index not in converted:
+                converted.add(node.index)
+                lines.append(f"{name} = float({name})")
+            values.append(name)
+            continue
+        if isinstance(node, BinOp):
+            operands = (node.left, node.right)
+        elif isinstance(node, (Neg, Call)):
+            operands = (node.arg,)
+        else:
+            raise TypeError(f"not an expression node: {node!r}")
+        if not expanded:
+            todo.append((node, True))
+            todo.extend((o, False) for o in reversed(operands))
+            continue
+        args = values[len(values) - len(operands) :]
+        del values[len(values) - len(operands) :]
+        target = f"t{len(lines)}"
+        if isinstance(node, Neg):
+            lines.append(f"{target} = -{args[0]}")
+        elif isinstance(node, BinOp) and node.op in ("+", "-", "*"):
+            lines.append(f"{target} = {args[0]} {node.op} {args[1]}")
+        else:
+            helper = _HELPERS[node.fn if isinstance(node, Call) else node.op]
+            lines.append(f"{target} = {helper}({', '.join(args)})")
+        values.append(target)
+    lines.append(f"return {values[0]}")
+    return lines
 
 
 def make_callable(e: Expr, arity: int) -> Callable[..., float]:
-    """Compile an AST once into a plain function that raises
-    :class:`DomainEscapeError` on domain errors, for plugging into
-    :class:`naryops.core.NaryOp`."""
-    body = _compile(e)
-
-    def fn(*args: float) -> float:
-        if len(args) != arity:
-            raise TypeError(f"expected {arity} arguments, got {len(args)}")
-        return body(args)
-
-    return fn
+    """Compile an AST once into one generated function of ``arity``
+    positional floats, for plugging into :class:`naryops.core.NaryOp`:
+    the tree's float operations in the tree's order, ``+ - *`` and
+    negation inline, the partial functions through helpers that raise
+    :class:`DomainEscapeError` outside their domain. Constants and
+    helpers are names bound in the function's namespace, so its source
+    holds no text of the expression. Another number of arguments raises
+    ``TypeError``."""
+    namespace = {
+        "__builtins__": {},
+        "float": float,
+        "abs": abs,
+        "_ln": _ln,
+        "_exp": _exp,
+        "_sqrt": _sqrt,
+        "_div": _div,
+        "_pow": _pow,
+        "_NO_ARG": _NO_ARG,
+        "_arity_error": _arity_error,
+    }
+    body = _emit(e, arity, namespace)
+    params = [f"x{i}" for i in range(1, arity + 1)]
+    source = "\n    ".join(
+        [
+            f"def fn({', '.join(p + '=_NO_ARG' for p in params)}, *extra):",
+            f"if x{arity} is _NO_ARG or extra:",
+            f"    raise _arity_error({arity}, ({', '.join(params)},), extra)",
+            *body,
+        ]
+    )
+    exec(compile(source, "<expression>", "exec"), namespace)
+    return namespace["fn"]

@@ -296,7 +296,7 @@ def _itp(
     # a monotone phi overflows inside the bracket only next to an end whose
     # value is infinite, so an overflow reads as that infinity (with two
     # finite ends, as an infinity that fails the monotonicity check)
-    f_end = fb if math.isinf(fb) else fa
+    f_over = -math.inf if (fb if math.isinf(fb) else fa) < 0.0 else math.inf
     ratio = w0 / tol
     halvings = math.log2(ratio) if ratio < math.inf else math.log2(w0) - math.log2(tol)
     n_max = math.ceil(halvings) + _N0
@@ -319,10 +319,16 @@ def _itp(
             x = mid
             if not a < x < b:
                 break
-        fx = _safe_phi(phi, x, 0.0, f_end)
+        # _safe_phi inline, and _check_monotone's test for either order of
+        # fa and fb, with the call left to build the error
+        try:
+            fx = phi(x)
+        except OverflowError:
+            fx = f_over
         if fx == y:
             return x
-        _check_monotone(x, fx, fa, fb, slack)
+        if not (fa - slack <= fx <= fb + slack or fb - slack <= fx <= fa + slack):
+            _check_monotone(x, fx, fa, fb, slack)
         if (fx < y) == increasing:
             a, fa = x, fx
         else:

@@ -1,5 +1,8 @@
+import random
+
 import pytest
 
+from naryops import axioms
 from naryops.axioms import (
     ALL_SAMPLED_IDEMPOTENT,
     AllSampledIdempotent,
@@ -8,8 +11,9 @@ from naryops.axioms import (
     check_cancellativity,
     check_symmetry,
     find_idempotents,
+    lattice_sampler,
 )
-from naryops.core import Interval, NaryOp, builtin_lookup
+from naryops.core import Interval, NaryOp, builtin_lookup, lattice
 
 SQUARE_TAIL = NaryOp(3, Interval.real_line(), lambda x, y, z: x + y + z * z, "x+y+z^2")
 PRODUCT_LINE = NaryOp(2, Interval.real_line(), lambda x, y: x * y, "x*y")
@@ -152,3 +156,36 @@ def test_idempotent_matches_generator_zero():
     roots = find_idempotents(f, [0.25, 0.5, 2.0, 4.0])
     assert len(roots) == 1
     assert abs(roots[0] - 1.0) <= 1e-9
+
+
+def _assert_draws_follow_randint(iv, window, j_min, j_max, h):
+    for seed in range(40):
+        draw = lattice_sampler(iv, window, random.Random(seed))
+        rng = random.Random(seed)
+        assert [draw() for _ in range(50)] == [rng.randint(j_min, j_max) * h for _ in range(50)]
+
+
+@pytest.mark.parametrize(
+    "span", [1, 2, 3, 2**10 - 1, 2**10, 2**10 + 1, 2**53 + 1, 2**62, 2**62 + 1]
+)
+def test_lattice_draws_follow_randint(monkeypatch, span):
+    # the sampler draws randint's offsets from getrandbits itself; every
+    # witness of a seeded check rests on the two streams being one
+    j_min, h = -(span // 3), 0.125
+    monkeypatch.setattr(axioms, "lattice", lambda iv, window: (j_min, j_min + span - 1, h))
+    _assert_draws_follow_randint(Interval.real_line(), 10.0, j_min, j_min + span - 1, h)
+
+
+@pytest.mark.parametrize(
+    "domain,window",
+    [
+        ("(-inf,inf)", 10.0),
+        ("(0,inf)", 10.0),
+        ("(0.3,0.35)", 10.0),
+        ("(-inf,inf)", 2.0**58),  # 2**62 + 1 indices, the most lattice allows
+        ("(-inf,inf)", 1.7e308),
+    ],
+)
+def test_lattice_sampler_on_real_windows_follows_randint(domain, window):
+    iv = Interval.parse(domain)
+    _assert_draws_follow_randint(iv, window, *lattice(iv, window))

@@ -285,6 +285,17 @@ def test_odd_power_overflow_keeps_its_sign(capsys):
     assert "configuration error" not in capsys.readouterr().err
 
 
+def test_deep_expressions_end_in_a_report_or_a_parse_error(capsys):
+    # neither may end in a RecursionError traceback (exit 1): a sum of
+    # 1,000 terms (x1 + x2, then zeros) compiles, 200 parentheses are
+    # rejected by the parser
+    lawful = "+".join(["x1", "x2"] + ["0*x1", "0*x2"] * 499)
+    assert main(["axioms", f"--op=expr:{lawful}", "--n", "2", "--samples", "20"]) == 0
+    capsys.readouterr()
+    assert main(["build", "--phi=" + "(" * 200 + "x" + ")" * 200, "--samples", "5"]) == 2
+    assert "at offset 100: expected at most 100 levels of nesting" in capsys.readouterr().err
+
+
 def test_main_builds_its_parser_once(monkeypatch, capsys):
     built = []
     real_init = argparse.ArgumentParser.__init__

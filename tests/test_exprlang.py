@@ -1,4 +1,6 @@
+import functools
 import math
+import operator
 import random
 import struct
 
@@ -64,6 +66,53 @@ def test_error_positions_exact(src, pos):
     with pytest.raises(ParseError) as exc:
         parse(src, 2)
     assert exc.value.position == pos
+
+
+@pytest.mark.parametrize(
+    "src,pos",
+    [
+        ("(" * 101 + "x" + ")" * 101, 100),  # the 101st '('
+        ("-" * 101 + "x", 100),  # the 101st '-'
+        ("abs(" * 101 + "x" + ")" * 101, 403),  # the '(' of the 101st abs
+        ("^".join(["x"] * 102), 201),  # the 101st '^', whose exponent nests
+    ],
+    ids=["parentheses", "negations", "calls", "exponents"],
+)
+def test_nesting_beyond_the_limit_is_a_parse_error(src, pos):
+    # the parser descends recursively, up to five frames a level, so an
+    # unbounded nesting would end in a RecursionError, not a ParseError
+    with pytest.raises(ParseError, match="at most 100 levels of nesting") as exc:
+        parse(src, 1)
+    assert exc.value.position == pos
+
+
+@pytest.mark.parametrize(
+    "src",
+    [
+        "(" * 100 + "x" + ")" * 100,
+        "-" * 100 + "x",
+        "abs(" * 100 + "x" + ")" * 100,
+        "^".join(["1"] * 100 + ["x"]),
+    ],
+    ids=["parentheses", "negations", "calls", "exponents"],
+)
+def test_nesting_at_the_limit_compiles(src):
+    ast = parse(src, 1)
+    fn = make_callable(ast, 1)
+    for x in (0.75, -2.0):
+        assert _outcome(lambda: fn(x)) == _outcome(lambda: eval_expr(ast, (x,)))
+
+
+@pytest.mark.parametrize("terms", [300, 1000])
+@pytest.mark.parametrize("op", "+-*/")
+def test_long_chains_compile_flat(op, terms):
+    # a left-associative chain is as deep as it is long, so a compiler
+    # that recursed once per node would fail at about 1,000 terms
+    fn = make_callable(parse(op.join(["x1", "x2"] * (terms // 2)), 2), 2)
+    fold = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}[op]
+    args = (1.25, -0.75)
+    expected = functools.reduce(fold, args * (terms // 2))
+    assert struct.pack("<d", fn(*args)) == struct.pack("<d", expected)
 
 
 def test_plain_x_only_at_arity_one():
@@ -196,6 +245,10 @@ def _outcome(evaluate):
 @example((BinOp("^", Neg(Num(2.0)), Var(1)), [math.inf]))  # int(inf) overflows
 @example((BinOp("^", Var(1), Var(2)), [-1.0, math.nan]))  # int(nan) is invalid
 @example((BinOp("-", Var(1), Var(1)), [math.inf]))  # nan
+@example((Num(math.nan), [1.0]))  # constants are bound names, never reprs
+@example((BinOp("+", Var(1), Num(math.inf)), [1.0]))
+@example((BinOp("*", Num(5e-324), Var(1)), [0.5]))
+@example((parse("1e999*x", 1), [2.0]))
 def test_compiled_callable_matches_eval_expr(case):
     ast, args = case
     fn = make_callable(ast, len(args))
