@@ -10,9 +10,11 @@ uses an exact expression when one is supplied and ITP root-finding
 from __future__ import annotations
 
 import bisect as _bisect
+import itertools
 import math
 import struct
 import sys
+import threading
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Sequence
@@ -136,19 +138,85 @@ def _start_point(iv: Interval) -> float:
     return 0.0
 
 
+class _Ladder:
+    """The samples :func:`invert_monotone` brackets with on one interval:
+    phi at the start point, then (x, phi(x)) along :func:`_approach`
+    toward each end, skipping points that do not move past the previous
+    one. A sample is taken the first time a walk reaches it and kept, so
+    a :class:`GeneratorSpec` pays for each of its bracketing samples once.
+    ``last`` is the (y, x) its last inverse returned.
+
+    A ladder may be shared between threads: samples are only appended,
+    under a lock, so a walk reads a growing prefix without one; ``last``
+    is replaced by a new tuple, never changed in place. Every phi handed
+    to one ladder must take the same values."""
+
+    __slots__ = ("interval", "x0", "f0", "last", "_sides", "_points", "_lock")
+
+    def __init__(self, interval: Interval):
+        self.interval = interval
+        self.x0 = x0 = _start_point(interval)
+        self.f0: float | None = None
+        self.last: tuple[float, float] | None = None
+        self._sides: tuple[list, list] = ([], [])
+        self._points = [
+            _approach(interval.lo, interval.lo_open, x0, True),
+            _approach(interval.hi, interval.hi_open, x0, False),
+        ]
+        self._lock = threading.Lock()
+
+    def start(self, phi: Callable[[float], float]) -> tuple[float, float]:
+        """The start point and the value of phi there."""
+        if self.f0 is None:
+            with self._lock:
+                if self.f0 is None:
+                    self.f0 = _safe_phi(phi, self.x0)
+        return self.x0, self.f0
+
+    def walk(self, phi: Callable[[float], float], high: bool):
+        """The samples toward the high or the low end, after :meth:`start`;
+        phi takes those not taken yet."""
+        samples = self._sides[high]
+        i = 0
+        while i < len(samples) or self._extend(phi, high, i):
+            yield samples[i]
+            i += 1
+
+    def _extend(self, phi: Callable[[float], float], high: bool, i: int) -> bool:
+        """Take samples toward one end until sample i exists; False when
+        the approach ends first. An OverflowError reads as the infinity
+        phi is heading toward (:func:`_safe_phi`); any other error leaves
+        the point to be sampled again."""
+        samples, points = self._sides[high], self._points[high]
+        with self._lock:
+            if i < len(samples):  # another thread took it
+                return True
+            last, f_last = samples[-1] if samples else (self.x0, self.f0)
+            for x in points:
+                if x > last if high else x < last:
+                    break
+            else:
+                return False
+            try:
+                samples.append((x, _safe_phi(phi, x, self.f0, f_last)))
+            except BaseException:
+                self._points[high] = itertools.chain((x,), points)
+                raise
+        return True
+
+
 def estimate_codomain(phi: Callable[[float], float], domain: Interval) -> Interval:
     """Heuristic image interval of a monotone map: chase each endpoint
     along :func:`_approach`, the points that :func:`invert_monotone`
     brackets with. A limit still moving between the last two samples
     counts as infinite, a settled one as an open finite bound (snapped to
     zero when tiny). A NaN value raises :class:`DomainEscapeError`."""
-    x0 = _start_point(domain)
-    f0 = _safe_phi(phi, x0)
+    ladder = _Ladder(domain)
+    _, f0 = ladder.start(phi)
 
-    def chase(endpoint, open_end, toward_low):
+    def chase(high):
         prev, last = None, f0
-        points = _approach(endpoint, open_end, x0, toward_low)
-        for x, fx in _samples(phi, points, x0, f0, toward_low):
+        for x, fx in ladder.walk(phi, high):
             if math.isnan(fx):
                 raise DomainEscapeError(f"generator value is nan at x={x!r}")
             prev, last = last, fx
@@ -160,8 +228,8 @@ def estimate_codomain(phi: Callable[[float], float], domain: Interval) -> Interv
             return 0.0
         return last
 
-    v_lo = chase(domain.lo, domain.lo_open, True)
-    v_hi = chase(domain.hi, domain.hi_open, False)
+    v_lo = chase(False)
+    v_hi = chase(True)
     return Interval.make(min(v_lo, v_hi), max(v_lo, v_hi), True, True)
 
 
@@ -178,16 +246,6 @@ _N0 = 1
 def _between(y: float, u: float, v: float) -> bool:
     """y lies in the closed range spanned by u and v (False for NaN)."""
     return u <= y <= v or v <= y <= u
-
-
-def _samples(phi: Callable[[float], float], points, x0: float, f0: float, toward_low: bool):
-    """(x, phi(x)) along an approach ladder from (x0, f0), skipping points
-    that do not move past the previous one."""
-    last, f_last = x0, f0
-    for x in points:
-        if x < last if toward_low else x > last:
-            last, f_last = x, _safe_phi(phi, x, f0, f_last)
-            yield last, f_last
 
 
 def _check_monotone(x: float, fx: float, fa: float, fb: float, slack: float) -> None:
@@ -211,21 +269,25 @@ def invert_monotone(
     Bracketing starts at the start point of ``bracket`` and takes one step
     toward each end along :func:`_approach`, as :func:`estimate_codomain`
     does. Once these steps show on which side y lies, only that side
-    grows, and the bracket narrows to the last two samples. ITP then
-    refines it: regula falsi, truncated toward the midpoint and projected
-    so that it takes at most ceil(log2(width / tol)) + 1 steps. The result
-    is the midpoint of a final bracket no wider than tol, an absolute
-    width in x. The default tol is four ulps of the bracket end nearer
-    zero, or of the farther end when the bracket reaches zero. A target
-    outside the sampled range, or a phi value outside the values at the
-    bracket ends, raises :class:`InversionError`.
+    grows, and the bracket narrows to the last two samples. The samples
+    come from a ladder: :meth:`GeneratorSpec.inverse` passes the one it
+    keeps for its domain in place of ``bracket``, so it takes each
+    sample once for all its targets, and a plain interval gets a fresh
+    ladder. The same points in the same order give the same bracket
+    either way. ITP then refines it: regula falsi, truncated toward the
+    midpoint and projected so that it takes at most
+    ceil(log2(width / tol)) + 1 steps. The result is the midpoint of a
+    final bracket no wider than tol, an absolute width in x. The default
+    tol is four ulps of the bracket end nearer zero, or of the farther
+    end when the bracket reaches zero. A target outside the sampled
+    range, or a phi value outside the values at the bracket ends, raises
+    :class:`InversionError`.
     """
-    x0 = _start_point(bracket)
-    f0 = _safe_phi(phi, x0)
+    ladder = bracket if isinstance(bracket, _Ladder) else _Ladder(bracket)
+    x0, f0 = ladder.start(phi)
     if f0 == y:
         return x0
-    lows = _samples(phi, _approach(bracket.lo, bracket.lo_open, x0, True), x0, f0, True)
-    highs = _samples(phi, _approach(bracket.hi, bracket.hi_open, x0, False), x0, f0, False)
+    lows, highs = ladder.walk(phi, False), ladder.walk(phi, True)
     a, fa = next(lows, (x0, f0))
     if fa == y:
         return a
@@ -239,8 +301,8 @@ def invert_monotone(
             a, fa = x0, f0
         else:
             up = (fb > fa) == (y > fb)
-            ladder, near, f_near, f_far = (highs, b, fb, fa) if up else (lows, a, fa, fb)
-            for x, fx in ladder:
+            side, near, f_near, f_far = (highs, b, fb, fa) if up else (lows, a, fa, fb)
+            for x, fx in side:
                 if fx == y:
                     return x
                 if _between(y, f_near, fx):
@@ -248,8 +310,8 @@ def invert_monotone(
                 near, f_near = x, fx
             else:
                 raise InversionError(
-                    f"target {y!r} outside the sampled range "
-                    f"[{min(f_far, f_near)!r}, {max(f_far, f_near)!r}] of {bracket.render()}"
+                    f"target {y!r} outside the sampled range [{min(f_far, f_near)!r}, "
+                    f"{max(f_far, f_near)!r}] of {ladder.interval.render()}"
                 )
             (a, fa), (b, fb) = ((near, f_near), (x, fx)) if up else ((x, fx), (near, f_near))
     # a gallop can leave a bracket across many binades, or one whose width
@@ -313,7 +375,10 @@ def _itp(
         # across it and closes the bracket
         delta = max(_KAPPA1 * w0 * (w / w0) ** _KAPPA2, 0.5 * tol)
         x_t = x_f + sigma * delta if delta <= abs(mid - x_f) else mid
-        r = math.ldexp(tol, n_max - j - 1) - 0.5 * w
+        try:
+            r = math.ldexp(tol, n_max - j - 1) - 0.5 * w
+        except OverflowError:  # a bracket wider than 2^1023: no projection yet
+            r = math.inf
         x = x_t if abs(x_t - mid) <= r else mid - sigma * r
         if not a < x < b:
             x = mid
@@ -342,6 +407,12 @@ class GeneratorSpec:
 
     ``phi_inverse`` may be an exact callable; when absent, inversion falls
     back to ITP root-finding over the domain (:func:`invert_monotone`).
+    Such a spec then keeps a ladder of the bracketing samples on its
+    domain: each sample of phi is taken once, the first time a target
+    needs it, and the last inverse is kept, so the same y again (bit for
+    bit: 0.0 is not -0.0) costs no phi call. The results are those of
+    ``invert_monotone(phi, y, domain)``. A spec may be shared between
+    threads; its ladder takes new samples under a lock.
     ``kind`` distinguishes closed-form generators from tabulated ones
     reconstructed by extraction.
     """
@@ -352,10 +423,13 @@ class GeneratorSpec:
     phi_inverse: Callable[[float], float] | None = field(default=None, compare=False)
     kind: str = "closed_form"
     label: str = ""
+    _ladder: _Ladder | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in ("closed_form", "tabulated"):
             raise ValueError(f"unknown generator kind {self.kind!r}")
+        if self.phi_inverse is None:
+            object.__setattr__(self, "_ladder", _Ladder(self.domain))
 
     def inverse(self, y: float) -> float:
         """The point whose generator value is y: the one place a sum of
@@ -367,7 +441,14 @@ class GeneratorSpec:
             )
         if self.phi_inverse is not None:
             return self.phi_inverse(y)
-        return invert_monotone(self.phi, y, self.domain)
+        ladder = self._ladder
+        last = ladder.last
+        # the same y bit for bit: == alone would answer -0.0 for 0.0
+        if last and last[0] == y and math.copysign(1.0, last[0]) == math.copysign(1.0, y):
+            return last[1]
+        x = invert_monotone(self.phi, y, ladder)
+        ladder.last = (y, x)
+        return x
 
 
 def generator_sum(phi: Callable[[float], float], xs: Sequence) -> float:

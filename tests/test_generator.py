@@ -1,7 +1,10 @@
 import io
 import math
 import random
+import sys
+import threading
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -172,6 +175,13 @@ def test_invert_monotone_reaches_the_float_range():
         assert main(argv) == 0
 
 
+def test_itp_projection_radius_past_the_float_range():
+    # tol * 2^(steps left) of a bracket wider than 2^1023 overflows; the
+    # projection radius reads as infinite there instead of raising
+    bracket = Interval.make(-1.7e308, 1.7e308, False, False)
+    assert invert_monotone(lambda x: x, 1.0, bracket, 0.0) == 1.0
+
+
 #: closed-form generators without an inverse expression: phi, domain,
 #: preimages to draw, and the magnitude below which accuracy is measured
 #: in ulps of that magnitude instead of the root's (a real-line bracket
@@ -190,6 +200,14 @@ def _between(y, u, v):
     return u <= y <= v or v <= y <= u
 
 
+def _refinement_start(xs):
+    """Index of the first phi call of an inversion that lies strictly
+    inside the range of the calls before it: bracketing samples each
+    widen the sampled range, and refinement samples fall inside the
+    bracket of the two samples next to them."""
+    return next((i for i in range(1, len(xs)) if min(xs[:i]) < xs[i] < max(xs[:i])), len(xs))
+
+
 @settings(max_examples=300, deadline=None)
 @given(name=st.sampled_from(sorted(CLOSED_FORMS)), data=st.data())
 def test_inverse_is_ulp_accurate_within_the_itp_step_bound(name, data):
@@ -204,12 +222,7 @@ def test_inverse_is_ulp_accurate_within_the_itp_step_bound(name, data):
     root = invert_monotone(counting, y, domain)
     if phi(root) == y:
         return
-    # bracketing samples each widen the sampled range; refinement samples
-    # fall strictly inside the bracket of the two samples next to them
-    start = next(
-        i for i, (x, _) in enumerate(calls)
-        if i and min(u for u, _ in calls[:i]) < x < max(u for u, _ in calls[:i])
-    )
+    start = _refinement_start([x for x, _ in calls])
     first = calls[start][0]
     a = max(u for u, _ in calls[:start] if u < first)
     b = min(u for u, _ in calls[:start] if u > first)
@@ -224,6 +237,105 @@ def test_inverse_is_ulp_accurate_within_the_itp_step_bound(name, data):
     )
 
 
+def _outcome(invert, *args):
+    """repr of the root, which tells every float apart, or the error."""
+    try:
+        return repr(invert(*args))
+    except Exception as e:
+        return type(e), str(e)
+
+
+@settings(max_examples=120, deadline=None)
+@given(name=st.sampled_from(sorted(CLOSED_FORMS)), data=st.data())
+def test_spec_ladder_matches_the_one_shot_inverse(name, data):
+    # one spec inverts a drawn sequence of targets twice over; each answer
+    # is that of invert_monotone on a fresh interval, and the second time
+    # through every bracketing sample is already on the spec's ladder
+    phi, domain, preimages, _ = CLOSED_FORMS[name]
+    fresh = preimages.map(phi) | st.sampled_from([0.0, -0.0, 1e300, -1e300])
+    targets = [data.draw(fresh)]
+    for pick in data.draw(st.lists(fresh | st.integers(0, 9), max_size=9)):
+        targets.append(targets[pick % len(targets)] if isinstance(pick, int) else pick)
+    calls = []
+
+    def counting(x):
+        calls.append(x)
+        return phi(x)
+
+    spec = GeneratorSpec(phi=counting, domain=domain)
+    last_returned = None
+    for second_pass in (False, True):
+        for y in targets:
+            calls.clear()
+            expected = _outcome(invert_monotone, counting, y, domain)
+            one_shot = calls[:]
+            calls.clear()
+            assert _outcome(spec.inverse, y) == expected, y
+            if second_pass:
+                # the last inverse answers its own y again, 0.0 and -0.0 apart
+                repeat = repr(y) == last_returned
+                assert calls == ([] if repeat else one_shot[_refinement_start(one_shot):])
+            if isinstance(expected, str):
+                last_returned = repr(y)
+
+
+def test_spec_samples_again_a_point_whose_phi_raised():
+    # a phi error is not a sample: the next inverse takes that point again
+    failures, calls = [2.0], []
+
+    def phi(x):
+        calls.append(x)
+        if x in failures:
+            failures.remove(x)
+            raise ValueError("transient")
+        return x**3 + x
+
+    spec = GeneratorSpec(phi=phi)
+    with pytest.raises(ValueError):
+        spec.inverse(5.0)
+    calls.clear()
+    assert spec.inverse(5.0) == invert_monotone(lambda x: x**3 + x, 5.0, Interval.real_line())
+    assert calls[0] == 2.0
+
+
+def test_spec_ladder_stress_across_threads():
+    # more threads than cores, switching every microsecond, race to fill
+    # fresh specs' ladders from -128 to 512; afterwards each spec answers
+    # probes in that range with exactly the one-shot refinement calls,
+    # which a sample taken twice or out of order would change
+    calls = []
+
+    def phi(x):
+        calls.append(x)
+        return x + math.exp(x) if x < 700.0 else math.inf
+
+    specs = [GeneratorSpec(phi=phi) for _ in range(8)]
+    barrier = threading.Barrier(4, timeout=10.0)
+
+    def invert_all(k):
+        for spec in specs:
+            barrier.wait()
+            for j in range(6):
+                spec.inverse(phi(37.0 * k + 61.0 * j - 100.0))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            for future in [pool.submit(invert_all, k) for k in range(4)]:
+                future.result(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    for y in (phi(-90.0), phi(-3.0), phi(1.5), phi(150.0), phi(300.0)):
+        calls.clear()
+        root = invert_monotone(phi, y, Interval.real_line())
+        one_shot = calls[_refinement_start(calls):]
+        for spec in specs:
+            calls.clear()
+            assert spec.inverse(y) == root
+            assert calls == one_shot
+
+
 def test_quintic_build_passes():
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
@@ -233,7 +345,9 @@ def test_quintic_build_passes():
 
 def test_cubic_build_phi_calls_are_pinned(monkeypatch):
     # counted from outside the package, by wrapping the phi handed to
-    # generator.invert_monotone; bisection took 51,343 calls here
+    # generator.invert_monotone; the spec takes each bracketing sample once
+    # and answers a repeated sum from its last inverse (a fresh bracket per
+    # inverse took 1,200 inversions and 16,525 calls, bisection 51,343)
     counts = Counter()
     invert = generator.invert_monotone
 
@@ -250,8 +364,8 @@ def test_cubic_build_phi_calls_are_pinned(monkeypatch):
     with redirect_stdout(io.StringIO()):
         code = main(["build", "--phi", "x^3+x", "--n", "2", "--samples", "200"])
     assert code == 0
-    assert counts["inversions"] == 1200
-    assert counts["phi"] == 16525
+    assert counts["inversions"] == 999
+    assert counts["phi"] == 8587
 
 
 def test_generator_inverse_fallback_round_trip():

@@ -37,6 +37,15 @@ INVOCATIONS = {
         "reduce", "--phi", "exp(x)", "--phi-inv", "ln(x)", "--codomain", "(0,inf)", "--n", "3",
     ),
     "extract_grid_outside_domain": ("extract", "--op", "product", "--n", "2", "--grid", "0.5,-1,2"),
+    # numeric inversion without --phi-inv: a gallop toward infinite ends,
+    # and toward the open end of (0,inf) with an adjoined neutral
+    "reduce_x_exp_x3": ("reduce", "--phi", "x+exp(x)", "--n", "3", "--samples", "100"),
+    "build_sqrt_open": (
+        "build", "--phi", "sqrt(x)", "--interval", "(0,inf)", "--n", "3", "--samples", "20",
+    ),
+    "reduce_sqrt_open": (
+        "reduce", "--phi", "sqrt(x)", "--interval", "(0,inf)", "--n", "3", "--samples", "20",
+    ),
 }
 
 _TIMING = re.compile(r'("timing_ms": )[^,\n}]+')
