@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 
 import pytest
@@ -10,9 +12,11 @@ from naryops.axioms import (
     check_associativity,
     check_cancellativity,
     check_symmetry,
+    falsify,
     find_idempotents,
     lattice_sampler,
 )
+from naryops.cli import load_opspec
 from naryops.core import Interval, NaryOp, builtin_lookup, lattice
 
 SQUARE_TAIL = NaryOp(3, Interval.real_line(), lambda x, y, z: x + y + z * z, "x+y+z^2")
@@ -62,6 +66,54 @@ def test_symmetry_pass_and_fail():
     assert not rep.passed
     w = rep.witness
     assert abs(w.replay(alt) - w.residual) <= 1e-12 * (1.0 + w.residual)
+
+
+def _reference_check_symmetry(f, samples, seed, tol=1e-9, window=10.0):
+    """check_symmetry as a plain per-sample loop: the permutations are
+    listed again, and for n >= 5 shuffled again, for every sample."""
+    n = f.arity
+    rng = random.Random(seed)
+    draw = lattice_sampler(f.domain, window, rng)
+
+    def permutations():
+        identity = list(range(n))
+        if math.factorial(n) <= 24:
+            return [p for p in itertools.permutations(identity) if list(p) != identity]
+        perms = []
+        for _ in range(8):
+            p = list(identity)
+            rng.shuffle(p)
+            if p != identity:
+                perms.append(tuple(p))
+        return perms
+
+    def trials():
+        for _ in range(samples):
+            xs = tuple(draw() for _ in range(n))
+            base = f.checked(*xs)
+            for perm in permutations():
+                other = f.checked(*(xs[j] for j in perm))
+                yield base, other, {"inputs": (xs,), "permutation": perm}
+
+    return falsify(
+        "symmetry", trials(), tol, axiom="symmetry", samples=samples, seed=seed, label=f.label
+    )
+
+
+@pytest.mark.parametrize(
+    "source, n",
+    [("sum", n) for n in range(2, 7)]
+    + [("alternating", 3), ("alternating", 5)]
+    + [("expr:2*x1+x2", n) for n in range(2, 7)],
+)
+def test_symmetry_matches_the_per_sample_loop(source, n):
+    f = load_opspec(source, n)
+    for seed in range(4):
+        # equal reports hold equal witnesses, inputs and permutation included
+        report = check_symmetry(f, samples=30, seed=seed)
+        assert report == _reference_check_symmetry(f, samples=30, seed=seed)
+    if source != "sum":
+        assert not report.passed and report.witness.permutation is not None
 
 
 def test_alternating_swap_oracle():

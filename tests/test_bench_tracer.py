@@ -12,25 +12,32 @@ from naryops import cli
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
-def _traced_reference(monkeypatch, name):
-    """Run one reference invocation of the benchmark under the tracer:
-    its exit code, the tracer and the patches it made."""
+def _traced(monkeypatch, argv):
+    """Run one invocation under the benchmark's tracer: its exit code, the
+    tracer and the patches it made."""
     monkeypatch.syspath_prepend(str(BENCH))
     from tracing import Tracer
-    from workloads import REFERENCES
 
-    invocation, _ = REFERENCES[name]
     tracer = Tracer()
     try:
         tracer.install()  # getattr raises AttributeError on a missing name
         patched = list(tracer._undo)
         tracer.active = True
         with redirect_stdout(io.StringIO()):
-            code = cli.main([*invocation.argv, "--format", "json"])
+            code = cli.main([*argv, "--format", "json"])
     finally:
         tracer.active = False
         tracer.uninstall()
     return code, tracer, patched
+
+
+def _traced_reference(monkeypatch, name):
+    """Run one reference invocation of the benchmark under the tracer."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    from workloads import REFERENCES
+
+    invocation, _ = REFERENCES[name]
+    return _traced(monkeypatch, invocation.argv)
 
 
 def test_tracer_patches_existing_names_and_counts_the_reference(monkeypatch):
@@ -55,3 +62,17 @@ def test_tracer_counts_the_inversion_reference(monkeypatch):
     assert tracer.calls["generator.invert_monotone"] == 999
     assert tracer.calls["generator.phi"] == 8_587
     assert tracer.calls["exprlang.call"] == 11_122
+
+
+def test_tracer_counts_the_falsify_layers(monkeypatch):
+    # every checked evaluation of the sampled checks runs one domain test
+    # through core.interval_contains, the name the tracer patches; a
+    # checked evaluation that bypasses it would blind the per-layer counts
+    argv = ("axioms", "--op", "sum", "--n", "3", "--samples", "40", "--seed", "1")
+    code, tracer, _ = _traced(monkeypatch, argv)
+    assert code == 0
+    # associativity 40 * 3 nestings * 2, symmetry 40 * (1 + 5 permutations),
+    # cancellativity 3 coordinates * 10 sections * 9 points
+    assert tracer.calls["core.checked"] == 750
+    assert tracer.calls["core.contains"] == 750
+    assert tracer.calls["axioms.check"] == 3

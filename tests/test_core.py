@@ -7,11 +7,12 @@ from hypothesis import given, strategies as st
 from naryops.core import (
     ArityClass,
     Interval,
+    NaryOp,
     builtin_lookup,
     interval_contains,
     lattice,
 )
-from naryops.errors import RegistryError
+from naryops.errors import DomainEscapeError, RegistryError
 from naryops.generator import GeneratorSpec
 
 
@@ -209,7 +210,57 @@ def test_lattice_rejects_unbounded_windows(window):
 
 
 def test_nary_op_rejects_small_arity():
-    from naryops.core import NaryOp
-
     with pytest.raises(ValueError):
         NaryOp(1, Interval.real_line(), lambda x: x, "id")
+
+
+_CHECKED_DOMAINS = ("[0,1]", "(0,1)", "[0,1)", "(0,inf)", "(-inf,inf)")
+
+
+@pytest.mark.parametrize(
+    "domain, value, outcome",
+    [
+        # closed endpoints come back as they are, -0.0 against a closed 0 too
+        ("[0,1]", 0.0, "returned"),
+        ("[0,1]", -0.0, "returned"),
+        ("[0,1]", 1.0, "returned"),
+        ("[0,1)", 0.0, "returned"),
+        ("(0,1)", 0.5, "returned"),
+        ("(0,inf)", 5e-324, "returned"),
+        ("(0,inf)", 1.7976931348623157e308, "returned"),
+        ("(-inf,inf)", -1.7976931348623157e308, "returned"),
+        ("(-inf,inf)", -0.0, "returned"),
+        # open endpoints, -0.0 against an open 0, and just past a closed end
+        ("(0,1)", 0.0, "escaped domain"),
+        ("(0,1)", -0.0, "escaped domain"),
+        ("(0,1)", 1.0, "escaped domain"),
+        ("[0,1)", 1.0, "escaped domain"),
+        ("(0,inf)", 0.0, "escaped domain"),
+        ("(0,inf)", -0.0, "escaped domain"),
+        ("[0,1]", 1.0000000000000002, "escaped domain"),
+        ("[0,1]", -5e-324, "escaped domain"),
+    ]
+    + [(d, v, "produced non-finite") for d in _CHECKED_DOMAINS for v in (math.nan, math.inf, -math.inf)],
+)
+def test_checked_at_every_kind_of_endpoint(domain, value, outcome):
+    op = NaryOp(2, Interval.parse(domain), lambda x, y: value, "probe")
+    if outcome == "returned":
+        assert repr(op.checked(0.25, 0.5)) == repr(value)  # the sign of a zero too
+        return
+    with pytest.raises(DomainEscapeError) as info:
+        op.checked(0.25, 0.5)
+    what = f"escaped domain {op.domain.render()}:" if outcome == "escaped domain" else outcome
+    assert str(info.value) == f"probe {what} {value!r} at (0.25, 0.5)"
+    assert repr(info.value.value) == repr(value)
+
+
+@pytest.mark.parametrize("domain", _CHECKED_DOMAINS)
+def test_checked_names_an_overflow(domain):
+    def overflow(x, y):
+        raise OverflowError("math range error")
+
+    op = NaryOp(2, Interval.parse(domain), overflow, "probe")
+    with pytest.raises(DomainEscapeError) as info:
+        op.checked(0.25, 0.5)
+    assert str(info.value) == "probe overflowed at (0.25, 0.5)"
+    assert info.value.value is None

@@ -32,6 +32,14 @@ INVOCATIONS = {
         "--grid=-2:2:0.5", "--resolution", "0.00390625",
     ),
     "axioms_alternating3": ("axioms", "--op", "alternating", "--n", "3"),
+    # symmetry on shuffled permutations (n >= 5, a failing witness) and on
+    # the full list of the 23 non-identity permutations at n = 4
+    "axioms_alternating5": ("axioms", "--op", "alternating", "--n", "5", "--samples", "40"),
+    "axioms_product4": ("axioms", "--op", "product", "--n", "4", "--samples", "40"),
+    "extend_expr_product3": (
+        "extend", "--op", "expr:x1*x2*x3", "--interval", "(0,inf)", "--n", "3", "--samples", "40",
+    ),
+    "gallery_seed3": ("gallery", "--seed", "3"),
     "build_cubic": ("build", "--phi", "x^3+x"),
     "reduce_exp_with_inverse": (
         "reduce", "--phi", "exp(x)", "--phi-inv", "ln(x)", "--codomain", "(0,inf)", "--n", "3",
