@@ -13,6 +13,7 @@ passing as a residual that compares false.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -57,9 +58,8 @@ class Witness:
         round-trip witnesses and the ExtractedGenerator for additivity.
         """
         if self.kind == "associativity":
-            xs = self.inputs[0]
-            i = self.equation_index
-            return abs(_nesting(op, xs, i - 1) - _nesting(op, xs, i))
+            xs, i, n = self.inputs[0], self.equation_index, op.arity
+            return abs(_nesting(op.checked, n, xs, i - 1) - _nesting(op.checked, n, xs, i))
         if self.kind == "symmetry":
             xs = self.inputs[0]
             permuted = tuple(xs[j] for j in self.permutation)
@@ -217,11 +217,11 @@ def falsify(
     )
 
 
-def _nesting(f: NaryOp, xs: Sequence[float], i: int) -> float:
-    """Evaluate the (2n-1)-tuple with the inner application at offset i."""
-    n = f.arity
-    inner = f.checked(*xs[i : i + n])
-    return f.checked(*xs[:i], inner, *xs[i + n :])
+def _nesting(checked: Callable[..., float], n: int, xs: Sequence[float], i: int) -> float:
+    """Evaluate the (2n-1)-tuple with the inner application at offset i,
+    through ``checked``, the :meth:`NaryOp.checked` of an arity-n op."""
+    inner = checked(*xs[i : i + n])
+    return checked(*xs[:i], inner, *xs[i + n :])
 
 
 def check_associativity(
@@ -242,9 +242,10 @@ def check_associativity(
     draw = lattice_sampler(f.domain, window, random.Random(seed))
 
     def trials():
+        checked = f.checked
         for _ in range(samples):
-            xs = tuple(draw() for _ in range(2 * n - 1))
-            values = [_nesting(f, xs, i) for i in range(n)]
+            xs = tuple([draw() for _ in range(2 * n - 1)])
+            values = [_nesting(checked, n, xs, i) for i in range(n)]
             for i in range(n - 1):
                 yield values[i], values[i + 1], {"inputs": (xs,), "equation_index": i + 1}
 
@@ -254,9 +255,19 @@ def check_associativity(
     )
 
 
+@functools.cache
+def _all_permutations(n: int) -> tuple[tuple[int, ...], ...]:
+    """Every permutation of range(n) but the identity, in lexicographic order."""
+    identity = tuple(range(n))
+    return tuple(p for p in itertools.permutations(identity) if p != identity)
+
+
 def _permutations_for(n: int, rng: random.Random, cap: int = 8):
-    if math.factorial(n) <= 24:
-        return [p for p in itertools.permutations(range(n)) if p != tuple(range(n))]
+    """The permutations one symmetry sample is checked under: all of them
+    for n <= 4, listed once per arity, and otherwise ``cap`` seeded
+    shuffles, drawn afresh for every sample."""
+    if n <= 4:
+        return _all_permutations(n)
     perms = []
     for _ in range(cap):
         p = list(range(n))
@@ -284,11 +295,12 @@ def check_symmetry(
     draw = lattice_sampler(f.domain, window, rng)
 
     def trials():
+        checked = f.checked
         for _ in range(samples):
-            xs = tuple(draw() for _ in range(n))
-            base = f.checked(*xs)
+            xs = tuple([draw() for _ in range(n)])
+            base = checked(*xs)
             for perm in _permutations_for(n, rng):
-                other = f.checked(*(xs[j] for j in perm))
+                other = checked(*[xs[j] for j in perm])
                 yield base, other, {"inputs": (xs,), "permutation": perm}
 
     return falsify(
@@ -323,17 +335,18 @@ def check_cancellativity(
     j_min, j_max, h = lattice(f.domain, window)
     draw = lattice_sampler(f.domain, window, rng)
     anchor_j = min(max(0, j_min), j_max)
+    checked = f.checked
     max_residual = 0.0
     witness = None
     sections = 0
     for coord in range(n):
         for line in range(lines):
-            frozen = (anchor_j * h,) * (n - 1) if line == 0 else tuple(draw() for _ in range(n - 1))
+            frozen = (anchor_j * h,) * (n - 1) if line == 0 else tuple([draw() for _ in range(n - 1)])
             js = range(j_min, j_max + 1)
             if len(js) > _POINTS_PER_LINE:
                 js = sorted(rng.sample(js, _POINTS_PER_LINE))
             tuples = [frozen[:coord] + (j * h,) + frozen[coord:] for j in js]
-            values = [f.checked(*t) for t in tuples]
+            values = [checked(*t) for t in tuples]
             sections += 1
             thr = _STRICT_TOL * (1.0 + max(abs(v) for v in values))
             # each step up (1), down (-1) or flat within thr (0)

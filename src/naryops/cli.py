@@ -174,9 +174,9 @@ def _cmd_extend(cfg: RunConfig) -> tuple[int, dict]:
     splits, block_lists = [], []
     for _ in range(cfg.samples):
         lengths = random_nested_decomposition(rng, cfg.n)
-        splits.append(tuple(tuple(draw() for _ in range(m)) for m in lengths))
+        splits.append(tuple([tuple([draw() for _ in range(m)]) for m in lengths]))
         lengths = random_split_blocks(rng, cfg.n)
-        block_lists.append([tuple(draw() for _ in range(m)) for m in lengths])
+        block_lists.append([tuple([draw() for _ in range(m)]) for m in lengths])
     common = {"samples": cfg.samples, "seed": cfg.seed, "label": f.label}
     checks = {
         "nested_identity": axioms_mod.falsify(

@@ -197,12 +197,14 @@ class NaryOp:
             y = self.eval(*xs)
         except OverflowError:  # fsum's intermediate overflow on huge inputs
             raise DomainEscapeError(f"{self.label or 'op'} overflowed at {xs!r}") from None
-        if not math.isfinite(y):
-            what = f"produced non-finite {y!r}"
-        elif not self.domain.contains(y):
+        # one domain test accepts: infinite ends are open, so a value in
+        # the domain is finite and isfinite only picks the rejection message
+        if interval_contains(self.domain, y):
+            return y
+        if math.isfinite(y):
             what = f"escaped domain {self.domain.render()}: {y!r}"
         else:
-            return y
+            what = f"produced non-finite {y!r}"
         raise DomainEscapeError(f"{self.label or 'op'} {what} at {xs!r}", y)
 
 

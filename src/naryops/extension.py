@@ -62,10 +62,11 @@ class ExtendedOp:
             )
         if m == 1:
             return float(xs[0])
-        acc = self.base.checked(*xs[:n])
+        checked = self.base.checked
+        acc = checked(*xs[:n])
         pos = n
         while pos < m:
-            acc = self.base.checked(acc, *xs[pos : pos + n - 1])
+            acc = checked(acc, *xs[pos : pos + n - 1])
             pos += n - 1
         return acc
 
