@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import random
@@ -69,8 +70,30 @@ def test_symmetry_pass_and_fail():
 
 
 def _reference_check_symmetry(f, samples, seed, tol=1e-9, window=10.0):
-    """check_symmetry as a plain per-sample loop: the permutations are
-    listed again, and for n >= 5 shuffled again, for every sample."""
+    """check_symmetry as a plain per-sample loop: the transposition (1 2)
+    and the n-cycle (1 2 ... n), written out again for every sample."""
+    n = f.arity
+    draw = lattice_sampler(f.domain, window, random.Random(seed))
+
+    def trials():
+        for _ in range(samples):
+            xs = tuple(draw() for _ in range(n))
+            base = f.checked(*xs)
+            swap = (1, 0) + tuple(range(2, n))
+            cycle = tuple(range(1, n)) + (0,)
+            for perm in [swap] if swap == cycle else [swap, cycle]:
+                other = f.checked(*(xs[j] for j in perm))
+                yield base, other, {"inputs": (xs,), "permutation": perm}
+
+    return falsify(
+        "symmetry", trials(), tol, axiom="symmetry", samples=samples, seed=seed, label=f.label
+    )
+
+
+def _all_permutations_check_symmetry(f, samples, seed, tol=1e-9, window=10.0):
+    """The earlier symmetry check, kept as a detection oracle: every
+    non-identity permutation for n <= 4, and for n >= 5 eight seeded
+    shuffles per sample, drawn from the sampler's own generator."""
     n = f.arity
     rng = random.Random(seed)
     draw = lattice_sampler(f.domain, window, rng)
@@ -114,6 +137,40 @@ def test_symmetry_matches_the_per_sample_loop(source, n):
         assert report == _reference_check_symmetry(f, samples=30, seed=seed)
     if source != "sum":
         assert not report.passed and report.witness.permutation is not None
+
+
+#: asymmetric operations, each with the arity it is checked at
+_MUST_FAIL_SYMMETRY = (
+    [("alternating", 3), ("alternating", 5), ("expr:x1+x2+x3^2", 3)]
+    + [("expr:2*x1+" + "+".join(f"x{i}" for i in range(2, n + 1)), n) for n in range(3, 7)]
+    + [("expr:x1+x2+x3+x4^2", 4), ("expr:x1*x2+x3*x4", 4)]
+)
+
+
+@pytest.mark.parametrize("source, n", _MUST_FAIL_SYMMETRY)
+def test_generators_detect_what_all_permutations_detect(source, n):
+    # on must-fail fixtures the earlier check, under every permutation (or
+    # eight shuffles) per sample, fails every run, and so do the generators
+    f = load_opspec(source, n)
+    for seed in (1, 2, 3):
+        for samples in (40, 120):
+            assert not _all_permutations_check_symmetry(f, samples, seed).passed
+            assert not check_symmetry(f, samples=samples, seed=seed).passed
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_symmetry_evaluates_each_sample_under_at_most_two_generators(n):
+    op = builtin_lookup("sum", n)
+    calls = 0
+
+    def counted(*xs):
+        nonlocal calls
+        calls += 1
+        return op.eval(*xs)
+
+    report = check_symmetry(dataclasses.replace(op, eval=counted), samples=50, seed=3)
+    assert report.passed
+    assert calls == 50 * (1 + (1 if n == 2 else 2))
 
 
 def test_alternating_swap_oracle():
