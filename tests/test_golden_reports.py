@@ -32,8 +32,8 @@ INVOCATIONS = {
         "--grid=-2:2:0.5", "--resolution", "0.00390625",
     ),
     "axioms_alternating3": ("axioms", "--op", "alternating", "--n", "3"),
-    # symmetry on shuffled permutations (n >= 5, a failing witness) and on
-    # the full list of the 23 non-identity permutations at n = 4
+    # symmetry under the transposition and the n-cycle: a failing witness
+    # at n = 5 and a pass at n = 4
     "axioms_alternating5": ("axioms", "--op", "alternating", "--n", "5", "--samples", "40"),
     "axioms_product4": ("axioms", "--op", "product", "--n", "4", "--samples", "40"),
     "extend_expr_product3": (
