@@ -101,9 +101,13 @@ def load_generator(
     return GeneratorSpec(phi=phi, domain=iv, codomain=J, phi_inverse=inv, label=phi_src)
 
 
+#: most points a ``lo:hi:step`` grid may have, far above any grid in use
+_MAX_GRID_POINTS = 10_000
+
+
 def parse_grid(text: str) -> tuple[float, ...]:
     """``lo:hi:step`` (the points lo + i*step, inclusive of hi within half
-    a step) or a comma-separated list."""
+    a step, at most _MAX_GRID_POINTS of them) or a comma-separated list."""
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
@@ -113,7 +117,10 @@ def parse_grid(text: str) -> tuple[float, ...]:
             raise ValueError(f"grid {text!r} needs finite lo, hi and step")
         if step <= 0 or hi < lo:
             raise ValueError(f"grid {text!r} needs lo <= hi and step > 0")
-        count = math.floor((hi - lo) / step + 0.5)
+        count = (hi - lo) / step + 0.5
+        if not count < _MAX_GRID_POINTS:
+            raise ValueError(f"grid {text!r} has more than {_MAX_GRID_POINTS} points")
+        count = math.floor(count)
         return tuple(lo + i * step for i in range(count + 1))
     return tuple(float(p) for p in text.split(","))
 

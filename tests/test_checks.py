@@ -130,7 +130,10 @@ def test_parse_grid_steps_by_index():
     assert parse_grid("0:1:0.1") == tuple(i * 0.1 for i in range(11))
 
 
-@pytest.mark.parametrize("text", ["0:inf:1", "-inf:0:1", "0:1:nan", "nan:1:0.5", "0:1:inf"])
+@pytest.mark.parametrize(
+    "text",
+    ["0:inf:1", "-inf:0:1", "0:1:nan", "nan:1:0.5", "0:1:inf", "0:1e308:1e-308", "0:1:1e-300"],
+)
 def test_parse_grid_rejects_non_finite(text):
     with pytest.raises(ValueError):
         parse_grid(text)
