@@ -117,11 +117,10 @@ def parse_grid(text: str) -> tuple[float, ...]:
             raise ValueError(f"grid {text!r} needs finite lo, hi and step")
         if step <= 0 or hi < lo:
             raise ValueError(f"grid {text!r} needs lo <= hi and step > 0")
-        count = (hi - lo) / step + 0.5
-        if not count < _MAX_GRID_POINTS:
+        last = (hi - lo) / step + 0.5
+        if not last < _MAX_GRID_POINTS:
             raise ValueError(f"grid {text!r} has more than {_MAX_GRID_POINTS} points")
-        count = math.floor(count)
-        return tuple(lo + i * step for i in range(count + 1))
+        return tuple(lo + i * step for i in range(math.floor(last) + 1))
     return tuple(float(p) for p in text.split(","))
 
 
