@@ -54,6 +54,20 @@ INVOCATIONS = {
     "reduce_sqrt_open": (
         "reduce", "--phi", "sqrt(x)", "--interval", "(0,inf)", "--n", "3", "--samples", "20",
     ),
+    # a decreasing generator, whose ITP steps take the other branch
+    "build_decreasing_log": (
+        "build", "--phi", "1-ln(x)", "--interval", "(0,inf)", "--n", "2", "--samples", "20",
+    ),
+    "reduce_decreasing_log": (
+        "reduce", "--phi", "1-ln(x)", "--interval", "(0,inf)", "--n", "3", "--samples", "20",
+    ),
+    # a steep generator, whose brackets start wide
+    "build_quintic3": ("build", "--phi", "x^5+x", "--n", "3", "--samples", "20"),
+    # down-unit roots of a curved diagonal, inverted to the last float
+    "extract_product3": (
+        "extract", "--op", "product", "--n", "3", "--c", "2",
+        "--grid", "0.5,1,2,4", "--resolution", "0.00390625",
+    ),
 }
 
 _TIMING = re.compile(r'("timing_ms": )[^,\n}]+')
