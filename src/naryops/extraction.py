@@ -211,6 +211,17 @@ class _Units:
     def diagonal(self, t: float) -> float:
         return self.eval((t,) * self.n, lambda v: v == v)
 
+    def _search_diagonal(self, t: float) -> float:
+        """The diagonal as :meth:`_root`'s search calls it: an overflow,
+        which escapes with no value, raises OverflowError again, and the
+        search reads it as the infinity the diagonal heads toward."""
+        try:
+            return self.diagonal(t)
+        except DomainEscapeError as exc:
+            if exc.value is None:
+                raise OverflowError(str(exc)) from None
+            raise
+
     def __call__(self, j: int) -> float | None:
         """U_j, or None beyond either end of the table."""
         while self.high < min(j, self.top):
@@ -248,15 +259,15 @@ class _Units:
             if dom.contains(far) and self.before(far, nxt):
                 bracket = Interval.make(min(far, nxt), max(far, nxt), False, False)
                 try:
-                    return generator.invert_monotone(self.diagonal, u, bracket, 0.0)
+                    return generator.invert_monotone(self._search_diagonal, u, bracket, 0.0)
                 except InversionError:  # the diagonal bends away beyond far
                     pass
         if self.ahead:
             return generator.invert_monotone(
-                self.diagonal, u, Interval.make(dom.lo, nxt, dom.lo_open, False), 0.0
+                self._search_diagonal, u, Interval.make(dom.lo, nxt, dom.lo_open, False), 0.0
             )
         return generator.invert_monotone(
-            self.diagonal, u, Interval.make(nxt, dom.hi, False, dom.hi_open), 0.0
+            self._search_diagonal, u, Interval.make(nxt, dom.hi, False, dom.hi_open), 0.0
         )
 
 

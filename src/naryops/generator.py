@@ -142,23 +142,23 @@ class _Ladder:
     """The samples :func:`invert_monotone` brackets with on one interval:
     phi at the start point, then (x, phi(x)) along :func:`_approach`
     toward each end, skipping points that do not move past the previous
-    one. A sample is taken the first time a walk reaches it and kept, so
-    a :class:`GeneratorSpec` pays for each of its bracketing samples once.
-    ``last`` is the (y, x) its last inverse returned.
+    one. ``sides`` holds the samples toward the low and the high end, in
+    the order the approach reaches them. A sample is taken the first time
+    a search needs it and kept, so a :class:`GeneratorSpec` pays for each
+    of its bracketing samples once.
 
     A ladder may be shared between threads: samples are only appended,
-    under a lock, so a walk reads a growing prefix without one; ``last``
-    is replaced by a new tuple, never changed in place. Every phi handed
+    under a lock, so a reader indexes a growing prefix of ``sides``
+    without one and calls :meth:`extend` past its end. Every phi handed
     to one ladder must take the same values."""
 
-    __slots__ = ("interval", "x0", "f0", "last", "_sides", "_points", "_lock")
+    __slots__ = ("interval", "x0", "f0", "sides", "_points", "_lock")
 
     def __init__(self, interval: Interval):
         self.interval = interval
         self.x0 = x0 = _start_point(interval)
         self.f0: float | None = None
-        self.last: tuple[float, float] | None = None
-        self._sides: tuple[list, list] = ([], [])
+        self.sides: tuple[list, list] = ([], [])
         self._points = [
             _approach(interval.lo, interval.lo_open, x0, True),
             _approach(interval.hi, interval.hi_open, x0, False),
@@ -176,18 +176,19 @@ class _Ladder:
     def walk(self, phi: Callable[[float], float], high: bool):
         """The samples toward the high or the low end, after :meth:`start`;
         phi takes those not taken yet."""
-        samples = self._sides[high]
+        samples = self.sides[high]
         i = 0
-        while i < len(samples) or self._extend(phi, high, i):
+        while i < len(samples) or self.extend(phi, high, i):
             yield samples[i]
             i += 1
 
-    def _extend(self, phi: Callable[[float], float], high: bool, i: int) -> bool:
-        """Take samples toward one end until sample i exists; False when
-        the approach ends first. An OverflowError reads as the infinity
-        phi is heading toward (:func:`_safe_phi`); any other error leaves
-        the point to be sampled again."""
-        samples, points = self._sides[high], self._points[high]
+    def extend(self, phi: Callable[[float], float], high: bool, i: int) -> bool:
+        """Take the next sample toward one end unless sample i exists (i
+        is at most the number of samples); False when the approach ends
+        first. An OverflowError reads as the infinity phi is heading
+        toward (:func:`_safe_phi`); any other error leaves the point to be
+        sampled again."""
+        samples, points = self.sides[high], self._points[high]
         with self._lock:
             if i < len(samples):  # another thread took it
                 return True
@@ -243,11 +244,6 @@ _KAPPA2 = 2.5
 _N0 = 1
 
 
-def _between(y: float, u: float, v: float) -> bool:
-    """y lies in the closed range spanned by u and v (False for NaN)."""
-    return u <= y <= v or v <= y <= u
-
-
 def _check_monotone(x: float, fx: float, fa: float, fb: float, slack: float) -> None:
     """Raise unless phi(x) = fx lies between the values fa and fb that phi
     takes at the ends of a bracket around x, up to slack."""
@@ -284,30 +280,37 @@ def invert_monotone(
     :class:`InversionError`.
     """
     ladder = bracket if isinstance(bracket, _Ladder) else _Ladder(bracket)
-    x0, f0 = ladder.start(phi)
+    x0, f0 = ladder.x0, ladder.f0
+    if f0 is None:
+        x0, f0 = ladder.start(phi)
     if f0 == y:
         return x0
-    lows, highs = ladder.walk(phi, False), ladder.walk(phi, True)
-    a, fa = next(lows, (x0, f0))
+    # the range tests below read "y lies between u and v", False for NaN
+    lows, highs = ladder.sides
+    a, fa = lows[0] if lows or ladder.extend(phi, False, 0) else (x0, f0)
     if fa == y:
         return a
     b, fb = x0, f0
-    if not _between(y, fa, f0):
-        b, fb = next(highs, (x0, f0))
+    if not (fa <= y <= f0 or f0 <= y <= fa):
+        if highs or ladder.extend(phi, True, 0):
+            b, fb = highs[0]
         if fb == y:
             return b
         _check_monotone(x0, f0, fa, fb, 1e-12 * (1.0 + min(abs(fa), abs(fb))))
-        if _between(y, f0, fb):
+        if f0 <= y <= fb or fb <= y <= f0:
             a, fa = x0, f0
         else:
             up = (fb > fa) == (y > fb)
             side, near, f_near, f_far = (highs, b, fb, fa) if up else (lows, a, fa, fb)
-            for x, fx in side:
+            i = 1
+            while i < len(side) or ladder.extend(phi, up, i):
+                x, fx = side[i]
                 if fx == y:
                     return x
-                if _between(y, f_near, fx):
+                if f_near <= y <= fx or fx <= y <= f_near:
                     break
                 near, f_near = x, fx
+                i += 1
             else:
                 raise InversionError(
                     f"target {y!r} outside the sampled range [{min(f_far, f_near)!r}, "
@@ -320,15 +323,13 @@ def invert_monotone(
     # within a factor of two
     slack = 1e-12 * (1.0 + min(abs(fa), abs(fb)))
     f_end = fb if math.isinf(fb) else fa
-    while not b - a < math.inf or (
-        (a > 0.0 or b < 0.0) and max(abs(a), abs(b)) > 2.0 * min(abs(a), abs(b))
-    ):
+    while not b - a < math.inf or (a > 0.0 and b > 2.0 * a) or (b < 0.0 and a < 2.0 * b):
         x = _key_float((_float_key(a) + _float_key(b)) // 2)
         fx = _safe_phi(phi, x, 0.0, f_end)
         if fx == y:
             return x
         _check_monotone(x, fx, fa, fb, slack)
-        if _between(y, fa, fx):
+        if fa <= y <= fx or fx <= y <= fa:
             b, fb = x, fx
         else:
             a, fa = x, fx
@@ -362,24 +363,35 @@ def _itp(
     ratio = w0 / tol
     halvings = math.log2(ratio) if ratio < math.inf else math.log2(w0) - math.log2(tol)
     n_max = math.ceil(halvings) + _N0
+    # each step below is _midpoint, the truncation max(_KAPPA1 * w0 *
+    # (w / w0) ** _KAPPA2, 0.5 * tol) and the projection test
+    # abs(x_t - mid) <= r, written out as the same float operations
+    inf, k1w0, half_tol = math.inf, _KAPPA1 * w0, 0.5 * tol
     for j in range(n_max):
         w = b - a
         if w <= tol:
             break
-        mid = _midpoint(a, b)
+        mid = 0.5 * (a + b)
+        if not -inf < mid < inf:
+            mid = 0.5 * a + 0.5 * b
         x_f = a + (y - fa) * w / (fb - fa)
         if not a < x_f < b:  # an infinite end value, or rounding onto an end
             x_f = mid
-        sigma = 1.0 if mid >= x_f else -1.0
+        if mid >= x_f:
+            sigma, gap = 1.0, mid - x_f
+        else:
+            sigma, gap = -1.0, x_f - mid
         # never below half of tol, so a point already on the root lands
         # across it and closes the bracket
-        delta = max(_KAPPA1 * w0 * (w / w0) ** _KAPPA2, 0.5 * tol)
-        x_t = x_f + sigma * delta if delta <= abs(mid - x_f) else mid
+        delta = k1w0 * (w / w0) ** _KAPPA2
+        if half_tol > delta:
+            delta = half_tol
+        x_t = x_f + sigma * delta if delta <= gap else mid
         try:
             r = math.ldexp(tol, n_max - j - 1) - 0.5 * w
         except OverflowError:  # a bracket wider than 2^1023: no projection yet
-            r = math.inf
-        x = x_t if abs(x_t - mid) <= r else mid - sigma * r
+            r = inf
+        x = x_t if -r <= x_t - mid <= r else mid - sigma * r
         if not a < x < b:
             x = mid
             if not a < x < b:
@@ -401,6 +413,12 @@ def _itp(
     return _midpoint(a, b)
 
 
+#: roots a :class:`GeneratorSpec` keeps before its memo starts over, and
+#: the memo's key for the target -0.0
+_MEMO_SIZE = 4096
+_NEGATIVE_ZERO = "-0.0"
+
+
 @dataclass(frozen=True)
 class GeneratorSpec:
     """A strictly monotone continuous generator with domain and codomain.
@@ -408,9 +426,10 @@ class GeneratorSpec:
     ``phi_inverse`` may be an exact callable; when absent, inversion falls
     back to ITP root-finding over the domain (:func:`invert_monotone`).
     Such a spec then keeps a ladder of the bracketing samples on its
-    domain: each sample of phi is taken once, the first time a target
-    needs it, and the last inverse is kept, so the same y again (bit for
-    bit: 0.0 is not -0.0) costs no phi call. The results are those of
+    domain, so each sample of phi is taken once, the first time a target
+    needs it, and a memo of the roots it has found, so a y it has solved
+    before (bit for bit: 0.0 is not -0.0) costs no phi call. The memo
+    starts over after _MEMO_SIZE roots. The results are those of
     ``invert_monotone(phi, y, domain)``. A spec may be shared between
     threads; its ladder takes new samples under a lock.
     ``kind`` distinguishes closed-form generators from tabulated ones
@@ -424,12 +443,14 @@ class GeneratorSpec:
     kind: str = "closed_form"
     label: str = ""
     _ladder: _Ladder | None = field(default=None, init=False, repr=False, compare=False)
+    _roots: dict | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in ("closed_form", "tabulated"):
             raise ValueError(f"unknown generator kind {self.kind!r}")
         if self.phi_inverse is None:
             object.__setattr__(self, "_ladder", _Ladder(self.domain))
+            object.__setattr__(self, "_roots", {})
 
     def inverse(self, y: float) -> float:
         """The point whose generator value is y: the one place a sum of
@@ -441,13 +462,15 @@ class GeneratorSpec:
             )
         if self.phi_inverse is not None:
             return self.phi_inverse(y)
-        ladder = self._ladder
-        last = ladder.last
-        # the same y bit for bit: == alone would answer -0.0 for 0.0
-        if last and last[0] == y and math.copysign(1.0, last[0]) == math.copysign(1.0, y):
-            return last[1]
-        x = invert_monotone(self.phi, y, ladder)
-        ladder.last = (y, x)
+        roots = self._roots
+        # -0.0 gets a key of its own: as a float it is the key of 0.0
+        key = y if y or math.copysign(1.0, y) > 0.0 else _NEGATIVE_ZERO
+        x = roots.get(key)
+        if x is None:
+            x = invert_monotone(self.phi, y, self._ladder, None)
+            if len(roots) >= _MEMO_SIZE:
+                roots.clear()
+            roots[key] = x
         return x
 
 

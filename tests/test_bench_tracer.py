@@ -55,13 +55,14 @@ def test_tracer_patches_existing_names_and_counts_the_reference(monkeypatch):
 
 def test_tracer_counts_the_inversion_reference(monkeypatch):
     # ITP's step sequence and the spec's bracketing ladder fix the phi
-    # calls, and every call of a compiled expression counts only while
-    # cli.make_callable is the name it is looked up by
+    # calls, the spec's memo of roots the inversions, and every call of a
+    # compiled expression counts only while cli.make_callable is the name
+    # it is looked up by
     code, tracer, _ = _traced_reference(monkeypatch, "build_cubic2")
     assert code == 0
-    assert tracer.calls["generator.invert_monotone"] == 999
-    assert tracer.calls["generator.phi"] == 8_587
-    assert tracer.calls["exprlang.call"] == 11_122
+    assert tracer.calls["generator.invert_monotone"] == 913
+    assert tracer.calls["generator.phi"] == 7_856
+    assert tracer.calls["exprlang.call"] == 10_391
 
 
 def test_tracer_counts_the_falsify_layers(monkeypatch):

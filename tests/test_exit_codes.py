@@ -1,6 +1,7 @@
 """Every valid configuration ends in a pass, a witnessed failure or a named
 numeric failure: exit 0, 1 or 3, never an escaped exception, and never 2
-unless a flag names a point outside the domain."""
+unless a flag names a point outside the domain or an interval that the
+generator or the window cannot use."""
 
 import io
 import math
@@ -35,18 +36,48 @@ builtins = st.one_of(
 
 windows = st.floats(-3.0, math.log10(1e308)).map(lambda e: 10.0**e)
 
+#: interval ends: small and large finite ones of either sign, and zero
+finite_ends = st.floats(-1e3, 1e3) | st.sampled_from([0.0, 1e-300, 1e300, 1.7e308]).flatmap(
+    lambda v: st.sampled_from([v, -v])
+)
 
-@settings(max_examples=40, deadline=None)
+
+@st.composite
+def intervals(draw) -> str:
+    """An --interval flag: finite, with one infinite end, or the whole
+    line, each finite end closed or open."""
+    lo, hi = sorted(draw(st.lists(finite_ends, min_size=2, max_size=2, unique=True)))
+    lo = draw(st.sampled_from([lo, -math.inf]))
+    hi = draw(st.sampled_from([hi, math.inf]))
+    left = "(" if math.isinf(lo) or draw(st.booleans()) else "["
+    right = ")" if math.isinf(hi) or draw(st.booleans()) else "]"
+    return f"--interval={left}{lo!r},{hi!r}{right}"
+
+
+@settings(max_examples=60, deadline=None)
 @given(
     command=st.sampled_from(["build", "reduce"]),
     generator=st.sampled_from(GENERATORS),
+    interval=st.none() | intervals(),
     n=st.integers(2, 5),
     window=windows,
     samples=st.integers(5, 20),
 )
-def test_generated_operations_exit_zero_one_or_three(command, generator, n, window, samples):
+def test_generated_operations_exit_zero_one_or_three(
+    command, generator, interval, n, window, samples
+):
+    # a generator inverted numerically also runs on a random interval, which
+    # its inversion ladder walks out to the ends; an interval the generator
+    # or the window cannot use is a configuration error, named as one
+    if interval is not None and "--phi-inv" not in " ".join(generator):
+        generator = (generator[0], interval)
     argv = [command, *generator, f"--n={n}", f"--window={window!r}", f"--samples={samples}"]
-    assert main(argv) in (0, 1, 3)
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 3) or (code == 2 and "configuration error" in err.getvalue()), (
+        argv, code, err.getvalue(),
+    )
 
 
 @settings(max_examples=30, deadline=None)

@@ -7,6 +7,7 @@ from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import redirect_stderr, redirect_stdout
 
+import inversion_oracle
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -250,7 +251,8 @@ def _outcome(invert, *args):
 def test_spec_ladder_matches_the_one_shot_inverse(name, data):
     # one spec inverts a drawn sequence of targets twice over; each answer
     # is that of invert_monotone on a fresh interval, and the second time
-    # through every bracketing sample is already on the spec's ladder
+    # through every bracketing sample is already on the spec's ladder and
+    # every root in its memo
     phi, domain, preimages, _ = CLOSED_FORMS[name]
     fresh = preimages.map(phi) | st.sampled_from([0.0, -0.0, 1e300, -1e300])
     targets = [data.draw(fresh)]
@@ -263,7 +265,7 @@ def test_spec_ladder_matches_the_one_shot_inverse(name, data):
         return phi(x)
 
     spec = GeneratorSpec(phi=counting, domain=domain)
-    last_returned = None
+    solved = set()
     for second_pass in (False, True):
         for y in targets:
             calls.clear()
@@ -272,11 +274,89 @@ def test_spec_ladder_matches_the_one_shot_inverse(name, data):
             calls.clear()
             assert _outcome(spec.inverse, y) == expected, y
             if second_pass:
-                # the last inverse answers its own y again, 0.0 and -0.0 apart
-                repeat = repr(y) == last_returned
+                # a solved y costs no call, 0.0 and -0.0 apart; an error is
+                # not kept, and only its refinement is taken again
+                repeat = repr(y) in solved
                 assert calls == ([] if repeat else one_shot[_refinement_start(one_shot):])
             if isinstance(expected, str):
-                last_returned = repr(y)
+                solved.add(repr(y))
+
+
+#: the closed forms and a decreasing one with an open end, for the
+#: differential tests against the reference inversion
+ORACLE_FORMS = {name: form[:3] for name, form in CLOSED_FORMS.items()}
+ORACLE_FORMS["1-ln"] = (
+    lambda x: 1.0 - math.log(x), Interval.parse("(0,inf)"), st.floats(1e-11, 1e12)
+)
+
+
+def _oracle_case(data):
+    """A phi, an interval (the real line, (0,inf), or a finite one between
+    two preimages with either kind of end) and a strategy of targets:
+    images of preimages, signed zeros, +-1e300 and phi at finite ends."""
+    phi, _, preimages = ORACLE_FORMS[data.draw(st.sampled_from(sorted(ORACLE_FORMS)))]
+    lo, hi = sorted(data.draw(st.lists(preimages, min_size=2, max_size=2, unique=True)))
+    finite = st.builds(Interval.make, st.just(lo), st.just(hi), st.booleans(), st.booleans())
+    unbounded = st.sampled_from([Interval.real_line(), Interval.parse("(0,inf)")])
+    interval = data.draw(unbounded | finite)
+    ends = []
+    for end in filter(math.isfinite, (interval.lo, interval.hi)):
+        try:
+            ends.append(phi(end))
+        except (ValueError, OverflowError):
+            pass
+    targets = preimages.map(phi) | st.sampled_from([0.0, -0.0, 1e300, -1e300, *ends])
+    return phi, interval, targets
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data(), tol=st.sampled_from([None, 0.0]))
+def test_inversion_matches_the_reference(data, tol):
+    # the same root or error, from phi at the same points in the same order
+    phi, interval, targets = _oracle_case(data)
+    y = data.draw(targets)
+    runs = []
+    for invert in (inversion_oracle.invert_monotone, invert_monotone):
+        calls = []
+
+        def counting(x):
+            calls.append(x)
+            return phi(x)
+
+        runs.append((_outcome(invert, counting, y, interval, tol), calls))
+    assert runs[1] == runs[0], y
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_spec_inverse_matches_the_reference(data):
+    # a spec answers a sequence of targets as the reference does on one
+    # shared ladder, calling phi at the same points except for a target it
+    # has solved before, 0.0 and -0.0 apart, which costs no call
+    phi, interval, targets = _oracle_case(data)
+    ys = data.draw(st.lists(targets, min_size=1, max_size=12))
+    ys += data.draw(st.lists(st.sampled_from(ys), max_size=12))
+    calls = []
+
+    def counting(x):
+        calls.append(x)
+        return phi(x)
+
+    spec = GeneratorSpec(phi=counting, domain=interval)
+    ladder = inversion_oracle.Ladder(interval)
+    solved = {}
+    for y in ys:
+        calls.clear()
+        if repr(y) in solved:
+            expected, expected_calls = solved[repr(y)], []
+        else:
+            expected = _outcome(inversion_oracle.invert_monotone, counting, y, ladder)
+            expected_calls = calls[:]
+            if isinstance(expected, str):
+                solved[repr(y)] = expected
+        calls.clear()
+        assert _outcome(spec.inverse, y) == expected, y
+        assert calls == expected_calls, y
 
 
 def test_spec_samples_again_a_point_whose_phi_raised():
@@ -346,8 +426,9 @@ def test_quintic_build_passes():
 def test_cubic_build_phi_calls_are_pinned(monkeypatch):
     # counted from outside the package, by wrapping the phi handed to
     # generator.invert_monotone; the spec takes each bracketing sample once
-    # and answers a repeated sum from its last inverse (a fresh bracket per
-    # inverse took 1,200 inversions and 16,525 calls, bisection 51,343)
+    # and answers every sum it has solved before from its memo (a memo of
+    # the last inverse alone took 999 inversions and 8,587 calls, a fresh
+    # bracket per inverse 1,200 and 16,525, bisection 51,343)
     counts = Counter()
     invert = generator.invert_monotone
 
@@ -364,8 +445,8 @@ def test_cubic_build_phi_calls_are_pinned(monkeypatch):
     with redirect_stdout(io.StringIO()):
         code = main(["build", "--phi", "x^3+x", "--n", "2", "--samples", "200"])
     assert code == 0
-    assert counts["inversions"] == 999
-    assert counts["phi"] == 8587
+    assert counts["inversions"] == 913
+    assert counts["phi"] == 7856
 
 
 def test_generator_inverse_fallback_round_trip():
