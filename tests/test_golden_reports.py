@@ -68,6 +68,16 @@ INVOCATIONS = {
         "extract", "--op", "product", "--n", "3", "--c", "2",
         "--grid", "0.5,1,2,4", "--resolution", "0.00390625",
     ),
+    # round trips through the rebuilt operation, and an additivity witness
+    "roundtrip_product3": ("roundtrip", "--op", "product", "--n", "3", "--c", "2", "--grid", "0.5,1,2"),
+    "roundtrip_translated_sum4": (
+        "roundtrip", "--op", "translated_sum", "--n", "4", "--c", "1", "--grid=-2:2:0.5",
+        "--resolution", "0.0009765625", "--samples", "200",
+    ),
+    "extract_witness_expr3": (
+        "extract", "--op", "expr:x1+x2+x3+0.2*x1", "--n", "3", "--c", "1",
+        "--grid=-2:2:0.5", "--resolution", "0.00390625",
+    ),
 }
 
 _TIMING = re.compile(r'("timing_ms": )[^,\n}]+')
