@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Sequence
 
 from . import generator
@@ -196,20 +196,15 @@ class _Units:
     def before(self, a: float, b: float) -> bool:
         return a < b if self.ahead else a > b
 
-    def eval(self, args: tuple, ok) -> float:
-        """f.checked(*args), except that a value escaping the floats or the
-        domain is returned when ``ok(value)``: when it lies past the target
-        of a step along the direction of travel. An overflow has no value
-        and raises."""
-        try:
-            return self.f.checked(*args)
-        except DomainEscapeError as exc:
-            if exc.value is not None and ok(exc.value):
-                return exc.value
-            raise
-
     def diagonal(self, t: float) -> float:
-        return self.eval((t,) * self.n, lambda v: v == v)
+        """f(t, ..., t), or the value with which it escapes the floats or the
+        domain; an overflow, which has no value, or a NaN raises."""
+        try:
+            return self.f.checked(*(t,) * self.n)
+        except DomainEscapeError as exc:
+            if exc.value is None or exc.value != exc.value:
+                raise
+            return exc.value
 
     def _search_diagonal(self, t: float) -> float:
         """The diagonal as :meth:`_root`'s search calls it: an overflow,
@@ -226,14 +221,17 @@ class _Units:
         """U_j, or None beyond either end of the table."""
         while self.high < min(j, self.top):
             u = self.table[self.high]
-            v = self.eval((u,) * self.n, lambda v: self.before(u, v))
-            if not self.f.domain.contains(v):
+            try:
+                v = self.f.checked(*(u,) * self.n)
+            except DomainEscapeError as exc:  # past u it ends the table
+                if exc.value is None or not self.before(u, exc.value):
+                    raise
                 self.top = self.high
-            elif not self.before(u, v):
+                continue
+            if not self.before(u, v):
                 raise MonotonicityViolationError(f"U_{self.high + 1} = {v!r} is not past {u!r}")
-            else:
-                self.high += 1
-                self.table[self.high] = v
+            self.high += 1
+            self.table[self.high] = v
         while self.low > max(j, self.bottom):
             if (v := self._root(self.table[self.low])) is None:
                 self.bottom = self.low
@@ -286,14 +284,11 @@ def phi_at(units: _Units, x: float) -> PhiEstimate:
     :class:`BracketNotFoundError` when the top level of a table that the
     float range ends needs more than _MAX_LEVEL_STEPS steps.
     """
-    n, c = units.n, units(0)
+    n, c, checked, order = units.n, units(0), units.f.checked, units.ahead
     ahead = units.before(c, x)
     y, target = (c, x) if ahead else (x, c)
     digits: dict[int, int] = {}
     evaluations = levels = 0
-
-    def passes(v: float) -> bool:
-        return units.before(target, v)
 
     def walk(level: int, steps: int, climbing: bool = False) -> str:
         """Up to ``steps`` steps at one level; why the walk stopped."""
@@ -301,10 +296,17 @@ def phi_at(units: _Units, x: float) -> PhiEstimate:
         if (u := units(level)) is None:
             return "table"
         levels += 1
+        tail = (u,) * (n - 1)
         for _ in range(steps):
             evaluations += 1
-            t = units.eval((y,) + (u,) * (n - 1), passes)
-            if passes(t):
+            try:
+                t = checked(y, *tail)
+            except DomainEscapeError as exc:  # an escape past the target passes it
+                t = exc.value
+                if t is not None and (target < t if order else t < target):
+                    return "passed"
+                raise
+            if target < t if order else t < target:
                 return "passed"
             if t == y and not climbing:
                 return "still"
@@ -466,12 +468,13 @@ def extract_generator(f: NaryOp, cfg: ExtractionConfig) -> ExtractedGenerator:
 
 
 def _window_trials(gen: ExtractedGenerator, n: int, samples: int, seed: int, trial):
-    """Rejection-sample n-tuples uniformly over the tabulated window until
-    ``samples`` of them give a trial; ``trial(tup)`` returns the trial, or
-    None to reject the tuple. Raises :class:`BracketNotFoundError` after
-    500 draws per sample."""
+    """Rejection-sample n-tuples uniformly over the tabulated window, each
+    coordinate as ``window_point`` draws it, until ``samples`` of them give
+    a trial; ``trial(tup)`` returns the trial, or None to reject the tuple.
+    Raises :class:`BracketNotFoundError` after 500 draws per sample."""
     lo, hi = gen.window()
-    rng = random.Random(seed)
+    half_lo, half_span = lo / 2.0, hi / 2.0 - lo / 2.0
+    rand = random.Random(seed).random
     accepted = draws = 0
     while accepted < samples:
         draws += 1
@@ -480,7 +483,7 @@ def _window_trials(gen: ExtractedGenerator, n: int, samples: int, seed: int, tri
                 f"could not sample {samples} tuples inside the tabulated window "
                 f"[{lo!r}, {hi!r}] in {draws - 1} draws"
             )
-        t = trial(tuple(window_point(lo, hi, rng.random()) for _ in range(n)))
+        t = trial(tuple([2.0 * (half_lo + half_span * rand()) for _ in range(n)]))
         if t is not None:
             accepted += 1
             yield t
@@ -500,15 +503,15 @@ def verify_additivity(
     extrapolation). The pass threshold is (n+1) * gen.knot_error, for n
     interpolated inputs and one interpolated output, plus _ROUNDING_TOL.
     """
-    n = f.arity
+    n, checked = f.arity, f.checked
     lo, hi = gen.window()
+    interpolate = partial(piecewise_linear, gen.x_values, gen.phi_values)
 
     def trial(tup):
-        y = f.checked(*tup)
+        y = checked(*tup)
         if not lo <= y <= hi:
             return None
-        lhs = gen.interpolate(y)
-        return lhs, generator.generator_sum(gen.interpolate, tup), {"inputs": (tup,)}
+        return interpolate(y), generator.generator_sum(interpolate, tup), {"inputs": (tup,)}
 
     return falsify(
         "additivity", _window_trials(gen, n, samples, seed, trial), _ROUNDING_TOL,
@@ -520,26 +523,31 @@ def verify_additivity(
 def verify_roundtrip(
     gen: ExtractedGenerator,
     f: NaryOp,
-    rebuilt: NaryOp,
     samples: int = 100,
     seed: int = 0,
 ) -> AxiomReport:
-    """Compare the operation rebuilt from the table against f on tuples
-    whose generator sums stay inside the table.
+    """Compare the operation rebuilt from the table (``build_aczelian`` of
+    its generator spec) against f on tuples whose generator sums stay inside
+    it, taking the rebuilt value or error from the sum each trial has tested.
 
     The threshold is the additivity bound (n+1) * gen.knot_error mapped
     into operation space through the largest inverse slope of the table,
     plus the relative rounding allowance _ROUNDING_TOL, as in
     :func:`verify_additivity`.
     """
-    n = f.arity
-    ys = gen.phi_values
+    n, checked = f.arity, f.checked
+    rebuilt = generator.build_aczelian(gen.as_generator_spec(), n)
+    xs, ys = gen.x_values, gen.phi_values
+    interpolate, inverse = partial(piecewise_linear, xs, ys), partial(piecewise_linear, ys, xs)
 
     def trial(tup):
-        s = generator.generator_sum(gen.interpolate, tup)
+        s = generator.generator_sum(interpolate, tup)
         if not ys[0] <= s <= ys[-1]:
             return None
-        return rebuilt.checked(*tup), f.checked(*tup), {"inputs": (tup,)}
+        x = inverse(s)
+        if not xs[0] <= x <= xs[-1]:
+            x = rebuilt.checked(*tup)  # raises the rebuilt operation's error
+        return x, checked(*tup), {"inputs": (tup,)}
 
     return falsify(
         "roundtrip", _window_trials(gen, n, samples, seed, trial), _ROUNDING_TOL,

@@ -211,7 +211,8 @@ def estimate_codomain(phi: Callable[[float], float], domain: Interval) -> Interv
     along :func:`_approach`, the points that :func:`invert_monotone`
     brackets with. A limit still moving between the last two samples
     counts as infinite, a settled one as an open finite bound (snapped to
-    zero when tiny). A NaN value raises :class:`DomainEscapeError`."""
+    zero when tiny). A NaN value, or the same infinity at every sample,
+    raises :class:`DomainEscapeError`."""
     ladder = _Ladder(domain)
     _, f0 = ladder.start(phi)
 
@@ -231,6 +232,8 @@ def estimate_codomain(phi: Callable[[float], float], domain: Interval) -> Interv
 
     v_lo = chase(False)
     v_hi = chase(True)
+    if math.isinf(f0) and v_lo == v_hi == f0:  # no finite value to span
+        raise DomainEscapeError(f"generator value is {f0!r} at every sample of {domain.render()}")
     return Interval.make(min(v_lo, v_hi), max(v_lo, v_hi), True, True)
 
 

@@ -11,8 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from naryops import core, extraction
-from naryops.cli import load_generator, main
+import extraction_oracle
+from naryops import core, extraction, generator
+from naryops.cli import load_generator, load_opspec, main
 from naryops.core import builtin_lookup
 from naryops.errors import (
     AllIdempotentError,
@@ -29,6 +30,7 @@ from naryops.extraction import (
     select_base_point,
     sx_membership,
     verify_additivity,
+    verify_roundtrip,
 )
 from naryops.generator import build_aczelian
 from scale_oracle import compare_scales
@@ -665,3 +667,232 @@ def test_tied_extracted_values_exit_three():
         "numeric failure: extracted values 0.3046875 at 0.3 and 0.3046875 at 0.3001 do not increase"
         in err.getvalue()
     )
+
+
+# --- work counts of the sampled checks -------------------------------------------
+
+
+def _count_draws(monkeypatch, argv):
+    """Accepted and rejected draws of the checks' sampler in one CLI run,
+    counted through the trial it is handed."""
+    counts = Counter()
+    window_trials = extraction._window_trials
+
+    def counting(gen, n, samples, seed, trial):
+        def counted(tup):
+            t = trial(tup)
+            counts["accepted" if t is not None else "rejected"] += 1
+            return t
+
+        return window_trials(gen, n, samples, seed, counted)
+
+    monkeypatch.setattr(extraction, "_window_trials", counting)
+    with redirect_stdout(io.StringIO()):
+        assert main(argv) == 0
+    return dict(counts)
+
+
+@pytest.mark.parametrize(
+    "argv, draws",
+    [
+        (["extract", "--op", "sum", "--n", "3", "--c", "1", "--grid=-2:2:0.5"], (100, 47)),
+        (["roundtrip", "--op", "product", "--n", "3", "--c", "2", "--grid", "0.5,1,2"], (500, 338)),
+    ],
+)
+def test_window_draws_are_pinned(monkeypatch, argv, draws):
+    # uniform draws in x, kept when the value or the generator sum stays
+    # inside the table: a third of the product round trip's draws are lost
+    accepted, rejected = draws
+    assert _count_draws(monkeypatch, argv) == {"accepted": accepted, "rejected": rejected}
+
+
+def test_roundtrip_sums_each_draw_once(monkeypatch):
+    # f is evaluated once per accepted tuple and the generator sum once per
+    # draw: the rebuilt value comes from the sum the trial range-tested
+    # (before, the rebuilt operation summed each accepted tuple again, 515
+    # sums for these 315 draws)
+    counts = Counter()
+    generator_sum = generator.generator_sum
+
+    def counting_sum(phi, xs):
+        counts["sums"] += 1
+        return generator_sum(phi, xs)
+
+    def counting_eval(*xs):
+        counts["f"] += 1
+        return SUM3.eval(*xs)
+
+    f = dataclasses.replace(SUM3, eval=counting_eval)
+    gen = extract_generator(f, ExtractionConfig(base_point=1.0, grid=grid(-2.0, 2.0, 0.5)))
+    monkeypatch.setattr(generator, "generator_sum", counting_sum)
+    counts.clear()
+    assert verify_roundtrip(gen, f, samples=200, seed=3).passed
+    assert counts == {"f": 200, "sums": 315}
+
+
+# --- the reference loops ----------------------------------------------------------
+
+
+def _recording(f):
+    """f with an eval that records its arguments, and the record."""
+    calls = []
+
+    def recording(*xs):
+        calls.append(xs)
+        return f.eval(*xs)
+
+    return dataclasses.replace(f, eval=recording), calls
+
+
+def _outcome(fn, *args):
+    """repr of what fn returns, a report as its dict, or of the type and
+    message of what it raises: bit for bit, -0.0 apart from 0.0."""
+    try:
+        out = fn(*args)
+    except Exception as exc:
+        return repr((type(exc).__name__, str(exc)))
+    return repr(out.to_dict() if hasattr(out, "to_dict") else out)
+
+
+def _reference_roundtrip(gen, f, samples, seed):
+    rebuilt = build_aczelian(gen.as_generator_spec(), f.arity)
+    return extraction_oracle.verify_roundtrip(gen, f, rebuilt, samples, seed)
+
+
+def _matches_the_reference(f, cfg, samples, seed, gen=None):
+    """The walks of every grid point, then both checks of the table (gen,
+    or the one extracted), agree with the reference loops: the same
+    estimates, reports or errors, from op evaluations at the same tuples
+    in the same order. Returns the walks' outcomes and the checks' (none
+    without a table)."""
+    f, calls = _recording(f)
+    runs = []
+    for module in (extraction_oracle, extraction):
+        del calls[:]
+        try:
+            c, direction = select_base_point(f, cfg)
+        except Exception as exc:
+            runs.append((repr(exc), calls[:]))
+            continue
+        units = module._Units(f, c, direction, extraction._lowest_level(f.arity, cfg.resolution))
+        points = sorted(set(cfg.grid) | {c})
+        runs.append(([_outcome(module.phi_at, units, x) for x in points], calls[:]))
+    assert runs[1] == runs[0]
+    walks, reports = runs[1][0], []
+    if gen is None:
+        try:
+            gen = extract_generator(f, cfg)
+        except Exception:
+            return walks, reports
+    for reference, check in (
+        (extraction_oracle.verify_additivity, verify_additivity),
+        (_reference_roundtrip, verify_roundtrip),
+    ):
+        runs = []
+        for fn in (reference, check):
+            del calls[:]
+            runs.append((_outcome(fn, gen, f, samples, seed), calls[:]))
+        assert runs[1] == runs[0], fn.__name__
+        reports.append(runs[1][0])
+    return walks, reports
+
+
+#: operations at arity n with strategies for the base point and the grid
+REFERENCE_OPS = {
+    "sum": (lambda n: SUM_OPS[n], st.floats(0.5, 2.0) | st.floats(-2.0, -0.5), st.floats(-4.0, 4.0)),
+    "translated_sum": (
+        lambda n: builtin_lookup("translated_sum", n),
+        st.floats(0.5, 2.0) | st.floats(-3.0, -1.5), st.floats(-4.0, 4.0),
+    ),
+    "product": (
+        lambda n: builtin_lookup("product", n), st.floats(0.2, 0.6) | st.floats(1.6, 5.0),
+        st.floats(0.05, 20.0),
+    ),
+    "bounded_product": (
+        lambda n: builtin_lookup("bounded_product", n), st.floats(0.05, 0.95),
+        st.floats(0.001, 0.999),
+    ),
+    "expr": (
+        lambda n: load_opspec("expr:" + "+".join(f"x{i}" for i in range(1, n + 1)), n),
+        st.floats(0.5, 2.0) | st.floats(-2.0, -0.5), st.floats(-4.0, 4.0),
+    ),
+}
+SUM_OPS = {n: builtin_lookup("sum", n) for n in range(2, 6)}
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    name=st.sampled_from(sorted(REFERENCE_OPS)),
+    n=st.integers(2, 5),
+    resolution=st.sampled_from([1 / 4, 1 / 16, 1 / 64, 1 / 256, 1 / 1024]),
+    samples=st.integers(1, 80),
+    seed=st.integers(0, 2**32),
+    data=st.data(),
+)
+def test_extraction_matches_the_reference(name, n, resolution, samples, seed, data):
+    make, base_points, points = REFERENCE_OPS[name]
+    cfg = ExtractionConfig(
+        base_point=data.draw(base_points),
+        grid=tuple(data.draw(st.lists(points, min_size=1, max_size=6))),
+        resolution=resolution,
+    )
+    _matches_the_reference(make(n), cfg, samples, seed)
+
+
+def test_corrupted_table_fails_both_checks_as_the_reference_does():
+    cfg = ExtractionConfig(base_point=1.0, grid=grid(-2.0, 2.0, 0.5), resolution=1 / 64)
+    gen = extract_generator(SUM2, cfg)
+    bound = 3 * (gen.resolution_bound + gen.interp_slack) + 1e-3
+    corrupted = list(gen.samples)
+    idx = len(corrupted) // 2
+    corrupted[idx] = (corrupted[idx][0], corrupted[idx][1] + 10.0 * bound)
+    bad = dataclasses.replace(gen, samples=tuple(corrupted))
+    _, (additivity, roundtrip) = _matches_the_reference(SUM2, cfg, 100, 7, bad)
+    assert "'pass': False" in additivity and "'pass': False" in roundtrip
+
+
+@pytest.mark.parametrize(
+    "f, cfg",
+    [
+        # a window at the float range's edge: the base point is -5.9375e307
+        (SUM3, ExtractionConfig(grid=tuple(-2.0 + 0.5 * i for i in range(9)), scan_window=8e307)),
+        # units that climb to 1e200 and walk down again
+        (PRODUCT2, ExtractionConfig(base_point=2.0, grid=(1e200,))),
+    ],
+    ids=["sum3_window_8e307", "product2_at_1e200"],
+)
+def test_far_points_match_the_reference(f, cfg):
+    walks, reports = _matches_the_reference(f, cfg, 100, 0)
+    assert len(reports) == 2 and "Error" not in repr(walks)
+
+
+@pytest.mark.parametrize(
+    "source, cfg, fails",
+    [
+        # a table segment wider than the floats: the rebuilt value there is
+        # inf, which the rebuilt domain test rejects
+        ("x1+x2", ExtractionConfig(base_point=1e307, grid=(-1.7e308, 1.7e308)), "produced non-finite inf"),
+        # NaN past U_4 = 16, on the way up, and below 1.4e-6, on the way down
+        ("x1+x2+(exp(1000*(x1-15))-exp(1000*(x1-15)))", ExtractionConfig(base_point=1.0, grid=(100.0,)), "nan"),
+        (
+            "x1+x2+(exp(0.001/x1)-exp(0.001/x1))",
+            ExtractionConfig(base_point=1.0, grid=(0.3,), resolution=1e-9), "monotonicity",
+        ),
+        # U_3 = f(29, 29) is -inf, behind U_2, built for a walk from -100
+        ("x1+x2-exp(exp(x1+x2-45))", ExtractionConfig(base_point=8.0, grid=(-100.0,)), "-inf"),
+        # the search for U_-1 evaluates the diagonal where it is NaN
+        ("x1+x2+(exp(1e6*(0.3-x1))-exp(1e6*(0.3-x1)))", ExtractionConfig(base_point=1.0, grid=(0.6,)), "nan"),
+    ],
+    ids=["rebuilt_escape", "nan_above", "nan_below", "unit_escapes_behind", "nan_diagonal"],
+)
+def test_escapes_match_the_reference(source, cfg, fails):
+    assert fails in repr(_matches_the_reference(load_opspec("expr:" + source, 2), cfg, 100, 0))
+
+
+def test_draw_cap_matches_the_reference():
+    cfg = ExtractionConfig(base_point=2.0, grid=(1e6,))
+    _, (additivity, roundtrip) = _matches_the_reference(PRODUCT2, cfg, 100, 0)
+    assert additivity == repr((
+        "BracketNotFoundError",
+        "could not sample 100 tuples inside the tabulated window [2.0, 1000000.0] in 50000 draws",
+    ))

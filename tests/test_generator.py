@@ -607,3 +607,19 @@ def test_nan_generator_value_exits_three():
         code = main(["build", "--phi", "x+(exp(x)-exp(x))", "--n", "2", "--samples", "20"])
     assert code == 3
     assert "numeric failure: generator value is nan at x=1024.0" in err.getvalue()
+
+
+@pytest.mark.parametrize("src, infinity", [("x^3+x", "inf"), ("-x^3-x", "-inf")])
+def test_generator_overflowing_everywhere_exits_three(src, infinity):
+    # phi overflows on all of [1e300, 1.7e308], so its image has no finite
+    # end to estimate: a numeric failure, where estimate_codomain used to
+    # build the interval (inf, inf) and exit 2 with "interval needs lo < hi"
+    with pytest.raises(DomainEscapeError, match=f"generator value is {infinity} at every sample"):
+        generator.estimate_codomain(make_callable(parse_expr(src, 1), 1), Interval.parse("[1e300,1.7e308]"))
+    err = io.StringIO()
+    argv = ["build", f"--phi={src}", "--interval", "[1e300,1.7e308]", "--n", "2", "--samples", "5"]
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        assert main(argv) == 3
+    assert err.getvalue() == (
+        f"naryops: numeric failure: generator value is {infinity} at every sample of [1e+300,1.7e+308]\n"
+    )
