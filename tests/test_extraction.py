@@ -797,27 +797,15 @@ def _matches_the_reference(f, cfg, samples, seed, gen=None):
     return walks, reports
 
 
-#: operations at arity n with strategies for the base point and the grid
+#: the oracle fixtures and an ``expr:`` sum: the operation at arity n and
+#: strategies for the base point and the grid points
 REFERENCE_OPS = {
-    "sum": (lambda n: SUM_OPS[n], st.floats(0.5, 2.0) | st.floats(-2.0, -0.5), st.floats(-4.0, 4.0)),
-    "translated_sum": (
-        lambda n: builtin_lookup("translated_sum", n),
-        st.floats(0.5, 2.0) | st.floats(-3.0, -1.5), st.floats(-4.0, 4.0),
-    ),
-    "product": (
-        lambda n: builtin_lookup("product", n), st.floats(0.2, 0.6) | st.floats(1.6, 5.0),
-        st.floats(0.05, 20.0),
-    ),
-    "bounded_product": (
-        lambda n: builtin_lookup("bounded_product", n), st.floats(0.05, 0.95),
-        st.floats(0.001, 0.999),
-    ),
+    **{name: (make, c, xs) for name, (make, _, c, xs) in FIXTURES.items()},
     "expr": (
         lambda n: load_opspec("expr:" + "+".join(f"x{i}" for i in range(1, n + 1)), n),
-        st.floats(0.5, 2.0) | st.floats(-2.0, -0.5), st.floats(-4.0, 4.0),
+        *FIXTURES["sum"][2:],
     ),
 }
-SUM_OPS = {n: builtin_lookup("sum", n) for n in range(2, 6)}
 
 
 @settings(max_examples=120, deadline=None)
