@@ -78,6 +78,12 @@ INVOCATIONS = {
         "extract", "--op", "expr:x1+x2+x3+0.2*x1", "--n", "3", "--c", "1",
         "--grid=-2:2:0.5", "--resolution", "0.00390625",
     ),
+    # the sampled checks' draws: both extension witnesses, a cancellativity
+    # witness on the real line (161 lattice points, a set-tracked section
+    # pick) and a pass on (0,1) (15 points, a pool-tracked pick)
+    "extend_cubic_tail3": ("extend", "--op", "expr:x1+x2+x3^2", "--n", "3", "--samples", "40"),
+    "axioms_expr_product2_line": ("axioms", "--op", "expr:x1*x2", "--n", "2", "--samples", "40"),
+    "axioms_bounded_product3": ("axioms", "--op", "bounded_product", "--n", "3", "--samples", "40"),
 }
 
 _TIMING = re.compile(r'("timing_ms": )[^,\n}]+')
