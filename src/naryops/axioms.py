@@ -1,6 +1,6 @@
 """Sampling-based falsification checks: associativity, symmetry,
-cancellativity, and idempotent search, and the one loop every sampled
-identity check of the package runs through.
+cancellativity, and idempotent search, the one loop every sampled
+identity check of the package runs through, and its seeded draws.
 
 These checks can falsify an axiom with a concrete, replayable witness;
 they cannot certify it. Samples are drawn from a dyadic lattice inside
@@ -18,7 +18,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .core import Interval, NaryOp, lattice
+from .core import ArityClass, Interval, NaryOp, lattice
 from .extension import ExtendedOp, nested_trials, split_trials
 from .generator import generator_sum
 
@@ -32,6 +32,8 @@ __all__ = [
     "check_cancellativity",
     "find_idempotents",
     "falsify",
+    "random_nested_decomposition",
+    "random_split_blocks",
 ]
 
 
@@ -143,28 +145,72 @@ class AllSampledIdempotent:
 ALL_SAMPLED_IDEMPOTENT = AllSampledIdempotent()
 
 
+def _below(getrandbits: Callable[[int], int], n: int) -> int:
+    """A uniform int in [0, n): ``n.bit_length()`` random bits, drawn again
+    while they reach n. This is CPython's ``_randbelow_with_getrandbits``,
+    under ``randint`` and ``sample``, so a seed gives the same numbers
+    either way; every seeded integer draw of the sampled checks takes it."""
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
+
+
 def lattice_sampler(
     iv: Interval, window: float, rng: random.Random
-) -> Callable[[], float]:
-    """Draw exact dyadic points from iv clamped to [-window, window].
+) -> Callable[[int], tuple[float, ...]]:
+    """Draw exact dyadic points from iv clamped to [-window, window]:
+    ``draw(m)`` gives a tuple of m of them.
 
-    A draw is ``rng.randint(j_min, j_max) * h`` without randint's
-    argument handling: ``span.bit_length()`` random bits, drawn again
-    while they reach the span, which is how CPython's randint picks its
-    offset (``_randbelow_with_getrandbits``), so a seed gives the same
-    points either way."""
+    A point is ``rng.randint(j_min, j_max) * h`` without randint's
+    argument handling: one try of ``span.bit_length()`` random bits, and
+    :func:`_below` after a rejection."""
     j_min, j_max, h = lattice(iv, window)
     span = j_max - j_min + 1
     k = span.bit_length()
     getrandbits = rng.getrandbits
 
-    def draw() -> float:
-        r = getrandbits(k)
-        while r >= span:
+    def draw(m: int) -> tuple[float, ...]:
+        points = []
+        for _ in range(m):
             r = getrandbits(k)
-        return (j_min + r) * h
+            if r >= span:
+                r = _below(getrandbits, span)
+            points.append((j_min + r) * h)
+        return tuple(points)
 
     return draw
+
+
+#: string lengths of the random identity trials, in steps of n-1 beyond 1
+_NESTED_STEPS = 5
+_SPLIT_STEPS = 2
+
+
+def random_nested_decomposition(rng: random.Random, n: int) -> tuple[int, int, int]:
+    """Lengths (|x|, |y|, |z|) with |y| and |x|+1+|z| in the arity class.
+
+    Total length is at most 1 + _NESTED_STEPS * (n-1). The three draws
+    are the ``rng.randint`` calls (1, _NESTED_STEPS), (0, total steps)
+    and (0, rest), made with :func:`_below`.
+    """
+    step = ArityClass(n).step()
+    getrandbits = rng.getrandbits
+    total = 1 + step * (1 + _below(getrandbits, _NESTED_STEPS))
+    inner = 1 + step * _below(getrandbits, (total - 1) // step + 1)
+    rest = total - inner
+    left = _below(getrandbits, rest + 1)
+    return left, inner, rest - left
+
+
+def random_split_blocks(rng: random.Random, n: int) -> tuple[int, ...]:
+    """n block lengths, each in the arity class and at most
+    1 + _SPLIT_STEPS * (n-1), drawn as ``rng.randint(0, _SPLIT_STEPS)``
+    steps with :func:`_below`."""
+    step = ArityClass(n).step()
+    getrandbits = rng.getrandbits
+    return tuple([1 + step * _below(getrandbits, _SPLIT_STEPS + 1) for _ in range(n)])
 
 
 def falsify(
@@ -242,8 +288,9 @@ def check_associativity(
     def trials():
         checked = f.checked
         for _ in range(samples):
-            xs = tuple([draw() for _ in range(2 * n - 1)])
-            values = [_nesting(checked, n, xs, i) for i in range(n)]
+            xs = draw(2 * n - 1)
+            # the nesting at offset i, inner application first, as _nesting
+            values = [checked(*xs[:i], checked(*xs[i : i + n]), *xs[i + n :]) for i in range(n)]
             for i in range(n - 1):
                 yield values[i], values[i + 1], {"inputs": (xs,), "equation_index": i + 1}
 
@@ -281,7 +328,7 @@ def check_symmetry(
     def trials():
         checked = f.checked
         for _ in range(samples):
-            xs = tuple([draw() for _ in range(n)])
+            xs = draw(n)
             base = checked(*xs)
             for perm in generators:
                 other = checked(*[xs[j] for j in perm])
@@ -298,6 +345,29 @@ _STRICT_TOL = 1e-12
 
 #: lattice points sampled along each section in check_cancellativity
 _POINTS_PER_LINE = 9
+
+#: the largest population random.sample draws _POINTS_PER_LINE points of
+#: from a pool: 21 + 4 ** ceil(log(3 * 9, 4))
+_POOL_LIMIT = 85
+
+
+def _section_offsets(getrandbits: Callable[[int], int], size: int) -> list[int]:
+    """The sorted ``random.Random.sample(range(size), _POINTS_PER_LINE)``
+    of the same stream, drawn with :func:`_below`: up to _POOL_LIMIT
+    points each pick is swapped out of a pool, beyond it a repeat is
+    drawn again, as sample does."""
+    if size <= _POOL_LIMIT:
+        pool = list(range(size))
+        picks = []
+        for left in range(size, size - _POINTS_PER_LINE, -1):
+            j = _below(getrandbits, left)
+            picks.append(pool[j])
+            pool[j] = pool[left - 1]
+        return sorted(picks)
+    chosen: set[int] = set()
+    while len(chosen) < _POINTS_PER_LINE:
+        chosen.add(_below(getrandbits, size))
+    return sorted(chosen)
 
 
 def check_cancellativity(
@@ -317,7 +387,9 @@ def check_cancellativity(
     n = f.arity
     rng = random.Random(seed)
     j_min, j_max, h = lattice(f.domain, window)
+    size = j_max - j_min + 1
     draw = lattice_sampler(f.domain, window, rng)
+    getrandbits = rng.getrandbits
     anchor_j = min(max(0, j_min), j_max)
     checked = f.checked
     max_residual = 0.0
@@ -325,10 +397,11 @@ def check_cancellativity(
     sections = 0
     for coord in range(n):
         for line in range(lines):
-            frozen = (anchor_j * h,) * (n - 1) if line == 0 else tuple([draw() for _ in range(n - 1)])
-            js = range(j_min, j_max + 1)
-            if len(js) > _POINTS_PER_LINE:
-                js = sorted(rng.sample(js, _POINTS_PER_LINE))
+            frozen = (anchor_j * h,) * (n - 1) if line == 0 else draw(n - 1)
+            if size > _POINTS_PER_LINE:
+                js = [j_min + t for t in _section_offsets(getrandbits, size)]
+            else:
+                js = range(j_min, j_max + 1)
             tuples = [frozen[:coord] + (j * h,) + frozen[coord:] for j in js]
             values = [checked(*t) for t in tuples]
             sections += 1

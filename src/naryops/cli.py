@@ -24,13 +24,7 @@ from . import axioms as axioms_mod
 from .core import Interval, NaryOp, builtin_lookup
 from .errors import CodomainError, NaryError, RegistryError
 from .exprlang import ParseError, make_callable, parse as parse_expr
-from .extension import (
-    ExtendedOp,
-    nested_trials,
-    random_nested_decomposition,
-    random_split_blocks,
-    split_trials,
-)
+from .extension import ExtendedOp, nested_trials, split_trials
 from .extraction import ExtractionConfig, extract_generator, verify_additivity, verify_roundtrip
 from .generator import GeneratorSpec, build_aczelian, estimate_codomain, validate_codomain
 from .reducibility import adjoin_neutral, derive_binary, verify_neutrality, verify_reduction
@@ -179,10 +173,8 @@ def _cmd_extend(cfg: RunConfig) -> tuple[int, dict]:
     draw = axioms_mod.lattice_sampler(f.domain, cfg.window, rng)
     splits, block_lists = [], []
     for _ in range(cfg.samples):
-        lengths = random_nested_decomposition(rng, cfg.n)
-        splits.append(tuple([tuple([draw() for _ in range(m)]) for m in lengths]))
-        lengths = random_split_blocks(rng, cfg.n)
-        block_lists.append([tuple([draw() for _ in range(m)]) for m in lengths])
+        splits.append(tuple([draw(m) for m in axioms_mod.random_nested_decomposition(rng, cfg.n)]))
+        block_lists.append([draw(m) for m in axioms_mod.random_split_blocks(rng, cfg.n)])
     common = {"samples": cfg.samples, "seed": cfg.seed, "label": f.label}
     checks = {
         "nested_identity": axioms_mod.falsify(
@@ -328,7 +320,7 @@ def _cmd_gallery(cfg: RunConfig) -> tuple[int, dict]:
         f = builtin_lookup(name, n)
         draw = axioms_mod.lattice_sampler(f.domain, 4.0, rng)
         splits = (
-            tuple(tuple(draw() for _ in range(m)) for m in random_nested_decomposition(rng, n))
+            tuple([draw(m) for m in axioms_mod.random_nested_decomposition(rng, n)])
             for _ in range(100)
         )
         trials = nested_trials(ExtendedOp(f), splits)

@@ -192,11 +192,12 @@ class NaryOp:
     def checked(self, *xs: float) -> float:
         """Evaluate and verify the result stayed finite and in the domain.
         The error names the inputs, so a failure replays from its message,
-        and carries the rejected value, None after an overflow."""
+        and carries the rejected value, None after an overflow, whose
+        OverflowError it keeps as its cause."""
         try:
             y = self.eval(*xs)
-        except OverflowError:  # fsum's intermediate overflow on huge inputs
-            raise DomainEscapeError(f"{self.label or 'op'} overflowed at {xs!r}") from None
+        except OverflowError as exc:  # fsum's intermediate overflow on huge inputs
+            raise DomainEscapeError(f"{self.label or 'op'} overflowed at {xs!r}") from exc
         # one domain test accepts: infinite ends are open, so a value in
         # the domain is finite and isfinite only picks the rejection message
         if interval_contains(self.domain, y):

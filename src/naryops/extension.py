@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import enum
 import itertools
-import random
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -33,8 +32,6 @@ __all__ = [
     "ExtendedOp",
     "nested_trials",
     "split_trials",
-    "random_nested_decomposition",
-    "random_split_blocks",
 ]
 
 
@@ -56,18 +53,17 @@ class ExtendedOp:
         """Left-nested evaluation of a string with length in the arity class."""
         m = len(xs)
         n = self.base.arity
-        if not self.arity_class.member(m):
+        step = n - 1
+        if m < 1 or (m - 1) % step:  # the arity class's member test
             raise ArityClassError(
-                f"string length {m} not evaluable at arity {n} (need m = 1 mod {n - 1})"
+                f"string length {m} not evaluable at arity {n} (need m = 1 mod {step})"
             )
         if m == 1:
             return float(xs[0])
         checked = self.base.checked
         acc = checked(*xs[:n])
-        pos = n
-        while pos < m:
-            acc = checked(acc, *xs[pos : pos + n - 1])
-            pos += n - 1
+        for pos in range(n, m, step):
+            acc = checked(acc, *xs[pos : pos + step])
         return acc
 
     def power(self, c: float, p: int) -> float:
@@ -183,28 +179,3 @@ def split_trials(g: ExtendedOp, block_lists):
         heads = tuple(g.eval(b) for b in blocks)
         flat = tuple(itertools.chain.from_iterable(blocks))
         yield g.eval(heads), g.eval(flat), {"inputs": blocks}
-
-
-#: string lengths of the random identity trials, in steps of n-1 beyond 1
-_NESTED_STEPS = 5
-_SPLIT_STEPS = 2
-
-
-def random_nested_decomposition(rng: random.Random, n: int) -> tuple[int, int, int]:
-    """Lengths (|x|, |y|, |z|) with |y| and |x|+1+|z| in the arity class.
-
-    Total length is at most 1 + _NESTED_STEPS * (n-1).
-    """
-    step = ArityClass(n).step()
-    total = 1 + step * rng.randint(1, _NESTED_STEPS)
-    inner = 1 + step * rng.randint(0, (total - 1) // step)
-    rest = total - inner
-    left = rng.randint(0, rest)
-    return left, inner, rest - left
-
-
-def random_split_blocks(rng: random.Random, n: int) -> tuple[int, ...]:
-    """n block lengths, each in the arity class and at most
-    1 + _SPLIT_STEPS * (n-1)."""
-    step = ArityClass(n).step()
-    return tuple(1 + step * rng.randint(0, _SPLIT_STEPS) for _ in range(n))

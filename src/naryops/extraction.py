@@ -208,12 +208,14 @@ class _Units:
 
     def _search_diagonal(self, t: float) -> float:
         """The diagonal as :meth:`_root`'s search calls it: an overflow,
-        which escapes with no value, raises OverflowError again, and the
-        search reads it as the infinity the diagonal heads toward."""
+        which escapes with no value and an OverflowError as its cause,
+        raises OverflowError again, and the search reads it as the infinity
+        the diagonal heads toward. Other escapes without a value, such as
+        an expression's division by zero, propagate."""
         try:
             return self.diagonal(t)
         except DomainEscapeError as exc:
-            if exc.value is None:
+            if isinstance(exc.__cause__, OverflowError):
                 raise OverflowError(str(exc)) from None
             raise
 

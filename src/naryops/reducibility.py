@@ -71,7 +71,7 @@ def verify_reduction(
 
     def trials():
         for _ in range(samples):
-            xs = tuple(draw() for _ in range(n))
+            xs = draw(n)
             yield f.checked(*xs), fold(xs), {"inputs": (xs,)}
 
     return falsify(

@@ -9,7 +9,10 @@ hoisted, bind the table's interpolation once per check, take the rebuilt
 value from the generator sum the trial has range-tested, and call the
 operation's ``checked`` straight from the walk; they must give the same
 estimates and reports, raise the same errors and evaluate the operation
-on the same tuples in the same order as this one.
+on the same tuples in the same order as this one. Its
+``_search_diagonal`` follows the package's in reading only an escape
+caused by an ``OverflowError`` as an overflow, so a division by zero on
+the diagonal propagates in both.
 """
 
 from __future__ import annotations
@@ -70,12 +73,13 @@ class _Units:
 
     def _search_diagonal(self, t: float) -> float:
         """The diagonal as :meth:`_root`'s search calls it: an overflow,
-        which escapes with no value, raises OverflowError again, and the
-        search reads it as the infinity the diagonal heads toward."""
+        which escapes with no value and an OverflowError as its cause,
+        raises OverflowError again, and the search reads it as the infinity
+        the diagonal heads toward; other escapes propagate."""
         try:
             return self.diagonal(t)
         except DomainEscapeError as exc:
-            if exc.value is None:
+            if isinstance(exc.__cause__, OverflowError):
                 raise OverflowError(str(exc)) from None
             raise
 

@@ -19,6 +19,8 @@ from naryops.axioms import (
     falsify,
     find_idempotents,
     lattice_sampler,
+    random_nested_decomposition,
+    random_split_blocks,
 )
 from naryops.cli import RunConfig, main, run
 from naryops.core import Interval, NaryOp, builtin_lookup
@@ -28,8 +30,6 @@ from naryops.extension import (
     MembershipOutcome,
     RationalIndex,
     nested_trials,
-    random_nested_decomposition,
-    random_split_blocks,
     split_trials,
 )
 from naryops.extraction import (
@@ -280,16 +280,10 @@ def test_criterion_9_substitution_identities():
         draw = lattice_sampler(f.domain, 10.0, rng)
         for _ in range(500):
             lx, ly, lz = random_nested_decomposition(rng, n)
-            split = (
-                tuple(draw() for _ in range(lx)),
-                tuple(draw() for _ in range(ly)),
-                tuple(draw() for _ in range(lz)),
-            )
+            split = (draw(lx), draw(ly), draw(lz))
             rep = falsify("nested_identity", nested_trials(g, [split]), 1e-9)
             ok &= rep.passed
-            blocks = [
-                tuple(draw() for _ in range(m)) for m in random_split_blocks(rng, n)
-            ]
+            blocks = [draw(m) for m in random_split_blocks(rng, n)]
             rep2 = falsify("split_identity", split_trials(g, [blocks]), 1e-9)
             ok &= rep2.passed
             scale = 1.0 + abs(rep2.max_residual)

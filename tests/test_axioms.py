@@ -16,6 +16,8 @@ from naryops.axioms import (
     falsify,
     find_idempotents,
     lattice_sampler,
+    random_nested_decomposition,
+    random_split_blocks,
 )
 from naryops.cli import load_opspec
 from naryops.core import Interval, NaryOp, builtin_lookup, lattice
@@ -77,7 +79,7 @@ def _reference_check_symmetry(f, samples, seed, tol=1e-9, window=10.0):
 
     def trials():
         for _ in range(samples):
-            xs = tuple(draw() for _ in range(n))
+            xs = draw(n)
             base = f.checked(*xs)
             swap = (1, 0) + tuple(range(2, n))
             cycle = tuple(range(1, n)) + (0,)
@@ -112,7 +114,7 @@ def _all_permutations_check_symmetry(f, samples, seed, tol=1e-9, window=10.0):
 
     def trials():
         for _ in range(samples):
-            xs = tuple(draw() for _ in range(n))
+            xs = draw(n)
             base = f.checked(*xs)
             for perm in permutations():
                 other = f.checked(*(xs[j] for j in perm))
@@ -268,10 +270,12 @@ def test_idempotent_matches_generator_zero():
 
 
 def _assert_draws_follow_randint(iv, window, j_min, j_max, h):
+    # tuples of every length up to 9, and an empty one, from one stream
     for seed in range(40):
         draw = lattice_sampler(iv, window, random.Random(seed))
         rng = random.Random(seed)
-        assert [draw() for _ in range(50)] == [rng.randint(j_min, j_max) * h for _ in range(50)]
+        for m in (*range(1, 10), 0, *range(9, 0, -1)):
+            assert draw(m) == tuple(rng.randint(j_min, j_max) * h for _ in range(m))
 
 
 @pytest.mark.parametrize(
@@ -298,3 +302,43 @@ def test_lattice_draws_follow_randint(monkeypatch, span):
 def test_lattice_sampler_on_real_windows_follows_randint(domain, window):
     iv = Interval.parse(domain)
     _assert_draws_follow_randint(iv, window, *lattice(iv, window))
+
+
+@pytest.mark.parametrize("size", [9, 10, 15, 80, 85, 86, 161, 2**62])
+def test_section_pick_follows_sample(size):
+    # check_cancellativity picks its 9 section points through _below where
+    # it called random.sample: from a pool up to 85 points, from a set past
+    # it; the picks and the stream after them must be sample's
+    start = -(size // 3)
+    for seed in range(200):
+        ours, theirs = random.Random(seed), random.Random(seed)
+        picks = [start + t for t in axioms._section_offsets(ours.getrandbits, size)]
+        assert picks == sorted(theirs.sample(range(start, start + size), 9))
+        assert ours.getstate() == theirs.getstate()
+
+
+def _randint_nested_decomposition(rng, n):
+    """random_nested_decomposition as it was written with randint."""
+    step = n - 1
+    total = 1 + step * rng.randint(1, 5)
+    inner = 1 + step * rng.randint(0, (total - 1) // step)
+    rest = total - inner
+    left = rng.randint(0, rest)
+    return left, inner, rest - left
+
+
+def _randint_split_blocks(rng, n):
+    """random_split_blocks as it was written with randint."""
+    return tuple(1 + (n - 1) * rng.randint(0, 2) for _ in range(n))
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_decompositions_follow_randint(n):
+    # the extension identities' lengths draw through _below, interleaved
+    # as extend draws them, from the stream randint draws them from
+    for seed in range(200):
+        ours, theirs = random.Random(seed), random.Random(seed)
+        for _ in range(5):
+            assert random_nested_decomposition(ours, n) == _randint_nested_decomposition(theirs, n)
+            assert random_split_blocks(ours, n) == _randint_split_blocks(theirs, n)
+        assert ours.getstate() == theirs.getstate()

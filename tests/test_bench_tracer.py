@@ -77,3 +77,16 @@ def test_tracer_counts_the_falsify_layers(monkeypatch):
     assert tracer.calls["core.checked"] == 630
     assert tracer.calls["core.contains"] == 630
     assert tracer.calls["axioms.check"] == 3
+
+
+def test_tracer_counts_the_extension_folds(monkeypatch):
+    # each sample folds 3 strings for the nested identity (the inner block,
+    # the string with it substituted, the flat string) and 5 for the split
+    # one (3 heads, then both sides); a fold that skipped or repeated a
+    # step would move the checked counts, one per step of every fold
+    argv = ("extend", "--op", "sum", "--n", "3", "--samples", "40", "--seed", "1")
+    code, tracer, _ = _traced(monkeypatch, argv)
+    assert code == 0
+    assert tracer.calls["extension.eval"] == 320
+    assert tracer.calls["core.checked"] == 532
+    assert tracer.calls["core.contains"] == 532

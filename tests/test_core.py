@@ -264,3 +264,5 @@ def test_checked_names_an_overflow(domain):
         op.checked(0.25, 0.5)
     assert str(info.value) == "probe overflowed at (0.25, 0.5)"
     assert info.value.value is None
+    # the cause tells an overflow from other escapes without a value
+    assert isinstance(info.value.__cause__, OverflowError)

@@ -3,16 +3,15 @@ from typing import Sequence
 
 import pytest
 
-from naryops.axioms import falsify, lattice_sampler
-from naryops.core import Interval, NaryOp, builtin_lookup
-from naryops.errors import ArityClassError, DomainEscapeError
-from naryops.extension import (
-    ExtendedOp,
-    nested_trials,
+from naryops.axioms import (
+    falsify,
+    lattice_sampler,
     random_nested_decomposition,
     random_split_blocks,
-    split_trials,
 )
+from naryops.core import Interval, NaryOp, builtin_lookup
+from naryops.errors import ArityClassError, DomainEscapeError
+from naryops.extension import ExtendedOp, nested_trials, split_trials
 
 SQUARE_TAIL = NaryOp(3, Interval.real_line(), lambda x, y, z: x + y + z * z, "x+y+z^2")
 
@@ -122,14 +121,10 @@ def test_identities_on_random_decompositions(name, n):
     draw = lattice_sampler(f.domain, 10.0, rng)
     for _ in range(500):
         lx, ly, lz = random_nested_decomposition(rng, n)
-        split = (
-            tuple(draw() for _ in range(lx)),
-            tuple(draw() for _ in range(ly)),
-            tuple(draw() for _ in range(lz)),
-        )
+        split = (draw(lx), draw(ly), draw(lz))
         rep = falsify("nested_identity", nested_trials(g, [split]), 1e-9)
         assert rep.passed, rep
-        blocks = [tuple(draw() for _ in range(m)) for m in random_split_blocks(rng, n)]
+        blocks = [draw(m) for m in random_split_blocks(rng, n)]
         rep = falsify("split_identity", split_trials(g, [blocks]), 1e-9)
         assert rep.passed, rep
 
@@ -142,7 +137,7 @@ def test_random_bracketings_agree(name, n):
     draw = lattice_sampler(f.domain, 6.0, rng)
     for _ in range(200):
         m = 1 + (n - 1) * rng.randint(1, 5)
-        xs = tuple(draw() for _ in range(m))
+        xs = draw(m)
         left = g.eval(xs)
         other = eval_random_nesting(g, xs, rng)
         scale = 1.0 + abs(left) + abs(other)
@@ -173,8 +168,8 @@ def test_unary_block_substitution_is_identity():
     rng = random.Random(5)
     draw = lattice_sampler(g.base.domain, 10.0, rng)
     for _ in range(100):
-        x = tuple(draw() for _ in range(rng.randint(0, 3)))
-        y = (draw(),)
-        z = tuple(draw() for _ in range(rng.randint(0, 3)))
+        x = draw(rng.randint(0, 3))
+        y = draw(1)
+        z = draw(rng.randint(0, 3))
         rep = falsify("nested_identity", nested_trials(g, [(x, y, z)]), 1e-9)
         assert rep.max_residual == 0.0

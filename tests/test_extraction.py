@@ -202,6 +202,19 @@ def test_stalled_units_exit_three():
     assert err.getvalue() == "naryops: numeric failure: U_9 = 4.0 is not past 4.0\n"
 
 
+def test_division_by_zero_on_the_diagonal_exits_three():
+    # the search for a down unit evaluates f(0, 0), where 0.001/x1 divides
+    # by zero; the search used to read that escape, which has no value, as
+    # an overflow toward -inf and to report a broken monotonicity instead
+    err = io.StringIO()
+    op = "expr:x1+x2+(exp(0.001/x1)-exp(0.001/x1))"
+    argv = ["extract", "--op", op, "--n", "2", "--c", "1", "--grid", "0.3", "--resolution", "1e-9"]
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        code = main(argv)
+    assert code == 3
+    assert err.getvalue() == "naryops: numeric failure: division by zero\n"
+
+
 # --- per-point estimation ----------------------------------------------------
 
 
@@ -853,9 +866,10 @@ def test_far_points_match_the_reference(f, cfg):
         ("x1+x2", ExtractionConfig(base_point=1e307, grid=(-1.7e308, 1.7e308)), "produced non-finite inf"),
         # NaN past U_4 = 16, on the way up, and below 1.4e-6, on the way down
         ("x1+x2+(exp(1000*(x1-15))-exp(1000*(x1-15)))", ExtractionConfig(base_point=1.0, grid=(100.0,)), "nan"),
+        # the down-unit search meets a division by zero at 0, not an overflow
         (
             "x1+x2+(exp(0.001/x1)-exp(0.001/x1))",
-            ExtractionConfig(base_point=1.0, grid=(0.3,), resolution=1e-9), "monotonicity",
+            ExtractionConfig(base_point=1.0, grid=(0.3,), resolution=1e-9), "division by zero",
         ),
         # U_3 = f(29, 29) is -inf, behind U_2, built for a walk from -100
         ("x1+x2-exp(exp(x1+x2-45))", ExtractionConfig(base_point=8.0, grid=(-100.0,)), "-inf"),

@@ -472,7 +472,7 @@ def test_built_sections_strictly_increase():
     rng = random.Random(8)
     draw = lattice_sampler(f.domain, 8.0, rng)
     for _ in range(50):
-        base = [draw(), draw(), draw()]
+        base = list(draw(3))
         coord = rng.randrange(3)
         values = []
         for x in (0.5, 1.0, 2.0, 4.0):
