@@ -173,15 +173,6 @@ class _Ladder:
                     self.f0 = _safe_phi(phi, self.x0)
         return self.x0, self.f0
 
-    def walk(self, phi: Callable[[float], float], high: bool):
-        """The samples toward the high or the low end, after :meth:`start`;
-        phi takes those not taken yet."""
-        samples = self.sides[high]
-        i = 0
-        while i < len(samples) or self.extend(phi, high, i):
-            yield samples[i]
-            i += 1
-
     def extend(self, phi: Callable[[float], float], high: bool, i: int) -> bool:
         """Take the next sample toward one end unless sample i exists (i
         is at most the number of samples); False when the approach ends
@@ -208,30 +199,34 @@ class _Ladder:
 
 def estimate_codomain(phi: Callable[[float], float], domain: Interval) -> Interval:
     """Heuristic image interval of a monotone map: chase each endpoint
-    along :func:`_approach`, the points that :func:`invert_monotone`
-    brackets with. A limit still moving between the last two samples
-    counts as infinite, a settled one as an open finite bound (snapped to
-    zero when tiny). A NaN value, or the same infinity at every sample,
+    along :func:`_approach` from the start point, sampling phi at the
+    points a ladder (:class:`_Ladder`) takes, those that move past the
+    last one sampled, in its order: the start point, the low side, the
+    high side. A limit still moving between the last two samples counts
+    as infinite, a settled one as an open finite bound (snapped to zero
+    when tiny). A NaN value, or the same infinity at every sample,
     raises :class:`DomainEscapeError`."""
-    ladder = _Ladder(domain)
-    _, f0 = ladder.start(phi)
+    x0 = _start_point(domain)
+    f0 = _safe_phi(phi, x0)
 
-    def chase(high):
-        prev, last = None, f0
-        for x, fx in ladder.walk(phi, high):
-            if math.isnan(fx):
-                raise DomainEscapeError(f"generator value is nan at x={x!r}")
-            prev, last = last, fx
-            if math.isinf(last):
-                return last
+    def chase(end, open_end, high):
+        prev, last, x_last = None, f0, x0
+        for x in _approach(end, open_end, x0, not high):
+            if x > x_last if high else x < x_last:
+                x_last = x
+                prev, last = last, _safe_phi(phi, x, f0, last)
+                if math.isnan(last):
+                    raise DomainEscapeError(f"generator value is nan at x={x!r}")
+                if math.isinf(last):
+                    return last
         if prev is not None and abs(last - prev) > 1e-6 * (1.0 + abs(last)):
             return math.copysign(math.inf, last - prev)
         if abs(last) <= 1e-9:
             return 0.0
         return last
 
-    v_lo = chase(False)
-    v_hi = chase(True)
+    v_lo = chase(domain.lo, domain.lo_open, False)
+    v_hi = chase(domain.hi, domain.hi_open, True)
     if math.isinf(f0) and v_lo == v_hi == f0:  # no finite value to span
         raise DomainEscapeError(f"generator value is {f0!r} at every sample of {domain.render()}")
     return Interval.make(min(v_lo, v_hi), max(v_lo, v_hi), True, True)

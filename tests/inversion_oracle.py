@@ -1,10 +1,12 @@
 """A reference for numeric inversion: the straightforward form of
-:func:`naryops.generator.invert_monotone` and its ITP refinement, with
-the bracketing ladder walked by generators and every helper a call.
+:func:`naryops.generator.invert_monotone` and its ITP refinement, and of
+:func:`naryops.generator.estimate_codomain`, with the bracketing ladder
+walked by generators and every helper a call.
 
-The package's version reads the ladder's lists in place and runs a flat
-ITP loop; both must find the same roots, raise the same errors and call
-phi at the same points in the same order as this one.
+The package's version reads the ladder's lists in place, runs a flat
+ITP loop and chases the codomain in a plain loop; both must find the
+same roots and codomains, raise the same errors and call phi at the
+same points in the same order as this one.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import sys
 from typing import Callable
 
 from naryops.core import Interval
-from naryops.errors import InversionError
+from naryops.errors import DomainEscapeError, InversionError
 
 
 def _float_key(x: float) -> int:
@@ -113,6 +115,34 @@ class Ladder:
             self._points[high] = itertools.chain((x,), points)
             raise
         return True
+
+
+def estimate_codomain(phi, domain: Interval) -> Interval:
+    """The image interval of a monotone map, from the samples of a ladder
+    walked toward each end: infinite where the limit still moves between
+    the last two samples, else an open bound, snapped to zero when tiny."""
+    ladder = Ladder(domain)
+    _, f0 = ladder.start(phi)
+
+    def chase(high):
+        prev, last = None, f0
+        for x, fx in ladder.walk(phi, high):
+            if math.isnan(fx):
+                raise DomainEscapeError(f"generator value is nan at x={x!r}")
+            prev, last = last, fx
+            if math.isinf(last):
+                return last
+        if prev is not None and abs(last - prev) > 1e-6 * (1.0 + abs(last)):
+            return math.copysign(math.inf, last - prev)
+        if abs(last) <= 1e-9:
+            return 0.0
+        return last
+
+    v_lo = chase(False)
+    v_hi = chase(True)
+    if math.isinf(f0) and v_lo == v_hi == f0:
+        raise DomainEscapeError(f"generator value is {f0!r} at every sample of {domain.render()}")
+    return Interval.make(min(v_lo, v_hi), max(v_lo, v_hi), True, True)
 
 
 _KAPPA1 = 0.25

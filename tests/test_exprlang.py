@@ -264,3 +264,38 @@ def test_compiled_callable_checks_arity(arity, given_args):
     else:
         with pytest.raises(TypeError, match=f"expected {arity} arguments, got {given_args}"):
             fn(*args)
+
+
+@pytest.mark.parametrize(
+    "sources,arity",
+    [(("x^3+x", "x^5+x"), 1), (("x1+2*x2", "x1+3*x2"), 2)],
+)
+def test_one_shape_shares_its_code_but_not_its_constants(sources, arity):
+    # the generated source holds no constants, so both expressions compile
+    # to one code object; each function binds its own constants
+    asts = [parse(src, arity) for src in sources]
+    fns = [make_callable(ast, arity) for ast in asts]
+    assert fns[0].__code__ is fns[1].__code__
+    assert fns[0].__globals__ is not fns[1].__globals__
+    again = make_callable(asts[0], arity)
+    assert again is not fns[0] and again.__code__ is fns[0].__code__
+    values = (0.0, -0.0, 0.5, -1.5, 2.0, 3.0, 1e-300, 1e100, -1e100, 1e300, math.inf, -math.inf)
+    rng = random.Random(7)
+    for _ in range(200):
+        args = [rng.choice(values) for _ in range(arity)]
+        for ast, fn in zip(asts, fns):
+            assert _outcome(lambda: fn(*args)) == _outcome(lambda: eval_expr(ast, args))
+    args = (2.0,) * arity
+    assert fns[0](*args) != fns[1](*args)
+    assert again(*args) == fns[0](*args)
+
+
+def test_errors_repeat_on_a_warm_cache():
+    for _ in range(2):
+        with pytest.raises(ParseError, match="at offset 3"):
+            parse("x1+", 2)
+        fn = make_callable(parse("x1+x2", 2), 2)
+        with pytest.raises(TypeError, match="expected 2 arguments, got 1"):
+            fn(1.0)
+        with pytest.raises(TypeError, match="expected 2 arguments, got 3"):
+            fn(1.0, 2.0, 3.0)

@@ -575,6 +575,44 @@ def test_estimate_codomain_table(src, interval, expected):
             assert sum(1 for x in xs[1:] if (x < x0) == (end < x0)) <= 64
 
 
+#: the generators of the benchmark's generate workload, with their domains
+BENCH_GENERATORS = [
+    ("x^3+x", None), ("x+exp(x)", None), ("exp(x)", None), ("ln(x)", "(0,inf)"), ("2*x+1", None)
+]
+
+
+def _codomain_run(estimate, src, interval):
+    """What an estimate did: the points phi was called at, in order, and
+    the codomain it rendered or the error it raised."""
+    phi = make_callable(parse_expr(src, 1), 1)
+    xs = []
+
+    def recording(x):
+        xs.append(x)
+        return phi(x)
+
+    domain = Interval.parse(interval) if interval else Interval.real_line()
+    try:
+        outcome = estimate(recording, domain).render()
+    except Exception as exc:
+        outcome = (type(exc), str(exc))
+    return [x.hex() for x in xs], outcome
+
+
+@pytest.mark.parametrize(
+    "src,interval",
+    [(src, interval) for src, interval, _ in CODOMAIN_TABLE]
+    + BENCH_GENERATORS
+    + [("x+(exp(x)-exp(x))", None), ("x^3+x", "[1e300,1.7e308]"), ("-x^3-x", "[1e300,1.7e308]")],
+)
+def test_codomain_chase_matches_the_ladder_walk(src, interval):
+    # the plain loop calls phi where a ladder walked by generators does:
+    # the start point, then the low side, then the high side
+    xs, outcome = _codomain_run(generator.estimate_codomain, src, interval)
+    assert (xs, outcome) == _codomain_run(inversion_oracle.estimate_codomain, src, interval)
+    assert len(xs) > 2
+
+
 def test_estimate_codomain_nan_names_the_point():
     # exp(x) - exp(x) is inf - inf = nan once exp overflows
     phi = make_callable(parse_expr("x+(exp(x)-exp(x))", 1), 1)
