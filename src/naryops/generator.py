@@ -202,14 +202,16 @@ def estimate_codomain(phi: Callable[[float], float], domain: Interval) -> Interv
     along :func:`_approach` from the start point, sampling phi at the
     points a ladder (:class:`_Ladder`) takes, those that move past the
     last one sampled, in its order: the start point, the low side, the
-    high side. A limit still moving between the last two samples counts
+    high side. A closed finite end gives a closed bound at phi(end). Past
+    an open end, a limit still moving between the last two samples counts
     as infinite, a settled one as an open finite bound (snapped to zero
-    when tiny). A NaN value, or the same infinity at every sample,
-    raises :class:`DomainEscapeError`."""
+    when tiny). A NaN value, or the same infinity at every sample, raises
+    :class:`DomainEscapeError`."""
     x0 = _start_point(domain)
     f0 = _safe_phi(phi, x0)
 
     def chase(end, open_end, high):
+        """The limit toward one end, and whether it is an open bound."""
         prev, last, x_last = None, f0, x0
         for x in _approach(end, open_end, x0, not high):
             if x > x_last if high else x < x_last:
@@ -218,18 +220,18 @@ def estimate_codomain(phi: Callable[[float], float], domain: Interval) -> Interv
                 if math.isnan(last):
                     raise DomainEscapeError(f"generator value is nan at x={x!r}")
                 if math.isinf(last):
-                    return last
+                    return last, True
+        if not open_end:  # phi at the end itself (x0 when no float lies between)
+            return last, False
         if prev is not None and abs(last - prev) > 1e-6 * (1.0 + abs(last)):
-            return math.copysign(math.inf, last - prev)
-        if abs(last) <= 1e-9:
-            return 0.0
-        return last
+            return math.copysign(math.inf, last - prev), True
+        return (0.0 if abs(last) <= 1e-9 else last), True
 
-    v_lo = chase(domain.lo, domain.lo_open, False)
-    v_hi = chase(domain.hi, domain.hi_open, True)
+    ends = chase(domain.lo, domain.lo_open, False), chase(domain.hi, domain.hi_open, True)
+    (v_lo, lo_open), (v_hi, hi_open) = sorted(ends)  # a decreasing phi swaps them
     if math.isinf(f0) and v_lo == v_hi == f0:  # no finite value to span
         raise DomainEscapeError(f"generator value is {f0!r} at every sample of {domain.render()}")
-    return Interval.make(min(v_lo, v_hi), max(v_lo, v_hi), True, True)
+    return Interval.make(v_lo, v_hi, lo_open, hi_open)
 
 
 #: ITP constants (Oliveira & Takahashi, ACM TOMS 47(1), 2021). In a

@@ -119,30 +119,36 @@ class Ladder:
 
 def estimate_codomain(phi, domain: Interval) -> Interval:
     """The image interval of a monotone map, from the samples of a ladder
-    walked toward each end: infinite where the limit still moves between
-    the last two samples, else an open bound, snapped to zero when tiny."""
+    walked toward each end: a closed bound at phi(end) for a closed
+    finite end; past an open end, infinite where the limit still moves
+    between the last two samples, else an open bound, snapped to zero
+    when tiny."""
     ladder = Ladder(domain)
     _, f0 = ladder.start(phi)
 
-    def chase(high):
+    def chase(high, open_end):
         prev, last = None, f0
         for x, fx in ladder.walk(phi, high):
             if math.isnan(fx):
                 raise DomainEscapeError(f"generator value is nan at x={x!r}")
             prev, last = last, fx
             if math.isinf(last):
-                return last
+                return last, True
+        if not open_end:
+            return last, False
         if prev is not None and abs(last - prev) > 1e-6 * (1.0 + abs(last)):
-            return math.copysign(math.inf, last - prev)
+            return math.copysign(math.inf, last - prev), True
         if abs(last) <= 1e-9:
-            return 0.0
-        return last
+            return 0.0, True
+        return last, True
 
-    v_lo = chase(False)
-    v_hi = chase(True)
+    v_lo, lo_open = chase(False, domain.lo_open)
+    v_hi, hi_open = chase(True, domain.hi_open)
     if math.isinf(f0) and v_lo == v_hi == f0:
         raise DomainEscapeError(f"generator value is {f0!r} at every sample of {domain.render()}")
-    return Interval.make(min(v_lo, v_hi), max(v_lo, v_hi), True, True)
+    if v_hi < v_lo:
+        v_lo, lo_open, v_hi, hi_open = v_hi, hi_open, v_lo, lo_open
+    return Interval.make(v_lo, v_hi, lo_open, hi_open)
 
 
 _KAPPA1 = 0.25

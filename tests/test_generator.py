@@ -1,4 +1,5 @@
 import io
+import json
 import math
 import random
 import sys
@@ -552,6 +553,14 @@ CODOMAIN_TABLE = [
     ("ln(x)", "(0,inf)", "(-inf,+inf)"),
     ("-1/x", "(0,inf)", "(-inf,0.0)"),
     ("ln(x)", "(0,1)", "(-inf,0.0)"),
+    # a closed finite end is a closed bound at phi(end)
+    ("x", "[0,inf)", "[0.0,+inf)"),
+    ("ln(x)", "(0,1]", "(-inf,0.0]"),
+    ("x", "[0,1]", "[0.0,1.0]"),
+    ("-x", "[0,inf)", "(-inf,0.0]"),
+    ("exp(x)", "(-inf,0]", "(0.0,1.0]"),
+    ("1-ln(x)", "[0.5,1)", "(1.0,1.6931471805599454]"),
+    ("x-1", "[1,1.0000000000000002]", "[0.0,2.220446049250313e-16]"),
 ]
 
 
@@ -610,7 +619,32 @@ def test_codomain_chase_matches_the_ladder_walk(src, interval):
     # the start point, then the low side, then the high side
     xs, outcome = _codomain_run(generator.estimate_codomain, src, interval)
     assert (xs, outcome) == _codomain_run(inversion_oracle.estimate_codomain, src, interval)
-    assert len(xs) > 2
+    assert len(xs) >= 2
+
+
+@pytest.mark.parametrize(
+    "argv,form",
+    [
+        (["--phi", "x", "--interval", "[0,inf)", "--n", "3"], {"form": "pos_closed_a", "bound": 0.0}),
+        (["--phi", "ln(x)", "--interval", "(0,1]"], {"form": "neg_closed_b", "bound": 0.0}),
+    ],
+)
+def test_closed_finite_end_is_a_closed_codomain_bound(argv, form):
+    # the closed end's image bounds the codomain; it used to read as an
+    # end still moving, so both builds reported full_line
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = main(["build", *argv, "--samples", "20", "--format", "json"])
+    assert code == 0
+    assert json.loads(out.getvalue())["codomain_form"] == form
+
+
+def test_closed_interval_codomain_is_bounded_on_both_ends():
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        code = main(["build", "--phi", "x", "--interval", "[0,1]", "--samples", "20"])
+    assert code == 2
+    assert "codomain [0.0,1.0] is bounded on both ends" in err.getvalue()
 
 
 def test_estimate_codomain_nan_names_the_point():
