@@ -20,7 +20,7 @@ from functools import partial
 from typing import Callable, Sequence
 
 from .core import Interval, NaryOp
-from .errors import CodomainError, DomainEscapeError, InversionError
+from .errors import CodomainError, DomainEscapeError, InversionError, MonotonicityViolationError
 
 __all__ = [
     "GeneratorSpec",
@@ -206,7 +206,8 @@ def estimate_codomain(phi: Callable[[float], float], domain: Interval) -> Interv
     an open end, a limit still moving between the last two samples counts
     as infinite, a settled one as an open finite bound (snapped to zero
     when tiny). A NaN value, or the same infinity at every sample, raises
-    :class:`DomainEscapeError`."""
+    :class:`DomainEscapeError`, and the same limit at both ends, which no
+    monotone phi has, :class:`MonotonicityViolationError`."""
     x0 = _start_point(domain)
     f0 = _safe_phi(phi, x0)
 
@@ -229,8 +230,12 @@ def estimate_codomain(phi: Callable[[float], float], domain: Interval) -> Interv
 
     ends = chase(domain.lo, domain.lo_open, False), chase(domain.hi, domain.hi_open, True)
     (v_lo, lo_open), (v_hi, hi_open) = sorted(ends)  # a decreasing phi swaps them
-    if math.isinf(f0) and v_lo == v_hi == f0:  # no finite value to span
-        raise DomainEscapeError(f"generator value is {f0!r} at every sample of {domain.render()}")
+    if v_lo == v_hi:
+        if math.isinf(f0) and v_lo == f0:  # no finite value to span
+            raise DomainEscapeError(f"generator value is {f0!r} at every sample of {domain.render()}")
+        raise MonotonicityViolationError(
+            f"generator is not monotone on {domain.render()}: it tends to {v_lo!r} at both ends"
+        )
     return Interval.make(v_lo, v_hi, lo_open, hi_open)
 
 

@@ -18,7 +18,7 @@ import sys
 from typing import Callable
 
 from naryops.core import Interval
-from naryops.errors import DomainEscapeError, InversionError
+from naryops.errors import DomainEscapeError, InversionError, MonotonicityViolationError
 
 
 def _float_key(x: float) -> int:
@@ -122,7 +122,7 @@ def estimate_codomain(phi, domain: Interval) -> Interval:
     walked toward each end: a closed bound at phi(end) for a closed
     finite end; past an open end, infinite where the limit still moves
     between the last two samples, else an open bound, snapped to zero
-    when tiny."""
+    when tiny; the same limit at both ends is no monotone map's."""
     ladder = Ladder(domain)
     _, f0 = ladder.start(phi)
 
@@ -146,6 +146,10 @@ def estimate_codomain(phi, domain: Interval) -> Interval:
     v_hi, hi_open = chase(True, domain.hi_open)
     if math.isinf(f0) and v_lo == v_hi == f0:
         raise DomainEscapeError(f"generator value is {f0!r} at every sample of {domain.render()}")
+    if v_lo == v_hi:
+        raise MonotonicityViolationError(
+            f"generator is not monotone on {domain.render()}: it tends to {v_lo!r} at both ends"
+        )
     if v_hi < v_lo:
         v_lo, lo_open, v_hi, hi_open = v_hi, hi_open, v_lo, lo_open
     return Interval.make(v_lo, v_hi, lo_open, hi_open)

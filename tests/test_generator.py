@@ -612,7 +612,8 @@ def _codomain_run(estimate, src, interval):
     "src,interval",
     [(src, interval) for src, interval, _ in CODOMAIN_TABLE]
     + BENCH_GENERATORS
-    + [("x+(exp(x)-exp(x))", None), ("x^3+x", "[1e300,1.7e308]"), ("-x^3-x", "[1e300,1.7e308]")],
+    + [("x+(exp(x)-exp(x))", None), ("x^3+x", "[1e300,1.7e308]"), ("-x^3-x", "[1e300,1.7e308]")]
+    + [("x^2", None), ("exp(-x^2)", None), ("x^2-1", "[-1,1]")],
 )
 def test_codomain_chase_matches_the_ladder_walk(src, interval):
     # the plain loop calls phi where a ladder walked by generators does:
@@ -645,6 +646,25 @@ def test_closed_interval_codomain_is_bounded_on_both_ends():
         code = main(["build", "--phi", "x", "--interval", "[0,1]", "--samples", "20"])
     assert code == 2
     assert "codomain [0.0,1.0] is bounded on both ends" in err.getvalue()
+
+
+@pytest.mark.parametrize(
+    "src,limit",
+    [("x^2", "inf"), ("abs(x)", "inf"), ("x^2+1", "inf"), ("exp(-x^2)", "0.0"), ("-x^2", "-inf")],
+)
+def test_same_limit_at_both_ends_is_not_monotone(src, limit):
+    # phi is finite at the start point and heads to one limit both ways,
+    # so it turns somewhere: a numeric failure naming the limit, where the
+    # estimate used to build the interval (limit, limit) and exit 2 with
+    # "interval needs lo < hi"
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        code = main(["build", f"--phi={src}", "--n", "2", "--samples", "20"])
+    assert code == 3
+    assert err.getvalue() == (
+        f"naryops: numeric failure: generator is not monotone on (-inf,+inf): "
+        f"it tends to {limit} at both ends\n"
+    )
 
 
 def test_estimate_codomain_nan_names_the_point():
