@@ -191,13 +191,19 @@ class NaryOp:
 
     def checked(self, *xs: float) -> float:
         """Evaluate and verify the result stayed finite and in the domain.
-        The error names the inputs, so a failure replays from its message,
-        and carries the rejected value, None after an overflow, whose
-        OverflowError it keeps as its cause."""
+        The error names the operation and the inputs, so a failure replays
+        from its message, and carries the rejected value, None after an
+        overflow, whose OverflowError it keeps as its cause. An escape
+        raised inside ``eval`` (an expression's division by zero) is
+        raised again with that name and those inputs, keeping its value
+        and an OverflowError cause."""
         try:
             y = self.eval(*xs)
         except OverflowError as exc:  # fsum's intermediate overflow on huge inputs
             raise DomainEscapeError(f"{self.label or 'op'} overflowed at {xs!r}") from exc
+        except DomainEscapeError as exc:
+            cause = exc.__cause__ if isinstance(exc.__cause__, OverflowError) else exc
+            raise DomainEscapeError(f"{self.label or 'op'} at {xs!r}: {exc}", exc.value) from cause
         # one domain test accepts: infinite ends are open, so a value in
         # the domain is finite and isfinite only picks the rejection message
         if interval_contains(self.domain, y):

@@ -261,7 +261,11 @@ def test_generator_sum_past_float_range_exits_three(command, capsys):
     )
     assert code == 3
     err = capsys.readouterr().err
-    assert "numeric failure: generator sum inf escapes codomain (0.0,+inf)" in err
+    # the generated operation's checked evaluation names itself and the inputs
+    assert err == (
+        "naryops: numeric failure: generated[exp(x)]/2 at (709.5, 709.53125): "
+        "generator sum inf escapes codomain (0.0,+inf)\n"
+    )
 
 
 @pytest.mark.parametrize("resolution", ["nan", "inf", "0", "-1"])

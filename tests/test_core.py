@@ -13,6 +13,7 @@ from naryops.core import (
     lattice,
 )
 from naryops.errors import DomainEscapeError, RegistryError
+from naryops.exprlang import make_callable, parse
 from naryops.generator import GeneratorSpec
 
 
@@ -265,4 +266,36 @@ def test_checked_names_an_overflow(domain):
     assert str(info.value) == "probe overflowed at (0.25, 0.5)"
     assert info.value.value is None
     # the cause tells an overflow from other escapes without a value
+    assert isinstance(info.value.__cause__, OverflowError)
+
+
+def test_checked_names_an_escape_raised_inside_eval():
+    # an expression's partial function raises inside eval; checked raises
+    # it again with the operation and the inputs, keeping its value
+    op = NaryOp(2, Interval.real_line(), make_callable(parse("x1/x2", 2), 2), "expr:x1/x2")
+    with pytest.raises(DomainEscapeError) as info:
+        op.checked(1.0, 0.0)
+    assert str(info.value) == "expr:x1/x2 at (1.0, 0.0): division by zero"
+    assert info.value.value is None
+    assert isinstance(info.value.__cause__, DomainEscapeError)
+
+    def escaping(x, y):
+        raise DomainEscapeError("inner escape", 7.5)
+
+    with pytest.raises(DomainEscapeError, match=r"^probe at \(0.25, 0.5\): inner escape$") as info:
+        NaryOp(2, Interval.real_line(), escaping, "probe").checked(0.25, 0.5)
+    assert info.value.value == 7.5
+
+
+def test_checked_keeps_the_overflow_cause_of_an_inner_escape():
+    # an operation built on another one's checked evaluation: the inner
+    # overflow stays the cause, which is how the extraction's diagonal
+    # search tells an overflow from other escapes without a value
+    inner = builtin_lookup("sum", 2)
+    outer = NaryOp(2, Interval.real_line(), lambda x, y: inner.checked(x, y), "outer")
+    big = 1.7e308
+    with pytest.raises(DomainEscapeError) as info:
+        outer.checked(big, big)
+    assert str(info.value) == f"outer at ({big!r}, {big!r}): sum/2 overflowed at ({big!r}, {big!r})"
+    assert info.value.value is None
     assert isinstance(info.value.__cause__, OverflowError)

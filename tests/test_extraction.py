@@ -205,14 +205,15 @@ def test_stalled_units_exit_three():
 def test_division_by_zero_on_the_diagonal_exits_three():
     # the search for a down unit evaluates f(0, 0), where 0.001/x1 divides
     # by zero; the search used to read that escape, which has no value, as
-    # an overflow toward -inf and to report a broken monotonicity instead
+    # an overflow toward -inf and to report a broken monotonicity instead;
+    # the escape names the operation and the inputs it was raised at
     err = io.StringIO()
     op = "expr:x1+x2+(exp(0.001/x1)-exp(0.001/x1))"
     argv = ["extract", "--op", op, "--n", "2", "--c", "1", "--grid", "0.3", "--resolution", "1e-9"]
     with redirect_stdout(io.StringIO()), redirect_stderr(err):
         code = main(argv)
     assert code == 3
-    assert err.getvalue() == "naryops: numeric failure: division by zero\n"
+    assert err.getvalue() == f"naryops: numeric failure: {op} at (0.0, 0.0): division by zero\n"
 
 
 # --- per-point estimation ----------------------------------------------------
