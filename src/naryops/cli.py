@@ -198,21 +198,12 @@ def _cmd_build(cfg: RunConfig) -> tuple[int, dict]:
     return _suite_report(cfg, checks, extra)
 
 
-def _extraction_config(cfg: RunConfig) -> ExtractionConfig:
-    grid = parse_grid(cfg.grid) if cfg.grid else parse_grid("-2:2:0.5")
-    return ExtractionConfig(
-        base_point=cfg.c,
-        grid=grid,
-        resolution=cfg.resolution,
-        scan_window=cfg.window,
-    )
-
-
 def _extract(cfg: RunConfig):
     """The operation, its extracted generator, and the report fields both
     extraction commands share."""
     f = load_opspec(cfg.op, cfg.n, cfg.interval)
-    gen = extract_generator(f, _extraction_config(cfg))
+    config = ExtractionConfig(cfg.c, parse_grid(cfg.grid or "-2:2:0.5"), cfg.resolution, cfg.window)
+    gen = extract_generator(f, config)
     extra = {
         "table": [[x, v] for x, v in gen.samples],
         "base_point": gen.c,
@@ -262,12 +253,9 @@ def _cmd_reduce(cfg: RunConfig) -> tuple[int, dict]:
         "binary_associativity": binary_assoc,
         "neutrality": verify_neutrality(structure, cfg.seed + 2, cfg.window).to_dict(),
     }
-    extra = {
-        "neutral": repr(structure.neutral)
-        if structure.neutral_is_adjoined
-        else structure.neutral,
-        "neutral_adjoined": structure.neutral_is_adjoined,
-    }
+    adjoined = structure.neutral_is_adjoined
+    neutral = repr(structure.neutral) if adjoined else structure.neutral
+    extra = {"neutral": neutral, "neutral_adjoined": adjoined}
     return _suite_report(cfg, checks, extra)
 
 
@@ -336,9 +324,7 @@ def _cmd_gallery(cfg: RunConfig) -> tuple[int, dict]:
     ok = True
     sums = axioms_mod.find_idempotents(builtin_lookup("sum", 2), [v * 0.5 for v in range(-4, 5)])
     ok &= isinstance(sums, list) and len(sums) == 1 and abs(sums[0]) <= 1e-9
-    prods = axioms_mod.find_idempotents(
-        builtin_lookup("product", 2), [0.25, 0.5, 1.0, 2.0]
-    )
+    prods = axioms_mod.find_idempotents(builtin_lookup("product", 2), [0.25, 0.5, 1.0, 2.0])
     ok &= isinstance(prods, list) and len(prods) == 1 and abs(prods[0] - 1.0) <= 1e-9
     alts = axioms_mod.find_idempotents(alt, [v * 0.5 for v in range(-4, 5)])
     ok &= isinstance(alts, axioms_mod.AllSampledIdempotent)
@@ -346,10 +332,8 @@ def _cmd_gallery(cfg: RunConfig) -> tuple[int, dict]:
 
     # a small extraction against the additive closed form
     f = builtin_lookup("sum", 2)
-    gen = extract_generator(
-        f,
-        ExtractionConfig(base_point=1.0, grid=(-1.0, 0.0, 1.5), resolution=1.0 / 16.0),
-    )
+    config = ExtractionConfig(base_point=1.0, grid=(-1.0, 0.0, 1.5), resolution=1.0 / 16.0)
+    gen = extract_generator(f, config)
     ok = gen.direction is BranchDirection.C_BELOW and all(
         abs(v - x) <= 1.0 / 16.0 + 1e-9 for x, v in gen.samples
     )

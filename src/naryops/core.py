@@ -193,10 +193,9 @@ class NaryOp:
         """Evaluate and verify the result stayed finite and in the domain.
         The error names the operation and the inputs, so a failure replays
         from its message, and carries the rejected value, None after an
-        overflow, whose OverflowError it keeps as its cause. An escape
-        raised inside ``eval`` (an expression's division by zero) is
-        raised again with that name and those inputs, keeping its value
-        and an OverflowError cause."""
+        overflow, whose OverflowError it keeps as its cause; an escape
+        raised inside ``eval`` is raised again so, with its value and
+        any OverflowError cause."""
         try:
             y = self.eval(*xs)
         except OverflowError as exc:  # fsum's intermediate overflow on huge inputs

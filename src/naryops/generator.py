@@ -198,16 +198,15 @@ class _Ladder:
 
 
 def estimate_codomain(phi: Callable[[float], float], domain: Interval) -> Interval:
-    """Heuristic image interval of a monotone map: chase each endpoint
-    along :func:`_approach` from the start point, sampling phi at the
-    points a ladder (:class:`_Ladder`) takes, those that move past the
-    last one sampled, in its order: the start point, the low side, the
-    high side. A closed finite end gives a closed bound at phi(end). Past
-    an open end, a limit still moving between the last two samples counts
-    as infinite, a settled one as an open finite bound (snapped to zero
-    when tiny). A NaN value, or the same infinity at every sample, raises
-    :class:`DomainEscapeError`, and the same limit at both ends, which no
-    monotone phi has, :class:`MonotonicityViolationError`."""
+    """Heuristic image interval of a monotone map, from phi at the points
+    :func:`invert_monotone` brackets with, in its order: the start point,
+    then along :func:`_approach` toward the low end and the high end, each
+    point past the last one sampled. A closed finite end is a closed bound
+    at phi(end). Toward an open end, a limit still moving between the last
+    two samples is infinite, a settled one an open bound (zero when tiny).
+    A NaN value, or the same infinity at every sample, raises
+    :class:`DomainEscapeError`; one limit at both ends, which no monotone
+    phi has, raises :class:`MonotonicityViolationError`."""
     x0 = _start_point(domain)
     f0 = _safe_phi(phi, x0)
 
@@ -230,9 +229,9 @@ def estimate_codomain(phi: Callable[[float], float], domain: Interval) -> Interv
 
     ends = chase(domain.lo, domain.lo_open, False), chase(domain.hi, domain.hi_open, True)
     (v_lo, lo_open), (v_hi, hi_open) = sorted(ends)  # a decreasing phi swaps them
+    if math.isinf(f0) and v_lo == v_hi == f0:  # no finite value to span
+        raise DomainEscapeError(f"generator value is {f0!r} at every sample of {domain.render()}")
     if v_lo == v_hi:
-        if math.isinf(f0) and v_lo == f0:  # no finite value to span
-            raise DomainEscapeError(f"generator value is {f0!r} at every sample of {domain.render()}")
         raise MonotonicityViolationError(
             f"generator is not monotone on {domain.render()}: it tends to {v_lo!r} at both ends"
         )
