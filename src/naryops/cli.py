@@ -324,7 +324,9 @@ def _cmd_gallery(cfg: RunConfig) -> tuple[int, dict]:
     ok = True
     sums = axioms_mod.find_idempotents(builtin_lookup("sum", 2), [v * 0.5 for v in range(-4, 5)])
     ok &= isinstance(sums, list) and len(sums) == 1 and abs(sums[0]) <= 1e-9
-    prods = axioms_mod.find_idempotents(builtin_lookup("product", 2), [0.25, 0.5, 1.0, 2.0])
+    prods = axioms_mod.find_idempotents(
+        builtin_lookup("product", 2), [0.25, 0.5, 1.0, 2.0]
+    )
     ok &= isinstance(prods, list) and len(prods) == 1 and abs(prods[0] - 1.0) <= 1e-9
     alts = axioms_mod.find_idempotents(alt, [v * 0.5 for v in range(-4, 5)])
     ok &= isinstance(alts, axioms_mod.AllSampledIdempotent)
@@ -332,8 +334,10 @@ def _cmd_gallery(cfg: RunConfig) -> tuple[int, dict]:
 
     # a small extraction against the additive closed form
     f = builtin_lookup("sum", 2)
-    config = ExtractionConfig(base_point=1.0, grid=(-1.0, 0.0, 1.5), resolution=1.0 / 16.0)
-    gen = extract_generator(f, config)
+    gen = extract_generator(
+        f,
+        ExtractionConfig(base_point=1.0, grid=(-1.0, 0.0, 1.5), resolution=1.0 / 16.0),
+    )
     ok = gen.direction is BranchDirection.C_BELOW and all(
         abs(v - x) <= 1.0 / 16.0 + 1e-9 for x, v in gen.samples
     )
