@@ -193,8 +193,8 @@ class NaryOp:
         """Evaluate and verify the result stayed finite and in the domain.
         The error names the operation and the inputs, so a failure replays
         from its message, and carries the rejected value, None after an
-        overflow, whose OverflowError it keeps as its cause; an escape
-        raised inside ``eval`` is raised again so, with its value and
+        overflow, whose OverflowError it keeps as its cause. An escape
+        raised inside ``eval`` gets the same names and keeps its value and
         any OverflowError cause."""
         try:
             y = self.eval(*xs)
