@@ -1,6 +1,7 @@
 """Sampling-based falsification checks: associativity, symmetry,
 cancellativity, and idempotent search, the one loop every sampled
-identity check of the package runs through, and its seeded draws.
+identity check of the package runs through, its seeded draws, and the
+trials of each witness kind, which its check and Witness.replay share.
 
 These checks can falsify an axiom with a concrete, replayable witness;
 they cannot certify it. Samples are drawn from a dyadic lattice inside
@@ -16,11 +17,12 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Sequence
 
 from .core import ArityClass, Interval, NaryOp, lattice
 from .extension import ExtendedOp, nested_trials, split_trials
-from .generator import generator_sum
+from .generator import build_aczelian, generator_sum, piecewise_linear
 
 __all__ = [
     "Witness",
@@ -50,40 +52,23 @@ class Witness:
     coordinate: int | None = None
 
     def replay(self, op, helper=None) -> float:
-        """Recompute the residual from the stored inputs.
-
-        ``op`` is the NaryOp (the ExtendedOp for the identity kinds, the
-        AdjoinedStructure for neutrality); ``helper`` carries the binary
-        candidate for reduction witnesses, the rebuilt operation for
-        round-trip witnesses and the ExtractedGenerator for additivity.
-        """
-        if self.kind == "associativity":
-            xs, i, n = self.inputs[0], self.equation_index, op.arity
-            return abs(_nesting(op.checked, n, xs, i - 1) - _nesting(op.checked, n, xs, i))
-        if self.kind == "symmetry":
-            xs = self.inputs[0]
-            permuted = tuple(xs[j] for j in self.permutation)
-            return abs(op.eval(*xs) - op.eval(*permuted))
+        """Recompute the residual from the stored inputs, bit for bit, by
+        the trial of the witness's check with its equation index and
+        permutation; it raises where the check raised. ``op`` is the
+        checked NaryOp (the ExtendedOp for the identity kinds, the
+        AdjoinedStructure for neutrality); ``helper`` is the binary
+        candidate for reduction, the ExtractedGenerator for additivity and
+        the round trip."""
         if self.kind == "cancellativity":
             a, b = self.inputs
-            return op.eval(*b) - op.eval(*a)
-        if self.kind in ("nested_identity", "split_identity"):
-            trials = nested_trials if self.kind == "nested_identity" else split_trials
-            lhs, rhs, _ = next(trials(op, [self.inputs]))
-            return abs(lhs - rhs)
-        if self.kind == "reduction":
-            xs = self.inputs[0]
-            return abs(op.eval(*xs) - ExtendedOp(helper).eval(xs))
-        if self.kind == "roundtrip":
-            xs = self.inputs[0]
-            return abs(helper.eval(*xs) - op.eval(*xs))
-        if self.kind == "additivity":
-            xs = self.inputs[0]
-            rhs = generator_sum(helper.interpolate, xs)
-            return abs(helper.interpolate(op.eval(*xs)) - rhs)
-        if self.kind == "neutrality":
-            return op.max_neutrality_residual(self.inputs[0])
-        raise ValueError(f"unknown witness kind {self.kind!r}")
+            return op.checked(*b) - op.checked(*a)
+        if self.kind not in _TRIALS:
+            raise ValueError(f"unknown witness kind {self.kind!r}")
+        key = (self.equation_index, self.permutation)
+        for lhs, rhs, fields in _TRIALS[self.kind](op, helper, [self.inputs]):
+            if (fields.get("equation_index"), fields.get("permutation")) == key:
+                return abs(lhs - rhs)
+        raise ValueError(f"no {self.kind} trial at {self.inputs!r} matches the witness")
 
     def to_dict(self) -> dict:
         return {
@@ -261,11 +246,15 @@ def falsify(
     )
 
 
-def _nesting(checked: Callable[..., float], n: int, xs: Sequence[float], i: int) -> float:
-    """Evaluate the (2n-1)-tuple with the inner application at offset i,
-    through ``checked``, the :meth:`NaryOp.checked` of an arity-n op."""
-    inner = checked(*xs[i : i + n])
-    return checked(*xs[:i], inner, *xs[i + n :])
+def associativity_trials(f: NaryOp, inputs):
+    """Trials of associativity at each (2n-1)-tuple xs of the inputs
+    ``(xs,)``: its n nestings, inner application first, evaluated once, and
+    equation index i in [1, n-1] between the nestings at offsets i-1 and i."""
+    n, checked = f.arity, f.checked
+    for (xs,) in inputs:
+        values = [checked(*xs[:i], checked(*xs[i : i + n]), *xs[i + n :]) for i in range(n)]
+        for i in range(n - 1):
+            yield values[i], values[i + 1], {"inputs": (xs,), "equation_index": i + 1}
 
 
 def check_associativity(
@@ -275,29 +264,30 @@ def check_associativity(
     tol: float = 1e-9,
     window: float = 10.0,
 ) -> AxiomReport:
-    """Compare all adjacent nestings of sampled (2n-1)-tuples.
-
-    Equation index i (1-based, i in [1, n-1]) relates the nesting at
-    offset i to the nesting at offset i+1.
-    """
+    """Compare all adjacent nestings of sampled (2n-1)-tuples, the trials
+    of :func:`associativity_trials`."""
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    n = f.arity
     draw = lattice_sampler(f.domain, window, random.Random(seed))
-
-    def trials():
-        checked = f.checked
-        for _ in range(samples):
-            xs = draw(2 * n - 1)
-            # the nesting at offset i, inner application first, as _nesting
-            values = [checked(*xs[:i], checked(*xs[i : i + n]), *xs[i + n :]) for i in range(n)]
-            for i in range(n - 1):
-                yield values[i], values[i + 1], {"inputs": (xs,), "equation_index": i + 1}
-
+    inputs = ((draw(2 * f.arity - 1),) for _ in range(samples))
     return falsify(
-        "associativity", trials(), tol,
+        "associativity", associativity_trials(f, inputs), tol,
         axiom="associativity", samples=samples, seed=seed, label=f.label,
     )
+
+
+def symmetry_trials(f: NaryOp, inputs):
+    """Trials of symmetry at each n-tuple xs of the inputs ``(xs,)``: f at
+    xs, evaluated once, against f at xs under the transposition
+    ``(1, 0, 2, ..., n-1)`` and the n-cycle ``(1, 2, ..., n-1, 0)``, which
+    are one permutation at n = 2."""
+    n, checked = f.arity, f.checked
+    swap, cycle = (1, 0, *range(2, n)), (*range(1, n), 0)
+    generators = (swap,) if n == 2 else (swap, cycle)
+    for (xs,) in inputs:
+        base = checked(*xs)
+        for perm in generators:
+            yield base, checked(*[xs[j] for j in perm]), {"inputs": (xs,), "permutation": perm}
 
 
 def check_symmetry(
@@ -307,10 +297,8 @@ def check_symmetry(
     tol: float = 1e-9,
     window: float = 10.0,
 ) -> AxiomReport:
-    """Compare f at each sampled tuple against f at the tuple under the
-    transposition ``(1, 0, 2, ..., n-1)`` and under the n-cycle
-    ``(1, 2, ..., n-1, 0)``; at n = 2 the two are one permutation, checked
-    once. So a check costs at most 3 * samples evaluations at every arity.
+    """Compare f at each sampled tuple against its two permutations in
+    :func:`symmetry_trials`, at most 3 * samples evaluations at any arity.
 
     The two generate S_n, so f invariant under both at every point is
     invariant under every permutation. And for continuous f, a permutation
@@ -320,22 +308,10 @@ def check_symmetry(
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    n = f.arity
-    swap, cycle = (1, 0, *range(2, n)), (*range(1, n), 0)
-    generators = (swap,) if n == 2 else (swap, cycle)
     draw = lattice_sampler(f.domain, window, random.Random(seed))
-
-    def trials():
-        checked = f.checked
-        for _ in range(samples):
-            xs = draw(n)
-            base = checked(*xs)
-            for perm in generators:
-                other = checked(*[xs[j] for j in perm])
-                yield base, other, {"inputs": (xs,), "permutation": perm}
-
+    inputs = ((draw(f.arity),) for _ in range(samples))
     return falsify(
-        "symmetry", trials(), tol,
+        "symmetry", symmetry_trials(f, inputs), tol,
         axiom="symmetry", samples=samples, seed=seed, label=f.label,
     )
 
@@ -484,3 +460,62 @@ def find_idempotents(f: NaryOp, grid: Sequence[float]):
         if not merged or r - merged[-1] > 2.0 * _REFINE_TOL:
             merged.append(r)
     return merged
+
+
+def reduction_trials(f: NaryOp, diamond: NaryOp, inputs):
+    """Trials of the reduction at each n-tuple xs of the inputs ``(xs,)``:
+    f at xs against the left fold of ``diamond``, its ExtendedOp evaluation."""
+    fold = ExtendedOp(diamond).eval
+    for (xs,) in inputs:
+        yield f.checked(*xs), fold(xs), {"inputs": (xs,)}
+
+
+def neutrality_trials(structure, inputs):
+    """Trials of an AdjoinedStructure's neutral element at each probe x of
+    the inputs ``((x,),)``: |f'(x, e, ..., e) - x| against zero."""
+    for inp in inputs:
+        yield structure.max_neutrality_residual(inp[0]), 0.0, {"inputs": inp}
+
+
+def additivity_trials(f: NaryOp, gen, inputs):
+    """Trials of an ExtractedGenerator's additivity at each n-tuple xs of
+    the inputs ``(xs,)`` whose value f(xs) lies inside the table (no
+    extrapolation): gen(f(xs)) against the sum of gen(xi)."""
+    checked = f.checked
+    lo, hi = gen.x_values[0], gen.x_values[-1]
+    interpolate = partial(piecewise_linear, gen.x_values, gen.phi_values)
+    for (xs,) in inputs:
+        y = checked(*xs)
+        if lo <= y <= hi:
+            yield interpolate(y), generator_sum(interpolate, xs), {"inputs": (xs,)}
+
+
+def roundtrip_trials(f: NaryOp, gen, inputs):
+    """Trials of the round trip through an ExtractedGenerator at each
+    n-tuple of the inputs ``(tup,)`` whose generator sum lies inside the
+    table: the operation rebuilt from the table against f. The rebuilt value
+    is the table's inverse at that sum, as the rebuilt operation computes
+    it; where that fails the rebuilt domain test, the rebuilt op raises."""
+    checked = f.checked
+    xs, ys = gen.x_values, gen.phi_values
+    interpolate, inverse = partial(piecewise_linear, xs, ys), partial(piecewise_linear, ys, xs)
+    for (tup,) in inputs:
+        s = generator_sum(interpolate, tup)
+        if ys[0] <= s <= ys[-1]:
+            x = inverse(s)
+            if not xs[0] <= x <= xs[-1]:
+                x = build_aczelian(gen.as_generator_spec(), f.arity).checked(*tup)
+            yield x, checked(*tup), {"inputs": (tup,)}
+
+
+#: the trials of each witness kind but cancellativity, as trials(op, helper, inputs)
+_TRIALS = {
+    "associativity": lambda op, _, inputs: associativity_trials(op, inputs),
+    "symmetry": lambda op, _, inputs: symmetry_trials(op, inputs),
+    "nested_identity": lambda op, _, inputs: nested_trials(op, inputs),
+    "split_identity": lambda op, _, inputs: split_trials(op, inputs),
+    "neutrality": lambda op, _, inputs: neutrality_trials(op, inputs),
+    "reduction": reduction_trials,
+    "additivity": additivity_trials,
+    "roundtrip": roundtrip_trials,
+}

@@ -24,11 +24,12 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property
+from itertools import islice
 from typing import Sequence
 
 from . import generator
-from .axioms import AxiomReport, falsify
+from .axioms import AxiomReport, additivity_trials, falsify, roundtrip_trials
 from .core import Interval, NaryOp, window_point
 from .errors import (
     AllIdempotentError,
@@ -469,26 +470,20 @@ def extract_generator(f: NaryOp, cfg: ExtractionConfig) -> ExtractedGenerator:
     )
 
 
-def _window_trials(gen: ExtractedGenerator, n: int, samples: int, seed: int, trial):
-    """Rejection-sample n-tuples uniformly over the tabulated window, each
-    coordinate as ``window_point`` draws it, until ``samples`` of them give
-    a trial; ``trial(tup)`` returns the trial, or None to reject the tuple.
-    Raises :class:`BracketNotFoundError` after 500 draws per sample."""
+def _window_draws(gen: ExtractedGenerator, n: int, samples: int, seed: int):
+    """Witness inputs ``(xs,)`` of n-tuples drawn uniformly over the
+    tabulated window, each coordinate as ``window_point`` draws it, for a
+    check's trials to filter; :class:`BracketNotFoundError` on the draw
+    after 500 per sample."""
     lo, hi = gen.window()
     half_lo, half_span = lo / 2.0, hi / 2.0 - lo / 2.0
     rand = random.Random(seed).random
-    accepted = draws = 0
-    while accepted < samples:
-        draws += 1
-        if draws > 500 * samples:
-            raise BracketNotFoundError(
-                f"could not sample {samples} tuples inside the tabulated window "
-                f"[{lo!r}, {hi!r}] in {draws - 1} draws"
-            )
-        t = trial(tuple([2.0 * (half_lo + half_span * rand()) for _ in range(n)]))
-        if t is not None:
-            accepted += 1
-            yield t
+    for _ in range(500 * samples):
+        yield (tuple([2.0 * (half_lo + half_span * rand()) for _ in range(n)]),)
+    raise BracketNotFoundError(
+        f"could not sample {samples} tuples inside the tabulated window "
+        f"[{lo!r}, {hi!r}] in {500 * samples} draws"
+    )
 
 
 def verify_additivity(
@@ -497,26 +492,15 @@ def verify_additivity(
     samples: int = 100,
     seed: int = 0,
 ) -> AxiomReport:
-    """Check that the tabulated generator turns f into addition:
-    gen(f(x1..xn)) against the sum of gen(xi).
-
-    Tuples are drawn inside the tabulated window and rejected unless the
-    operation value lands back inside it (interpolation only, never
-    extrapolation). The pass threshold is (n+1) * gen.knot_error, for n
-    interpolated inputs and one interpolated output, plus _ROUNDING_TOL.
-    """
-    n, checked = f.arity, f.checked
-    lo, hi = gen.window()
-    interpolate = partial(piecewise_linear, gen.x_values, gen.phi_values)
-
-    def trial(tup):
-        y = checked(*tup)
-        if not lo <= y <= hi:
-            return None
-        return interpolate(y), generator.generator_sum(interpolate, tup), {"inputs": (tup,)}
-
+    """Check that the tabulated generator turns f into addition, by the
+    trials of :func:`naryops.axioms.additivity_trials` on tuples drawn
+    inside the tabulated window. The pass threshold is (n+1) *
+    gen.knot_error, for n interpolated inputs and one interpolated output,
+    plus _ROUNDING_TOL."""
+    n = f.arity
+    trials = additivity_trials(f, gen, _window_draws(gen, n, samples, seed))
     return falsify(
-        "additivity", _window_trials(gen, n, samples, seed, trial), _ROUNDING_TOL,
+        "additivity", islice(trials, samples), _ROUNDING_TOL,
         slack=(n + 1) * gen.knot_error, samples=samples, seed=seed,
         label=f"additivity[{f.label}]",
     )
@@ -528,31 +512,17 @@ def verify_roundtrip(
     samples: int = 100,
     seed: int = 0,
 ) -> AxiomReport:
-    """Compare the operation rebuilt from the table (``build_aczelian`` of
-    its generator spec) against f on tuples whose generator sums stay inside
-    it, taking the rebuilt value or error from the sum each trial has tested.
-
-    The threshold is the additivity bound (n+1) * gen.knot_error mapped
-    into operation space through the largest inverse slope of the table,
-    plus the relative rounding allowance _ROUNDING_TOL, as in
-    :func:`verify_additivity`.
-    """
-    n, checked = f.arity, f.checked
-    rebuilt = generator.build_aczelian(gen.as_generator_spec(), n)
-    xs, ys = gen.x_values, gen.phi_values
-    interpolate, inverse = partial(piecewise_linear, xs, ys), partial(piecewise_linear, ys, xs)
-
-    def trial(tup):
-        s = generator.generator_sum(interpolate, tup)
-        if not ys[0] <= s <= ys[-1]:
-            return None
-        x = inverse(s)
-        if not xs[0] <= x <= xs[-1]:
-            x = rebuilt.checked(*tup)  # raises the rebuilt operation's error
-        return x, checked(*tup), {"inputs": (tup,)}
-
+    """Compare the operation rebuilt from the table against f, by the
+    trials of :func:`naryops.axioms.roundtrip_trials` on tuples drawn
+    inside the tabulated window. The threshold is the additivity bound
+    (n+1) * gen.knot_error mapped into operation space through the largest
+    inverse slope of the table, plus _ROUNDING_TOL, as in
+    :func:`verify_additivity`."""
+    n = f.arity
+    gen.as_generator_spec()  # a table with tied values raises before any draw
+    trials = roundtrip_trials(f, gen, _window_draws(gen, n, samples, seed))
     return falsify(
-        "roundtrip", _window_trials(gen, n, samples, seed, trial), _ROUNDING_TOL,
+        "roundtrip", islice(trials, samples), _ROUNDING_TOL,
         slack=(n + 1) * gen.knot_error * gen.max_inverse_slope(),
         samples=samples, seed=seed, label=f"roundtrip[{f.label}]",
     )

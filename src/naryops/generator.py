@@ -204,9 +204,10 @@ def estimate_codomain(phi: Callable[[float], float], domain: Interval) -> Interv
     point past the last one sampled. A closed finite end is a closed bound
     at phi(end). Toward an open end, a limit still moving between the last
     two samples is infinite, a settled one an open bound (zero when tiny).
-    A NaN value, or the same infinity at every sample, raises
-    :class:`DomainEscapeError`; one limit at both ends, which no monotone
-    phi has, raises :class:`MonotonicityViolationError`."""
+    A NaN value, the same infinity at every sample, or an escape of phi at
+    a closed end, which is named, raises :class:`DomainEscapeError`; one
+    limit at both ends, which no monotone phi has, raises
+    :class:`MonotonicityViolationError`."""
     x0 = _start_point(domain)
     f0 = _safe_phi(phi, x0)
 
@@ -216,7 +217,13 @@ def estimate_codomain(phi: Callable[[float], float], domain: Interval) -> Interv
         for x in _approach(end, open_end, x0, not high):
             if x > x_last if high else x < x_last:
                 x_last = x
-                prev, last = last, _safe_phi(phi, x, f0, last)
+                try:
+                    prev, last = last, _safe_phi(phi, x, f0, last)
+                except DomainEscapeError as exc:
+                    if open_end:
+                        raise
+                    what = f"the closed end {x!r} of {domain.render()}"
+                    raise DomainEscapeError(f"generator fails at {what}: {exc}", exc.value) from exc
                 if math.isnan(last):
                     raise DomainEscapeError(f"generator value is nan at x={x!r}")
                 if math.isinf(last):

@@ -14,10 +14,9 @@ import random
 from dataclasses import dataclass, replace
 from typing import Sequence, Union
 
-from .axioms import AxiomReport, falsify, lattice_sampler
+from .axioms import AxiomReport, falsify, lattice_sampler, neutrality_trials, reduction_trials
 from .core import NaryOp, interval_contains, window_point
 from .errors import DomainEscapeError
-from .extension import ExtendedOp
 from .generator import GeneratorSpec, build_aczelian, generator_sum
 
 __all__ = [
@@ -61,21 +60,14 @@ def verify_reduction(
     window: float = 10.0,
 ) -> AxiomReport:
     """Compare f on sampled tuples against the left fold of the binary
-    candidate, its :class:`naryops.extension.ExtendedOp` evaluation; other
+    candidate, the trials of :func:`naryops.axioms.reduction_trials`; other
     fold orders are covered by associativity of the candidate."""
     if diamond.arity != 2:
         raise ValueError("the reduction candidate must be binary")
-    n = f.arity
-    fold = ExtendedOp(diamond).eval
     draw = lattice_sampler(f.domain, window, random.Random(seed))
-
-    def trials():
-        for _ in range(samples):
-            xs = draw(n)
-            yield f.checked(*xs), fold(xs), {"inputs": (xs,)}
-
+    inputs = ((draw(f.arity),) for _ in range(samples))
     return falsify(
-        "reduction", trials(), tol,
+        "reduction", reduction_trials(f, diamond, inputs), tol,
         samples=samples, seed=seed, label=f"reduction[{f.label} vs {diamond.label}]",
     )
 
@@ -157,9 +149,8 @@ def verify_neutrality(
     lo, hi = spec.domain.clamp_window(window)
     rng = random.Random(seed)
     probes = [window_point(lo, hi, rng.random()) for _ in range(_NEUTRALITY_PROBES)]
-    trials = ((structure.max_neutrality_residual([x]), 0.0, {"inputs": ((x,),)}) for x in probes)
     return falsify(
-        "neutrality", trials, 0.0,
+        "neutrality", neutrality_trials(structure, [((x,),) for x in probes]), 0.0,
         slack=1e-8 * (1.0 + max(abs(v) for v in probes)),
         samples=len(probes), seed=seed, label=f"neutrality[{spec.label}]",
     )

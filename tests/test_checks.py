@@ -22,9 +22,9 @@ from naryops.axioms import (
 from naryops.cli import load_generator, load_opspec, main, parse_grid
 from naryops.core import Interval, NaryOp
 from naryops.errors import DomainEscapeError
+from naryops.extension import ExtendedOp
 from naryops.extraction import ExtractionConfig, extract_generator
-from naryops.generator import build_aczelian
-from naryops.reducibility import derive_binary
+from naryops.reducibility import adjoin_neutral, derive_binary
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "naryops"
 
@@ -190,18 +190,36 @@ def _skewed_extraction():
     return f, extract_generator(f, ExtractionConfig(base_point=1.0, grid=parse_grid("-1:1:0.25")))
 
 
-def _skewed_rebuilt():
-    f, gen = _skewed_extraction()
-    return f, build_aczelian(gen.as_generator_spec(), 2)
-
-
-#: for each witness kind no other test replays: a run that fails that check,
-#: and the operation and helper its witness replays with, rebuilt from the
-#: same flags
+#: for every witness kind: a run that fails that check, and the operation
+#: and helper its witness replays with, rebuilt from the same flags
 REPLAYS = {
+    "associativity": (
+        ("axioms", "--op", "expr:x1+x2+x3^2", "--n", "3", "--samples", "30"),
+        lambda: (load_opspec("expr:x1+x2+x3^2", 3),),
+    ),
+    "symmetry": (
+        ("axioms", "--op", "alternating", "--n", "3", "--samples", "30"),
+        lambda: (load_opspec("alternating", 3),),
+    ),
+    "cancellativity": (
+        ("axioms", "--op", "expr:x1*x1+x2", "--n", "2", "--samples", "30"),
+        lambda: (load_opspec("expr:x1*x1+x2", 2),),
+    ),
+    "nested_identity": (
+        ("extend", "--op", "expr:x1+x2+x3^2", "--n", "3", "--samples", "30"),
+        lambda: (ExtendedOp(load_opspec("expr:x1+x2+x3^2", 3)),),
+    ),
+    "split_identity": (
+        ("extend", "--op", "expr:x1+x2+x3^2", "--n", "3", "--samples", "30"),
+        lambda: (ExtendedOp(load_opspec("expr:x1+x2+x3^2", 3)),),
+    ),
     "reduction": (
         ("reduce", "--op", "product", "--n", "3", "--phi", "x", "--samples", "30"),
         lambda: (load_opspec("product", 3), derive_binary(load_generator("x", None, None))),
+    ),
+    "neutrality": (
+        ("reduce", "--phi", "2*x+1", "--phi-inv", "x", "--n", "2", "--samples", "20"),
+        lambda: (adjoin_neutral(load_generator("2*x+1", "x", None), 2),),
     ),
     "additivity": (
         ("extract", "--op", SKEWED, "--n", "2", "--c", "1", "--grid=-1:1:0.25"),
@@ -209,11 +227,7 @@ REPLAYS = {
     ),
     "roundtrip": (
         ("roundtrip", "--op", SKEWED, "--n", "2", "--c", "1", "--grid=-1:1:0.25", "--samples", "50"),
-        _skewed_rebuilt,
-    ),
-    "cancellativity": (
-        ("axioms", "--op", "expr:x1*x1+x2", "--n", "2", "--samples", "30"),
-        lambda: (load_opspec("expr:x1*x1+x2", 2),),
+        _skewed_extraction,
     ),
 }
 
@@ -228,6 +242,55 @@ def test_witness_replays_from_the_report(kind):
     witness = Witness.from_dict(check["witness"])
     assert witness.kind == kind
     assert witness.replay(*replay_args()) == witness.residual
+
+
+def _witness_kinds():
+    """The kind literals that src/ passes to falsify or Witness."""
+    kinds = set()
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Call):
+                continue
+            if getattr(node.func, "id", getattr(node.func, "attr", None)) in ("falsify", "Witness"):
+                args = node.args[:1] + [k.value for k in node.keywords if k.arg == "kind"]
+                kinds |= {a.value for a in args if isinstance(a, ast.Constant)}
+    return kinds
+
+
+def test_every_witness_kind_replays_from_a_report():
+    # a check that reports a new kind of witness needs an entry in REPLAYS;
+    # "fold" is the gallery's, which reports no witness
+    assert set(REPLAYS) == _witness_kinds() - {"fold"}
+
+
+#: real line, x below y gives x, anything else NaN
+NAN_ABOVE_DIAGONAL = NaryOp(
+    2, Interval.real_line(), lambda x, y: x if x < y else math.nan, "nan off x<y"
+)
+
+
+@pytest.mark.parametrize(
+    "witness, check",
+    [
+        (
+            Witness(kind="symmetry", inputs=((1.0, 2.0),), residual=0.0, permutation=(1, 0)),
+            check_symmetry,
+        ),
+        (
+            Witness(kind="cancellativity", inputs=((1.0, 2.0), (2.0, 1.0)), residual=0.0),
+            check_cancellativity,
+        ),
+    ],
+    ids=["symmetry", "cancellativity"],
+)
+def test_replay_raises_where_the_check_raises(witness, check):
+    # the replay evaluates through checked, as the check does, instead of
+    # returning the nan of f(2, 1)
+    with pytest.raises(DomainEscapeError):
+        check(NAN_ABOVE_DIAGONAL, 50, 0)
+    named = r"nan off x<y produced non-finite nan at \(2\.0, 1\.0\)"
+    with pytest.raises(DomainEscapeError, match=named):
+        witness.replay(NAN_ABOVE_DIAGONAL)
 
 
 def _sibling_private_imports(path: Path):

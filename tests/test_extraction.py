@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import extraction_oracle
-from naryops import core, extraction, generator
+from naryops import axioms, core, extraction
 from naryops.cli import load_generator, load_opspec, main
 from naryops.core import builtin_lookup
 from naryops.errors import (
@@ -690,23 +690,29 @@ def test_tied_extracted_values_exit_three():
 
 
 def _count_draws(monkeypatch, argv):
-    """Accepted and rejected draws of the checks' sampler in one CLI run,
-    counted through the trial it is handed."""
+    """Accepted and rejected draws of the checks' sampler in one CLI run:
+    the draws it yields, and the trials the loop receives from them."""
     counts = Counter()
-    window_trials = extraction._window_trials
+    window_draws, falsify = extraction._window_draws, extraction.falsify
 
-    def counting(gen, n, samples, seed, trial):
-        def counted(tup):
-            t = trial(tup)
-            counts["accepted" if t is not None else "rejected"] += 1
-            return t
+    def counting_draws(*args):
+        for inputs in window_draws(*args):
+            counts["draws"] += 1
+            yield inputs
 
-        return window_trials(gen, n, samples, seed, counted)
+    def counting_falsify(kind, trials, *args, **kwargs):
+        def counted():
+            for trial in trials:
+                counts["accepted"] += 1
+                yield trial
 
-    monkeypatch.setattr(extraction, "_window_trials", counting)
+        return falsify(kind, counted(), *args, **kwargs)
+
+    monkeypatch.setattr(extraction, "_window_draws", counting_draws)
+    monkeypatch.setattr(extraction, "falsify", counting_falsify)
     with redirect_stdout(io.StringIO()):
         assert main(argv) == 0
-    return dict(counts)
+    return {"accepted": counts["accepted"], "rejected": counts["draws"] - counts["accepted"]}
 
 
 @pytest.mark.parametrize(
@@ -729,7 +735,7 @@ def test_roundtrip_sums_each_draw_once(monkeypatch):
     # (before, the rebuilt operation summed each accepted tuple again, 515
     # sums for these 315 draws)
     counts = Counter()
-    generator_sum = generator.generator_sum
+    generator_sum = axioms.generator_sum
 
     def counting_sum(phi, xs):
         counts["sums"] += 1
@@ -741,7 +747,7 @@ def test_roundtrip_sums_each_draw_once(monkeypatch):
 
     f = dataclasses.replace(SUM3, eval=counting_eval)
     gen = extract_generator(f, ExtractionConfig(base_point=1.0, grid=grid(-2.0, 2.0, 0.5)))
-    monkeypatch.setattr(generator, "generator_sum", counting_sum)
+    monkeypatch.setattr(axioms, "generator_sum", counting_sum)
     counts.clear()
     assert verify_roundtrip(gen, f, samples=200, seed=3).passed
     assert counts == {"f": 200, "sums": 315}

@@ -674,6 +674,19 @@ def test_estimate_codomain_nan_names_the_point():
         generator.estimate_codomain(phi, Interval.real_line())
 
 
+def test_escape_at_a_closed_end_names_the_end():
+    # ln raises at the closed end 0, which the codomain estimate samples;
+    # the message names that end and the interval, not just the ln
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        code = main(["build", "--phi", "ln(x)", "--interval", "[0,1]"])
+    assert code == 3
+    assert err.getvalue() == (
+        "naryops: numeric failure: generator fails at the closed end 0.0 of [0.0,1.0]: "
+        "ln of non-positive 0.0\n"
+    )
+
+
 @pytest.mark.parametrize(
     "command,expected",
     [("build", '"form": "pos_open_a"'), ("reduce", '"neutral_adjoined": true')],
