@@ -17,7 +17,7 @@ from .axioms import (
     check_symmetry,
     find_idempotents,
 )
-from .core import ArityClass, Interval, NaryOp, builtin_lookup
+from .core import Interval, NaryOp, builtin_lookup
 from .errors import (
     AllIdempotentError,
     ArityClassError,
@@ -63,7 +63,6 @@ __all__ = [
     # core
     "Interval",
     "NaryOp",
-    "ArityClass",
     "builtin_lookup",
     # axioms
     "AxiomReport",

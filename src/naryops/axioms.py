@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Sequence
 
-from .core import ArityClass, Interval, NaryOp, lattice
+from .core import Interval, NaryOp, lattice
 from .extension import ExtendedOp, nested_trials, split_trials
 from .generator import build_aczelian, generator_sum, piecewise_linear
 
@@ -95,7 +95,9 @@ class Witness:
 @dataclass(frozen=True)
 class AxiomReport:
     """Outcome of one check: pass/fail, the worst residual seen, and a
-    witness when the check failed. Deterministic given (op, seed, samples)."""
+    witness when the check failed. Deterministic given (op, seed, samples).
+    A check of no sample concludes nothing, so ``samples_used`` below 1
+    raises ValueError."""
 
     axiom: str  # associativity | symmetry | cancellativity | identity
     passed: bool
@@ -105,6 +107,10 @@ class AxiomReport:
     seed: int
     tolerance: float
     label: str = ""
+
+    def __post_init__(self):
+        if self.samples_used < 1:
+            raise ValueError("samples must be >= 1")
 
     def to_dict(self) -> dict:
         return {
@@ -173,6 +179,13 @@ _NESTED_STEPS = 5
 _SPLIT_STEPS = 2
 
 
+def _step(n: int) -> int:
+    """n - 1, the spacing of the string lengths of arity n's class."""
+    if n < 2:
+        raise ValueError("arity class needs n >= 2")
+    return n - 1
+
+
 def random_nested_decomposition(rng: random.Random, n: int) -> tuple[int, int, int]:
     """Lengths (|x|, |y|, |z|) with |y| and |x|+1+|z| in the arity class.
 
@@ -180,7 +193,7 @@ def random_nested_decomposition(rng: random.Random, n: int) -> tuple[int, int, i
     are the ``rng.randint`` calls (1, _NESTED_STEPS), (0, total steps)
     and (0, rest), made with :func:`_below`.
     """
-    step = ArityClass(n).step()
+    step = _step(n)
     getrandbits = rng.getrandbits
     total = 1 + step * (1 + _below(getrandbits, _NESTED_STEPS))
     inner = 1 + step * _below(getrandbits, (total - 1) // step + 1)
@@ -193,7 +206,7 @@ def random_split_blocks(rng: random.Random, n: int) -> tuple[int, ...]:
     """n block lengths, each in the arity class and at most
     1 + _SPLIT_STEPS * (n-1), drawn as ``rng.randint(0, _SPLIT_STEPS)``
     steps with :func:`_below`."""
-    step = ArityClass(n).step()
+    step = _step(n)
     getrandbits = rng.getrandbits
     return tuple([1 + step * _below(getrandbits, _SPLIT_STEPS + 1) for _ in range(n)])
 
@@ -266,8 +279,6 @@ def check_associativity(
 ) -> AxiomReport:
     """Compare all adjacent nestings of sampled (2n-1)-tuples, the trials
     of :func:`associativity_trials`."""
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
     draw = lattice_sampler(f.domain, window, random.Random(seed))
     inputs = ((draw(2 * f.arity - 1),) for _ in range(samples))
     return falsify(
@@ -306,8 +317,6 @@ def check_symmetry(
     steps moves the value at a point along the way, and so, by continuity,
     on an open set around it that the samples can hit.
     """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
     draw = lattice_sampler(f.domain, window, random.Random(seed))
     inputs = ((draw(f.arity),) for _ in range(samples))
     return falsify(
@@ -424,6 +433,8 @@ def find_idempotents(f: NaryOp, grid: Sequence[float]):
     instead of dropping out of the sign scan.
     """
     pts = list(grid)
+    if not pts:
+        raise ValueError("grid must not be empty")
     if pts != sorted(pts):
         raise ValueError("grid must be sorted")
     for x in pts:

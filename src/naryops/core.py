@@ -1,5 +1,5 @@
-"""Intervals over the extended reals, n-ary operations, arity classes,
-and the registry of built-in operations.
+"""Intervals over the extended reals, n-ary operations, and the registry
+of built-in operations.
 
 Everything here is immutable after construction and evaluation is pure,
 so values can be shared freely across workers.
@@ -20,7 +20,6 @@ __all__ = [
     "Interval",
     "interval_contains",
     "NaryOp",
-    "ArityClass",
     "lattice",
     "window_point",
     "builtin_lookup",
@@ -212,24 +211,6 @@ class NaryOp:
         else:
             what = f"produced non-finite {y!r}"
         raise DomainEscapeError(f"{self.label or 'op'} {what} at {xs!r}", y)
-
-
-@dataclass(frozen=True)
-class ArityClass:
-    """String lengths reachable by composing an arity-n operation: the
-    positive integers congruent to 1 modulo n-1."""
-
-    n: int
-
-    def __post_init__(self):
-        if self.n < 2:
-            raise ValueError("arity class needs n >= 2")
-
-    def member(self, m: int) -> bool:
-        return m >= 1 and (m - 1) % (self.n - 1) == 0
-
-    def step(self) -> int:
-        return self.n - 1
 
 
 # --- Built-in gallery -------------------------------------------------------

@@ -16,6 +16,8 @@ may be any length. :func:`make_callable` turns an AST into one
 generated function, the one evaluator: a straight line of assignments,
 one per node, whose source holds no text of the expression, so that
 ``x^3+x`` and ``x^5+x`` share one code object, compiled once per process.
+The function's parameters are ``x1 .. xn``, so Python itself rejects a
+call with another number of arguments.
 A partial function outside its domain (ln of a non-positive, sqrt of
 a negative, division by zero, 0 or a negative raised badly) raises
 :class:`DomainEscapeError`. The tests keep a reference tree walk that
@@ -296,18 +298,9 @@ def _overflowed_pow(a: float, b: float) -> float:
 #: what the generated functions call, by function name or operator
 _HELPERS = {"ln": "_ln", "exp": "_exp", "sqrt": "_sqrt", "abs": "abs", "/": "_div", "^": "_pow"}
 
-#: default of every parameter of a generated function: a parameter still
-#: holding it was not passed
-_NO_ARG = object()
-
 #: compile, once per generated source and process; a source holds no
 #: constants, so every expression of one shape shares its code object
 _compile = functools.lru_cache(maxsize=256)(compile)
-
-
-def _arity_error(arity: int, params: tuple, extra: tuple) -> TypeError:
-    given = sum(p is not _NO_ARG for p in params) + len(extra)
-    return TypeError(f"expected {arity} arguments, got {given}")
 
 
 def _emit(e: Expr, arity: int, namespace: dict) -> list[str]:
@@ -372,8 +365,9 @@ def make_callable(e: Expr, arity: int) -> Callable[..., float]:
     functions through helpers that raise :class:`DomainEscapeError`
     outside their domain. Constants and helpers are names bound in the
     function's own namespace, so every expression of one shape shares one
-    code object, compiled once per process. Another number of arguments
-    raises ``TypeError``."""
+    code object, compiled once per process. The function is ``def fn(x1,
+    ..., xn)``, so another number of arguments raises Python's own
+    ``TypeError``."""
     namespace = {
         "__builtins__": {},
         "float": float,
@@ -383,18 +377,9 @@ def make_callable(e: Expr, arity: int) -> Callable[..., float]:
         "_sqrt": _sqrt,
         "_div": _div,
         "_pow": _pow,
-        "_NO_ARG": _NO_ARG,
-        "_arity_error": _arity_error,
     }
     body = _emit(e, arity, namespace)
-    params = [f"x{i}" for i in range(1, arity + 1)]
-    source = "\n    ".join(
-        [
-            f"def fn({', '.join(p + '=_NO_ARG' for p in params)}, *extra):",
-            f"if x{arity} is _NO_ARG or extra:",
-            f"    raise _arity_error({arity}, ({', '.join(params)},), extra)",
-            *body,
-        ]
-    )
+    params = ", ".join(f"x{i}" for i in range(1, arity + 1))
+    source = "\n    ".join([f"def fn({params}):", *body])
     exec(_compile(source, "<expression>", "exec"), namespace)
     return namespace["fn"]

@@ -21,7 +21,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import ArityClass, NaryOp
+from .core import NaryOp
 from .errors import ArityClassError, DomainEscapeError, PrecisionExhaustedError
 
 __all__ = [
@@ -47,14 +47,13 @@ class ExtendedOp:
 
     def __init__(self, base: NaryOp):
         self.base = base
-        self.arity_class = ArityClass(base.arity)
 
     def eval(self, xs: Sequence[float]) -> float:
         """Left-nested evaluation of a string with length in the arity class."""
         m = len(xs)
         n = self.base.arity
         step = n - 1
-        if m < 1 or (m - 1) % step:  # the arity class's member test
+        if m < 1 or (m - 1) % step:  # m outside the arity class
             raise ArityClassError(
                 f"string length {m} not evaluable at arity {n} (need m = 1 mod {step})"
             )
@@ -94,8 +93,8 @@ class RationalIndex:
         return (self.p - self.q) / self.k
 
     def admissible(self, n: int) -> bool:
-        cls = ArityClass(n)
-        return cls.member(self.p) and cls.member(self.k) and cls.member(self.q + 1)
+        step = n - 1
+        return (self.p - 1) % step == 0 and (self.k - 1) % step == 0 and self.q % step == 0
 
     def require_admissible(self, n: int) -> None:
         if not self.admissible(n):

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 from naryops import extraction
-from naryops.core import ArityClass
 from naryops.errors import BracketNotFoundError
 from naryops.extension import BranchDirection, ExtendedOp, MembershipOutcome, RationalIndex
 from naryops.extraction import ExtractionConfig
@@ -51,8 +50,7 @@ def rational_grid(n: int, target: float, resolution: float) -> RationalIndex:
     """
     if resolution <= 0.0:
         raise ValueError("resolution must be positive")
-    cls = ArityClass(n)
-    step = cls.step()
+    step = n - 1  # lengths of the arity class are = 1 (mod step)
     k = class_ceil(n, math.ceil(step / resolution))
     # numerator d = p - q must be = 1 (mod n-1); pick the admissible value
     # closest to k * target

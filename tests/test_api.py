@@ -16,7 +16,6 @@ PACKAGE_API = [
     "AdjoinedStructure",
     "AllIdempotentError",
     "AllSampledIdempotent",
-    "ArityClass",
     "ArityClassError",
     "AxiomReport",
     "BracketNotFoundError",

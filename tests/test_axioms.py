@@ -238,6 +238,9 @@ def test_idempotents_grid_validation():
         find_idempotents(f, [2.0, 1.0])
     with pytest.raises(ValueError):
         find_idempotents(f, [-1.0, 1.0])
+    # all() over no residuals is true, which read as every point idempotent
+    with pytest.raises(ValueError, match="^grid must not be empty$"):
+        find_idempotents(f, [])
 
 
 def test_witness_serialization_round_trip():

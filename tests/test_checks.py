@@ -20,11 +20,16 @@ from naryops.axioms import (
     find_idempotents,
 )
 from naryops.cli import load_generator, load_opspec, main, parse_grid
-from naryops.core import Interval, NaryOp
+from naryops.core import Interval, NaryOp, builtin_lookup
 from naryops.errors import DomainEscapeError
 from naryops.extension import ExtendedOp
-from naryops.extraction import ExtractionConfig, extract_generator
-from naryops.reducibility import adjoin_neutral, derive_binary
+from naryops.extraction import (
+    ExtractionConfig,
+    extract_generator,
+    verify_additivity,
+    verify_roundtrip,
+)
+from naryops.reducibility import adjoin_neutral, derive_binary, verify_reduction
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "naryops"
 
@@ -69,6 +74,33 @@ def test_nan_tail_axioms_exit_three():
 def test_find_idempotents_raises_on_nan():
     with pytest.raises(DomainEscapeError, match=r"non-finite nan at \(-1\.0, -1\.0\)"):
         find_idempotents(NAN_EVERYWHERE, [-1.0, 0.0, 1.0])
+
+
+SUM2 = builtin_lookup("sum", 2)
+
+
+def _sum2_table():
+    return extract_generator(SUM2, ExtractionConfig(base_point=1.0, grid=(0.0, 0.5, 1.0)))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: check_associativity(SUM2, samples=0),
+        lambda: check_symmetry(SUM2, samples=0),
+        lambda: check_cancellativity(SUM2, lines=0),
+        lambda: verify_reduction(SUM2, SUM2, samples=0),
+        lambda: verify_additivity(_sum2_table(), SUM2, samples=0),
+        lambda: verify_roundtrip(_sum2_table(), SUM2, samples=0),
+        lambda: AxiomReport("identity", True, 0.0, None, samples_used=0, seed=0, tolerance=0.0),
+    ],
+    ids=["associativity", "symmetry", "cancellativity", "reduction", "additivity",
+         "roundtrip", "report"],
+)
+def test_a_check_of_no_sample_raises(call):
+    # a check that drew nothing would otherwise pass without evidence
+    with pytest.raises(ValueError, match="^samples must be >= 1$"):
+        call()
 
 
 def test_explicit_base_point_nan_fails_at_selection():

@@ -262,7 +262,12 @@ def test_compiled_callable_checks_arity(arity, given_args):
     if given_args == arity:
         assert fn(*args) == float(arity)
     else:
-        with pytest.raises(TypeError, match=f"expected {arity} arguments, got {given_args}"):
+        # Python's own messages for a call of fn(x1, ..., xn)
+        if given_args < arity:
+            message = rf"fn\(\) missing {arity - given_args} required positional argument"
+        else:
+            message = rf"fn\(\) takes {arity} positional arguments? but {given_args} (was|were) given$"
+        with pytest.raises(TypeError, match=f"^{message}"):
             fn(*args)
 
 
@@ -295,7 +300,7 @@ def test_errors_repeat_on_a_warm_cache():
         with pytest.raises(ParseError, match="at offset 3"):
             parse("x1+", 2)
         fn = make_callable(parse("x1+x2", 2), 2)
-        with pytest.raises(TypeError, match="expected 2 arguments, got 1"):
+        with pytest.raises(TypeError, match=r"^fn\(\) missing 1 required positional argument: 'x2'$"):
             fn(1.0)
-        with pytest.raises(TypeError, match="expected 2 arguments, got 3"):
+        with pytest.raises(TypeError, match=r"^fn\(\) takes 2 positional arguments but 3 were given$"):
             fn(1.0, 2.0, 3.0)

@@ -26,7 +26,7 @@ def eval_random_nesting(
     """
     n = g.base.arity
     work = [float(v) for v in xs]
-    if not g.arity_class.member(len(work)):
+    if not work or (len(work) - 1) % (n - 1):  # length outside the arity class
         raise ArityClassError(f"string length {len(work)} not in the arity class")
     while len(work) > 1:
         i = rng.randint(0, len(work) - n)
@@ -127,6 +127,12 @@ def test_identities_on_random_decompositions(name, n):
         blocks = [draw(m) for m in random_split_blocks(rng, n)]
         rep = falsify("split_identity", split_trials(g, [blocks]), 1e-9)
         assert rep.passed, rep
+
+
+@pytest.mark.parametrize("decomposition", [random_nested_decomposition, random_split_blocks])
+def test_decompositions_need_an_arity_class(decomposition):
+    with pytest.raises(ValueError, match="^arity class needs n >= 2$"):
+        decomposition(random.Random(0), 1)
 
 
 @pytest.mark.parametrize("name,n", [("sum", 2), ("product", 3), ("alternating", 3)])

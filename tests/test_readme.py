@@ -1,6 +1,6 @@
 """The README's examples run as documented: each CLI example exits with
-the code its comment promises, and the library sketch prints what it
-says it prints."""
+the code its comment promises, the library sketch prints what it says
+it prints, and the API count it states is the package's."""
 
 import contextlib
 import io
@@ -8,6 +8,7 @@ import pathlib
 import re
 import shlex
 
+import naryops
 from naryops.cli import main
 
 README = (pathlib.Path(__file__).resolve().parent.parent / "README.md").read_text()
@@ -48,3 +49,9 @@ def test_library_sketch_prints_log2_and_the_product():
     samples = ((0.5, -1.0), (1.0, 0.0), (2.0, 1.0), (4.0, 2.0), (8.0, 3.0))
     assert scope["gen"].samples == samples
     assert out.getvalue().splitlines() == [repr(samples), "6.0"]
+
+
+def test_stated_api_count_is_the_package_api():
+    stated = re.search(r"(\d+) names that\s+`tests/test_api\.py` pins", README)
+    assert stated is not None
+    assert int(stated.group(1)) == len(naryops.__all__)
