@@ -34,13 +34,11 @@ from .extension import ExtendedOp
 from .extraction import (
     BranchDirection,
     ExtractedGenerator,
-    ExtractionConfig,
     extract_generator,
     select_base_point,
     verify_additivity,
 )
 from .generator import (
-    CodomainForm,
     GeneratorSpec,
     build_aczelian,
     invert_monotone,
@@ -77,14 +75,12 @@ __all__ = [
     "ExtendedOp",
     # generator
     "GeneratorSpec",
-    "CodomainForm",
     "validate_codomain",
     "build_aczelian",
     "invert_monotone",
     "tabulated_generator",
     # extraction
     "BranchDirection",
-    "ExtractionConfig",
     "ExtractedGenerator",
     "select_base_point",
     "extract_generator",

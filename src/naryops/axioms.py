@@ -234,12 +234,14 @@ def falsify(
     failing trial with the largest margin (residual minus threshold), the
     first one on a tie.
     The report's tolerance is ``slack`` when given and ``tol`` otherwise.
+    A loop of no trial reports 0 samples, which AxiomReport rejects.
     """
     base = 0.0 if slack is None else slack
     max_residual = 0.0
     witness = None
     worst = -math.inf
-    for lhs, rhs, fields in trials:
+    ran = 0
+    for ran, (lhs, rhs, fields) in enumerate(trials, 1):
         residual = abs(lhs - rhs)
         if residual > max_residual:
             max_residual = residual
@@ -252,7 +254,7 @@ def falsify(
         passed=witness is None,
         max_residual=max_residual,
         witness=witness,
-        samples_used=samples,
+        samples_used=samples if ran else 0,
         seed=seed,
         tolerance=tol if slack is None else slack,
         label=label,

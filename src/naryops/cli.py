@@ -25,7 +25,7 @@ from .core import Interval, NaryOp, builtin_lookup
 from .errors import CodomainError, NaryError, RegistryError
 from .exprlang import ParseError, make_callable, parse as parse_expr
 from .extension import ExtendedOp, nested_trials, split_trials
-from .extraction import BranchDirection, ExtractionConfig, extract_generator
+from .extraction import BranchDirection, extract_generator
 from .extraction import verify_additivity, verify_roundtrip
 from .generator import GeneratorSpec, build_aczelian, estimate_codomain, validate_codomain
 from .reducibility import adjoin_neutral, derive_binary, verify_neutrality, verify_reduction
@@ -192,10 +192,10 @@ def _cmd_build(cfg: RunConfig) -> tuple[int, dict]:
     if not cfg.phi:
         raise ValueError("build requires a generator expression (--phi)")
     spec = load_generator(cfg.phi, cfg.phi_inv, cfg.interval, cfg.codomain)
-    form = validate_codomain(spec.codomain, cfg.n)
+    form, bound = validate_codomain(spec.codomain, cfg.n)
     f = build_aczelian(spec, cfg.n)
     checks = _associativity_and_symmetry(f, cfg, _generated_tol(cfg))
-    extra = {"codomain_form": {"form": form.form, "bound": form.bound}, "op_label": f.label}
+    extra = {"codomain_form": {"form": form, "bound": bound}, "op_label": f.label}
     return _suite_report(cfg, checks, extra)
 
 
@@ -203,8 +203,9 @@ def _extract(cfg: RunConfig):
     """The operation, its extracted generator, and the report fields both
     extraction commands share."""
     f = load_opspec(cfg.op, cfg.n, cfg.interval)
-    config = ExtractionConfig(cfg.c, parse_grid(cfg.grid or "-2:2:0.5"), cfg.resolution, cfg.window)
-    gen = extract_generator(f, config)
+    gen = extract_generator(
+        f, parse_grid(cfg.grid or "-2:2:0.5"), cfg.c, cfg.resolution, cfg.window
+    )
     extra = {
         "table": [[x, v] for x, v in gen.samples],
         "base_point": gen.c,
@@ -331,10 +332,7 @@ def _cmd_gallery(cfg: RunConfig) -> tuple[int, dict]:
 
     # a small extraction against the additive closed form
     f = builtin_lookup("sum", 2)
-    gen = extract_generator(
-        f,
-        ExtractionConfig(base_point=1.0, grid=(-1.0, 0.0, 1.5), resolution=1.0 / 16.0),
-    )
+    gen = extract_generator(f, (-1.0, 0.0, 1.5), base_point=1.0, resolution=1.0 / 16.0)
     ok = gen.direction is BranchDirection.C_BELOW and all(
         abs(v - x) <= 1.0 / 16.0 + 1e-9 for x, v in gen.samples
     )

@@ -45,7 +45,6 @@ from .generator import GeneratorSpec, piecewise_linear, tabulated_generator
 
 __all__ = [
     "BranchDirection",
-    "ExtractionConfig",
     "PhiEstimate",
     "ExtractedGenerator",
     "select_base_point",
@@ -69,26 +68,6 @@ _ROUNDING_TOL = 1e-12
 
 
 @dataclass(frozen=True)
-class ExtractionConfig:
-    """What one extraction runs on: the CLI's ``--c``, ``--grid``,
-    ``--resolution`` and ``--window``.
-
-    ``resolution`` fixes the lowest level -J of the unit walk, the highest
-    level whose step (n-1) n^-J is at most the resolution. Without a
-    ``base_point``, one is chosen across ``[-scan_window, scan_window]``.
-    """
-
-    base_point: float | None = None
-    grid: tuple[float, ...] = ()
-    resolution: float = 1.0 / 64.0
-    scan_window: float = 10.0
-
-    def __post_init__(self):
-        if not 0.0 < self.resolution < math.inf:
-            raise ValueError("resolution must be positive and finite")
-
-
-@dataclass(frozen=True)
 class PhiEstimate:
     """One extracted generator value: the midpoint of its last effective
     level with half that level's step as half-width, or the exact value,
@@ -104,11 +83,11 @@ class PhiEstimate:
 
 
 def select_base_point(
-    f: NaryOp, cfg: ExtractionConfig
+    f: NaryOp, base_point: float | None = None, window: float = 10.0
 ) -> tuple[float, BranchDirection]:
     """Pick a calibration point c with f(c^n) clearly away from c: the
-    explicit cfg.base_point, validated, or the one of _SCAN_POINTS evenly
-    spaced points of the scan window with the largest |f(c^n) - c|.
+    explicit base_point, validated, or the one of _SCAN_POINTS evenly
+    spaced points of [-window, window] with the largest |f(c^n) - c|.
 
     Evaluation is :meth:`NaryOp.checked`, whose :class:`DomainEscapeError`
     the scan takes as a point to skip; a scan that skips every point
@@ -125,8 +104,8 @@ def select_base_point(
         fc = f.checked(*([c] * n))
         return fc - c, band + band * abs(c) + band * abs(fc)
 
-    if cfg.base_point is not None:
-        c = cfg.base_point
+    if base_point is not None:
+        c = base_point
         if not f.domain.contains(c):
             raise ValueError(f"base point {c!r} outside {f.domain.render()}")
         d, threshold = displacement(c)
@@ -134,7 +113,7 @@ def select_base_point(
             raise AllIdempotentError(f"explicit base point {c!r} is numerically idempotent")
         return c, BranchDirection.C_BELOW if d > 0 else BranchDirection.C_ABOVE
 
-    lo, hi = f.domain.clamp_window(cfg.scan_window)
+    lo, hi = f.domain.clamp_window(window)
     lo, hi = (  # a thousandth of the window inside an open end of the domain
         window_point(lo, hi, 1e-3) if f.domain.lo_open and lo == f.domain.lo else lo,
         window_point(hi, lo, 1e-3) if f.domain.hi_open and hi == f.domain.hi else hi,
@@ -427,23 +406,34 @@ def _chord_slack(xs: Sequence[float], ys: Sequence[float]) -> float:
     return worst
 
 
-def extract_generator(f: NaryOp, cfg: ExtractionConfig) -> ExtractedGenerator:
-    """Run the full reconstruction: base point, one unit walk per grid
-    point over a shared unit table, the mirror negation, and monotonicity
-    verification.
+def extract_generator(
+    f: NaryOp,
+    grid: Sequence[float] = (),
+    base_point: float | None = None,
+    resolution: float = 1.0 / 64.0,
+    window: float = 10.0,
+) -> ExtractedGenerator:
+    """Run the full reconstruction: base point (:func:`select_base_point`
+    on ``base_point`` and ``window``), one unit walk per grid point over a
+    shared unit table, the mirror negation, and monotonicity verification.
 
-    The base point is always included among the samples so the
-    normalization (+1 climbing, -1 mirrored) is exact by construction.
+    ``resolution`` fixes the lowest level -J of the unit walk, the highest
+    level whose step (n-1) n^-J is at most the resolution; one that is not
+    positive and finite raises ValueError before f is evaluated. The base
+    point is always included among the samples so the normalization (+1
+    climbing, -1 mirrored) is exact by construction.
     ``resolution_bound`` is the largest half-width over the points, and
     ``realized_resolution`` twice that, or the step of the lowest level
     when every point is finer.
     """
-    c, direction = select_base_point(f, cfg)
-    grid = sorted(set(float(v) for v in cfg.grid) | {float(c)})
+    if not 0.0 < resolution < math.inf:
+        raise ValueError("resolution must be positive and finite")
+    c, direction = select_base_point(f, base_point, window)
+    grid = sorted(set(float(v) for v in grid) | {float(c)})
     for v in grid:
         if not f.domain.contains(v):
             raise ValueError(f"grid point {v!r} outside {f.domain.render()}")
-    lowest = _lowest_level(f.arity, cfg.resolution)
+    lowest = _lowest_level(f.arity, resolution)
     units = _Units(f, c, direction, lowest)
     estimates = tuple(phi_at(units, v) for v in grid)
     sign = 1.0 if direction is BranchDirection.C_BELOW else -1.0

@@ -24,7 +24,6 @@ from .errors import CodomainError, DomainEscapeError, InversionError, Monotonici
 
 __all__ = [
     "GeneratorSpec",
-    "CodomainForm",
     "validate_codomain",
     "build_aczelian",
     "generator_sum",
@@ -34,30 +33,22 @@ __all__ = [
     "tabulated_generator",
 ]
 
-@dataclass(frozen=True)
-class CodomainForm:
-    """An admissible codomain shape, as :func:`validate_codomain` finds it:
-    ``neg_open_b`` or ``neg_closed_b`` (bound b <= 0), ``pos_open_a`` or
-    ``pos_closed_a`` (bound a >= 0), or ``full_line`` (no bound)."""
-
-    form: str
-    bound: float | None = None
-
-
-def validate_codomain(J: Interval, n: int) -> CodomainForm:
+def validate_codomain(J: Interval, n: int) -> tuple[str, float | None]:
     """Classify J as one of the admissible forms and confirm that sums of
-    n elements of J stay in J.
+    n elements of J stay in J; return ``(form, bound)``.
 
-    The admissible shapes are lower half-lines with bound b <= 0, upper
-    half-lines with bound a >= 0, and the full line; endpoint algebra shows
-    these are exactly the intervals closed under n-term addition.
+    The admissible shapes are lower half-lines with bound b <= 0
+    (``neg_open_b`` or ``neg_closed_b``), upper half-lines with bound
+    a >= 0 (``pos_open_a`` or ``pos_closed_a``), and the full line
+    (``full_line``, bound None); endpoint algebra shows these are exactly
+    the intervals closed under n-term addition.
     """
     if n < 2:
         raise ValueError("n must be >= 2")
     lo_inf = math.isinf(J.lo)
     hi_inf = math.isinf(J.hi)
     if lo_inf and hi_inf:
-        return CodomainForm("full_line", None)
+        return "full_line", None
     if lo_inf:
         b = J.hi
         # elements below b sum to anything below n*b; closure needs n*b <= b
@@ -66,7 +57,7 @@ def validate_codomain(J: Interval, n: int) -> CodomainForm:
                 f"codomain {J.render()} not closed under {n}-term sums "
                 f"(upper bound {b} must be <= 0)"
             )
-        return CodomainForm("neg_open_b" if J.hi_open else "neg_closed_b", b)
+        return ("neg_open_b" if J.hi_open else "neg_closed_b"), b
     if hi_inf:
         a = J.lo
         if n * a < a:
@@ -74,7 +65,7 @@ def validate_codomain(J: Interval, n: int) -> CodomainForm:
                 f"codomain {J.render()} not closed under {n}-term sums "
                 f"(lower bound {a} must be >= 0)"
             )
-        return CodomainForm("pos_open_a" if J.lo_open else "pos_closed_a", a)
+        return ("pos_open_a" if J.lo_open else "pos_closed_a"), a
     raise CodomainError(
         f"codomain {J.render()} is bounded on both ends; sums of {n} elements escape"
     )

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from naryops import extraction
 from naryops.errors import BracketNotFoundError
 from naryops.extension import BranchDirection, ExtendedOp, MembershipOutcome, RationalIndex
-from naryops.extraction import ExtractionConfig
 
 #: string-length doublings allowed while bracketing one threshold
 _MAX_DOUBLINGS = 60
@@ -91,7 +90,7 @@ def phi_at(
     c: float,
     x: float,
     direction: BranchDirection,
-    cfg: ExtractionConfig,
+    resolution: float,
 ) -> StringEstimate:
     """Bracket and bisect the membership threshold for one point.
 
@@ -105,7 +104,7 @@ def phi_at(
     ``naryops.extraction.sx_membership``, so a test can count them.
     """
     step = g.base.arity - 1
-    k = class_ceil(g.base.arity, math.ceil(step / cfg.resolution))
+    k = class_ceil(g.base.arity, math.ceil(step / resolution))
     used = 0
 
     def member(p: int, q: int) -> bool:

@@ -34,7 +34,6 @@ from naryops.extension import (
 )
 from naryops.extraction import (
     BranchDirection,
-    ExtractionConfig,
     extract_generator,
     select_base_point,
     sx_membership,
@@ -67,12 +66,7 @@ def test_criterion_1_additive_extraction_oracle():
     worst = 0.0
     for n in (2, 3):
         f = builtin_lookup("sum", n)
-        cfg = ExtractionConfig(
-            base_point=1.0,
-            grid=grid(-2.0, 2.0, 0.5),
-            resolution=1.0 / 64.0,
-        )
-        gen = extract_generator(f, cfg)
+        gen = extract_generator(f, grid(-2.0, 2.0, 0.5), base_point=1.0, resolution=1.0 / 64.0)
         for x, v in gen.samples:
             worst = max(worst, abs(v - x))
     elapsed = time.perf_counter() - t0
@@ -101,12 +95,9 @@ def test_criterion_2_multiplicative_extraction_oracle():
     worst = 0.0
     for n in (2, 3):
         f = builtin_lookup("product", n)
-        cfg = ExtractionConfig(
-            base_point=2.0,
-            grid=(0.5, 1.0, 2.0, 4.0, 8.0),
-            resolution=resolution,
+        gen = extract_generator(
+            f, (0.5, 1.0, 2.0, 4.0, 8.0), base_point=2.0, resolution=resolution
         )
-        gen = extract_generator(f, cfg)
         for x, v in gen.samples:
             worst = max(worst, abs(v - math.log2(x)))
     elapsed = time.perf_counter() - t0
@@ -136,10 +127,7 @@ def test_criterion_2_multiplicative_extraction_oracle():
 
 def test_criterion_3_mirrored_branch():
     f = builtin_lookup("sum", 2)
-    cfg = ExtractionConfig(
-        base_point=-1.0, grid=grid(-2.0, 2.0, 0.5), resolution=1.0 / 64.0
-    )
-    gen = extract_generator(f, cfg)
+    gen = extract_generator(f, grid(-2.0, 2.0, 0.5), base_point=-1.0, resolution=1.0 / 64.0)
     bound = 1.0 / 64.0 + 2.0 * BAND
     values = gen.phi_values
     increasing = all(a < b for a, b in zip(values, values[1:]))
@@ -164,10 +152,7 @@ def test_criterion_4_additivity_after_extraction():
     ):
         f = builtin_lookup(name, n)
         gen = extract_generator(
-            f,
-            ExtractionConfig(
-                base_point=c, grid=pts, resolution=0.02 if name == "product" else 1 / 64
-            ),
+            f, pts, base_point=c, resolution=0.02 if name == "product" else 1 / 64
         )
         rep = verify_additivity(gen, f, samples=100, seed=37)
         explicit = (n + 1) * (gen.resolution_bound + gen.interp_slack) + 1e-9
@@ -180,12 +165,8 @@ def test_criterion_4_additivity_after_extraction():
 def test_criterion_5_scale_ratio_between_base_points():
     f = builtin_lookup("sum", 2)
     pts = grid(-2.0, 2.0, 0.5)
-    gen1 = extract_generator(
-        f, ExtractionConfig(base_point=1.0, grid=pts, resolution=1 / 64)
-    )
-    gen2 = extract_generator(
-        f, ExtractionConfig(base_point=2.0, grid=pts, resolution=1 / 64)
-    )
+    gen1 = extract_generator(f, pts, base_point=1.0, resolution=1 / 64)
+    gen2 = extract_generator(f, pts, base_point=2.0, resolution=1 / 64)
     rep = compare_scales(gen1, gen2, pts, spread_tol=0.05)
     passed = rep.passed and rep.spread <= 0.05 and abs(rep.mean_ratio - 2.0) <= 0.05
     report(5, passed, f"ratio={rep.mean_ratio:.4f} spread={rep.spread:.2e}")
@@ -233,7 +214,7 @@ def test_criterion_7_symmetry_necessity(capsys):
         rep_s.witness.replay(alt) - rep_s.witness.residual
     ) <= 1e-12 * (1.0 + rep_s.witness.residual)
     with pytest.raises(AllIdempotentError):
-        select_base_point(alt, ExtractionConfig())
+        select_base_point(alt)
     code_axioms = main(
         ["axioms", "--op", "alternating", "--n", "3", "--samples", "500", "--seed", "7",
          "--format", "json"]

@@ -21,11 +21,9 @@ PACKAGE_API = [
     "BracketNotFoundError",
     "BranchDirection",
     "CodomainError",
-    "CodomainForm",
     "DomainEscapeError",
     "ExtendedOp",
     "ExtractedGenerator",
-    "ExtractionConfig",
     "GeneratorSpec",
     "Interval",
     "InversionError",

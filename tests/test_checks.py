@@ -23,12 +23,7 @@ from naryops.cli import load_generator, load_opspec, main, parse_grid
 from naryops.core import Interval, NaryOp, builtin_lookup
 from naryops.errors import DomainEscapeError
 from naryops.extension import ExtendedOp
-from naryops.extraction import (
-    ExtractionConfig,
-    extract_generator,
-    verify_additivity,
-    verify_roundtrip,
-)
+from naryops.extraction import extract_generator, verify_additivity, verify_roundtrip
 from naryops.reducibility import adjoin_neutral, derive_binary, verify_reduction
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "naryops"
@@ -80,7 +75,7 @@ SUM2 = builtin_lookup("sum", 2)
 
 
 def _sum2_table():
-    return extract_generator(SUM2, ExtractionConfig(base_point=1.0, grid=(0.0, 0.5, 1.0)))
+    return extract_generator(SUM2, (0.0, 0.5, 1.0), base_point=1.0)
 
 
 @pytest.mark.parametrize(
@@ -93,9 +88,10 @@ def _sum2_table():
         lambda: verify_additivity(_sum2_table(), SUM2, samples=0),
         lambda: verify_roundtrip(_sum2_table(), SUM2, samples=0),
         lambda: AxiomReport("identity", True, 0.0, None, samples_used=0, seed=0, tolerance=0.0),
+        lambda: falsify("associativity", iter([]), 1e-9),
     ],
     ids=["associativity", "symmetry", "cancellativity", "reduction", "additivity",
-         "roundtrip", "report"],
+         "roundtrip", "report", "falsify"],
 )
 def test_a_check_of_no_sample_raises(call):
     # a check that drew nothing would otherwise pass without evidence
@@ -219,7 +215,7 @@ SKEWED = "expr:x1+x2+x1*x2*x2/10"
 
 def _skewed_extraction():
     f = load_opspec(SKEWED, 2)
-    return f, extract_generator(f, ExtractionConfig(base_point=1.0, grid=parse_grid("-1:1:0.25")))
+    return f, extract_generator(f, parse_grid("-1:1:0.25"), base_point=1.0)
 
 
 #: for every witness kind: a run that fails that check, and the operation

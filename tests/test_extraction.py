@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import inspect
 import io
 import math
 import random
@@ -25,7 +26,6 @@ from naryops.extension import ExtendedOp, MembershipOutcome, RationalIndex
 from naryops.extraction import (
     BranchDirection,
     ExtractedGenerator,
-    ExtractionConfig,
     extract_generator,
     select_base_point,
     sx_membership,
@@ -167,29 +167,29 @@ def test_membership_mirrored_branch():
 
 
 def test_select_base_point_explicit():
-    c, d = select_base_point(SUM2, ExtractionConfig(base_point=1.0))
+    c, d = select_base_point(SUM2, base_point=1.0)
     assert (c, d) == (1.0, BranchDirection.C_BELOW)
-    c, d = select_base_point(PRODUCT3, ExtractionConfig(base_point=2.0))
+    c, d = select_base_point(PRODUCT3, base_point=2.0)
     assert (c, d) == (2.0, BranchDirection.C_BELOW)
-    c, d = select_base_point(SUM2, ExtractionConfig(base_point=-1.0))
+    c, d = select_base_point(SUM2, base_point=-1.0)
     assert (c, d) == (-1.0, BranchDirection.C_ABOVE)
 
 
 def test_select_base_point_scan_maximizes_displacement():
-    c, d = select_base_point(SUM2, ExtractionConfig())
+    c, d = select_base_point(SUM2)
     assert abs(c) == 10.0
 
 
 def test_select_base_point_rejects_idempotent_field():
     with pytest.raises(AllIdempotentError):
-        select_base_point(builtin_lookup("alternating", 3), ExtractionConfig())
+        select_base_point(builtin_lookup("alternating", 3))
     with pytest.raises(AllIdempotentError):
-        select_base_point(SUM2, ExtractionConfig(base_point=0.0))
+        select_base_point(SUM2, base_point=0.0)
 
 
 def test_select_base_point_outside_domain():
     with pytest.raises(ValueError):
-        select_base_point(PRODUCT2, ExtractionConfig(base_point=-3.0))
+        select_base_point(PRODUCT2, base_point=-3.0)
 
 
 def test_stalled_units_exit_three():
@@ -221,7 +221,7 @@ def test_division_by_zero_on_the_diagonal_exits_three():
 
 def estimate(f, c, x, resolution=1.0 / 64.0):
     """The PhiEstimate that extraction makes at x, normalized at c."""
-    gen = extract_generator(f, ExtractionConfig(base_point=c, grid=(x,), resolution=resolution))
+    gen = extract_generator(f, (x,), base_point=c, resolution=resolution)
     return next(e for e in gen.estimates if e.x == x)
 
 
@@ -250,8 +250,7 @@ def test_phi_at_base_point_is_one():
 
 
 def test_extract_sum_identity_table():
-    cfg = ExtractionConfig(base_point=1.0, grid=grid(-2.0, 2.0, 0.5), resolution=1 / 64)
-    gen = extract_generator(SUM2, cfg)
+    gen = extract_generator(SUM2, grid(-2.0, 2.0, 0.5), base_point=1.0, resolution=1 / 64)
     assert gen.direction is BranchDirection.C_BELOW
     assert gen.normalization == 1.0
     for x, v in gen.samples:
@@ -262,13 +261,12 @@ def test_extract_sum_identity_table():
 def test_interp_slack_of_a_float_range_table():
     # the chord weight of 1e307 between -1e308 and 1e308 divides by a width
     # that overflows unless taken from halved differences
-    gen = extract_generator(SUM2, ExtractionConfig(base_point=1e307, grid=(-1e308, 1e308)))
+    gen = extract_generator(SUM2, (-1e308, 1e308), base_point=1e307)
     assert gen.interp_slack < gen.resolution_bound
 
 
 def test_extract_mirrored_branch_negates():
-    cfg = ExtractionConfig(base_point=-1.0, grid=grid(-2.0, 2.0, 0.5), resolution=1 / 64)
-    gen = extract_generator(SUM2, cfg)
+    gen = extract_generator(SUM2, grid(-2.0, 2.0, 0.5), base_point=-1.0, resolution=1 / 64)
     assert gen.direction is BranchDirection.C_ABOVE
     assert gen.normalization == -1.0
     assert gen.interpolate(-1.0) == -1.0
@@ -279,10 +277,7 @@ def test_extract_mirrored_branch_negates():
 
 
 def test_extract_product_log_table():
-    cfg = ExtractionConfig(
-        base_point=2.0, grid=(0.5, 1.0, 2.0, 4.0, 8.0), resolution=0.02
-    )
-    gen = extract_generator(PRODUCT2, cfg)
+    gen = extract_generator(PRODUCT2, (0.5, 1.0, 2.0, 4.0, 8.0), base_point=2.0, resolution=0.02)
     for x, v in gen.samples:
         assert abs(v - math.log2(x)) <= 0.02
 
@@ -292,10 +287,7 @@ def test_extract_bounded_product_mirrored_log():
     # square and the mirrored branch runs; the recovered generator is
     # still the increasing base-2 logarithm
     bp = builtin_lookup("bounded_product", 2)
-    cfg = ExtractionConfig(
-        base_point=0.5, grid=(0.125, 0.25, 0.5, 0.75), resolution=1 / 64
-    )
-    gen = extract_generator(bp, cfg)
+    gen = extract_generator(bp, (0.125, 0.25, 0.5, 0.75), base_point=0.5, resolution=1 / 64)
     assert gen.direction is BranchDirection.C_ABOVE
     assert gen.normalization == -1.0
     for x, v in gen.samples:
@@ -310,10 +302,7 @@ def test_extract_black_box_cube_generator():
 
     spec = GeneratorSpec(phi=lambda t: t**3, label="cube")
     f = build_aczelian(spec, 2)
-    cfg = ExtractionConfig(
-        base_point=1.0, grid=(0.0, 0.5, 1.0, 1.25), resolution=1 / 64
-    )
-    gen = extract_generator(f, cfg)
+    gen = extract_generator(f, (0.0, 0.5, 1.0, 1.25), base_point=1.0, resolution=1 / 64)
     for x, v in gen.samples:
         assert abs(v - x**3) <= 1.0 / 64.0 + 1e-6
 
@@ -321,8 +310,7 @@ def test_extract_black_box_cube_generator():
 def test_extract_translated_sum_shifted_generator():
     # the generator normalized to 1 at the base point c = 1 is (x+1)/2
     f = builtin_lookup("translated_sum", 2)
-    cfg = ExtractionConfig(base_point=1.0, grid=grid(-2.0, 2.0, 0.5), resolution=1 / 64)
-    gen = extract_generator(f, cfg)
+    gen = extract_generator(f, grid(-2.0, 2.0, 0.5), base_point=1.0, resolution=1 / 64)
     for x, v in gen.samples:
         assert abs(v - (x + 1.0) / 2.0) <= 1.0 / 64.0
     rep = verify_additivity(gen, f, samples=100, seed=9)
@@ -330,16 +318,24 @@ def test_extract_translated_sum_shifted_generator():
 
 
 def test_extract_includes_base_point_sample():
-    cfg = ExtractionConfig(base_point=1.0, grid=(-1.0, 0.5), resolution=1 / 16)
-    gen = extract_generator(SUM2, cfg)
+    gen = extract_generator(SUM2, (-1.0, 0.5), base_point=1.0, resolution=1 / 16)
     assert 1.0 in gen.x_values
     assert gen.interpolate(1.0) == gen.normalization == 1.0
 
 
 def test_extract_rejects_offgrid_domain_points():
-    cfg = ExtractionConfig(base_point=2.0, grid=(-1.0, 2.0), resolution=0.02)
     with pytest.raises(ValueError):
-        extract_generator(PRODUCT2, cfg)
+        extract_generator(PRODUCT2, (-1.0, 2.0), base_point=2.0, resolution=0.02)
+
+
+@pytest.mark.parametrize("resolution", [0.0, -1.0, math.inf, math.nan])
+def test_resolution_must_be_positive_and_finite(resolution):
+    # the rule comes before the base point, so f is never evaluated
+    evaluations = []
+    f = dataclasses.replace(SUM2, eval=lambda *xs: evaluations.append(xs) or SUM2.eval(*xs))
+    with pytest.raises(ValueError, match="^resolution must be positive and finite$"):
+        extract_generator(f, resolution=resolution)
+    assert evaluations == []
 
 
 def test_bounded_product_reaches_units_next_to_one():
@@ -358,7 +354,7 @@ def test_neighbouring_floats_extract_below_float_precision():
     f = build_aczelian(load_generator("x^3+x", None, None), 3)
     x = 0.6171807908182833
     grid = tuple(x + k * math.ulp(x) for k in range(4))
-    gen = extract_generator(f, ExtractionConfig(base_point=1.0, grid=grid, resolution=1e-300))
+    gen = extract_generator(f, grid, base_point=1.0, resolution=1e-300)
     assert [v for v, _ in gen.samples] == sorted(grid + (1.0,))
 
 
@@ -366,8 +362,7 @@ def test_extraction_far_points_stay_in_the_float_range():
     # the units 2^(2^j) overflow past 2^1024, beyond the target 1e200: an
     # overflow past the target counts as passing it
     for x in (1e6, 1e200):
-        cfg = ExtractionConfig(base_point=2.0, grid=(x,), resolution=1 / 64)
-        gen = extract_generator(PRODUCT2, cfg)
+        gen = extract_generator(PRODUCT2, (x,), base_point=2.0, resolution=1 / 64)
         (v, est), = [(v, e) for (t, v), e in zip(gen.samples, gen.estimates) if t == x]
         floor = FLOOR_ULPS * (est.evaluations + 1) * math.ulp(math.log2(x))
         assert abs(v - math.log2(x)) <= est.half_width + floor
@@ -414,24 +409,20 @@ def test_representation_independence_small():
 
 
 def test_verify_additivity_sum():
-    cfg = ExtractionConfig(base_point=1.0, grid=grid(-2.0, 2.0, 0.5), resolution=1 / 64)
-    gen = extract_generator(SUM2, cfg)
+    gen = extract_generator(SUM2, grid(-2.0, 2.0, 0.5), base_point=1.0, resolution=1 / 64)
     rep = verify_additivity(gen, SUM2, samples=100, seed=5)
     assert rep.passed, rep
 
 
 def test_verify_additivity_product():
-    cfg = ExtractionConfig(
-        base_point=2.0, grid=(0.5, 1.0, 2.0, 4.0, 8.0), resolution=0.02
-    )
-    gen = extract_generator(PRODUCT3, cfg)
+    gen = extract_generator(PRODUCT3, (0.5, 1.0, 2.0, 4.0, 8.0), base_point=2.0, resolution=0.02)
     rep = verify_additivity(gen, PRODUCT3, samples=100, seed=6)
     assert rep.passed, rep
 
 
 def test_verify_additivity_rejects_corruption():
-    cfg = ExtractionConfig(base_point=1.0, grid=grid(-2.0, 2.0, 0.5), resolution=1 / 64)
-    gen = extract_generator(SUM2, cfg)
+    kwargs = {"grid": grid(-2.0, 2.0, 0.5), "base_point": 1.0, "resolution": 1 / 64}
+    gen = extract_generator(SUM2, **kwargs)
     bound = 3 * (gen.resolution_bound + gen.interp_slack) + 1e-3
     corrupted = list(gen.samples)
     idx = len(corrupted) // 2
@@ -449,14 +440,14 @@ def test_verify_additivity_rejects_corruption():
     assert not rep.passed
     assert rep.witness is not None
     # the round trip fails too, and both fail as the reference loops do
-    _, (additivity, roundtrip) = _matches_the_reference(SUM2, cfg, 100, 7, bad)
+    _, (additivity, roundtrip) = _matches_the_reference(SUM2, kwargs, 100, 7, bad)
     assert "'pass': False" in additivity and "'pass': False" in roundtrip
 
 
 def test_compare_scales_sum():
     g = grid(-2.0, 2.0, 0.5)
-    gen1 = extract_generator(SUM2, ExtractionConfig(base_point=1.0, grid=g, resolution=1 / 64))
-    gen2 = extract_generator(SUM2, ExtractionConfig(base_point=2.0, grid=g, resolution=1 / 64))
+    gen1 = extract_generator(SUM2, g, base_point=1.0, resolution=1 / 64)
+    gen2 = extract_generator(SUM2, g, base_point=2.0, resolution=1 / 64)
     rep = compare_scales(gen1, gen2, g, spread_tol=0.05)
     assert rep.passed
     assert abs(rep.mean_ratio - 2.0) <= 0.01
@@ -464,8 +455,8 @@ def test_compare_scales_sum():
 
 def test_compare_scales_product_base_change():
     g = (0.5, 1.0, 2.0, 4.0, 8.0)
-    gen1 = extract_generator(PRODUCT2, ExtractionConfig(base_point=2.0, grid=g, resolution=0.02))
-    gen2 = extract_generator(PRODUCT2, ExtractionConfig(base_point=4.0, grid=g, resolution=0.02))
+    gen1 = extract_generator(PRODUCT2, g, base_point=2.0, resolution=0.02)
+    gen2 = extract_generator(PRODUCT2, g, base_point=4.0, resolution=0.02)
     rep = compare_scales(gen1, gen2, g, spread_tol=0.05)
     assert rep.passed
     assert abs(rep.mean_ratio - 2.0) <= 0.05
@@ -473,15 +464,15 @@ def test_compare_scales_product_base_change():
 
 def test_compare_scales_same_run_is_unity():
     g = grid(-2.0, 2.0, 0.5)
-    gen = extract_generator(SUM2, ExtractionConfig(base_point=1.0, grid=g, resolution=1 / 64))
+    gen = extract_generator(SUM2, g, base_point=1.0, resolution=1 / 64)
     rep = compare_scales(gen, gen, g)
     assert rep.passed and rep.mean_ratio == 1.0 and rep.spread == 0.0
 
 
 def test_compare_scales_needs_points_away_from_zero():
     g = (-0.01, 0.0, 0.01)
-    gen1 = extract_generator(SUM2, ExtractionConfig(base_point=1.0, grid=g, resolution=1 / 8))
-    gen2 = extract_generator(SUM2, ExtractionConfig(base_point=1.0, grid=g, resolution=1 / 8))
+    gen1 = extract_generator(SUM2, g, base_point=1.0, resolution=1 / 8)
+    gen2 = extract_generator(SUM2, g, base_point=1.0, resolution=1 / 8)
     with pytest.raises(ValueError):
         compare_scales(gen1, gen2, (-0.01, 0.0, 0.01))
 
@@ -489,8 +480,7 @@ def test_compare_scales_needs_points_away_from_zero():
 def test_roundtrip_rebuild_matches_original():
     from naryops.generator import build_aczelian
 
-    cfg = ExtractionConfig(base_point=1.0, grid=grid(-2.0, 2.0, 0.4), resolution=1 / 64)
-    gen = extract_generator(SUM2, cfg)
+    gen = extract_generator(SUM2, grid(-2.0, 2.0, 0.4), base_point=1.0, resolution=1 / 64)
     rebuilt = build_aczelian(gen.as_generator_spec(), 2)
     rng = random.Random(11)
     slope = gen.max_inverse_slope()
@@ -545,7 +535,7 @@ def test_phi_at_doubling_cap(monkeypatch, pure, mixed, missing):
     counts = _count_memberships(monkeypatch)
     g = _ConstantStrings(pure, mixed)
     with pytest.raises(BracketNotFoundError) as exc:
-        string_phi_at(g, 1.0, 0.5, BranchDirection.C_BELOW, ExtractionConfig())
+        string_phi_at(g, 1.0, 0.5, BranchDirection.C_BELOW, 1 / 64)
     assert str(exc.value) == f"no {missing} outcome after 61 doublings at x=0.5"
     assert counts["memberships"] == 62
 
@@ -648,7 +638,7 @@ def test_extracted_values_lie_within_their_half_width(name, n, resolution, data)
     f, phi = make(n), generator_of(n)
     c = data.draw(base_points)
     grid = tuple(data.draw(st.lists(points, min_size=1, max_size=3)))
-    gen = extract_generator(f, ExtractionConfig(base_point=c, grid=grid, resolution=resolution))
+    gen = extract_generator(f, grid, base_point=c, resolution=resolution)
     scale = abs(phi(c))
     assert gen.resolution_bound == max(e.half_width for e in gen.estimates)
     for (x, v), est in zip(gen.samples, gen.estimates):
@@ -665,7 +655,7 @@ def test_extracted_values_lie_within_their_half_width(name, n, resolution, data)
     # lookup, where x^3+x would otherwise pay a numeric inverse per step
     g = ExtendedOp(dataclasses.replace(f, eval=functools.cache(f.eval)))
     for (x, v), est in zip(gen.samples, gen.estimates):
-        ref = string_phi_at(g, gen.c, x, gen.direction, ExtractionConfig(resolution=resolution))
+        ref = string_phi_at(g, gen.c, x, gen.direction, resolution)
         floor = FLOOR_ULPS * (est.evaluations + 1) * math.ulp(max(1.0, abs(v)))
         assert abs(v - gen.normalization * ref.value) <= est.half_width + ref.half_width + floor
 
@@ -746,7 +736,7 @@ def test_roundtrip_sums_each_draw_once(monkeypatch):
         return SUM3.eval(*xs)
 
     f = dataclasses.replace(SUM3, eval=counting_eval)
-    gen = extract_generator(f, ExtractionConfig(base_point=1.0, grid=grid(-2.0, 2.0, 0.5)))
+    gen = extract_generator(f, grid(-2.0, 2.0, 0.5), base_point=1.0)
     monkeypatch.setattr(axioms, "generator_sum", counting_sum)
     counts.clear()
     assert verify_roundtrip(gen, f, samples=200, seed=3).passed
@@ -782,29 +772,32 @@ def _reference_roundtrip(gen, f, samples, seed):
     return extraction_oracle.verify_roundtrip(gen, f, rebuilt, samples, seed)
 
 
-def _matches_the_reference(f, cfg, samples, seed, gen=None):
+def _matches_the_reference(f, kwargs, samples, seed, gen=None):
     """The walks of every grid point, then both checks of the table (gen,
-    or the one extracted), agree with the reference loops: the same
-    estimates, reports or errors, from op evaluations at the same tuples
-    in the same order. Returns the walks' outcomes and the checks' (none
-    without a table)."""
+    or the one extract_generator(f, **kwargs) makes), agree with the
+    reference loops: the same estimates, reports or errors, from op
+    evaluations at the same tuples in the same order. Returns the walks'
+    outcomes and the checks' (none without a table)."""
     f, calls = _recording(f)
+    bound = inspect.signature(extract_generator).bind(f, **kwargs)
+    bound.apply_defaults()
+    args = bound.arguments
     runs = []
     for module in (extraction_oracle, extraction):
         del calls[:]
         try:
-            c, direction = select_base_point(f, cfg)
+            c, direction = select_base_point(f, args["base_point"], args["window"])
         except Exception as exc:
             runs.append((repr(exc), calls[:]))
             continue
-        units = module._Units(f, c, direction, extraction._lowest_level(f.arity, cfg.resolution))
-        points = sorted(set(cfg.grid) | {c})
+        units = module._Units(f, c, direction, extraction._lowest_level(f.arity, args["resolution"]))
+        points = sorted(set(args["grid"]) | {c})
         runs.append(([_outcome(module.phi_at, units, x) for x in points], calls[:]))
     assert runs[1] == runs[0]
     walks, reports = runs[1][0], []
     if gen is None:
         try:
-            gen = extract_generator(f, cfg)
+            gen = extract_generator(f, **kwargs)
         except Exception:
             return walks, reports
     for reference, check in (
@@ -842,56 +835,56 @@ REFERENCE_OPS = {
 )
 def test_extraction_matches_the_reference(name, n, resolution, samples, seed, data):
     make, base_points, points = REFERENCE_OPS[name]
-    cfg = ExtractionConfig(
-        base_point=data.draw(base_points),
-        grid=tuple(data.draw(st.lists(points, min_size=1, max_size=6))),
-        resolution=resolution,
-    )
-    _matches_the_reference(make(n), cfg, samples, seed)
+    kwargs = {
+        "grid": tuple(data.draw(st.lists(points, min_size=1, max_size=6))),
+        "base_point": data.draw(base_points),
+        "resolution": resolution,
+    }
+    _matches_the_reference(make(n), kwargs, samples, seed)
 
 
 @pytest.mark.parametrize(
-    "f, cfg",
+    "f, kwargs",
     [
         # a window at the float range's edge: the base point is -5.9375e307
-        (SUM3, ExtractionConfig(grid=tuple(-2.0 + 0.5 * i for i in range(9)), scan_window=8e307)),
+        (SUM3, {"grid": tuple(-2.0 + 0.5 * i for i in range(9)), "window": 8e307}),
         # units that climb to 1e200 and walk down again
-        (PRODUCT2, ExtractionConfig(base_point=2.0, grid=(1e200,))),
+        (PRODUCT2, {"grid": (1e200,), "base_point": 2.0}),
     ],
     ids=["sum3_window_8e307", "product2_at_1e200"],
 )
-def test_far_points_match_the_reference(f, cfg):
-    walks, reports = _matches_the_reference(f, cfg, 100, 0)
+def test_far_points_match_the_reference(f, kwargs):
+    walks, reports = _matches_the_reference(f, kwargs, 100, 0)
     assert len(reports) == 2 and "Error" not in repr(walks)
 
 
 @pytest.mark.parametrize(
-    "source, cfg, fails",
+    "source, kwargs, fails",
     [
         # a table segment wider than the floats: the rebuilt value there is
         # inf, which the rebuilt domain test rejects
-        ("x1+x2", ExtractionConfig(base_point=1e307, grid=(-1.7e308, 1.7e308)), "produced non-finite inf"),
+        ("x1+x2", {"grid": (-1.7e308, 1.7e308), "base_point": 1e307}, "produced non-finite inf"),
         # NaN past U_4 = 16, on the way up, and below 1.4e-6, on the way down
-        ("x1+x2+(exp(1000*(x1-15))-exp(1000*(x1-15)))", ExtractionConfig(base_point=1.0, grid=(100.0,)), "nan"),
+        ("x1+x2+(exp(1000*(x1-15))-exp(1000*(x1-15)))", {"grid": (100.0,), "base_point": 1.0}, "nan"),
         # the down-unit search meets a division by zero at 0, not an overflow
         (
             "x1+x2+(exp(0.001/x1)-exp(0.001/x1))",
-            ExtractionConfig(base_point=1.0, grid=(0.3,), resolution=1e-9), "division by zero",
+            {"grid": (0.3,), "base_point": 1.0, "resolution": 1e-9}, "division by zero",
         ),
         # U_3 = f(29, 29) is -inf, behind U_2, built for a walk from -100
-        ("x1+x2-exp(exp(x1+x2-45))", ExtractionConfig(base_point=8.0, grid=(-100.0,)), "-inf"),
+        ("x1+x2-exp(exp(x1+x2-45))", {"grid": (-100.0,), "base_point": 8.0}, "-inf"),
         # the search for U_-1 evaluates the diagonal where it is NaN
-        ("x1+x2+(exp(1e6*(0.3-x1))-exp(1e6*(0.3-x1)))", ExtractionConfig(base_point=1.0, grid=(0.6,)), "nan"),
+        ("x1+x2+(exp(1e6*(0.3-x1))-exp(1e6*(0.3-x1)))", {"grid": (0.6,), "base_point": 1.0}, "nan"),
     ],
     ids=["rebuilt_escape", "nan_above", "nan_below", "unit_escapes_behind", "nan_diagonal"],
 )
-def test_escapes_match_the_reference(source, cfg, fails):
-    assert fails in repr(_matches_the_reference(load_opspec("expr:" + source, 2), cfg, 100, 0))
+def test_escapes_match_the_reference(source, kwargs, fails):
+    assert fails in repr(_matches_the_reference(load_opspec("expr:" + source, 2), kwargs, 100, 0))
 
 
 def test_draw_cap_matches_the_reference():
-    cfg = ExtractionConfig(base_point=2.0, grid=(1e6,))
-    _, (additivity, roundtrip) = _matches_the_reference(PRODUCT2, cfg, 100, 0)
+    kwargs = {"grid": (1e6,), "base_point": 2.0}
+    _, (additivity, roundtrip) = _matches_the_reference(PRODUCT2, kwargs, 100, 0)
     assert additivity == repr((
         "BracketNotFoundError",
         "could not sample 100 tuples inside the tabulated window [2.0, 1000000.0] in 50000 draws",

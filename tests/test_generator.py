@@ -28,23 +28,18 @@ from naryops.generator import (
 
 
 def test_codomain_full_line():
-    form = validate_codomain(Interval.real_line(), 3)
-    assert form.form == "full_line" and form.bound is None
+    assert validate_codomain(Interval.real_line(), 3) == ("full_line", None)
 
 
 def test_codomain_negative_half_line():
-    form = validate_codomain(Interval.parse("(-inf,0)"), 2)
-    assert form.form == "neg_open_b" and form.bound == 0.0
-    form = validate_codomain(Interval.parse("(-inf,-1]"), 2)
-    assert form.form == "neg_closed_b" and form.bound == -1.0
+    assert validate_codomain(Interval.parse("(-inf,0)"), 2) == ("neg_open_b", 0.0)
+    assert validate_codomain(Interval.parse("(-inf,-1]"), 2) == ("neg_closed_b", -1.0)
 
 
 def test_codomain_positive_half_line():
     # a bound above zero still sums upward into the interval
-    form = validate_codomain(Interval.parse("(1,inf)"), 2)
-    assert form.form == "pos_open_a" and form.bound == 1.0
-    form = validate_codomain(Interval.parse("[0,inf)"), 3)
-    assert form.form == "pos_closed_a" and form.bound == 0.0
+    assert validate_codomain(Interval.parse("(1,inf)"), 2) == ("pos_open_a", 1.0)
+    assert validate_codomain(Interval.parse("[0,inf)"), 3) == ("pos_closed_a", 0.0)
 
 
 def test_codomain_rejections():

@@ -1,12 +1,15 @@
 """The README's examples run as documented: each CLI example exits with
 the code its comment promises, the library sketch prints what it says
-it prints, and the API count it states is the package's."""
+it prints, the API count it states is the package's, and its exit-code
+table names each flag rule that exits 2."""
 
 import contextlib
 import io
 import pathlib
 import re
 import shlex
+
+import pytest
 
 import naryops
 from naryops.cli import main
@@ -55,3 +58,21 @@ def test_stated_api_count_is_the_package_api():
     stated = re.search(r"(\d+) names that\s+`tests/test_api\.py` pins", README)
     assert stated is not None
     assert int(stated.group(1)) == len(naryops.__all__)
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--samples", "0"),
+        ("--window", "nan"),
+        ("--tol", "-1"),
+        ("--resolution", "0"),
+        ("--grid", "0:10000:1"),
+    ],
+)
+def test_exit_code_two_names_each_flag_rule(flag, value):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(["extract", "--op", "sum", "--n", "2", f"{flag}={value}"])
+    assert code == 2
+    row = re.search(r"^\| 2 +\|(.*)\|$", README, re.M)
+    assert row is not None and f"`{flag}`" in row.group(1)

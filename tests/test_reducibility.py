@@ -145,16 +145,11 @@ def test_adjoined_eval_rejects_escaping_sums():
 def test_extracted_generator_reduces_its_operation():
     # close the loop: reconstruct the generator numerically, derive the
     # binary operation from the table, and fold it back to the original
-    from naryops.extraction import ExtractionConfig, extract_generator
+    from naryops.extraction import extract_generator
 
     f = builtin_lookup("sum", 3)
     gen = extract_generator(
-        f,
-        ExtractionConfig(
-            base_point=1.0,
-            grid=tuple(-3.0 + 0.5 * i for i in range(13)),
-            resolution=1.0 / 64.0,
-        ),
+        f, tuple(-3.0 + 0.5 * i for i in range(13)), base_point=1.0, resolution=1.0 / 64.0
     )
     diamond = derive_binary(gen.as_generator_spec())
     rng = random.Random(6)
