@@ -8,8 +8,6 @@ of the generator from a black-box operation.
 """
 
 from .axioms import (
-    ALL_SAMPLED_IDEMPOTENT,
-    AllSampledIdempotent,
     AxiomReport,
     Witness,
     check_associativity,
@@ -20,7 +18,6 @@ from .axioms import (
 from .core import Interval, NaryOp, builtin_lookup
 from .errors import (
     AllIdempotentError,
-    ArityClassError,
     BracketNotFoundError,
     CodomainError,
     DomainEscapeError,
@@ -65,8 +62,6 @@ __all__ = [
     # axioms
     "AxiomReport",
     "Witness",
-    "AllSampledIdempotent",
-    "ALL_SAMPLED_IDEMPOTENT",
     "check_associativity",
     "check_symmetry",
     "check_cancellativity",
@@ -97,7 +92,6 @@ __all__ = [
     "ParseError",
     # errors
     "NaryError",
-    "ArityClassError",
     "DomainEscapeError",
     "CodomainError",
     "InversionError",

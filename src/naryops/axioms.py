@@ -27,8 +27,6 @@ from .generator import build_aczelian, generator_sum, piecewise_linear
 __all__ = [
     "Witness",
     "AxiomReport",
-    "AllSampledIdempotent",
-    "ALL_SAMPLED_IDEMPOTENT",
     "check_associativity",
     "check_symmetry",
     "check_cancellativity",
@@ -123,17 +121,6 @@ class AxiomReport:
             "tolerance": self.tolerance,
             "label": self.label,
         }
-
-
-class AllSampledIdempotent:
-    """Marker: every grid point satisfied f(x,...,x) = x to tolerance, so
-    the idempotent set is (as far as sampling can tell) the whole grid."""
-
-    def __repr__(self) -> str:
-        return "AllSampledIdempotent"
-
-
-ALL_SAMPLED_IDEMPOTENT = AllSampledIdempotent()
 
 
 def _below(getrandbits: Callable[[int], int], n: int) -> int:
@@ -429,8 +416,8 @@ _REFINE_TOL = 1e-9
 def find_idempotents(f: NaryOp, grid: Sequence[float]):
     """Roots of f(x,...,x) - x over the grid, bisected to _REFINE_TOL.
 
-    Returns the :data:`ALL_SAMPLED_IDEMPOTENT` marker when the residual is
-    within _REFINE_TOL at every grid point. Evaluation is checked, so a
+    Returns the grid points themselves when the residual is within
+    _REFINE_TOL at every one of them. Evaluation is checked, so a
     non-finite value raises :class:`DomainEscapeError` naming the inputs
     instead of dropping out of the sign scan.
     """
@@ -449,7 +436,7 @@ def find_idempotents(f: NaryOp, grid: Sequence[float]):
 
     values = [h(x) for x in pts]
     if all(abs(v) <= _REFINE_TOL for v in values):
-        return ALL_SAMPLED_IDEMPOTENT
+        return pts
 
     roots = [x for x, v in zip(pts, values) if v == 0.0]
     for (a, va), (b, vb) in zip(zip(pts, values), zip(pts[1:], values[1:])):

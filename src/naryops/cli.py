@@ -73,12 +73,16 @@ def _compile(text: str, n: int):
 
 
 def load_opspec(source: str, n: int, interval: str | None = None) -> NaryOp:
-    """Build an operation from a builtin name or an ``expr:`` expression."""
+    """Build an operation from an ``expr:`` expression, or from a builtin
+    name, which runs on its own domain and rejects any other interval."""
     if source is None:
         raise ValueError("an operation source is required (--op)")
     if source.startswith("expr:"):
         return NaryOp(n, _domain(interval), _compile(source[len("expr:") :], n), source)
-    return builtin_lookup(source, n)
+    f = builtin_lookup(source, n)
+    if interval is not None and Interval.parse(interval) != f.domain:
+        raise ValueError(f"builtin {source!r} runs on {f.domain.render()}, not {interval!r}")
+    return f
 
 
 def load_generator(
@@ -103,11 +107,16 @@ _MAX_GRID_POINTS = 10_000
 def parse_grid(text: str) -> tuple[float, ...]:
     """``lo:hi:step`` (the points lo + i*step, inclusive of hi within half
     a step, at most _MAX_GRID_POINTS of them) or a comma-separated list."""
-    if ":" in text:
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise ValueError(f"grid {text!r} must be lo:hi:step")
-        lo, hi, step = (float(p) for p in parts)
+    span = ":" in text
+    parts = text.split(":" if span else ",")
+    if span and len(parts) != 3:
+        raise ValueError(f"grid {text!r} must be lo:hi:step")
+    try:
+        points = tuple(float(p) for p in parts)
+    except ValueError as exc:
+        raise ValueError(f"grid {text!r}: {exc}") from None
+    if span:
+        lo, hi, step = points
         if not (math.isfinite(lo) and math.isfinite(hi) and math.isfinite(step)):
             raise ValueError(f"grid {text!r} needs finite lo, hi and step")
         if step <= 0 or hi < lo:
@@ -116,7 +125,7 @@ def parse_grid(text: str) -> tuple[float, ...]:
         if not last < _MAX_GRID_POINTS:
             raise ValueError(f"grid {text!r} has more than {_MAX_GRID_POINTS} points")
         return tuple(lo + i * step for i in range(math.floor(last) + 1))
-    return tuple(float(p) for p in text.split(","))
+    return points
 
 
 # --- command handlers -------------------------------------------------------
@@ -203,9 +212,8 @@ def _extract(cfg: RunConfig):
     """The operation, its extracted generator, and the report fields both
     extraction commands share."""
     f = load_opspec(cfg.op, cfg.n, cfg.interval)
-    gen = extract_generator(
-        f, parse_grid(cfg.grid or "-2:2:0.5"), cfg.c, cfg.resolution, cfg.window
-    )
+    grid = parse_grid("-2:2:0.5" if cfg.grid is None else cfg.grid)
+    gen = extract_generator(f, grid, cfg.c, cfg.resolution, cfg.window)
     extra = {
         "table": [[x, v] for x, v in gen.samples],
         "base_point": gen.c,
@@ -319,16 +327,13 @@ def _cmd_gallery(cfg: RunConfig) -> tuple[int, dict]:
     record("non_associative_rejected", not rep.passed)
 
     # idempotent points sit at the neutral elements
-    ok = True
-    sums = axioms_mod.find_idempotents(builtin_lookup("sum", 2), [v * 0.5 for v in range(-4, 5)])
-    ok &= isinstance(sums, list) and len(sums) == 1 and abs(sums[0]) <= 1e-9
-    prods = axioms_mod.find_idempotents(
-        builtin_lookup("product", 2), [0.25, 0.5, 1.0, 2.0]
-    )
-    ok &= isinstance(prods, list) and len(prods) == 1 and abs(prods[0] - 1.0) <= 1e-9
-    alts = axioms_mod.find_idempotents(alt, [v * 0.5 for v in range(-4, 5)])
-    ok &= isinstance(alts, axioms_mod.AllSampledIdempotent)
-    record("idempotents_match_neutrals", bool(ok))
+    grid = [v * 0.5 for v in range(-4, 5)]
+    sums = axioms_mod.find_idempotents(builtin_lookup("sum", 2), grid)
+    prods = axioms_mod.find_idempotents(builtin_lookup("product", 2), [0.25, 0.5, 1.0, 2.0])
+    ok = len(sums) == 1 and abs(sums[0]) <= 1e-9
+    ok &= len(prods) == 1 and abs(prods[0] - 1.0) <= 1e-9
+    ok &= axioms_mod.find_idempotents(alt, grid) == grid
+    record("idempotents_match_neutrals", ok)
 
     # a small extraction against the additive closed form
     f = builtin_lookup("sum", 2)

@@ -33,9 +33,10 @@ class Interval:
 
     ``lo`` and ``hi`` are floats, with -inf and +inf for unbounded ends
     (Python floats already order the extended line) and ``-0.0`` stored
-    as ``0.0``. Infinite endpoints are forced open; ``lo < hi`` so the
-    interval is neither empty nor a singleton, and a NaN endpoint fails
-    that test.
+    as ``0.0``. An infinite endpoint must be open: the constructor raises
+    ``ValueError`` for a closed one, while :meth:`make` and :meth:`parse`
+    force it open. ``lo < hi`` so the interval is neither empty nor a
+    singleton, and a NaN endpoint fails that test.
     """
 
     lo: float

@@ -9,10 +9,6 @@ class NaryError(Exception):
     """Base class for all package errors."""
 
 
-class ArityClassError(NaryError):
-    """A string length is not in the admissible arity class."""
-
-
 class DomainEscapeError(NaryError):
     """An evaluation produced a value outside the operation's domain,
     or a non-finite intermediate, carried as ``value`` when there is one."""

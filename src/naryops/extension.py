@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .core import NaryOp
-from .errors import ArityClassError, DomainEscapeError, PrecisionExhaustedError
+from .errors import DomainEscapeError, PrecisionExhaustedError
 
 __all__ = [
     "BranchDirection",
@@ -54,7 +54,7 @@ class ExtendedOp:
         n = self.base.arity
         step = n - 1
         if m < 1 or (m - 1) % step:  # m outside the arity class
-            raise ArityClassError(
+            raise ValueError(
                 f"string length {m} not evaluable at arity {n} (need m = 1 mod {step})"
             )
         if m == 1:
@@ -98,7 +98,7 @@ class RationalIndex:
 
     def require_admissible(self, n: int) -> None:
         if not self.admissible(n):
-            raise ArityClassError(
+            raise ValueError(
                 f"index ({self.p}, {self.q}, {self.k}) violates the congruences mod {n - 1}"
             )
 
@@ -158,7 +158,7 @@ def sx_membership(
 def nested_trials(g: ExtendedOp, splits):
     """Trials of the nested identity g(x g(y) z) = g(x y z), one per
     (x, y, z) split, for :func:`naryops.axioms.falsify`. A length outside
-    the arity class raises :class:`ArityClassError` from ``g.eval``."""
+    the arity class raises ValueError from ``g.eval``."""
     for x, y, z in splits:
         x, y, z = tuple(x), tuple(y), tuple(z)
         inner = g.eval(y)
@@ -168,13 +168,13 @@ def nested_trials(g: ExtendedOp, splits):
 def split_trials(g: ExtendedOp, block_lists):
     """Trials of the split identity g(g(b1) ... g(bn)) = g(b1 ... bn), one
     per list of n blocks, for :func:`naryops.axioms.falsify`. A block
-    length outside the arity class raises :class:`ArityClassError` from
+    length outside the arity class raises ValueError from
     ``g.eval``."""
     n = g.base.arity
     for blocks in block_lists:
         blocks = tuple(tuple(b) for b in blocks)
         if len(blocks) != n:
-            raise ArityClassError(f"need exactly {n} blocks, got {len(blocks)}")
+            raise ValueError(f"need exactly {n} blocks, got {len(blocks)}")
         heads = tuple(g.eval(b) for b in blocks)
         flat = tuple(itertools.chain.from_iterable(blocks))
         yield g.eval(heads), g.eval(flat), {"inputs": blocks}

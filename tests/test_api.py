@@ -11,12 +11,9 @@ import naryops
 
 PACKAGE_API = [
     "ADJOINED_NEUTRAL",
-    "ALL_SAMPLED_IDEMPOTENT",
     "AdjoinedNeutral",
     "AdjoinedStructure",
     "AllIdempotentError",
-    "AllSampledIdempotent",
-    "ArityClassError",
     "AxiomReport",
     "BracketNotFoundError",
     "BranchDirection",

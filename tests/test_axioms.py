@@ -7,8 +7,6 @@ import pytest
 
 from naryops import axioms
 from naryops.axioms import (
-    ALL_SAMPLED_IDEMPOTENT,
-    AllSampledIdempotent,
     Witness,
     check_associativity,
     check_cancellativity,
@@ -218,12 +216,9 @@ def test_idempotents_product():
     assert abs(roots[0] - 1.0) <= 1e-9
 
 
-def test_idempotents_alternating_marker():
-    marker = find_idempotents(
-        builtin_lookup("alternating", 3), [-2.0, -1.0, 0.0, 1.0, 2.0]
-    )
-    assert isinstance(marker, AllSampledIdempotent)
-    assert marker is ALL_SAMPLED_IDEMPOTENT
+def test_idempotents_alternating_whole_grid():
+    grid = [-2.0, -1.0, 0.0, 1.0, 2.0]
+    assert find_idempotents(builtin_lookup("alternating", 3), grid) == grid
 
 
 def test_idempotents_translated_sum():

@@ -1,9 +1,11 @@
 import argparse
+import inspect
 import json
 import math
 
 import pytest
 
+from naryops import cli, errors
 from naryops.axioms import Witness
 from naryops.cli import (
     RunConfig,
@@ -16,8 +18,8 @@ from naryops.cli import (
     run,
 )
 from naryops.core import builtin_lookup
-from naryops.errors import RegistryError
-from naryops.exprlang import make_callable, parse as parse_expr
+from naryops.errors import CodomainError, NaryError, RegistryError
+from naryops.exprlang import ParseError, make_callable, parse as parse_expr
 from naryops.reducibility import adjoin_neutral
 
 
@@ -449,3 +451,28 @@ def test_base_point_scan_of_the_widest_windows(argv, code, message, capsys):
     assert main(["extract", *argv]) == code
     captured = capsys.readouterr()
     assert message in (captured.out if code == 0 else captured.err)
+
+
+#: every exception class of naryops.errors, listed by inspection so that a
+#: new one meets the exit-code rule below without being named here
+ERROR_CLASSES = [cls for _, cls in inspect.getmembers(errors, inspect.isclass)]
+
+
+@pytest.mark.parametrize(
+    "error",
+    [ParseError(0, "an operand", "end of input"), ValueError("boom")]
+    + [cls("boom") for cls in ERROR_CLASSES],
+    ids=lambda error: type(error).__name__,
+)
+def test_each_error_class_exits_with_its_code(monkeypatch, capsys, error):
+    def handler(cfg):
+        raise error
+
+    monkeypatch.setitem(cli._HANDLERS, "axioms", handler)
+    code = main(["axioms", "--op", "sum"])
+    err = capsys.readouterr().err
+    if type(error) in (ParseError, RegistryError, CodomainError, ValueError):
+        assert code == 2 and err.startswith("naryops: configuration error: ")
+    else:
+        assert isinstance(error, NaryError)
+        assert code == 3 and err.startswith("naryops: numeric failure: ")

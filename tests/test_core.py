@@ -11,7 +11,7 @@ from naryops.core import (
     interval_contains,
     lattice,
 )
-from naryops.errors import ArityClassError, DomainEscapeError, RegistryError
+from naryops.errors import DomainEscapeError, RegistryError
 from naryops.exprlang import make_callable, parse
 from naryops.extension import ExtendedOp
 from naryops.generator import GeneratorSpec
@@ -93,7 +93,8 @@ def _in_class(n: int, m: int) -> bool:
     length m, that is, m lies in the arity class of n."""
     try:
         ExtendedOp(builtin_lookup("sum", n)).eval((0.5,) * m)
-    except ArityClassError:
+    except ValueError as exc:
+        assert f"string length {m} not evaluable at arity {n}" in str(exc)
         return False
     return True
 

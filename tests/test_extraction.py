@@ -18,7 +18,6 @@ from naryops.cli import load_generator, load_opspec, main
 from naryops.core import builtin_lookup
 from naryops.errors import (
     AllIdempotentError,
-    ArityClassError,
     BracketNotFoundError,
     PrecisionExhaustedError,
 )
@@ -63,7 +62,7 @@ def test_rational_index_invariants():
     assert not RationalIndex(5, 2, 2).admissible(3)  # k even
     with pytest.raises(ValueError):
         RationalIndex(0, 0, 1)
-    with pytest.raises(ArityClassError):
+    with pytest.raises(ValueError, match=r"^index \(4, 2, 3\) violates the congruences mod 2$"):
         RationalIndex(4, 2, 3).require_admissible(3)
 
 
@@ -136,7 +135,7 @@ def test_membership_examples():
 
 def test_membership_requires_admissible_index():
     g = ExtendedOp(builtin_lookup("sum", 3))
-    with pytest.raises(ArityClassError):
+    with pytest.raises(ValueError, match=r"^index \(2, 0, 1\) violates the congruences mod 2$"):
         sx_membership(g, 1.0, 0.5, RationalIndex(2, 0, 1), BranchDirection.C_BELOW)
 
 

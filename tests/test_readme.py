@@ -68,6 +68,8 @@ def test_stated_api_count_is_the_package_api():
         ("--tol", "-1"),
         ("--resolution", "0"),
         ("--grid", "0:10000:1"),
+        ("--grid", ""),
+        ("--interval", "[0,1]"),
     ],
 )
 def test_exit_code_two_names_each_flag_rule(flag, value):
