@@ -16,11 +16,10 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Sequence
 
-from .core import Interval, NaryOp, lattice
+from .core import Interval, NaryOp, Record, lattice
 from .extension import ExtendedOp, nested_trials, split_trials
 from .generator import build_aczelian, generator_sum, piecewise_linear
 
@@ -36,18 +35,29 @@ __all__ = [
     "random_split_blocks",
 ]
 
+#: stores a field of a record, as in :class:`naryops.core.Record`
+_set = object.__setattr__
 
-@dataclass(frozen=True)
-class Witness:
+
+class Witness(Record):
     """A replayable counterexample: stored inputs reproduce the stored
     residual when re-evaluated on the same operation."""
 
-    kind: str
-    inputs: tuple[tuple[float, ...], ...]
-    residual: float
-    equation_index: int | None = None
-    permutation: tuple[int, ...] | None = None
-    coordinate: int | None = None
+    __slots__ = _fields = (
+        "kind", "inputs", "residual", "equation_index", "permutation", "coordinate"
+    )
+
+    def __init__(
+        self, kind: str, inputs: tuple[tuple[float, ...], ...], residual: float,
+        equation_index: int | None = None, permutation: tuple[int, ...] | None = None,
+        coordinate: int | None = None,
+    ):
+        _set(self, "kind", kind)
+        _set(self, "inputs", inputs)
+        _set(self, "residual", residual)
+        _set(self, "equation_index", equation_index)
+        _set(self, "permutation", permutation)
+        _set(self, "coordinate", coordinate)
 
     def replay(self, op, helper=None) -> float:
         """Recompute the residual from the stored inputs, bit for bit, by
@@ -90,25 +100,31 @@ class Witness:
         )
 
 
-@dataclass(frozen=True)
-class AxiomReport:
+class AxiomReport(Record):
     """Outcome of one check: pass/fail, the worst residual seen, and a
     witness when the check failed. Deterministic given (op, seed, samples).
-    A check of no sample concludes nothing, so ``samples_used`` below 1
-    raises ValueError."""
+    ``axiom`` names the law: associativity, symmetry, cancellativity or
+    identity. A check of no sample concludes nothing, so ``samples_used``
+    below 1 raises ValueError."""
 
-    axiom: str  # associativity | symmetry | cancellativity | identity
-    passed: bool
-    max_residual: float
-    witness: Witness | None
-    samples_used: int
-    seed: int
-    tolerance: float
-    label: str = ""
+    __slots__ = _fields = (
+        "axiom", "passed", "max_residual", "witness", "samples_used", "seed", "tolerance", "label"
+    )
 
-    def __post_init__(self):
-        if self.samples_used < 1:
+    def __init__(
+        self, axiom: str, passed: bool, max_residual: float, witness: Witness | None,
+        samples_used: int, seed: int, tolerance: float, label: str = "",
+    ):
+        if samples_used < 1:
             raise ValueError("samples must be >= 1")
+        _set(self, "axiom", axiom)
+        _set(self, "passed", passed)
+        _set(self, "max_residual", max_residual)
+        _set(self, "witness", witness)
+        _set(self, "samples_used", samples_used)
+        _set(self, "seed", seed)
+        _set(self, "tolerance", tolerance)
+        _set(self, "label", label)
 
     def to_dict(self) -> dict:
         return {

@@ -12,16 +12,14 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import random
 import sys
 import time
-from dataclasses import dataclass, fields
 from typing import Sequence
 
 from . import axioms as axioms_mod
-from .core import Interval, NaryOp, builtin_lookup
+from .core import Interval, NaryOp, Record, builtin_lookup
 from .errors import CodomainError, NaryError, RegistryError
 from .exprlang import ParseError, make_callable, parse as parse_expr
 from .extension import ExtendedOp, nested_trials, split_trials
@@ -33,38 +31,41 @@ from .reducibility import adjoin_neutral, derive_binary, verify_neutrality, veri
 __all__ = ["RunConfig", "run", "write_report", "load_opspec", "load_generator", "main"]
 
 
-@dataclass
-class RunConfig:
-    """Echoes the CLI flags for one invocation; its field defaults are
-    the defaults of the flags."""
+class RunConfig(Record):
+    """Echoes the CLI flags for one invocation; its defaults are the
+    defaults of the flags. Unlike the other records it is mutable and
+    unhashable."""
 
-    command: str
-    op: str | None = None
-    phi: str | None = None
-    phi_inv: str | None = None
-    codomain: str | None = None
-    n: int = 2
-    interval: str | None = None
-    grid: str | None = None
-    samples: int = 500
-    seed: int = 0
-    resolution: float = 1.0 / 64.0
-    tol: float = 1e-9
-    c: float | None = None
-    window: float = 10.0
-    fmt: str = "text"
-    out: str = "-"
+    __slots__ = _fields = (
+        "command", "op", "phi", "phi_inv", "codomain", "n", "interval", "grid", "samples",
+        "seed", "resolution", "tol", "c", "window", "fmt", "out",
+    )
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(
+        self, command: str, op: str | None = None, phi: str | None = None,
+        phi_inv: str | None = None, codomain: str | None = None, n: int = 2,
+        interval: str | None = None, grid: str | None = None, samples: int = 500,
+        seed: int = 0, resolution: float = 1.0 / 64.0, tol: float = 1e-9,
+        c: float | None = None, window: float = 10.0, fmt: str = "text", out: str = "-",
+    ):
+        self._store(
+            command, op, phi, phi_inv, codomain, n, interval, grid, samples, seed, resolution,
+            tol, c, window, fmt, out,
+        )
 
     def echo(self) -> dict:
         """The flags that shape the result: all but the command and the
         output format and path."""
         skip = ("command", "fmt", "out")
-        return {f.name: getattr(self, f.name) for f in fields(self) if f.name not in skip}
+        return {name: getattr(self, name) for name in self._fields if name not in skip}
 
 
 def _domain(interval: str | None) -> Interval:
     """The ``--interval`` flag: the real line when not given."""
-    return Interval.parse(interval) if interval else Interval.real_line()
+    return Interval.real_line() if interval is None else Interval.parse(interval)
 
 
 def _compile(text: str, n: int):
@@ -96,7 +97,7 @@ def load_generator(
     iv = _domain(interval)
     phi = _compile(phi_src, 1)
     inv = _compile(phi_inv_src, 1) if phi_inv_src else None
-    J = Interval.parse(codomain) if codomain else estimate_codomain(phi, iv)
+    J = estimate_codomain(phi, iv) if codomain is None else Interval.parse(codomain)
     return GeneratorSpec(phi=phi, domain=iv, codomain=J, phi_inverse=inv, label=phi_src)
 
 
@@ -367,6 +368,8 @@ def write_report(report: dict, fmt: str, path: str) -> None:
     CSV needs a tabulated generator result and renders x,phi rows."""
     table = ["x,phi", *(f"{x!r},{v!r}" for x, v in report["table"])] if "table" in report else []
     if fmt == "json":
+        import json  # only here: a text or CSV report runs without it
+
         payload = json.dumps(report, sort_keys=True, indent=2) + "\n"
     elif fmt == "csv":
         if not table:
@@ -422,7 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--phi", help="generator expression in x")
     common.add_argument("--phi-inv", dest="phi_inv", help="explicit inverse expression")
     common.add_argument("--codomain", help="generator codomain interval, e.g. '(-inf,0)'")
-    common.add_argument("--n", type=int, help=f"arity (default {RunConfig.n})")
+    common.add_argument("--n", type=int, help="arity (default 2)")
     common.add_argument(
         "--interval", help="domain interval, e.g. '(0,inf)' (default the real line)"
     )

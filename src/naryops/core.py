@@ -8,7 +8,6 @@ so values can be shared freely across workers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
 
 from .errors import DomainEscapeError, RegistryError
@@ -27,8 +26,59 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Interval:
+#: stores a field of a record past the record's own ``__setattr__``
+_set = object.__setattr__
+
+
+class Record:
+    """The base of the package's immutable records. A subclass lists its
+    fields in ``__slots__``, those its repr shows (``Name(field=value,
+    ...)``) in ``_fields``, and those ``==`` and ``hash`` read in
+    ``_compared`` when not the same; ``==`` also asks for the same class,
+    so ``Num(1.0) != Var(1)``. Assigning or deleting a field raises
+    AttributeError: a variant is built with the constructor. The records
+    built per sample store each field with ``_set``, the others all at
+    once with :meth:`_store`."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+    _compared: tuple[str, ...] = ()
+
+    def _store(self, *values) -> None:
+        """Store the values in the order of ``__slots__``."""
+        for name, value in zip(self.__slots__, values):
+            _set(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of {type(self).__name__}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of {type(self).__name__}")
+
+    def __setstate__(self, state) -> None:
+        """Restore a copied or unpickled record from its state, ``(dict,
+        slots)``: its ``__dict__`` entries, if any, and its slots."""
+        for part in state:
+            for name, value in (part or {}).items():
+                _set(self, name, value)
+
+    def _key(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._compared or self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({shown})"
+
+
+class Interval(Record):
     """A nontrivial real interval with independent open/closed endpoints.
 
     ``lo`` and ``hi`` are floats, with -inf and +inf for unbounded ends
@@ -39,20 +89,19 @@ class Interval:
     singleton, and a NaN endpoint fails that test.
     """
 
-    lo: float
-    hi: float
-    lo_open: bool = True
-    hi_open: bool = True
+    __slots__ = _fields = ("lo", "hi", "lo_open", "hi_open")
 
-    def __post_init__(self):
-        lo = float(self.lo) + 0.0  # normalizes -0.0
-        hi = float(self.hi) + 0.0
+    def __init__(self, lo: float, hi: float, lo_open: bool = True, hi_open: bool = True):
+        lo = float(lo) + 0.0  # normalizes -0.0
+        hi = float(hi) + 0.0
         if not lo < hi:
             raise ValueError("interval needs lo < hi")
-        if (math.isinf(lo) and not self.lo_open) or (math.isinf(hi) and not self.hi_open):
+        if (math.isinf(lo) and not lo_open) or (math.isinf(hi) and not hi_open):
             raise ValueError("infinite endpoint must be open")
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
+        _set(self, "lo", lo)
+        _set(self, "hi", hi)
+        _set(self, "lo_open", lo_open)
+        _set(self, "hi_open", hi_open)
 
     @classmethod
     def make(
@@ -170,24 +219,30 @@ def window_point(lo: float, hi: float, t: float) -> float:
     return 2.0 * (lo / 2.0 + (hi / 2.0 - lo / 2.0) * t)
 
 
-@dataclass(frozen=True)
-class NaryOp:
+class NaryOp(Record):
     """An arity-n operation on an interval, evaluable as a pure function.
 
     ``eval`` must be deterministic and map domain tuples back into the
     domain; the registry entries are sample-checked for that closure.
+    ``generator`` is the additive generator, for registry operations that
+    have one. Neither ``eval`` nor ``generator`` is compared.
     """
 
-    arity: int
-    domain: Interval
-    eval: Callable[..., float] = field(compare=False)
-    label: str = ""
-    #: the additive generator, for registry operations that have one
-    generator: GeneratorSpec | None = field(default=None, compare=False, repr=False)
+    __slots__ = ("arity", "domain", "eval", "label", "generator")
+    _fields = ("arity", "domain", "eval", "label")
+    _compared = ("arity", "domain", "label")
 
-    def __post_init__(self):
-        if self.arity < 2:
+    def __init__(
+        self, arity: int, domain: Interval, eval: Callable[..., float], label: str = "",
+        generator: GeneratorSpec | None = None,
+    ):
+        if arity < 2:
             raise ValueError("arity must be at least 2")
+        _set(self, "arity", arity)
+        _set(self, "domain", domain)
+        _set(self, "eval", eval)
+        _set(self, "label", label)
+        _set(self, "generator", generator)
 
     def checked(self, *xs: float) -> float:
         """Evaluate and verify the result stayed finite and in the domain.

@@ -29,9 +29,9 @@ from __future__ import annotations
 import functools
 import math
 import re
-from dataclasses import dataclass
 from typing import Callable, Union
 
+from .core import Record
 from .errors import DomainEscapeError
 
 __all__ = [
@@ -51,37 +51,46 @@ FUNCTIONS = ("ln", "exp", "sqrt", "abs")
 CONSTANTS = {"pi": math.pi, "e": math.e}
 
 
-@dataclass(frozen=True)
-class Num:
-    value: float
+class Num(Record):
+    __slots__ = _fields = ("value",)
+
+    def __init__(self, value: float):
+        self._store(value)
 
 
-@dataclass(frozen=True)
-class Var:
-    index: int  # 1-based
+class Var(Record):
+    __slots__ = _fields = ("index",)
+
+    def __init__(self, index: int):  # 1-based
+        self._store(index)
 
 
-@dataclass(frozen=True)
-class Const:
-    name: str
+class Const(Record):
+    __slots__ = _fields = ("name",)
+
+    def __init__(self, name: str):
+        self._store(name)
 
 
-@dataclass(frozen=True)
-class Neg:
-    arg: "Expr"
+class Neg(Record):
+    __slots__ = _fields = ("arg",)
+
+    def __init__(self, arg: "Expr"):
+        self._store(arg)
 
 
-@dataclass(frozen=True)
-class Call:
-    fn: str
-    arg: "Expr"
+class Call(Record):
+    __slots__ = _fields = ("fn", "arg")
+
+    def __init__(self, fn: str, arg: "Expr"):
+        self._store(fn, arg)
 
 
-@dataclass(frozen=True)
-class BinOp:
-    op: str
-    left: "Expr"
-    right: "Expr"
+class BinOp(Record):
+    __slots__ = _fields = ("op", "left", "right")
+
+    def __init__(self, op: str, left: "Expr", right: "Expr"):
+        self._store(op, left, right)
 
 
 Expr = Union[Num, Var, Const, Neg, Call, BinOp]

@@ -18,10 +18,9 @@ from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass
 from typing import Sequence
 
-from .core import NaryOp
+from .core import NaryOp, Record
 from .errors import DomainEscapeError, PrecisionExhaustedError
 
 __all__ = [
@@ -75,18 +74,16 @@ class ExtendedOp:
         return self.eval((x,) * k + (c,) * q)
 
 
-@dataclass(frozen=True)
-class RationalIndex:
+class RationalIndex(Record):
     """An admissible rational (p - q)/k: at arity n the congruences are
     p = k = 1 and q = 0 (mod n-1), with p, k >= 1 and q >= 0."""
 
-    p: int
-    q: int
-    k: int
+    __slots__ = _fields = ("p", "q", "k")
 
-    def __post_init__(self):
-        if self.p < 1 or self.k < 1 or self.q < 0:
-            raise ValueError(f"index ({self.p}, {self.q}, {self.k}) out of range")
+    def __init__(self, p: int, q: int, k: int):
+        if p < 1 or k < 1 or q < 0:
+            raise ValueError(f"index ({p}, {q}, {k}) out of range")
+        self._store(p, q, k)
 
     @property
     def value(self) -> float:

@@ -23,14 +23,13 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import islice
 from typing import Sequence
 
 from . import generator
 from .axioms import AxiomReport, additivity_trials, falsify, roundtrip_trials
-from .core import Interval, NaryOp, window_point
+from .core import Interval, NaryOp, Record, window_point
 from .errors import (
     AllIdempotentError,
     BracketNotFoundError,
@@ -56,6 +55,9 @@ __all__ = [
 ]
 
 
+#: stores a field of a record, as in :class:`naryops.core.Record`
+_set = object.__setattr__
+
 #: candidate base points swept across the scan window
 _SCAN_POINTS = 257
 
@@ -67,19 +69,23 @@ _COMPARISON_BAND = 1e-9
 _ROUNDING_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class PhiEstimate:
+class PhiEstimate(Record):
     """One extracted generator value: the midpoint of its last effective
     level with half that level's step as half-width, or the exact value,
     pinned, when a step landed on the target. ``levels`` counts the levels
     walked and ``evaluations`` the op evaluations of the walk."""
 
-    x: float
-    value: float
-    half_width: float
-    pinned: bool
-    levels: int
-    evaluations: int
+    __slots__ = _fields = ("x", "value", "half_width", "pinned", "levels", "evaluations")
+
+    def __init__(
+        self, x: float, value: float, half_width: float, pinned: bool, levels: int, evaluations: int
+    ):
+        _set(self, "x", x)
+        _set(self, "value", value)
+        _set(self, "half_width", half_width)
+        _set(self, "pinned", pinned)
+        _set(self, "levels", levels)
+        _set(self, "evaluations", evaluations)
 
 
 def select_base_point(
@@ -322,8 +328,7 @@ def phi_at(units: _Units, x: float) -> PhiEstimate:
     return PhiEstimate(x, value, half_width, why == "pinned", levels, evaluations)
 
 
-@dataclass(frozen=True)
-class ExtractedGenerator:
+class ExtractedGenerator(Record):
     """A tabulated reconstruction of the generator.
 
     Samples are strictly increasing in both coordinates, the value at the
@@ -331,16 +336,25 @@ class ExtractedGenerator:
     within its half-width of the true branch value. ``interp_slack`` is an
     engineering estimate of the piecewise-linear interpolation error: the
     largest deviation of an interior knot from the chord of its neighbors.
+    Its repr leaves out ``estimates``.
     """
 
-    samples: tuple[tuple[float, float], ...]
-    c: float
-    direction: BranchDirection
-    resolution_bound: float
-    normalization: float
-    realized_resolution: float
-    interp_slack: float
-    estimates: tuple[PhiEstimate, ...] = field(repr=False, default=())
+    _fields = (
+        "samples", "c", "direction", "resolution_bound", "normalization",
+        "realized_resolution", "interp_slack",
+    )
+    _compared = (*_fields, "estimates")
+    __slots__ = (*_compared, "__dict__")  # the dict holds the cached properties
+
+    def __init__(
+        self, samples: tuple[tuple[float, float], ...], c: float, direction: BranchDirection,
+        resolution_bound: float, normalization: float, realized_resolution: float,
+        interp_slack: float, estimates: tuple[PhiEstimate, ...] = (),
+    ):
+        self._store(
+            samples, c, direction, resolution_bound, normalization, realized_resolution,
+            interp_slack, estimates,
+        )
 
     # Unzipped once per instance: ``interpolate`` reads both on every call.
     @cached_property

@@ -15,11 +15,10 @@ import math
 import struct
 import sys
 import threading
-from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Sequence
 
-from .core import Interval, NaryOp
+from .core import Interval, NaryOp, Record
 from .errors import CodomainError, DomainEscapeError, InversionError, MonotonicityViolationError
 
 __all__ = [
@@ -421,8 +420,7 @@ _MEMO_SIZE = 4096
 _NEGATIVE_ZERO = "-0.0"
 
 
-@dataclass(frozen=True)
-class GeneratorSpec:
+class GeneratorSpec(Record):
     """A strictly monotone continuous generator with domain and codomain.
 
     ``phi_inverse`` may be an exact callable; when absent, inversion falls
@@ -435,24 +433,27 @@ class GeneratorSpec:
     ``invert_monotone(phi, y, domain)``. A spec may be shared between
     threads; its ladder takes new samples under a lock.
     ``kind`` distinguishes closed-form generators from tabulated ones
-    reconstructed by extraction.
+    reconstructed by extraction. Neither ``phi`` nor ``phi_inverse`` is
+    compared.
     """
 
-    phi: Callable[[float], float] = field(compare=False)
-    domain: Interval = field(default_factory=Interval.real_line)
-    codomain: Interval = field(default_factory=Interval.real_line)
-    phi_inverse: Callable[[float], float] | None = field(default=None, compare=False)
-    kind: str = "closed_form"
-    label: str = ""
-    _ladder: _Ladder | None = field(default=None, init=False, repr=False, compare=False)
-    _roots: dict | None = field(default=None, init=False, repr=False, compare=False)
+    __slots__ = ("phi", "domain", "codomain", "phi_inverse", "kind", "label", "_ladder", "_roots")
+    _fields = ("phi", "domain", "codomain", "phi_inverse", "kind", "label")
+    _compared = ("domain", "codomain", "kind", "label")
 
-    def __post_init__(self):
-        if self.kind not in ("closed_form", "tabulated"):
-            raise ValueError(f"unknown generator kind {self.kind!r}")
-        if self.phi_inverse is None:
-            object.__setattr__(self, "_ladder", _Ladder(self.domain))
-            object.__setattr__(self, "_roots", {})
+    def __init__(
+        self, phi: Callable[[float], float], domain: Interval = Interval.real_line(),
+        codomain: Interval = Interval.real_line(),
+        phi_inverse: Callable[[float], float] | None = None, kind: str = "closed_form",
+        label: str = "",
+    ):
+        if kind not in ("closed_form", "tabulated"):
+            raise ValueError(f"unknown generator kind {kind!r}")
+        numeric = phi_inverse is None  # inverted by root-finding
+        self._store(
+            phi, domain, codomain, phi_inverse, kind, label,
+            _Ladder(domain) if numeric else None, {} if numeric else None,
+        )
 
     def inverse(self, y: float) -> float:
         """The point whose generator value is y: the one place a sum of

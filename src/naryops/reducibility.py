@@ -11,11 +11,10 @@ is zero.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
 from typing import Sequence, Union
 
 from .axioms import AxiomReport, falsify, lattice_sampler, neutrality_trials, reduction_trials
-from .core import NaryOp, interval_contains, window_point
+from .core import NaryOp, Record, interval_contains, window_point
 from .errors import DomainEscapeError
 from .generator import GeneratorSpec, build_aczelian, generator_sum
 
@@ -48,7 +47,8 @@ def derive_binary(spec: GeneratorSpec) -> NaryOp:
     """The binary operation with the same generator: the generated
     operation at arity 2, labelled ``derived[...]``. A pairwise sum
     outside the codomain raises :class:`DomainEscapeError`."""
-    return replace(build_aczelian(spec, 2), label=f"derived[{spec.label or 'phi'}]")
+    f = build_aczelian(spec, 2)
+    return NaryOp(2, f.domain, f.eval, f"derived[{spec.label or 'phi'}]")
 
 
 def verify_reduction(
@@ -72,8 +72,7 @@ def verify_reduction(
     )
 
 
-@dataclass(frozen=True)
-class AdjoinedStructure:
+class AdjoinedStructure(Record):
     """The interval together with an n-ary neutral element.
 
     When zero lies in the codomain the neutral element is an interior
@@ -81,9 +80,10 @@ class AdjoinedStructure:
     containing it are evaluated through extended generator sums.
     """
 
-    neutral: Point
-    generator: GeneratorSpec
-    arity: int
+    __slots__ = _fields = ("neutral", "generator", "arity")
+
+    def __init__(self, neutral: Point, generator: GeneratorSpec, arity: int):
+        self._store(neutral, generator, arity)
 
     @property
     def neutral_is_adjoined(self) -> bool:

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import math
 import random
@@ -168,7 +167,8 @@ def test_symmetry_evaluates_each_sample_under_at_most_two_generators(n):
         calls += 1
         return op.eval(*xs)
 
-    report = check_symmetry(dataclasses.replace(op, eval=counted), samples=50, seed=3)
+    counting = NaryOp(op.arity, op.domain, counted, op.label, op.generator)
+    report = check_symmetry(counting, samples=50, seed=3)
     assert report.passed
     assert calls == 50 * (1 + (1 if n == 2 else 2))
 
@@ -243,6 +243,25 @@ def test_witness_serialization_round_trip():
     d = rep.witness.to_dict()
     back = Witness.from_dict(d)
     assert back == rep.witness
+
+
+@pytest.mark.parametrize(
+    "lhs, rhs, passed",
+    [
+        # next to zero only the absolute tol is left: 1.1*tol fails
+        (0.0, 1.1e-9, False),
+        (-1.1e-9, 0.0, False),
+        # both sides near 1: tol + tol*|lhs| + tol*|rhs| is about 3*tol
+        (1.0, 1.0 + 2.5e-9, True),
+        (-1.0 - 2.5e-9, -1.0, True),
+        (1.0, 1.0 + 3.5e-9, False),
+    ],
+)
+def test_falsify_threshold_sums_each_term_once(lhs, rhs, passed):
+    trial = (lhs, rhs, {"inputs": ((lhs,), (rhs,))})
+    report = falsify("associativity", [trial], 1e-9)
+    assert report.passed is passed and report.max_residual == abs(lhs - rhs)
+    assert (report.witness is None) is passed
 
 
 def test_generated_ops_pass_axioms():

@@ -2,6 +2,10 @@ import argparse
 import inspect
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -476,3 +480,31 @@ def test_each_error_class_exits_with_its_code(monkeypatch, capsys, error):
     else:
         assert isinstance(error, NaryError)
         assert code == 3 and err.startswith("naryops: numeric failure: ")
+
+
+def test_run_config_is_a_mutable_record_of_the_flags():
+    cfg = RunConfig("axioms", op="sum")
+    assert list(cfg.echo()) == [
+        "op", "phi", "phi_inv", "codomain", "n", "interval", "grid",
+        "samples", "seed", "resolution", "tol", "c", "window",
+    ]
+    cfg.samples = 7
+    assert cfg.echo()["samples"] == 7 and cfg == RunConfig("axioms", op="sum", samples=7)
+    assert cfg != RunConfig("extend", op="sum", samples=7)
+    assert repr(RunConfig("gallery")).startswith("RunConfig(command='gallery', op=None, ")
+    with pytest.raises(TypeError):
+        hash(cfg)
+
+
+def test_cold_import_of_the_cli_loads_no_heavy_module():
+    # -S: no site hooks, so only the package's own imports count
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = (
+        "import sys, naryops.cli; "
+        "print(' '.join(m for m in ('dataclasses', 'inspect', 'json') if m in sys.modules))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == ""

@@ -1,9 +1,12 @@
+import copy
 import math
+import pickle
 import random
 
 import pytest
 from hypothesis import given, strategies as st
 
+from naryops.axioms import AxiomReport, Witness, check_symmetry
 from naryops.core import (
     Interval,
     NaryOp,
@@ -12,9 +15,11 @@ from naryops.core import (
     lattice,
 )
 from naryops.errors import DomainEscapeError, RegistryError
-from naryops.exprlang import make_callable, parse
-from naryops.extension import ExtendedOp
+from naryops.exprlang import Num, Var, make_callable, parse
+from naryops.extension import ExtendedOp, RationalIndex
+from naryops.extraction import extract_generator
 from naryops.generator import GeneratorSpec
+from naryops.reducibility import adjoin_neutral
 
 
 def test_interval_orders_against_infinite_bounds():
@@ -309,3 +314,80 @@ def test_checked_keeps_the_overflow_cause_of_an_inner_escape():
     assert str(info.value) == f"outer at ({big!r}, {big!r}): sum/2 overflowed at ({big!r}, {big!r})"
     assert info.value.value is None
     assert isinstance(info.value.__cause__, OverflowError)
+
+
+def test_records_compare_by_class_and_compared_fields():
+    assert Num(1.0) != Var(1)
+    assert Num(1.0) == Num(1) and hash(Num(1.0)) == hash(Num(1))
+    a, b = Interval(0.0, 1.0, False, True), Interval(0.0, 1.0, False, True)
+    assert a == b and hash(a) == hash(b)
+    assert Interval.parse("[-0.0,1)") == Interval(0.0, 1.0, False, True)
+    assert Interval(0.0, 1.0) != Interval(0.0, 1.0, False, True)
+    line = Interval.real_line()
+    f = NaryOp(2, line, lambda *xs: math.fsum(xs), "op")
+    g = NaryOp(2, line, max, "op", builtin_lookup("sum", 2).generator)
+    assert f == g and hash(f) == hash(g)  # eval and generator are not compared
+    assert f != NaryOp(2, line, max, "other") and f != NaryOp(3, line, max, "op")
+    assert f != NaryOp(2, Interval.make(0.0, math.inf), max, "op")
+    spec = builtin_lookup("product", 2).generator
+    twin = GeneratorSpec(math.exp, spec.domain, spec.codomain, None, "closed_form", spec.label)
+    assert twin == spec and hash(twin) == hash(spec)  # neither phi nor its inverse is
+    assert GeneratorSpec(math.log, spec.domain, spec.codomain, label="other") != spec
+
+
+def test_record_reprs_name_the_shown_fields():
+    assert repr(Interval(0.0, 1.0)) == "Interval(lo=0.0, hi=1.0, lo_open=True, hi_open=True)"
+    op = builtin_lookup("sum", 2)
+    text = repr(op)
+    assert text.startswith(
+        "NaryOp(arity=2, domain=Interval(lo=-inf, hi=inf, lo_open=True, hi_open=True), eval=<"
+    )
+    assert text.endswith(", label='sum/2')") and "generator" not in text
+    spec = GeneratorSpec(abs, Interval(0.0, 1.0), Interval(0.0, 1.0), label="a")
+    assert repr(spec) == (
+        "GeneratorSpec(phi=<built-in function abs>, domain=Interval(lo=0.0, hi=1.0, "
+        "lo_open=True, hi_open=True), codomain=Interval(lo=0.0, hi=1.0, lo_open=True, "
+        "hi_open=True), phi_inverse=None, kind='closed_form', label='a')"
+    )
+    gen = extract_generator(op, (0.0, 1.0), base_point=1.0, resolution=0.25)
+    assert repr(gen).startswith("ExtractedGenerator(samples=((0.0, 0.0), (1.0, 1.0)), c=1.0, ")
+    assert repr(gen).endswith(", interp_slack=0.0)")  # estimates are left out
+
+
+def _records():
+    op = builtin_lookup("sum", 2)
+    report = check_symmetry(builtin_lookup("alternating", 3), samples=50, seed=6)
+    assert report.witness is not None
+    gen = extract_generator(op, (0.0, 1.0), base_point=1.0, resolution=0.25)
+    tree = parse("-ln(x1)+2*x2", 2)
+    return [
+        (Interval(0.0, 1.0), "lo"),
+        (op, "label"),
+        (op.generator, "domain"),
+        (report, "passed"),
+        (report.witness, "residual"),
+        (RationalIndex(1, 0, 1), "p"),
+        (gen, "c"),
+        (gen.estimates[0], "value"),
+        (adjoin_neutral(op.generator, 2), "arity"),
+        (tree, "op"),
+        (tree.left, "arg"),
+        (tree.left.arg, "fn"),
+        (tree.right.left, "value"),
+        (tree.right.right, "index"),
+        (parse("pi", 1), "name"),
+    ]
+
+
+def test_records_are_frozen_and_copy():
+    for record, name in _records():
+        with pytest.raises(AttributeError):
+            setattr(record, name, 0)
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+        assert record == record and hash(record) == hash(record)
+        assert copy.copy(record) == record and copy.deepcopy(record) == record
+    witness = Witness("symmetry", ((1.0, 2.0),), 0.5, permutation=(1, 0))
+    report = AxiomReport("symmetry", False, 0.5, witness, 10, 3, 1e-9, "x-y")
+    for record in (Interval(0.0, 1.0, False), report, parse("x1^2-e", 1)):
+        assert pickle.loads(pickle.dumps(record)) == record

@@ -8,6 +8,7 @@ import math
 import re
 from contextlib import redirect_stderr, redirect_stdout
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from naryops.cli import main
@@ -202,3 +203,18 @@ def test_lawful_roundtrips_never_report_a_failure(op, form, n, grid, c):
     with redirect_stdout(io.StringIO()), redirect_stderr(err):
         code = main(argv)
     assert code in (0, 3), (argv, code, err.getvalue())
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["axioms", "--op", "expr:x1+x2", "--interval=", "--samples", "5"],
+        ["axioms", "--op", "sum", "--interval=", "--samples", "5"],
+        ["build", "--phi", "ln(x)", "--interval="],
+        ["build", "--phi", "x", "--codomain="],
+        ["reduce", "--phi", "x", "--codomain="],
+    ],
+)
+def test_an_empty_interval_flag_is_a_malformed_interval(argv, capsys):
+    assert main(argv) == 2
+    assert "configuration error: malformed interval ''" in capsys.readouterr().err

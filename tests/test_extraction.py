@@ -1,4 +1,3 @@
-import dataclasses
 import functools
 import inspect
 import io
@@ -15,7 +14,7 @@ from hypothesis import strategies as st
 import extraction_oracle
 from naryops import axioms, core, extraction
 from naryops.cli import load_generator, load_opspec, main
-from naryops.core import builtin_lookup
+from naryops.core import NaryOp, builtin_lookup
 from naryops.errors import (
     AllIdempotentError,
     BracketNotFoundError,
@@ -331,7 +330,7 @@ def test_extract_rejects_offgrid_domain_points():
 def test_resolution_must_be_positive_and_finite(resolution):
     # the rule comes before the base point, so f is never evaluated
     evaluations = []
-    f = dataclasses.replace(SUM2, eval=lambda *xs: evaluations.append(xs) or SUM2.eval(*xs))
+    f = NaryOp(2, SUM2.domain, lambda *xs: evaluations.append(xs) or SUM2.eval(*xs), SUM2.label)
     with pytest.raises(ValueError, match="^resolution must be positive and finite$"):
         extract_generator(f, resolution=resolution)
     assert evaluations == []
@@ -652,7 +651,7 @@ def test_extracted_values_lie_within_their_half_width(name, n, resolution, data)
     # each comparison folds its strings afresh, over prefixes the earlier
     # ones folded; a memo of the base operation makes a repeated prefix a
     # lookup, where x^3+x would otherwise pay a numeric inverse per step
-    g = ExtendedOp(dataclasses.replace(f, eval=functools.cache(f.eval)))
+    g = ExtendedOp(NaryOp(f.arity, f.domain, functools.cache(f.eval), f.label, f.generator))
     for (x, v), est in zip(gen.samples, gen.estimates):
         ref = string_phi_at(g, gen.c, x, gen.direction, resolution)
         floor = FLOOR_ULPS * (est.evaluations + 1) * math.ulp(max(1.0, abs(v)))
@@ -734,7 +733,7 @@ def test_roundtrip_sums_each_draw_once(monkeypatch):
         counts["f"] += 1
         return SUM3.eval(*xs)
 
-    f = dataclasses.replace(SUM3, eval=counting_eval)
+    f = NaryOp(SUM3.arity, SUM3.domain, counting_eval, SUM3.label, SUM3.generator)
     gen = extract_generator(f, grid(-2.0, 2.0, 0.5), base_point=1.0)
     monkeypatch.setattr(axioms, "generator_sum", counting_sum)
     counts.clear()
@@ -753,7 +752,7 @@ def _recording(f):
         calls.append(xs)
         return f.eval(*xs)
 
-    return dataclasses.replace(f, eval=recording), calls
+    return NaryOp(f.arity, f.domain, recording, f.label, f.generator), calls
 
 
 def _outcome(fn, *args):
