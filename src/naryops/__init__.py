@@ -19,12 +19,10 @@ from .core import Interval, NaryOp, builtin_lookup
 from .errors import (
     AllIdempotentError,
     BracketNotFoundError,
-    CodomainError,
     DomainEscapeError,
     InversionError,
     MonotonicityViolationError,
     NaryError,
-    RegistryError,
 )
 from .exprlang import ParseError, parse
 from .extension import ExtendedOp
@@ -93,9 +91,7 @@ __all__ = [
     # errors
     "NaryError",
     "DomainEscapeError",
-    "CodomainError",
     "InversionError",
-    "RegistryError",
     "AllIdempotentError",
     "BracketNotFoundError",
     "MonotonicityViolationError",

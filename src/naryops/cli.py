@@ -5,7 +5,9 @@ Reports are written as JSON, CSV (tabulated generators), or text. Exit
 codes: 0 all checks passed, 1 a check failed and carries a witness,
 2 usage or configuration error, 3 numeric failure (overflow, missing
 bracket, idempotent scan, monotonicity breakdown, a non-finite value or
-domain escape inside a check).
+domain escape inside a check). The code follows the exception's base
+type alone: a ``ValueError`` (``ParseError`` included) or an unwritable
+report exits 2, and a :class:`~naryops.errors.NaryError` exits 3.
 """
 
 from __future__ import annotations
@@ -20,8 +22,8 @@ from typing import Sequence
 
 from . import axioms as axioms_mod
 from .core import Interval, NaryOp, Record, builtin_lookup
-from .errors import CodomainError, NaryError, RegistryError
-from .exprlang import ParseError, make_callable, parse as parse_expr
+from .errors import NaryError
+from .exprlang import make_callable, parse as parse_expr
 from .extension import ExtendedOp, nested_trials, split_trials
 from .extraction import BranchDirection, extract_generator
 from .extraction import verify_additivity, verify_roundtrip
@@ -96,7 +98,7 @@ def load_generator(
     given and estimated from the expression otherwise."""
     iv = _domain(interval)
     phi = _compile(phi_src, 1)
-    inv = _compile(phi_inv_src, 1) if phi_inv_src else None
+    inv = None if phi_inv_src is None else _compile(phi_inv_src, 1)
     J = estimate_codomain(phi, iv) if codomain is None else Interval.parse(codomain)
     return GeneratorSpec(phi=phi, domain=iv, codomain=J, phi_inverse=inv, label=phi_src)
 
@@ -243,8 +245,8 @@ def _cmd_roundtrip(cfg: RunConfig) -> tuple[int, dict]:
 
 
 def _cmd_reduce(cfg: RunConfig) -> tuple[int, dict]:
-    f = load_opspec(cfg.op, cfg.n, cfg.interval) if cfg.op else None
-    if cfg.phi:
+    f = None if cfg.op is None else load_opspec(cfg.op, cfg.n, cfg.interval)
+    if cfg.phi is not None:
         spec = load_generator(cfg.phi, cfg.phi_inv, cfg.interval, cfg.codomain)
     elif f is not None and f.generator is not None:
         spec = f.generator
@@ -473,13 +475,13 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         code, _ = run(cfg)
         return code
-    except (ParseError, RegistryError, CodomainError, ValueError) as exc:
+    except ValueError as exc:
         print(f"naryops: configuration error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"naryops: cannot write report: {exc}", file=sys.stderr)
         return 2
-    except NaryError as exc:  # every other package error is a numeric failure
+    except NaryError as exc:
         print(f"naryops: numeric failure: {exc}", file=sys.stderr)
         return 3
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, Callable
 
-from .errors import DomainEscapeError, RegistryError
+from .errors import DomainEscapeError
 
 if TYPE_CHECKING:
     from .generator import GeneratorSpec
@@ -289,7 +289,7 @@ def builtin_lookup(name: str, n: int = 2):
     from .generator import GeneratorSpec  # local import avoids a cycle
 
     if name not in BUILTIN_NAMES:
-        raise RegistryError(f"unknown builtin {name!r}; known: {', '.join(BUILTIN_NAMES)}")
+        raise ValueError(f"unknown builtin {name!r}; known: {', '.join(BUILTIN_NAMES)}")
     line = Interval.real_line()
     half_line = Interval.make(0.0, math.inf)
     identity = GeneratorSpec(
@@ -301,7 +301,7 @@ def builtin_lookup(name: str, n: int = 2):
         label="log_generator",
     )
     if n < 2:
-        raise RegistryError(f"builtin {name!r} needs arity n >= 2, got {n}")
+        raise ValueError(f"builtin {name!r} needs arity n >= 2, got {n}")
     if name == "sum":
         return NaryOp(n, line, lambda *xs: math.fsum(xs), f"sum/{n}", identity)
     if name == "translated_sum":
@@ -323,7 +323,7 @@ def builtin_lookup(name: str, n: int = 2):
         return NaryOp(n, unit, lambda *xs: math.prod(xs), f"bounded_product/{n}", neg_log)
     if name == "alternating":
         if n < 3 or n % 2 == 0:
-            raise RegistryError(f"alternating requires an odd arity n >= 3, got {n}")
+            raise ValueError(f"alternating requires an odd arity n >= 3, got {n}")
         return NaryOp(
             n,
             line,

@@ -1,12 +1,14 @@
-"""Exception types shared across the package.
+"""Numeric failures on a lawful setup: overflow, missing brackets,
+idempotent scans, monotonicity breakdown.
 
-The CLI maps these onto exit codes: configuration problems exit 2,
-numeric failures (overflow, missing brackets, idempotent scans) exit 3.
+The CLI maps exit codes by base type alone: a configuration problem is
+a ``ValueError`` and exits 2, and every class here is a
+:class:`NaryError` and exits 3.
 """
 
 
 class NaryError(Exception):
-    """Base class for all package errors."""
+    """Base class of every numeric failure the package raises."""
 
 
 class DomainEscapeError(NaryError):
@@ -18,17 +20,9 @@ class DomainEscapeError(NaryError):
         self.value = value
 
 
-class CodomainError(NaryError):
-    """A generator codomain is not one of the admissible interval forms."""
-
-
 class InversionError(NaryError):
     """Monotone inversion failed: target outside range or the sampled
     sign pattern contradicts monotonicity."""
-
-
-class RegistryError(NaryError):
-    """Unknown builtin name, or a builtin instantiated at an invalid arity."""
 
 
 class AllIdempotentError(NaryError):
@@ -36,19 +30,6 @@ class AllIdempotentError(NaryError):
     evaluated, looked idempotent, so the extraction has no anchor to
     calibrate against. A scan that evaluated no point raises
     :class:`DomainEscapeError` instead."""
-
-
-class PrecisionExhaustedError(NaryError):
-    """Power-string evaluation overflowed or left the domain.
-
-    Carries the rational index (p, q, k) that triggered the failure.
-    """
-
-    def __init__(self, message, p=None, q=None, k=None):
-        super().__init__(message)
-        self.p = p
-        self.q = q
-        self.k = k
 
 
 class BracketNotFoundError(NaryError):

@@ -21,7 +21,7 @@ import itertools
 from typing import Sequence
 
 from .core import NaryOp, Record
-from .errors import DomainEscapeError, PrecisionExhaustedError
+from .errors import DomainEscapeError
 
 __all__ = [
     "BranchDirection",
@@ -136,12 +136,10 @@ def sx_membership(
         a = g.power(c, idx.p)
         b = g.string_power(x, idx.k, c, idx.q)
     except DomainEscapeError as exc:
-        raise PrecisionExhaustedError(
+        raise DomainEscapeError(
             f"power string evaluation failed at (p={idx.p}, q={idx.q}, k={idx.k}): {exc}; "
             "reduce the resolution or move the base point toward the idempotent",
-            p=idx.p,
-            q=idx.q,
-            k=idx.k,
+            exc.value,
         ) from exc
     d = a - b if direction is BranchDirection.C_BELOW else b - a
     thr = band * (abs(a) + abs(b))

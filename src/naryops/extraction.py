@@ -454,10 +454,12 @@ def extract_generator(
     values = [sign * e.value for e in estimates]
     resolution_bound = max(e.half_width for e in estimates)
     pairs = list(zip(grid, values))
+    band = _COMPARISON_BAND
     for (x0, y0), (x1, y1) in zip(pairs, pairs[1:]):
         # values within the comparison band of each other are equal to float
-        # precision, which the rounding of a walk reaches
-        if y1 - y0 < -2.0 * resolution_bound - _COMPARISON_BAND * (abs(y0) + abs(y1)):
+        # precision, which the rounding of a walk reaches; the absolute term
+        # keeps the band open next to a zero of the generator
+        if y1 - y0 < -2.0 * resolution_bound - (band + band * abs(y0) + band * abs(y1)):
             raise MonotonicityViolationError(
                 f"extracted values regress from {y0!r} at {x0!r} to {y1!r} at {x1!r} "
                 f"beyond 2 * {resolution_bound!r}"

@@ -19,7 +19,7 @@ from functools import partial
 from typing import Callable, Sequence
 
 from .core import Interval, NaryOp, Record
-from .errors import CodomainError, DomainEscapeError, InversionError, MonotonicityViolationError
+from .errors import DomainEscapeError, InversionError, MonotonicityViolationError
 
 __all__ = [
     "GeneratorSpec",
@@ -52,7 +52,7 @@ def validate_codomain(J: Interval, n: int) -> tuple[str, float | None]:
         b = J.hi
         # elements below b sum to anything below n*b; closure needs n*b <= b
         if n * b > b:
-            raise CodomainError(
+            raise ValueError(
                 f"codomain {J.render()} not closed under {n}-term sums "
                 f"(upper bound {b} must be <= 0)"
             )
@@ -60,12 +60,12 @@ def validate_codomain(J: Interval, n: int) -> tuple[str, float | None]:
     if hi_inf:
         a = J.lo
         if n * a < a:
-            raise CodomainError(
+            raise ValueError(
                 f"codomain {J.render()} not closed under {n}-term sums "
                 f"(lower bound {a} must be >= 0)"
             )
         return ("pos_open_a" if J.lo_open else "pos_closed_a"), a
-    raise CodomainError(
+    raise ValueError(
         f"codomain {J.render()} is bounded on both ends; sums of {n} elements escape"
     )
 

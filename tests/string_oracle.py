@@ -99,7 +99,7 @@ def phi_at(
     Out and an In are seen, then p is bisected at fixed k and q. An
     undetermined comparison pins the value exactly (the equality case).
     Raises :class:`BracketNotFoundError` when the doubling cap is hit and
-    :class:`PrecisionExhaustedError` when string values overflow.
+    :class:`DomainEscapeError` when string values overflow.
     Comparisons go through the module attribute
     ``naryops.extraction.sx_membership``, so a test can count them.
     """

@@ -17,7 +17,6 @@ PACKAGE_API = [
     "AxiomReport",
     "BracketNotFoundError",
     "BranchDirection",
-    "CodomainError",
     "DomainEscapeError",
     "ExtendedOp",
     "ExtractedGenerator",
@@ -28,7 +27,6 @@ PACKAGE_API = [
     "NaryError",
     "NaryOp",
     "ParseError",
-    "RegistryError",
     "Witness",
     "__version__",
     "adjoin_neutral",

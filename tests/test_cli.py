@@ -22,7 +22,7 @@ from naryops.cli import (
     run,
 )
 from naryops.core import builtin_lookup
-from naryops.errors import CodomainError, NaryError, RegistryError
+from naryops.errors import NaryError
 from naryops.exprlang import ParseError, make_callable, parse as parse_expr
 from naryops.reducibility import adjoin_neutral
 
@@ -41,8 +41,8 @@ def test_load_opspec_expression():
 
 
 def test_load_opspec_rejects_generator_names(capsys):
-    # generator names are no builtins: --op log_generator is a registry error
-    with pytest.raises(RegistryError, match="unknown builtin 'identity_generator'"):
+    # generator names are no builtins: --op log_generator is a configuration error
+    with pytest.raises(ValueError, match="unknown builtin 'identity_generator'"):
         load_opspec("identity_generator", 2)
     assert main(["axioms", "--op", "log_generator"]) == 2
     assert "unknown builtin 'log_generator'" in capsys.readouterr().err
@@ -475,11 +475,17 @@ def test_each_error_class_exits_with_its_code(monkeypatch, capsys, error):
     monkeypatch.setitem(cli._HANDLERS, "axioms", handler)
     code = main(["axioms", "--op", "sum"])
     err = capsys.readouterr().err
-    if type(error) in (ParseError, RegistryError, CodomainError, ValueError):
+    if isinstance(error, ValueError):
         assert code == 2 and err.startswith("naryops: configuration error: ")
     else:
         assert isinstance(error, NaryError)
         assert code == 3 and err.startswith("naryops: numeric failure: ")
+
+
+def test_every_error_class_is_a_numeric_failure():
+    # configuration problems are ValueErrors, so naryops.errors keeps none
+    assert ERROR_CLASSES and all(issubclass(cls, NaryError) for cls in ERROR_CLASSES)
+    assert not any(issubclass(cls, ValueError) for cls in ERROR_CLASSES)
 
 
 def test_run_config_is_a_mutable_record_of_the_flags():

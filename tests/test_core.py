@@ -14,7 +14,7 @@ from naryops.core import (
     interval_contains,
     lattice,
 )
-from naryops.errors import DomainEscapeError, RegistryError
+from naryops.errors import DomainEscapeError
 from naryops.exprlang import Num, Var, make_callable, parse
 from naryops.extension import ExtendedOp, RationalIndex
 from naryops.extraction import extract_generator
@@ -138,21 +138,22 @@ def test_builtin_examples():
 
 
 def test_alternating_requires_odd_arity():
-    with pytest.raises(RegistryError):
+    with pytest.raises(ValueError, match=r"^alternating requires an odd arity n >= 3, got 4$"):
         builtin_lookup("alternating", 4)
-    with pytest.raises(RegistryError):
+    with pytest.raises(ValueError, match=r"^alternating requires an odd arity n >= 3, got 2$"):
         builtin_lookup("alternating", 2)
 
 
 def test_unknown_builtin():
-    with pytest.raises(RegistryError):
+    known = "sum, translated_sum, product, bounded_product, alternating"
+    with pytest.raises(ValueError, match=rf"^unknown builtin 'nope'; known: {known}$"):
         builtin_lookup("nope", 2)
 
 
 def test_generator_entries():
     # the registry holds operations only; the generators ride on them
     for name in ("identity_generator", "log_generator"):
-        with pytest.raises(RegistryError, match="unknown builtin"):
+        with pytest.raises(ValueError, match=f"^unknown builtin '{name}'; known: "):
             builtin_lookup(name)
     spec = builtin_lookup("sum", 2).generator
     assert isinstance(spec, GeneratorSpec) and spec.label == "identity_generator"

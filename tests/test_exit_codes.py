@@ -218,3 +218,24 @@ def test_lawful_roundtrips_never_report_a_failure(op, form, n, grid, c):
 def test_an_empty_interval_flag_is_a_malformed_interval(argv, capsys):
     assert main(argv) == 2
     assert "configuration error: malformed interval ''" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ["build", "--phi", "x", "--phi-inv=", "--samples", "5"],
+            "at offset 0: expected an operand, found 'end of input'",
+        ),
+        (
+            ["reduce", "--phi=", "--op", "sum", "--n", "2", "--samples", "5"],
+            "at offset 0: expected an operand, found 'end of input'",
+        ),
+        (["reduce", "--op=", "--phi", "x", "--samples", "5"], "unknown builtin ''"),
+    ],
+    ids=["build-phi-inv", "reduce-phi", "reduce-op"],
+)
+def test_an_empty_expression_or_op_flag_is_a_configuration_error(argv, message, capsys):
+    # an empty flag is given, not absent: it is parsed, never skipped
+    assert main(argv) == 2
+    assert f"naryops: configuration error: {message}" in capsys.readouterr().err

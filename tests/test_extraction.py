@@ -3,6 +3,7 @@ import inspect
 import io
 import math
 import random
+import re
 import time
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
@@ -18,7 +19,8 @@ from naryops.core import NaryOp, builtin_lookup
 from naryops.errors import (
     AllIdempotentError,
     BracketNotFoundError,
-    PrecisionExhaustedError,
+    DomainEscapeError,
+    MonotonicityViolationError,
 )
 from naryops.extension import ExtendedOp, MembershipOutcome, RationalIndex
 from naryops.extraction import (
@@ -140,11 +142,10 @@ def test_membership_requires_admissible_index():
 
 def test_membership_overflow_reports_index():
     g = ExtendedOp(PRODUCT2)
-    with pytest.raises(PrecisionExhaustedError) as exc:
+    with pytest.raises(DomainEscapeError, match=r"k=512"):
         sx_membership(
             g, 2.0, 1e6, RationalIndex(1, 0, 512), BranchDirection.C_BELOW
         )
-    assert exc.value.k == 512
 
 
 def test_membership_mirrored_branch():
@@ -442,6 +443,17 @@ def test_verify_additivity_rejects_corruption():
     assert "'pass': False" in additivity and "'pass': False" in roundtrip
 
 
+def test_rounding_allowance_is_1e_12():
+    # an exact table (no slack at all) against an op offset by 3e-11: the
+    # residual passes an allowance of 1e-10 but not the one of 1e-12
+    gen = extract_generator(SUM2, (-2.0, 0.0, 2.0), base_point=1.0, resolution=1 / 1024)
+    assert gen.interp_slack == 0.0 and gen.resolution_bound == 0.0
+    offset = NaryOp(2, core.Interval.real_line(), lambda a, b: a + b + 3e-11, "sum+3e-11")
+    rep = verify_additivity(gen, offset, samples=100, seed=0)
+    assert not rep.passed
+    assert 2.9e-11 < rep.max_residual < 3.1e-11
+
+
 def test_compare_scales_sum():
     g = grid(-2.0, 2.0, 0.5)
     gen1 = extract_generator(SUM2, g, base_point=1.0, resolution=1 / 64)
@@ -656,6 +668,41 @@ def test_extracted_values_lie_within_their_half_width(name, n, resolution, data)
         ref = string_phi_at(g, gen.c, x, gen.direction, resolution)
         floor = FLOOR_ULPS * (est.evaluations + 1) * math.ulp(max(1.0, abs(v)))
         assert abs(v - gen.normalization * ref.value) <= est.half_width + ref.half_width + floor
+
+
+def test_values_regressing_within_float_precision_of_a_zero_extract():
+    # psi falls from -0.0 at 0 to -5.8e-15 at 2.2e-16, far inside the
+    # precision floor at psi = 0, where a purely relative band vanished
+    f = build_aczelian(load_generator("x^3+x", None, None), 2)
+    c = -0.7706742976765196
+    gen = extract_generator(f, (0.0, 2.220446049250313e-16), base_point=c, resolution=1e-15)
+    scale = abs(c**3 + c)
+    for (x, v), est in zip(gen.samples, gen.estimates):
+        psi = (x**3 + x) / scale
+        floor = FLOOR_ULPS * (est.evaluations + 1) * math.ulp(max(1.0, abs(psi)))
+        assert abs(v - psi) <= est.half_width + floor, (x, v, psi, est)
+
+
+@pytest.mark.parametrize("regressed, raises", [(-0.5e-9, False), (-2e-9, True)])
+def test_regression_beyond_the_comparison_band_raises(monkeypatch, regressed, raises):
+    # sum/2 pins 0.0 at 0 exactly; the value at 0.5 is replaced by one below
+    # it, and the band of 1e-9 + 1e-9*|y0| + 1e-9*|y1| decides
+    walk = extraction.phi_at
+
+    def regressing(units, x):
+        est = walk(units, x)
+        if x != 0.5:
+            return est
+        return extraction.PhiEstimate(x, regressed, 0.0, True, est.levels, est.evaluations)
+
+    monkeypatch.setattr(extraction, "phi_at", regressing)
+    run = functools.partial(extract_generator, SUM2, (0.0, 0.5), base_point=1.0, resolution=1 / 64)
+    if not raises:
+        assert dict(run().samples)[0.5] == regressed
+        return
+    message = f"extracted values regress from 0.0 at 0.0 to {regressed!r} at 0.5 beyond 2 * 0.0"
+    with pytest.raises(MonotonicityViolationError, match=f"^{re.escape(message)}$"):
+        run()
 
 
 def test_tied_extracted_values_exit_three():

@@ -16,7 +16,7 @@ from naryops import generator
 from naryops.axioms import check_associativity, check_symmetry, lattice_sampler
 from naryops.cli import main
 from naryops.core import Interval, builtin_lookup
-from naryops.errors import CodomainError, DomainEscapeError, InversionError
+from naryops.errors import DomainEscapeError, InversionError
 from naryops.exprlang import make_callable, parse as parse_expr
 from naryops.generator import (
     GeneratorSpec,
@@ -44,11 +44,14 @@ def test_codomain_positive_half_line():
 
 def test_codomain_rejections():
     # (-1, inf) loses (-0.5) + (-0.5) = -1
-    with pytest.raises(CodomainError):
+    lower = r"^codomain \(-1\.0,\+inf\) not closed under 2-term sums \(lower bound -1\.0 must be >= 0\)$"
+    with pytest.raises(ValueError, match=lower):
         validate_codomain(Interval.parse("(-1,inf)"), 2)
-    with pytest.raises(CodomainError):
+    upper = r"^codomain \(-inf,1\.0\) not closed under 2-term sums \(upper bound 1\.0 must be <= 0\)$"
+    with pytest.raises(ValueError, match=upper):
         validate_codomain(Interval.parse("(-inf,1)"), 2)
-    with pytest.raises(CodomainError):
+    bounded = r"^codomain \(1\.0,2\.0\) is bounded on both ends; sums of 2 elements escape$"
+    with pytest.raises(ValueError, match=bounded):
         validate_codomain(Interval.parse("(1,2)"), 2)
 
 
@@ -82,7 +85,8 @@ def test_build_requires_admissible_codomain():
         phi_inverse=lambda y: y,
         codomain=Interval.parse("(-1,inf)"),
     )
-    with pytest.raises(CodomainError):
+    lower = r"^codomain \(-1\.0,\+inf\) not closed under 2-term sums \(lower bound -1\.0 must be >= 0\)$"
+    with pytest.raises(ValueError, match=lower):
         build_aczelian(spec, 2)
 
 
