@@ -101,24 +101,22 @@ class Witness(Record):
 
 
 class AxiomReport(Record):
-    """Outcome of one check: pass/fail, the worst residual seen, and a
-    witness when the check failed. Deterministic given (op, seed, samples).
-    ``axiom`` names the law: associativity, symmetry, cancellativity or
-    identity. A check of no sample concludes nothing, so ``samples_used``
-    below 1 raises ValueError."""
+    """Outcome of one check: the worst residual seen, and a witness when
+    the check failed, so it passed when it holds none. Deterministic given
+    (op, seed, samples). ``axiom`` names the law: associativity, symmetry,
+    cancellativity or identity. A check of no sample concludes nothing, so
+    ``samples_used`` below 1 raises ValueError."""
 
-    __slots__ = _fields = (
-        "axiom", "passed", "max_residual", "witness", "samples_used", "seed", "tolerance", "label"
-    )
+    __slots__ = ("axiom", "max_residual", "witness", "samples_used", "seed", "tolerance", "label")
+    _fields = ("axiom", "passed", *__slots__[1:])
 
     def __init__(
-        self, axiom: str, passed: bool, max_residual: float, witness: Witness | None,
+        self, axiom: str, max_residual: float, witness: Witness | None,
         samples_used: int, seed: int, tolerance: float, label: str = "",
     ):
         if samples_used < 1:
             raise ValueError("samples must be >= 1")
         _set(self, "axiom", axiom)
-        _set(self, "passed", passed)
         _set(self, "max_residual", max_residual)
         _set(self, "witness", witness)
         _set(self, "samples_used", samples_used)
@@ -137,6 +135,10 @@ class AxiomReport(Record):
             "tolerance": self.tolerance,
             "label": self.label,
         }
+
+    @property
+    def passed(self) -> bool:
+        return self.witness is None
 
 
 def _below(getrandbits: Callable[[int], int], n: int) -> int:
@@ -254,7 +256,6 @@ def falsify(
             witness = Witness(kind=kind, residual=residual, **fields)
     return AxiomReport(
         axiom=axiom,
-        passed=witness is None,
         max_residual=max_residual,
         witness=witness,
         samples_used=samples if ran else 0,
@@ -414,7 +415,6 @@ def check_cancellativity(
                 )
     return AxiomReport(
         axiom="cancellativity",
-        passed=witness is None,
         max_residual=max_residual,
         witness=witness,
         samples_used=sections,

@@ -1,6 +1,6 @@
 """Command-line front door.
 
-Subcommands: axioms, extend, build, extract, roundtrip, reduce, gallery.
+Commands: axioms, extend, build, extract, roundtrip, reduce, gallery.
 Reports are written as JSON, CSV (tabulated generators), or text. Exit
 codes: 0 all checks passed, 1 a check failed and carries a witness,
 2 usage or configuration error, 3 numeric failure (overflow, missing
@@ -354,14 +354,15 @@ def _cmd_gallery(cfg: RunConfig) -> tuple[int, dict]:
     return _report(cfg, passed, residuals={}, witnesses=[], fixtures=fixtures)
 
 
-_HANDLERS = {
-    "axioms": _cmd_axioms,
-    "extend": _cmd_extend,
-    "build": _cmd_build,
-    "extract": _cmd_extract,
-    "roundtrip": _cmd_roundtrip,
-    "reduce": _cmd_reduce,
-    "gallery": _cmd_gallery,
+#: each command: its handler and its help line
+_COMMANDS = {
+    "axioms": (_cmd_axioms, "run associativity, symmetry, and cancellativity checks"),
+    "extend": (_cmd_extend, "check the substitution identities of the extension"),
+    "build": (_cmd_build, "build an operation from a generator and verify it"),
+    "extract": (_cmd_extract, "reconstruct the generator of a black-box operation"),
+    "roundtrip": (_cmd_roundtrip, "extract, rebuild, and compare against the original"),
+    "reduce": (_cmd_reduce, "derive the underlying binary operation and the neutral element"),
+    "gallery": (_cmd_gallery, "run the built-in fixture suite"),
 }
 
 
@@ -395,21 +396,27 @@ def write_report(report: dict, fmt: str, path: str) -> None:
             fh.write(payload)
 
 
+#: largest ``--n``: an extension check holds about n^2 floats per sample
+_MAX_ARITY = 100
+
+
 def run(cfg: RunConfig) -> tuple[int, dict]:
     """Check the numeric flags, dispatch the config, write the report,
     return the exit code and the report. A flag out of range raises
     ValueError before any work."""
-    if cfg.command not in _HANDLERS:
+    if cfg.command not in _COMMANDS:
         raise ValueError(f"unknown command {cfg.command!r}")
     if cfg.samples < 1:
         raise ValueError("samples must be >= 1")
+    if cfg.n > _MAX_ARITY:
+        raise ValueError(f"n must be <= {_MAX_ARITY}")
     # NaN fails both comparisons, so these rules also reject it
     if not 0.0 < cfg.window < math.inf:
         raise ValueError("window must be positive and finite")
     if not 0.0 <= cfg.tol < math.inf:
         raise ValueError("tol must be finite and >= 0")
     t0 = time.perf_counter()
-    code, report = _HANDLERS[cfg.command](cfg)
+    code, report = _COMMANDS[cfg.command][0](cfg)
     report["timing_ms"] = (time.perf_counter() - t0) * 1000.0
     write_report(report, cfg.fmt, cfg.out)
     return code, report
@@ -419,43 +426,34 @@ def run(cfg: RunConfig) -> tuple[int, dict]:
 def build_parser() -> argparse.ArgumentParser:
     """The one parser of the command line, built on the first call and
     shared by every later one, as ``parse_args`` returns a fresh namespace.
-    The flags every subcommand takes are declared once, on a parent parser
-    without its own help or defaults: a namespace holds only the flags
-    given, and :class:`RunConfig` supplies the rest."""
-    common = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
-    common.add_argument("--op", help="builtin name or expr:<expression>")
-    common.add_argument("--phi", help="generator expression in x")
-    common.add_argument("--phi-inv", dest="phi_inv", help="explicit inverse expression")
-    common.add_argument("--codomain", help="generator codomain interval, e.g. '(-inf,0)'")
-    common.add_argument("--n", type=int, help="arity (default 2)")
-    common.add_argument(
-        "--interval", help="domain interval, e.g. '(0,inf)' (default the real line)"
-    )
-    common.add_argument("--grid", help="lo:hi:step or comma-separated points")
-    common.add_argument("--samples", type=int)
-    common.add_argument("--seed", type=int)
-    common.add_argument("--resolution", type=float)
-    common.add_argument("--tol", type=float)
-    common.add_argument("--c", type=float, help="explicit base point")
-    common.add_argument("--window", type=float)
-    common.add_argument("--format", dest="fmt", choices=("json", "csv", "text"))
-    common.add_argument("--out", help="output path, '-' for stdout")
+    The command and the flags may come in any order. No flag has a
+    default of its own: a namespace holds only the flags given, and
+    :class:`RunConfig` supplies the rest."""
     parser = argparse.ArgumentParser(
         prog="naryops",
         description="Build, falsify, extend, extract, and reduce n-ary interval operations.",
+        epilog="commands:\n" + "\n".join(f"  {c:<10} {h}" for c, (_, h) in _COMMANDS.items()),
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+        argument_default=argparse.SUPPRESS,
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    specs = {
-        "axioms": "run associativity, symmetry, and cancellativity checks",
-        "extend": "check the substitution identities of the extension",
-        "build": "build an operation from a generator and verify it",
-        "extract": "reconstruct the generator of a black-box operation",
-        "roundtrip": "extract, rebuild, and compare against the original",
-        "reduce": "derive the underlying binary operation and the neutral element",
-        "gallery": "run the built-in fixture suite",
-    }
-    for name, help_text in specs.items():
-        sub.add_parser(name, help=help_text, parents=[common])
+    parser.add_argument("command", choices=_COMMANDS, metavar="command", help="see below")
+    parser.add_argument("--op", help="builtin name or expr:<expression>")
+    parser.add_argument("--phi", help="generator expression in x")
+    parser.add_argument("--phi-inv", dest="phi_inv", help="explicit inverse expression")
+    parser.add_argument("--codomain", help="generator codomain interval, e.g. '(-inf,0)'")
+    parser.add_argument("--n", type=int, help=f"arity (default 2, at most {_MAX_ARITY})")
+    parser.add_argument(
+        "--interval", help="domain interval, e.g. '(0,inf)' (default the real line)"
+    )
+    parser.add_argument("--grid", help="lo:hi:step or comma-separated points")
+    parser.add_argument("--samples", type=int)
+    parser.add_argument("--seed", type=int)
+    parser.add_argument("--resolution", type=float)
+    parser.add_argument("--tol", type=float)
+    parser.add_argument("--c", type=float, help="explicit base point")
+    parser.add_argument("--window", type=float)
+    parser.add_argument("--format", dest="fmt", choices=("json", "csv", "text"))
+    parser.add_argument("--out", help="output path, '-' for stdout")
     return parser
 
 

@@ -304,8 +304,9 @@ def _overflowed_pow(a: float, b: float) -> float:
     return -math.inf if a < 0.0 and math.fmod(b, 2.0) != 0.0 else math.inf
 
 
-#: what the generated functions call, by function name or operator
-_HELPERS = {"ln": "_ln", "exp": "_exp", "sqrt": "_sqrt", "abs": "abs", "/": "_div", "^": "_pow"}
+#: what the generated functions call, by function name or operator; a
+#: generated function names a helper by its ``__name__``
+_HELPERS = {"ln": _ln, "exp": _exp, "sqrt": _sqrt, "abs": abs, "/": _div, "^": _pow}
 
 #: compile, once per generated source and process; a source holds no
 #: constants, so every expression of one shape shares its code object
@@ -360,7 +361,7 @@ def _emit(e: Expr, arity: int, namespace: dict) -> list[str]:
         elif isinstance(node, BinOp) and node.op in ("+", "-", "*"):
             lines.append(f"{target} = {args[0]} {node.op} {args[1]}")
         else:
-            helper = _HELPERS[node.fn if isinstance(node, Call) else node.op]
+            helper = _HELPERS[node.fn if isinstance(node, Call) else node.op].__name__
             lines.append(f"{target} = {helper}({', '.join(args)})")
         values.append(target)
     lines.append(f"return {values[0]}")
@@ -377,16 +378,8 @@ def make_callable(e: Expr, arity: int) -> Callable[..., float]:
     code object, compiled once per process. The function is ``def fn(x1,
     ..., xn)``, so another number of arguments raises Python's own
     ``TypeError``."""
-    namespace = {
-        "__builtins__": {},
-        "float": float,
-        "abs": abs,
-        "_ln": _ln,
-        "_exp": _exp,
-        "_sqrt": _sqrt,
-        "_div": _div,
-        "_pow": _pow,
-    }
+    namespace = {"__builtins__": {}, "float": float}
+    namespace.update((h.__name__, h) for h in _HELPERS.values())
     body = _emit(e, arity, namespace)
     params = ", ".join(f"x{i}" for i in range(1, arity + 1))
     source = "\n    ".join([f"def fn({params}):", *body])

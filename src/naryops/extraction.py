@@ -332,29 +332,37 @@ class ExtractedGenerator(Record):
     """A tabulated reconstruction of the generator.
 
     Samples are strictly increasing in both coordinates, the value at the
-    base point is exactly the stored normalization, and every sample is
+    base point is exactly its normalization, and every sample is
     within its half-width of the true branch value. ``interp_slack`` is an
     engineering estimate of the piecewise-linear interpolation error: the
     largest deviation of an interior knot from the chord of its neighbors.
     Its repr leaves out ``estimates``.
     """
 
+    __slots__ = (
+        "samples", "c", "direction", "resolution_bound", "realized_resolution", "interp_slack",
+        "estimates", "__dict__",  # the dict holds the cached properties
+    )
     _fields = (
         "samples", "c", "direction", "resolution_bound", "normalization",
         "realized_resolution", "interp_slack",
     )
-    _compared = (*_fields, "estimates")
-    __slots__ = (*_compared, "__dict__")  # the dict holds the cached properties
+    _compared = __slots__[:-1]
 
     def __init__(
         self, samples: tuple[tuple[float, float], ...], c: float, direction: BranchDirection,
-        resolution_bound: float, normalization: float, realized_resolution: float,
-        interp_slack: float, estimates: tuple[PhiEstimate, ...] = (),
+        resolution_bound: float, realized_resolution: float, interp_slack: float,
+        estimates: tuple[PhiEstimate, ...] = (),
     ):
         self._store(
-            samples, c, direction, resolution_bound, normalization, realized_resolution,
-            interp_slack, estimates,
+            samples, c, direction, resolution_bound, realized_resolution, interp_slack, estimates
         )
+
+    @property
+    def normalization(self) -> float:
+        """The value at the base point: 1.0 when c lies below the
+        increasing branch, -1.0 otherwise."""
+        return 1.0 if self.direction is BranchDirection.C_BELOW else -1.0
 
     # Unzipped once per instance: ``interpolate`` reads both on every call.
     @cached_property
@@ -469,7 +477,6 @@ def extract_generator(
         c=c,
         direction=direction,
         resolution_bound=resolution_bound,
-        normalization=sign,
         realized_resolution=max(2.0 * resolution_bound, (f.arity - 1) * float(f.arity) ** lowest),
         interp_slack=_chord_slack(grid, values),
         estimates=estimates,

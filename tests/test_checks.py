@@ -87,7 +87,7 @@ def _sum2_table():
         lambda: verify_reduction(SUM2, SUM2, samples=0),
         lambda: verify_additivity(_sum2_table(), SUM2, samples=0),
         lambda: verify_roundtrip(_sum2_table(), SUM2, samples=0),
-        lambda: AxiomReport("identity", True, 0.0, None, samples_used=0, seed=0, tolerance=0.0),
+        lambda: AxiomReport("identity", 0.0, None, samples_used=0, seed=0, tolerance=0.0),
         lambda: falsify("associativity", iter([]), 1e-9),
     ],
     ids=["associativity", "symmetry", "cancellativity", "reduction", "additivity",
@@ -170,7 +170,7 @@ def test_parse_grid_rejects_non_finite(text):
 
 
 CHECK_KEYS = set(
-    AxiomReport("identity", True, 0.0, None, 1, 0, 1e-9).to_dict()
+    AxiomReport("identity", 0.0, None, 1, 0, 1e-9).to_dict()
 )
 
 

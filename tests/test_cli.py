@@ -3,6 +3,7 @@ import inspect
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -350,6 +351,11 @@ def test_flags_do_not_leak_between_calls(capsys):
         (["nosuchcommand"], 2),
         (["axioms", "--n", "two"], 2),
         (["axioms", "--format", "xml"], 2),
+        (["axioms", "--help"], 0),
+        (["extend", "--help"], 0),
+        (["roundtrip", "--help"], 0),
+        (["reduce", "--help"], 0),
+        (["gallery", "--help"], 0),
     ],
 )
 def test_help_and_usage_do_not_depend_on_earlier_calls(argv, code, capsys):
@@ -383,6 +389,7 @@ def test_help_and_usage_do_not_depend_on_earlier_calls(argv, code, capsys):
          "tol must be finite and >= 0"),
         (["axioms", "--op", "sum", "--tol=-1"], "tol must be finite and >= 0"),
         (["axioms", "--op", "sum", "--tol", "nan"], "tol must be finite and >= 0"),
+        (["extend", "--op", "sum", "--n", "101", "--samples", "1"], "n must be <= 100"),
     ],
 )
 def test_numeric_flags_are_checked_before_any_work(argv, message, capsys):
@@ -405,6 +412,39 @@ def test_wide_finite_windows_are_sampled(op, window, code, capsys):
     assert main(["axioms", "--op", op, "--n", "2", "--samples", "20", "--window", window]) == code
     err = capsys.readouterr().err
     assert ("numeric failure" in err) == (code == 3)
+
+
+def test_help_lists_every_command_with_its_help_line(capsys):
+    commands = ("axioms", "extend", "build", "extract", "roundtrip", "reduce", "gallery")
+    assert tuple(cli._COMMANDS) == commands
+    assert main(["--help"]) == 0
+    out = capsys.readouterr().out
+    for name, (_, help_line) in cli._COMMANDS.items():
+        assert f"\n  {name:<10} {help_line}\n" in out
+
+
+@pytest.mark.parametrize(
+    "command,flags",
+    [
+        ("axioms", ["--op", "sum", "--n", "3", "--samples", "20"]),
+        ("extend", ["--op", "alternating", "--n", "3", "--samples", "20", "--format", "json"]),
+        ("extract", ["--op", "sum", "--n", "2", "--c", "1", "--grid=-1:1:0.5"]),
+        ("build", ["--phi", "x^3+x", "--samples", "5", "--format", "json"]),
+    ],
+)
+def test_flags_before_the_command_give_the_same_report(command, flags, capsys):
+    def report(argv):
+        code = main(argv)
+        out = capsys.readouterr().out
+        return code, re.sub(r'"timing_ms": [^,\n]*', "", out)
+
+    usual = report([command, *flags])
+    assert report([*flags, command]) == usual
+    assert report([*flags[:2], command, *flags[2:]]) == usual
+
+
+def test_arity_at_the_bound_runs(capsys):
+    assert main(["axioms", "--op", "sum", "--n", "100", "--samples", "1"]) == 0
 
 
 def test_parser_holds_only_the_flags_given():
@@ -472,7 +512,7 @@ def test_each_error_class_exits_with_its_code(monkeypatch, capsys, error):
     def handler(cfg):
         raise error
 
-    monkeypatch.setitem(cli._HANDLERS, "axioms", handler)
+    monkeypatch.setitem(cli._COMMANDS, "axioms", (handler, ""))
     code = main(["axioms", "--op", "sum"])
     err = capsys.readouterr().err
     if isinstance(error, ValueError):

@@ -380,6 +380,17 @@ def _records():
     ]
 
 
+def test_a_report_passes_exactly_when_it_holds_no_witness():
+    witness = Witness("symmetry", ((1.0, 2.0),), 0.5, permutation=(1, 0))
+    failed = AxiomReport("symmetry", 0.5, witness, 10, 3, 1e-9)
+    assert failed.passed is False and failed.to_dict()["pass"] is False
+    held = AxiomReport("symmetry", 0.0, None, 10, 3, 1e-9)
+    assert held.passed is True and held.to_dict()["pass"] is True
+    assert repr(held).startswith("AxiomReport(axiom='symmetry', passed=True, max_residual=0.0, ")
+    with pytest.raises(TypeError):
+        AxiomReport("symmetry", 0.0, None, 10, 3, 1e-9, passed=True)
+
+
 def test_records_are_frozen_and_copy():
     for record, name in _records():
         with pytest.raises(AttributeError):
@@ -389,6 +400,6 @@ def test_records_are_frozen_and_copy():
         assert record == record and hash(record) == hash(record)
         assert copy.copy(record) == record and copy.deepcopy(record) == record
     witness = Witness("symmetry", ((1.0, 2.0),), 0.5, permutation=(1, 0))
-    report = AxiomReport("symmetry", False, 0.5, witness, 10, 3, 1e-9, "x-y")
+    report = AxiomReport("symmetry", 0.5, witness, 10, 3, 1e-9, "x-y")
     for record in (Interval(0.0, 1.0, False), report, parse("x1^2-e", 1)):
         assert pickle.loads(pickle.dumps(record)) == record

@@ -322,6 +322,17 @@ def test_extract_includes_base_point_sample():
     assert gen.interpolate(1.0) == gen.normalization == 1.0
 
 
+def test_normalization_follows_the_direction():
+    gen = extract_generator(SUM2, (-1.0, 0.5), base_point=1.0, resolution=1 / 16)
+    stored = (gen.samples, gen.c, BranchDirection.C_BELOW, gen.resolution_bound)
+    rest = (gen.realized_resolution, gen.interp_slack)
+    assert ExtractedGenerator(*stored, *rest).normalization == 1.0
+    stored = (*stored[:2], BranchDirection.C_ABOVE, stored[3])
+    assert ExtractedGenerator(*stored, *rest).normalization == -1.0
+    with pytest.raises(TypeError):
+        ExtractedGenerator(*stored, *rest, normalization=-1.0)
+
+
 def test_extract_rejects_offgrid_domain_points():
     with pytest.raises(ValueError):
         extract_generator(PRODUCT2, (-1.0, 2.0), base_point=2.0, resolution=0.02)
@@ -431,7 +442,6 @@ def test_verify_additivity_rejects_corruption():
         c=gen.c,
         direction=gen.direction,
         resolution_bound=gen.resolution_bound,
-        normalization=gen.normalization,
         realized_resolution=gen.realized_resolution,
         interp_slack=gen.interp_slack,
     )

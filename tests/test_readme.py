@@ -70,6 +70,7 @@ def test_stated_api_count_is_the_package_api():
         ("--grid", "0:10000:1"),
         ("--grid", ""),
         ("--interval", "[0,1]"),
+        ("--n", "101"),
     ],
 )
 def test_exit_code_two_names_each_flag_rule(flag, value):
