@@ -13,15 +13,17 @@ Variables are ``x`` (arity 1 only) or ``x1 .. xn``. Functions: ``ln``,
 ``exp``, ``sqrt``, ``abs``. Parentheses, calls, unary minus and
 exponents nest at most ``_MAX_NESTING`` levels; chains of ``+ - * /``
 may be any length. :func:`make_callable` turns an AST into one
-generated function, the one evaluator: a straight line of assignments,
-one per node, whose source holds no text of the expression, so that
-``x^3+x`` and ``x^5+x`` share one code object, compiled once per process.
-The function's parameters are ``x1 .. xn``, so Python itself rejects a
-call with another number of arguments.
+generated function, the one evaluator: one frame that runs each node's
+statements in the tree's order, whose source holds no text of the
+expression, so that ``x^3+x`` and ``x^5+x`` share one code object,
+compiled once per process. The function's parameters are ``x1 .. xn``,
+so Python itself rejects a call with another number of arguments.
 A partial function outside its domain (ln of a non-positive, sqrt of
-a negative, division by zero, 0 or a negative raised badly) raises
-:class:`DomainEscapeError`. The tests keep a reference tree walk that
-the generated functions must match bit for bit.
+a negative, division by zero, 0 or a negative raised badly, which
+includes a negative base under a NaN or infinite exponent) raises
+:class:`DomainEscapeError` from a test written into that frame. The
+tests keep a reference tree walk that the generated functions must
+match bit for bit.
 """
 
 from __future__ import annotations
@@ -262,51 +264,44 @@ def parse(src: str, arity: int) -> Expr:
     return _Parser(src, arity).parse()
 
 
-def _ln(v: float) -> float:
-    if v <= 0.0:
-        raise DomainEscapeError(f"ln of non-positive {v!r}")
-    return math.log(v)
-
-
-def _exp(v: float) -> float:
-    try:
-        return math.exp(v)
-    except OverflowError:
-        return math.inf
-
-
-def _sqrt(v: float) -> float:
-    if v < 0.0:
-        raise DomainEscapeError(f"sqrt of negative {v!r}")
-    return math.sqrt(v)
-
-
-def _div(a: float, b: float) -> float:
-    if b == 0.0:
-        raise DomainEscapeError("division by zero")
-    return a / b
-
-
-def _pow(a: float, b: float) -> float:
-    if a == 0.0 and b < 0.0:
-        raise DomainEscapeError("zero raised to a negative power")
-    if a < 0.0 and b != int(b):
-        raise DomainEscapeError(f"negative base {a!r} with fractional exponent")
-    try:
-        return math.pow(a, b)
-    except OverflowError:
-        return _overflowed_pow(a, b)
-
-
 def _overflowed_pow(a: float, b: float) -> float:
     """The infinity an overflowing a^b heads toward: -inf for a negative
     base under an odd exponent (a negative base has an integral one)."""
     return -math.inf if a < 0.0 and math.fmod(b, 2.0) != 0.0 else math.inf
 
 
-#: what the generated functions call, by function name or operator; a
-#: generated function names a helper by its ``__name__``
-_HELPERS = {"ln": _ln, "exp": _exp, "sqrt": _sqrt, "abs": abs, "/": _div, "^": _pow}
+#: the statements of each function and of ``/`` and ``^``, the one copy of
+#: each domain rule: they set ``$t`` from ``$a`` (and ``$b``), raise
+#: :class:`DomainEscapeError` outside the domain and turn an overflow into
+#: the infinity it heads toward. ``% 1.0`` of a NaN or infinite exponent
+#: is NaN, so a negative base under one escapes.
+_TEMPLATES = {
+    "ln": (
+        'if $a <= 0.0: raise DomainEscapeError(f"ln of non-positive {$a!r}")',
+        "$t = log($a)",
+    ),
+    "exp": ("try: $t = exp($a)", "except OverflowError: $t = inf"),
+    "sqrt": (
+        'if $a < 0.0: raise DomainEscapeError(f"sqrt of negative {$a!r}")',
+        "$t = sqrt($a)",
+    ),
+    "abs": ("$t = abs($a)",),
+    "/": ('if $b == 0.0: raise DomainEscapeError("division by zero")', "$t = $a / $b"),
+    "^": (
+        'if $a == 0.0 and $b < 0.0: raise DomainEscapeError("zero raised to a negative power")',
+        "if $a < 0.0 and $b % 1.0 != 0.0:",
+        '    raise DomainEscapeError(f"negative base {$a!r} with fractional exponent")',
+        "try: $t = pow($a, $b)",
+        "except OverflowError: $t = _overflowed_pow($a, $b)",
+    ),
+}
+
+#: what the templates name, bound in every generated function's namespace
+_NAMESPACE = {
+    "__builtins__": {}, "float": float, "abs": abs, "log": math.log, "exp": math.exp,
+    "sqrt": math.sqrt, "pow": math.pow, "inf": math.inf, "OverflowError": OverflowError,
+    "DomainEscapeError": DomainEscapeError, "_overflowed_pow": _overflowed_pow,
+}
 
 #: compile, once per generated source and process; a source holds no
 #: constants, so every expression of one shape shares its code object
@@ -315,10 +310,11 @@ _compile = functools.lru_cache(maxsize=256)(compile)
 
 def _emit(e: Expr, arity: int, namespace: dict) -> list[str]:
     """The statements of the body of the generated function: one
-    assignment per operation node and one ``float`` conversion per
-    variable, in the evaluation order of the tree (operands left to
-    right, then the node), found with an explicit stack so that no depth
-    of tree reaches the recursion limit.
+    assignment per ``+ - *`` or negation node, the statements of its
+    template (:data:`_TEMPLATES`) per other node, and one ``float``
+    conversion per variable, in the evaluation order of the tree
+    (operands left to right, then the node), found with an explicit
+    stack so that no depth of tree reaches the recursion limit.
 
     A variable is converted where the tree first reads it; a constant
     is bound in ``namespace`` under a name of its own, so no number is
@@ -361,8 +357,11 @@ def _emit(e: Expr, arity: int, namespace: dict) -> list[str]:
         elif isinstance(node, BinOp) and node.op in ("+", "-", "*"):
             lines.append(f"{target} = {args[0]} {node.op} {args[1]}")
         else:
-            helper = _HELPERS[node.fn if isinstance(node, Call) else node.op].__name__
-            lines.append(f"{target} = {helper}({', '.join(args)})")
+            a, b = (*args, "")[:2]
+            template = _TEMPLATES[node.fn if isinstance(node, Call) else node.op]
+            lines.extend(
+                line.replace("$t", target).replace("$a", a).replace("$b", b) for line in template
+            )
         values.append(target)
     lines.append(f"return {values[0]}")
     return lines
@@ -371,15 +370,14 @@ def _emit(e: Expr, arity: int, namespace: dict) -> list[str]:
 def make_callable(e: Expr, arity: int) -> Callable[..., float]:
     """A new generated function of ``arity`` positional floats, for
     plugging into :class:`naryops.core.NaryOp`: the tree's float operations
-    in the tree's order, ``+ - *`` and negation inline, the partial
-    functions through helpers that raise :class:`DomainEscapeError`
-    outside their domain. Constants and helpers are names bound in the
-    function's own namespace, so every expression of one shape shares one
-    code object, compiled once per process. The function is ``def fn(x1,
-    ..., xn)``, so another number of arguments raises Python's own
-    ``TypeError``."""
-    namespace = {"__builtins__": {}, "float": float}
-    namespace.update((h.__name__, h) for h in _HELPERS.values())
+    in the tree's order in one frame, each partial function's domain
+    test written inline before it, raising :class:`DomainEscapeError`
+    outside the domain. Constants and the math functions are names
+    bound in the function's own namespace, so every expression of one
+    shape shares one code object, compiled once per process. The
+    function is ``def fn(x1, ..., xn)``, so another number of arguments
+    raises Python's own ``TypeError``."""
+    namespace = dict(_NAMESPACE)
     body = _emit(e, arity, namespace)
     params = ", ".join(f"x{i}" for i in range(1, arity + 1))
     source = "\n    ".join([f"def fn({params}):", *body])

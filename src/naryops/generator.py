@@ -18,6 +18,7 @@ import threading
 from functools import partial
 from typing import Callable, Sequence
 
+from . import core
 from .core import Interval, NaryOp, Record
 from .errors import DomainEscapeError, InversionError, MonotonicityViolationError
 
@@ -195,11 +196,19 @@ def estimate_codomain(phi: Callable[[float], float], domain: Interval) -> Interv
     at phi(end). Toward an open end, a limit still moving between the last
     two samples is infinite, a settled one an open bound (zero when tiny).
     A NaN value, the same infinity at every sample, or an escape of phi at
-    a closed end, which is named, raises :class:`DomainEscapeError`; one
-    limit at both ends, which no monotone phi has, raises
-    :class:`MonotonicityViolationError`."""
+    any sample, which is named with the interval, raises
+    :class:`DomainEscapeError`; one limit at both ends, which no monotone
+    phi has, raises :class:`MonotonicityViolationError`."""
+
+    def escape(what: str, x: float, exc: DomainEscapeError) -> DomainEscapeError:
+        where = f"{what} {x!r} of {domain.render()}"
+        return DomainEscapeError(f"generator fails at {where}: {exc}", exc.value)
+
     x0 = _start_point(domain)
-    f0 = _safe_phi(phi, x0)
+    try:
+        f0 = _safe_phi(phi, x0)
+    except DomainEscapeError as exc:
+        raise escape("the start point", x0, exc) from exc
 
     def chase(end, open_end, high):
         """The limit toward one end, and whether it is an open bound."""
@@ -210,10 +219,8 @@ def estimate_codomain(phi: Callable[[float], float], domain: Interval) -> Interv
                 try:
                     prev, last = last, _safe_phi(phi, x, f0, last)
                 except DomainEscapeError as exc:
-                    if open_end:
-                        raise
-                    what = f"the closed end {x!r} of {domain.render()}"
-                    raise DomainEscapeError(f"generator fails at {what}: {exc}", exc.value) from exc
+                    what = "the sample" if open_end else "the closed end"
+                    raise escape(what, x, exc) from exc
                 if math.isnan(last):
                     raise DomainEscapeError(f"generator value is nan at x={x!r}")
                 if math.isinf(last):
@@ -459,7 +466,8 @@ class GeneratorSpec(Record):
         """The point whose generator value is y: the one place a sum of
         generator values turns back into a point. A y outside the codomain
         raises :class:`DomainEscapeError` naming y and the codomain."""
-        if not self.codomain.contains(y):
+        # looked up on the module, so a wrapper patched onto it sees the call
+        if not core.interval_contains(self.codomain, y):
             raise DomainEscapeError(
                 f"generator sum {y!r} escapes codomain {self.codomain.render()}"
             )
@@ -482,7 +490,7 @@ def generator_sum(phi: Callable[[float], float], xs: Sequence) -> float:
     the plain sum carries the infinity on to the codomain guard of
     :meth:`GeneratorSpec.inverse`; values of -inf and +inf have no sum and
     raise :class:`DomainEscapeError` naming them and xs."""
-    values = [phi(x) for x in xs]
+    values = list(map(phi, xs))
     try:
         return math.fsum(values)
     except OverflowError:

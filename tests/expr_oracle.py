@@ -80,7 +80,7 @@ def eval_expr(e: Expr, args: Sequence[float]):
         if e.op == "^":
             if a == 0.0 and b < 0.0:
                 return DomainError("zero raised to a negative power")
-            if a < 0.0 and b != int(b):
+            if a < 0.0 and b % 1.0 != 0.0:  # NaN for a NaN or infinite b
                 return DomainError(f"negative base {a!r} with fractional exponent")
             try:
                 return math.pow(a, b)

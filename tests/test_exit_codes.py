@@ -239,3 +239,48 @@ def test_an_empty_expression_or_op_flag_is_a_configuration_error(argv, message, 
     # an empty flag is given, not absent: it is parsed, never skipped
     assert main(argv) == 2
     assert f"naryops: configuration error: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ["axioms", "--op", "expr:x1+x2+(0-1)^(exp(1000)-exp(1000))", "--n", "2",
+             "--samples", "5"],
+            "expr:x1+x2+(0-1)^(exp(1000)-exp(1000)) at (2.25, 3.375): "
+            "negative base -1.0 with fractional exponent",
+        ),
+        (
+            ["axioms", "--op", "expr:x1+x2+(0-1)^exp(1000)", "--n", "2", "--samples", "5"],
+            "expr:x1+x2+(0-1)^exp(1000) at (2.25, 3.375): "
+            "negative base -1.0 with fractional exponent",
+        ),
+        (
+            ["build", "--phi", "x+(0-1)^(exp(1000)-exp(1000))", "--samples", "5"],
+            "generator fails at the start point 0.0 of (-inf,+inf): "
+            "negative base -1.0 with fractional exponent",
+        ),
+        (
+            ["build", "--phi", "x+(0-1)^exp(1000)", "--samples", "5"],
+            "generator fails at the start point 0.0 of (-inf,+inf): "
+            "negative base -1.0 with fractional exponent",
+        ),
+        (
+            ["build", "--phi", "ln(x)", "--samples", "5"],
+            "generator fails at the start point 0.0 of (-inf,+inf): ln of non-positive 0.0",
+        ),
+        (
+            ["build", "--phi", "x^0.5", "--samples", "5"],
+            "generator fails at the sample -2.0 of (-inf,+inf): "
+            "negative base -2.0 with fractional exponent",
+        ),
+    ],
+    ids=["axioms-nan-exponent", "axioms-inf-exponent", "build-nan-exponent", "build-inf-exponent", "build-ln-start",
+         "build-sqrt-sample"],
+)
+def test_an_escape_names_where_it_happened(argv, message, capsys):
+    # a negative base under a NaN or infinite exponent is a domain escape
+    # (exit 3), not a failed int() of the exponent; an escape while the
+    # codomain is estimated names the sample and the interval
+    assert main(argv) == 3
+    assert capsys.readouterr().err == f"naryops: numeric failure: {message}\n"

@@ -242,8 +242,20 @@ def _outcome(evaluate):
 @settings(max_examples=400, deadline=None)
 @given(_CASES)
 @example((Neg(Var(1)), [0.0]))  # -0.0
-@example((BinOp("^", Neg(Num(2.0)), Var(1)), [math.inf]))  # int(inf) overflows
-@example((BinOp("^", Var(1), Var(2)), [-1.0, math.nan]))  # int(nan) is invalid
+# a negative base under an infinite or NaN exponent escapes its domain
+@example((BinOp("^", Neg(Num(2.0)), Var(1)), [math.inf]))
+@example((BinOp("^", Var(1), Var(2)), [-1.0, math.nan]))
+@example((BinOp("^", Var(1), Num(3)), [-2.0]))  # an int exponent is integral
+# the edge of each partial function's domain, and the overflows of exp and ^
+@example((Call("ln", Var(1)), [0.0]))
+@example((Call("ln", Var(1)), [-0.0]))
+@example((Call("sqrt", Var(1)), [-5e-324]))
+@example((BinOp("/", Var(1), Neg(Num(0.0))), [1.0]))  # x1/-0.0
+@example((parse("(-0.0)^-1", 1), [1.0]))
+@example((parse("(-2)^0.5", 1), [1.0]))
+@example((parse("exp(710)", 1), [1.0]))  # inf
+@example((parse("(-10)^309", 1), [1.0]))  # -inf
+@example((parse("10^309", 1), [1.0]))  # inf
 @example((BinOp("-", Var(1), Var(1)), [math.inf]))  # nan
 @example((Num(math.nan), [1.0]))  # constants are bound names, never reprs
 @example((BinOp("+", Var(1), Num(math.inf)), [1.0]))
