@@ -35,10 +35,6 @@ __all__ = [
     "random_split_blocks",
 ]
 
-#: stores a field of a record, as in :class:`naryops.core.Record`
-_set = object.__setattr__
-
-
 class Witness(Record):
     """A replayable counterexample: stored inputs reproduce the stored
     residual when re-evaluated on the same operation."""
@@ -52,12 +48,7 @@ class Witness(Record):
         equation_index: int | None = None, permutation: tuple[int, ...] | None = None,
         coordinate: int | None = None,
     ):
-        _set(self, "kind", kind)
-        _set(self, "inputs", inputs)
-        _set(self, "residual", residual)
-        _set(self, "equation_index", equation_index)
-        _set(self, "permutation", permutation)
-        _set(self, "coordinate", coordinate)
+        self._store(kind, inputs, residual, equation_index, permutation, coordinate)
 
     def replay(self, op, helper=None) -> float:
         """Recompute the residual from the stored inputs, bit for bit, by
@@ -116,13 +107,7 @@ class AxiomReport(Record):
     ):
         if samples_used < 1:
             raise ValueError("samples must be >= 1")
-        _set(self, "axiom", axiom)
-        _set(self, "max_residual", max_residual)
-        _set(self, "witness", witness)
-        _set(self, "samples_used", samples_used)
-        _set(self, "seed", seed)
-        _set(self, "tolerance", tolerance)
-        _set(self, "label", label)
+        self._store(axiom, max_residual, witness, samples_used, seed, tolerance, label)
 
     def to_dict(self) -> dict:
         return {

@@ -26,19 +26,13 @@ __all__ = [
 ]
 
 
-#: stores a field of a record past the record's own ``__setattr__``
-_set = object.__setattr__
-
-
 class Record:
     """The base of the package's immutable records. A subclass lists its
     fields in ``__slots__``, those its repr shows (``Name(field=value,
     ...)``) in ``_fields``, and those ``==`` and ``hash`` read in
     ``_compared`` when not the same; ``==`` also asks for the same class,
     so ``Num(1.0) != Var(1)``. Assigning or deleting a field raises
-    AttributeError: a variant is built with the constructor. The records
-    built per sample store each field with ``_set``, the others all at
-    once with :meth:`_store`."""
+    AttributeError: a variant is built with the constructor."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
@@ -47,7 +41,7 @@ class Record:
     def _store(self, *values) -> None:
         """Store the values in the order of ``__slots__``."""
         for name, value in zip(self.__slots__, values):
-            _set(self, name, value)
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r} of {type(self).__name__}")
@@ -56,11 +50,10 @@ class Record:
         raise AttributeError(f"cannot delete field {name!r} of {type(self).__name__}")
 
     def __setstate__(self, state) -> None:
-        """Restore a copied or unpickled record from its state, ``(dict,
-        slots)``: its ``__dict__`` entries, if any, and its slots."""
-        for part in state:
-            for name, value in (part or {}).items():
-                _set(self, name, value)
+        """Restore a copied or unpickled record from its state, ``(None,
+        slots)``, as no record has a ``__dict__``."""
+        for name, value in state[1].items():
+            object.__setattr__(self, name, value)
 
     def _key(self) -> tuple:
         return tuple([getattr(self, name) for name in self._compared or self._fields])
@@ -98,10 +91,7 @@ class Interval(Record):
             raise ValueError("interval needs lo < hi")
         if (math.isinf(lo) and not lo_open) or (math.isinf(hi) and not hi_open):
             raise ValueError("infinite endpoint must be open")
-        _set(self, "lo", lo)
-        _set(self, "hi", hi)
-        _set(self, "lo_open", lo_open)
-        _set(self, "hi_open", hi_open)
+        self._store(lo, hi, lo_open, hi_open)
 
     @classmethod
     def make(
@@ -187,8 +177,8 @@ def lattice(iv: Interval, window: float = 10.0) -> tuple[int, int, float]:
     2**62 steps, so every finite window can be sampled: a window on the
     real line keeps the step 1/8 up to 2**58 (about 2.9e17).
 
-    Raises ValueError when the interval is too thin to sample (degenerate)
-    or the window is not finite.
+    Raises ValueError when the interval inside the window holds no lattice
+    point or the window is not finite.
     """
     lo, hi = iv.clamp_window(window)
     if not (math.isfinite(lo) and math.isfinite(hi)):
@@ -206,7 +196,9 @@ def lattice(iv: Interval, window: float = 10.0) -> tuple[int, int, float]:
     if j_max * h == hi and iv.hi_open and hi == iv.hi:
         j_max -= 1
     if j_min > j_max:
-        raise ValueError(f"interval {iv.render()} too thin to sample")
+        raise ValueError(
+            f"interval {iv.render()} inside window [-{window}, {window}] holds no lattice point"
+        )
     return j_min, j_max, h
 
 
@@ -238,11 +230,7 @@ class NaryOp(Record):
     ):
         if arity < 2:
             raise ValueError("arity must be at least 2")
-        _set(self, "arity", arity)
-        _set(self, "domain", domain)
-        _set(self, "eval", eval)
-        _set(self, "label", label)
-        _set(self, "generator", generator)
+        self._store(arity, domain, eval, label, generator)
 
     def checked(self, *xs: float) -> float:
         """Evaluate and verify the result stayed finite and in the domain.

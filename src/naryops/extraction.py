@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 import random
-from functools import cached_property
 from itertools import islice
 from typing import Sequence
 
@@ -55,9 +54,6 @@ __all__ = [
 ]
 
 
-#: stores a field of a record, as in :class:`naryops.core.Record`
-_set = object.__setattr__
-
 #: candidate base points swept across the scan window
 _SCAN_POINTS = 257
 
@@ -80,12 +76,7 @@ class PhiEstimate(Record):
     def __init__(
         self, x: float, value: float, half_width: float, pinned: bool, levels: int, evaluations: int
     ):
-        _set(self, "x", x)
-        _set(self, "value", value)
-        _set(self, "half_width", half_width)
-        _set(self, "pinned", pinned)
-        _set(self, "levels", levels)
-        _set(self, "evaluations", evaluations)
+        self._store(x, value, half_width, pinned, levels, evaluations)
 
 
 def select_base_point(
@@ -336,18 +327,23 @@ class ExtractedGenerator(Record):
     within its half-width of the true branch value. ``interp_slack`` is an
     engineering estimate of the piecewise-linear interpolation error: the
     largest deviation of an interior knot from the chord of its neighbors.
-    Its repr leaves out ``estimates``.
+    ``x_values`` and ``phi_values``, the two coordinates of the samples,
+    are computed at construction: every check of the table reads them.
+    Its repr leaves out ``estimates`` and the coordinates.
     """
 
     __slots__ = (
         "samples", "c", "direction", "resolution_bound", "realized_resolution", "interp_slack",
-        "estimates", "__dict__",  # the dict holds the cached properties
+        "estimates", "x_values", "phi_values",
     )
     _fields = (
         "samples", "c", "direction", "resolution_bound", "normalization",
         "realized_resolution", "interp_slack",
     )
-    _compared = __slots__[:-1]
+    _compared = (
+        "samples", "c", "direction", "resolution_bound", "realized_resolution", "interp_slack",
+        "estimates",
+    )
 
     def __init__(
         self, samples: tuple[tuple[float, float], ...], c: float, direction: BranchDirection,
@@ -355,7 +351,8 @@ class ExtractedGenerator(Record):
         estimates: tuple[PhiEstimate, ...] = (),
     ):
         self._store(
-            samples, c, direction, resolution_bound, realized_resolution, interp_slack, estimates
+            samples, c, direction, resolution_bound, realized_resolution, interp_slack, estimates,
+            tuple(x for x, _ in samples), tuple(v for _, v in samples),
         )
 
     @property
@@ -363,15 +360,6 @@ class ExtractedGenerator(Record):
         """The value at the base point: 1.0 when c lies below the
         increasing branch, -1.0 otherwise."""
         return 1.0 if self.direction is BranchDirection.C_BELOW else -1.0
-
-    # Unzipped once per instance: ``interpolate`` reads both on every call.
-    @cached_property
-    def x_values(self) -> tuple[float, ...]:
-        return tuple(x for x, _ in self.samples)
-
-    @cached_property
-    def phi_values(self) -> tuple[float, ...]:
-        return tuple(v for _, v in self.samples)
 
     def interpolate(self, t: float) -> float:
         return piecewise_linear(self.x_values, self.phi_values, t)

@@ -369,6 +369,7 @@ def _records():
         (report.witness, "residual"),
         (RationalIndex(1, 0, 1), "p"),
         (gen, "c"),
+        (gen, "x_values"),
         (gen.estimates[0], "value"),
         (adjoin_neutral(op.generator, 2), "arity"),
         (tree, "op"),
@@ -393,6 +394,8 @@ def test_a_report_passes_exactly_when_it_holds_no_witness():
 
 def test_records_are_frozen_and_copy():
     for record, name in _records():
+        for slot in type(record).__slots__:  # a short _store leaves a slot unset
+            getattr(record, slot)
         with pytest.raises(AttributeError):
             setattr(record, name, 0)
         with pytest.raises(AttributeError):
@@ -401,5 +404,10 @@ def test_records_are_frozen_and_copy():
         assert copy.copy(record) == record and copy.deepcopy(record) == record
     witness = Witness("symmetry", ((1.0, 2.0),), 0.5, permutation=(1, 0))
     report = AxiomReport("symmetry", 0.5, witness, 10, 3, 1e-9, "x-y")
-    for record in (Interval(0.0, 1.0, False), report, parse("x1^2-e", 1)):
+    gen = extract_generator(builtin_lookup("sum", 2), (0.0, 1.0), base_point=1.0, resolution=0.25)
+    for record in (Interval(0.0, 1.0, False), report, parse("x1^2-e", 1), gen):
         assert pickle.loads(pickle.dumps(record)) == record
+    assert gen.x_values == (0.0, 1.0) and gen.phi_values == (0.0, 1.0)
+    for twin in (copy.copy(gen), copy.deepcopy(gen), pickle.loads(pickle.dumps(gen))):
+        assert (twin.x_values, twin.phi_values) == (gen.x_values, gen.phi_values)
+    assert "x_values" not in repr(gen) and "phi_values" not in repr(gen)

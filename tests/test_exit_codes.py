@@ -284,3 +284,13 @@ def test_an_escape_names_where_it_happened(argv, message, capsys):
     # codomain is estimated names the sample and the interval
     assert main(argv) == 3
     assert capsys.readouterr().err == f"naryops: numeric failure: {message}\n"
+
+
+def test_a_window_without_a_lattice_point_is_named(capsys):
+    # the interval is wide; the window leaves no lattice point in it
+    argv = ["axioms", "--op", "bounded_product", "--n", "2", "--samples", "5"]
+    assert main([*argv, "--window", "1e-300"]) == 2
+    assert capsys.readouterr().err == (
+        "naryops: configuration error: "
+        "interval (0.0,1.0) inside window [-1e-300, 1e-300] holds no lattice point\n"
+    )
