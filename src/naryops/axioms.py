@@ -48,7 +48,7 @@ class Witness(Record):
         equation_index: int | None = None, permutation: tuple[int, ...] | None = None,
         coordinate: int | None = None,
     ):
-        self._store(kind, inputs, residual, equation_index, permutation, coordinate)
+        super().__init__(kind, inputs, residual, equation_index, permutation, coordinate)
 
     def replay(self, op, helper=None) -> float:
         """Recompute the residual from the stored inputs, bit for bit, by
@@ -107,7 +107,7 @@ class AxiomReport(Record):
     ):
         if samples_used < 1:
             raise ValueError("samples must be >= 1")
-        self._store(axiom, max_residual, witness, samples_used, seed, tolerance, label)
+        super().__init__(axiom, max_residual, witness, samples_used, seed, tolerance, label)
 
     def to_dict(self) -> dict:
         return {

@@ -35,16 +35,12 @@ __all__ = ["RunConfig", "run", "write_report", "load_opspec", "load_generator", 
 
 class RunConfig(Record):
     """Echoes the CLI flags for one invocation; its defaults are the
-    defaults of the flags. Unlike the other records it is mutable and
-    unhashable."""
+    defaults of the flags."""
 
     __slots__ = _fields = (
         "command", "op", "phi", "phi_inv", "codomain", "n", "interval", "grid", "samples",
         "seed", "resolution", "tol", "c", "window", "fmt", "out",
     )
-    __setattr__ = object.__setattr__
-    __delattr__ = object.__delattr__
-    __hash__ = None
 
     def __init__(
         self, command: str, op: str | None = None, phi: str | None = None,
@@ -53,7 +49,7 @@ class RunConfig(Record):
         seed: int = 0, resolution: float = 1.0 / 64.0, tol: float = 1e-9,
         c: float | None = None, window: float = 10.0, fmt: str = "text", out: str = "-",
     ):
-        self._store(
+        super().__init__(
             command, op, phi, phi_inv, codomain, n, interval, grid, samples, seed, resolution,
             tol, c, window, fmt, out,
         )
@@ -457,19 +453,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    """Every parser destination is a RunConfig field of the same name;
-    a flag not given takes the field's default."""
-    return RunConfig(**vars(args))
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    cfg = config_from_args(args)
+    cfg = RunConfig(**vars(args))  # each parser destination is a field of the same name
     try:
         code, _ = run(cfg)
         return code

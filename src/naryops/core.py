@@ -2,7 +2,8 @@
 of built-in operations.
 
 Everything here is immutable after construction and evaluation is pure,
-so values can be shared freely across workers.
+so values can be shared between threads. Registry and expression
+operations do not pickle: ``eval`` is a lambda or a generated function.
 """
 
 from __future__ import annotations
@@ -31,15 +32,19 @@ class Record:
     fields in ``__slots__``, those its repr shows (``Name(field=value,
     ...)``) in ``_fields``, and those ``==`` and ``hash`` read in
     ``_compared`` when not the same; ``==`` also asks for the same class,
-    so ``Num(1.0) != Var(1)``. Assigning or deleting a field raises
-    AttributeError: a variant is built with the constructor."""
+    so ``Num(1.0) != Var(1)``. The one constructor takes a value per slot,
+    in slot order; a record that validates or derives fields calls it
+    from its own. Assigning or deleting a field raises AttributeError: a
+    variant is built with the constructor."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
     _compared: tuple[str, ...] = ()
 
-    def _store(self, *values) -> None:
-        """Store the values in the order of ``__slots__``."""
+    def __init__(self, *values) -> None:
+        """Store one value per slot, in the order of ``__slots__``."""
+        if len(values) != len(self.__slots__):
+            raise TypeError(f"{type(self).__name__} takes one value per slot of {self.__slots__}")
         for name, value in zip(self.__slots__, values):
             object.__setattr__(self, name, value)
 
@@ -91,7 +96,7 @@ class Interval(Record):
             raise ValueError("interval needs lo < hi")
         if (math.isinf(lo) and not lo_open) or (math.isinf(hi) and not hi_open):
             raise ValueError("infinite endpoint must be open")
-        self._store(lo, hi, lo_open, hi_open)
+        super().__init__(lo, hi, lo_open, hi_open)
 
     @classmethod
     def make(
@@ -230,7 +235,7 @@ class NaryOp(Record):
     ):
         if arity < 2:
             raise ValueError("arity must be at least 2")
-        self._store(arity, domain, eval, label, generator)
+        super().__init__(arity, domain, eval, label, generator)
 
     def checked(self, *xs: float) -> float:
         """Evaluate and verify the result stayed finite and in the domain.

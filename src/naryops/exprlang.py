@@ -56,43 +56,25 @@ CONSTANTS = {"pi": math.pi, "e": math.e}
 class Num(Record):
     __slots__ = _fields = ("value",)
 
-    def __init__(self, value: float):
-        self._store(value)
-
 
 class Var(Record):
-    __slots__ = _fields = ("index",)
-
-    def __init__(self, index: int):  # 1-based
-        self._store(index)
+    __slots__ = _fields = ("index",)  # 1-based
 
 
 class Const(Record):
     __slots__ = _fields = ("name",)
 
-    def __init__(self, name: str):
-        self._store(name)
-
 
 class Neg(Record):
     __slots__ = _fields = ("arg",)
-
-    def __init__(self, arg: "Expr"):
-        self._store(arg)
 
 
 class Call(Record):
     __slots__ = _fields = ("fn", "arg")
 
-    def __init__(self, fn: str, arg: "Expr"):
-        self._store(fn, arg)
-
 
 class BinOp(Record):
     __slots__ = _fields = ("op", "left", "right")
-
-    def __init__(self, op: str, left: "Expr", right: "Expr"):
-        self._store(op, left, right)
 
 
 Expr = Union[Num, Var, Const, Neg, Call, BinOp]

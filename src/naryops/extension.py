@@ -83,7 +83,7 @@ class RationalIndex(Record):
     def __init__(self, p: int, q: int, k: int):
         if p < 1 or k < 1 or q < 0:
             raise ValueError(f"index ({p}, {q}, {k}) out of range")
-        self._store(p, q, k)
+        super().__init__(p, q, k)
 
     @property
     def value(self) -> float:

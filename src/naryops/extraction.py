@@ -73,11 +73,6 @@ class PhiEstimate(Record):
 
     __slots__ = _fields = ("x", "value", "half_width", "pinned", "levels", "evaluations")
 
-    def __init__(
-        self, x: float, value: float, half_width: float, pinned: bool, levels: int, evaluations: int
-    ):
-        self._store(x, value, half_width, pinned, levels, evaluations)
-
 
 def select_base_point(
     f: NaryOp, base_point: float | None = None, window: float = 10.0
@@ -350,7 +345,7 @@ class ExtractedGenerator(Record):
         resolution_bound: float, realized_resolution: float, interp_slack: float,
         estimates: tuple[PhiEstimate, ...] = (),
     ):
-        self._store(
+        super().__init__(
             samples, c, direction, resolution_bound, realized_resolution, interp_slack, estimates,
             tuple(x for x, _ in samples), tuple(v for _, v in samples),
         )

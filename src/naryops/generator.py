@@ -457,7 +457,7 @@ class GeneratorSpec(Record):
         if kind not in ("closed_form", "tabulated"):
             raise ValueError(f"unknown generator kind {kind!r}")
         numeric = phi_inverse is None  # inverted by root-finding
-        self._store(
+        super().__init__(
             phi, domain, codomain, phi_inverse, kind, label,
             _Ladder(domain) if numeric else None, {} if numeric else None,
         )

@@ -82,9 +82,6 @@ class AdjoinedStructure(Record):
 
     __slots__ = _fields = ("neutral", "generator", "arity")
 
-    def __init__(self, neutral: Point, generator: GeneratorSpec, arity: int):
-        self._store(neutral, generator, arity)
-
     @property
     def neutral_is_adjoined(self) -> bool:
         return isinstance(self.neutral, AdjoinedNeutral)
@@ -131,7 +128,7 @@ def adjoin_neutral(spec: GeneratorSpec, n: int) -> AdjoinedStructure:
         neutral: Point = spec.inverse(0.0)
     else:
         neutral = ADJOINED_NEUTRAL
-    return AdjoinedStructure(neutral=neutral, generator=spec, arity=n)
+    return AdjoinedStructure(neutral, spec, n)
 
 
 #: points at which verify_neutrality probes the neutral element

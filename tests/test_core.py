@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from naryops.axioms import AxiomReport, Witness, check_symmetry
+from naryops.cli import RunConfig
 from naryops.core import (
     Interval,
     NaryOp,
+    Record,
     builtin_lookup,
     interval_contains,
     lattice,
@@ -378,6 +380,7 @@ def _records():
         (tree.right.left, "value"),
         (tree.right.right, "index"),
         (parse("pi", 1), "name"),
+        (RunConfig("axioms", op="sum"), "samples"),
     ]
 
 
@@ -392,9 +395,23 @@ def test_a_report_passes_exactly_when_it_holds_no_witness():
         AxiomReport("symmetry", 0.0, None, 10, 3, 1e-9, passed=True)
 
 
+def test_plain_records_take_exactly_one_value_per_slot():
+    plain = [r for r, _ in _records() if type(r).__init__ is Record.__init__]
+    assert {type(r).__name__ for r in plain} == {
+        "Num", "Var", "Const", "Neg", "Call", "BinOp", "PhiEstimate", "AdjoinedStructure",
+    }
+    for record in plain:
+        cls = type(record)
+        values = [getattr(record, slot) for slot in cls.__slots__]
+        assert cls(*values) == record
+        for wrong in (values[:-1], [*values, 0]):
+            with pytest.raises(TypeError, match=cls.__name__):
+                cls(*wrong)
+
+
 def test_records_are_frozen_and_copy():
     for record, name in _records():
-        for slot in type(record).__slots__:  # a short _store leaves a slot unset
+        for slot in type(record).__slots__:  # Record.__init__ sets every slot
             getattr(record, slot)
         with pytest.raises(AttributeError):
             setattr(record, name, 0)
