@@ -31,6 +31,7 @@ __all__ = [
     "check_cancellativity",
     "find_idempotents",
     "falsify",
+    "falsifier",
     "random_nested_decomposition",
     "random_split_blocks",
 ]
@@ -201,9 +202,8 @@ def random_split_blocks(rng: random.Random, n: int) -> tuple[int, ...]:
     return tuple([1 + step * _below(getrandbits, _SPLIT_STEPS + 1) for _ in range(n)])
 
 
-def falsify(
+def falsifier(
     kind: str,
-    trials,
     tol: float,
     *,
     slack: float | None = None,
@@ -211,11 +211,15 @@ def falsify(
     samples: int = 1,
     seed: int = 0,
     label: str = "",
-) -> AxiomReport:
-    """The one sample-and-falsify loop.
+) -> Callable:
+    """The one sample-and-falsify rule, in push form: returns ``push``,
+    and ``push(trials)`` takes the trials of an iterable, in as many
+    batches as come, until ``push(None)`` returns the AxiomReport of all
+    of them. :func:`falsify` is its pull form. A trial that raises ends
+    the check: the error leaves ``push`` and the check takes no more.
 
-    ``trials`` yields ``(lhs, rhs, fields)``: the two sides of an identity
-    on one sample, evaluated through :meth:`NaryOp.checked`, and the
+    A trial ``(lhs, rhs, fields)`` holds the two sides of an identity on
+    one sample, evaluated through :meth:`NaryOp.checked`, and the
     :class:`Witness` fields (inputs and the like) that replay it. A trial
     fails unless its residual ``|lhs - rhs|`` is at most the threshold
     ``slack + tol + tol*|lhs| + tol*|rhs|``, summed term by term so that
@@ -224,22 +228,33 @@ def falsify(
     failing trial with the largest margin (residual minus threshold), the
     first one on a tie.
     The report's tolerance is ``slack`` when given and ``tol`` otherwise.
-    A loop of no trial reports 0 samples, which AxiomReport rejects.
+    A check of no trial reports 0 samples, which AxiomReport rejects.
     """
+    loop = _falsify_loop(kind, tol, slack, axiom, samples, seed, label)
+    next(loop)
+    return loop.send
+
+
+def _falsify_loop(kind, tol, slack, axiom, samples, seed, label):
+    """The generator behind :func:`falsifier`: it keeps the check's state
+    in its own frame between batches."""
     base = 0.0 if slack is None else slack
     max_residual = 0.0
     witness = None
     worst = -math.inf
     ran = 0
-    for ran, (lhs, rhs, fields) in enumerate(trials, 1):
-        residual = abs(lhs - rhs)
-        if residual > max_residual:
-            max_residual = residual
-        threshold = base + tol + tol * abs(lhs) + tol * abs(rhs)
-        if not residual <= threshold and (witness is None or residual - threshold > worst):
-            worst = residual - threshold
-            witness = Witness(kind=kind, residual=residual, **fields)
-    return AxiomReport(
+    trials = yield
+    while trials is not None:
+        for ran, (lhs, rhs, fields) in enumerate(trials, ran + 1):
+            residual = abs(lhs - rhs)
+            if residual > max_residual:
+                max_residual = residual
+            threshold = base + tol + tol * abs(lhs) + tol * abs(rhs)
+            if not residual <= threshold and (witness is None or residual - threshold > worst):
+                worst = residual - threshold
+                witness = Witness(kind=kind, residual=residual, **fields)
+        trials = yield
+    yield AxiomReport(
         axiom=axiom,
         max_residual=max_residual,
         witness=witness,
@@ -248,6 +263,15 @@ def falsify(
         tolerance=tol if slack is None else slack,
         label=label,
     )
+
+
+def falsify(kind: str, trials, tol: float, **report) -> AxiomReport:
+    """The pull form of :func:`falsifier`: the report of one check over
+    the trials of an iterable. ``report`` takes falsifier's keywords:
+    ``slack``, ``axiom``, ``samples``, ``seed`` and ``label``."""
+    push = falsifier(kind, tol, **report)
+    push(trials)
+    return push(None)
 
 
 def associativity_trials(f: NaryOp, inputs):

@@ -31,7 +31,7 @@ from __future__ import annotations
 import functools
 import math
 import re
-from typing import Callable, Union
+from typing import Callable
 
 from .core import Record
 from .errors import DomainEscapeError
@@ -77,7 +77,7 @@ class BinOp(Record):
     __slots__ = _fields = ("op", "left", "right")
 
 
-Expr = Union[Num, Var, Const, Neg, Call, BinOp]
+Expr = Num | Var | Const | Neg | Call | BinOp
 
 
 class ParseError(ValueError):

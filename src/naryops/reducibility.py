@@ -11,7 +11,7 @@ is zero.
 from __future__ import annotations
 
 import random
-from typing import Sequence, Union
+from typing import Sequence
 
 from .axioms import AxiomReport, falsify, lattice_sampler, neutrality_trials, reduction_trials
 from .core import NaryOp, Record, interval_contains, window_point
@@ -40,7 +40,7 @@ class AdjoinedNeutral:
 
 ADJOINED_NEUTRAL = AdjoinedNeutral()
 
-Point = Union[float, AdjoinedNeutral]
+Point = float | AdjoinedNeutral
 
 
 def derive_binary(spec: GeneratorSpec) -> NaryOp:

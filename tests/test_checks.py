@@ -273,13 +273,15 @@ def test_witness_replays_from_the_report(kind):
 
 
 def _witness_kinds():
-    """The kind literals that src/ passes to falsify or Witness."""
+    """The kind literals that src/ passes to falsify, its push form
+    falsifier, or Witness."""
     kinds = set()
     for path in SRC.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if not isinstance(node, ast.Call):
                 continue
-            if getattr(node.func, "id", getattr(node.func, "attr", None)) in ("falsify", "Witness"):
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            if name in ("falsify", "falsifier", "Witness"):
                 args = node.args[:1] + [k.value for k in node.keywords if k.arg == "kind"]
                 kinds |= {a.value for a in args if isinstance(a, ast.Constant)}
     return kinds

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -256,6 +257,46 @@ def test_extend_command():
          "--samples", "50", "--seed", "4"]
     )
     assert code == 1
+
+
+def _extend_peak(samples: int) -> int:
+    """The tracemalloc peak, in bytes, of one in-process extend run."""
+    tracemalloc.start()
+    try:
+        assert main(["extend", "--op", "sum", "--n", "20", "--samples", str(samples)]) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_extend_memory_is_flat_in_the_sample_count(capsys):
+    # each sample is checked as it is drawn and then dropped; holding
+    # every sample made the peak grow tenfold from 50 to 500 samples
+    _extend_peak(50)  # the parser and the first report's imports
+    assert _extend_peak(500) <= 1.25 * _extend_peak(50)
+
+
+#: x1 + x2 until x1 passes 15, where sqrt escapes its domain; at 30
+#: samples, seed 12 escapes in the nested identity only, seed 16 in the
+#: split identity only, and seed 8 in both, the split one at an earlier
+#: sample (4) than the nested one (9)
+SQRT_TAIL = "expr:x1+x2+sqrt(15-x1)-sqrt(15-x1)"
+
+
+@pytest.mark.parametrize(
+    "seed, at",
+    [(12, "(15.625, 1.25): sqrt of negative -0.625"),
+     (16, "(15.875, -8.625): sqrt of negative -0.875"),
+     (8, "(15.25, 3.0): sqrt of negative -0.25")],
+    ids=["nested_only", "split_only", "both_nested_wins"],
+)
+def test_extend_reports_the_nested_escape_before_the_split_one(seed, at, capsys):
+    # the messages of a run that checked every sample's nested identity
+    # before any split identity
+    argv = ["extend", "--op", SQRT_TAIL, "--n", "2", "--samples", "30", "--seed", str(seed)]
+    assert main(argv) == 3
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"naryops: numeric failure: {SQRT_TAIL} at {at}\n")
 
 
 @pytest.mark.parametrize("command", ["build", "reduce"])
@@ -553,3 +594,29 @@ def test_cold_import_of_the_cli_loads_no_heavy_module():
         [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == ""
+
+
+def test_a_reimport_frees_the_previous_package():
+    # a typing.Union at import time enters typing's module-wide cache,
+    # which would keep every earlier generation of the package alive
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = """
+import gc, sys, weakref
+import naryops.cli
+from naryops import core, exprlang, extension, generator, reducibility
+classes = (core.Record, exprlang.Num, generator.GeneratorSpec,
+           extension.BranchDirection, reducibility.AdjoinedNeutral)
+refs = [weakref.ref(c) for c in classes]
+del core, exprlang, extension, generator, reducibility, classes
+for name in [m for m in sys.modules if m.split(".")[0] == "naryops"]:
+    del sys.modules[name]
+import naryops.cli
+from naryops.exprlang import Expr, Num
+gc.collect()
+print(*[r() is None for r in refs], isinstance(Num(1.0), Expr))
+"""
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.split() == ["True"] * 6
