@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 import random
 from functools import partial
+from operator import itemgetter, sub
 from typing import Callable, Sequence
 
 from .core import Interval, NaryOp, Record, lattice
@@ -131,7 +132,8 @@ def _below(getrandbits: Callable[[int], int], n: int) -> int:
     """A uniform int in [0, n): ``n.bit_length()`` random bits, drawn again
     while they reach n. This is CPython's ``_randbelow_with_getrandbits``,
     under ``randint`` and ``sample``, so a seed gives the same numbers
-    either way; every seeded integer draw of the sampled checks takes it."""
+    either way. The seeded integer draws of the sampled checks take it or,
+    in the lattice and section loops, repeat its rejection inline."""
     k = n.bit_length()
     r = getrandbits(k)
     while r >= n:
@@ -146,8 +148,8 @@ def lattice_sampler(
     ``draw(m)`` gives a tuple of m of them.
 
     A point is ``rng.randint(j_min, j_max) * h`` without randint's
-    argument handling: one try of ``span.bit_length()`` random bits, and
-    :func:`_below` after a rejection."""
+    argument handling: ``span.bit_length()`` random bits, drawn again
+    while they reach span, the stream of :func:`_below`, inline."""
     j_min, j_max, h = lattice(iv, window)
     span = j_max - j_min + 1
     k = span.bit_length()
@@ -157,8 +159,8 @@ def lattice_sampler(
         points = []
         for _ in range(m):
             r = getrandbits(k)
-            if r >= span:
-                r = _below(getrandbits, span)
+            while r >= span:
+                r = getrandbits(k)
             points.append((j_min + r) * h)
         return tuple(points)
 
@@ -309,11 +311,11 @@ def symmetry_trials(f: NaryOp, inputs):
     are one permutation at n = 2."""
     n, checked = f.arity, f.checked
     swap, cycle = (1, 0, *range(2, n)), (*range(1, n), 0)
-    generators = (swap,) if n == 2 else (swap, cycle)
+    generators = [(perm, itemgetter(*perm)) for perm in ((swap,) if n == 2 else (swap, cycle))]
     for (xs,) in inputs:
         base = checked(*xs)
-        for perm in generators:
-            yield base, checked(*[xs[j] for j in perm]), {"inputs": (xs,), "permutation": perm}
+        for perm, permute in generators:
+            yield base, checked(*permute(xs)), {"inputs": (xs,), "permutation": perm}
 
 
 def check_symmetry(
@@ -353,9 +355,9 @@ _POOL_LIMIT = 85
 
 def _section_offsets(getrandbits: Callable[[int], int], size: int) -> list[int]:
     """The sorted ``random.Random.sample(range(size), _POINTS_PER_LINE)``
-    of the same stream, drawn with :func:`_below`: up to _POOL_LIMIT
-    points each pick is swapped out of a pool, beyond it a repeat is
-    drawn again, as sample does."""
+    of the same stream, drawn as :func:`_below` draws: up to _POOL_LIMIT
+    points each pick is swapped out of a pool, beyond it a repeat or a
+    draw past size is drawn again, as sample does."""
     if size <= _POOL_LIMIT:
         pool = list(range(size))
         picks = []
@@ -365,8 +367,11 @@ def _section_offsets(getrandbits: Callable[[int], int], size: int) -> list[int]:
             pool[j] = pool[left - 1]
         return sorted(picks)
     chosen: set[int] = set()
+    k = size.bit_length()
     while len(chosen) < _POINTS_PER_LINE:
-        chosen.add(_below(getrandbits, size))
+        r = getrandbits(k)
+        if r < size:
+            chosen.add(r)
     return sorted(chosen)
 
 
@@ -402,26 +407,28 @@ def check_cancellativity(
                 js = [j_min + t for t in _section_offsets(getrandbits, size)]
             else:
                 js = range(j_min, j_max + 1)
-            tuples = [frozen[:coord] + (j * h,) + frozen[coord:] for j in js]
-            values = [checked(*t) for t in tuples]
+            head, tail = frozen[:coord], frozen[coord:]
+            values = [checked(*head, j * h, *tail) for j in js]
             sections += 1
-            thr = _STRICT_TOL * (1.0 + max(abs(v) for v in values))
+            if witness is not None:
+                continue  # the first witness is the one reported
+            thr = _STRICT_TOL * (1.0 + max(map(abs, values)))
+            steps = list(map(sub, values[1:], values))
+            if min(steps) > thr or max(steps) < -thr:
+                continue  # strictly monotone
             # each step up (1), down (-1) or flat within thr (0)
-            signs = [(b - a > thr) - (b - a < -thr) for a, b in zip(values, values[1:])]
-            bad = None
+            signs = [(d > thr) - (d < -thr) for d in steps]
             if 0 in signs:
                 bad = signs.index(0)
-            elif len(set(signs)) > 1:
-                bad = next(t for t, s in enumerate(signs) if s != signs[0])
-            if bad is not None and witness is None:
-                d = values[bad + 1] - values[bad]
-                max_residual = max(max_residual, abs(d))
-                witness = Witness(
-                    kind="cancellativity",
-                    inputs=(tuples[bad], tuples[bad + 1]),
-                    residual=d,
-                    coordinate=coord,
-                )
+            else:  # both directions: the first step against the first
+                bad = signs.index(-signs[0])
+            max_residual = abs(steps[bad])
+            witness = Witness(
+                kind="cancellativity",
+                inputs=((*head, js[bad] * h, *tail), (*head, js[bad + 1] * h, *tail)),
+                residual=steps[bad],
+                coordinate=coord,
+            )
     return AxiomReport(
         axiom="cancellativity",
         max_residual=max_residual,

@@ -156,12 +156,11 @@ def _render_endpoint(v: float) -> str:
 
 
 def interval_contains(iv: Interval, x: float) -> bool:
-    """True iff x lies in iv, respecting open and closed endpoints."""
-    if x != x:  # NaN lies in no interval
-        return False
-    if (x <= iv.lo) if iv.lo_open else (x < iv.lo):
-        return False
-    return (x < iv.hi) if iv.hi_open else (x <= iv.hi)
+    """True iff x lies in iv, respecting open and closed endpoints: one
+    chained comparison, which a NaN fails."""
+    if iv.lo_open:
+        return iv.lo < x < iv.hi if iv.hi_open else iv.lo < x <= iv.hi
+    return iv.lo <= x < iv.hi if iv.hi_open else iv.lo <= x <= iv.hi
 
 
 #: the widest spacing of the sampling lattice
@@ -182,8 +181,8 @@ def lattice(iv: Interval, window: float = 10.0) -> tuple[int, int, float]:
     2**62 steps, so every finite window can be sampled: a window on the
     real line keeps the step 1/8 up to 2**58 (about 2.9e17).
 
-    Raises ValueError when the interval inside the window holds no lattice
-    point or the window is not finite.
+    Raises ValueError when the interval inside the window holds fewer than
+    two lattice points or the window is not finite.
     """
     lo, hi = iv.clamp_window(window)
     if not (math.isfinite(lo) and math.isfinite(hi)):
@@ -200,10 +199,12 @@ def lattice(iv: Interval, window: float = 10.0) -> tuple[int, int, float]:
     j_max = math.floor(hi / h)
     if j_max * h == hi and iv.hi_open and hi == iv.hi:
         j_max -= 1
+    where = f"interval {iv.render()} inside window [-{window}, {window}]"
     if j_min > j_max:
-        raise ValueError(
-            f"interval {iv.render()} inside window [-{window}, {window}] holds no lattice point"
-        )
+        raise ValueError(f"{where} holds no lattice point")
+    # every tuple drawn from one point is constant, so no check could fail
+    if j_min == j_max:
+        raise ValueError(f"{where} holds one lattice point, {j_min * h!r}")
     return j_min, j_max, h
 
 

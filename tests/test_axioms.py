@@ -3,9 +3,11 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from naryops import axioms
 from naryops.axioms import (
+    AxiomReport,
     Witness,
     check_associativity,
     check_cancellativity,
@@ -18,6 +20,7 @@ from naryops.axioms import (
 )
 from naryops.cli import load_opspec
 from naryops.core import Interval, NaryOp, builtin_lookup, lattice
+from naryops.errors import DomainEscapeError
 
 SQUARE_TAIL = NaryOp(3, Interval.real_line(), lambda x, y, z: x + y + z * z, "x+y+z^2")
 PRODUCT_LINE = NaryOp(2, Interval.real_line(), lambda x, y: x * y, "x*y")
@@ -173,6 +176,20 @@ def test_symmetry_evaluates_each_sample_under_at_most_two_generators(n):
     assert calls == 50 * (1 + (1 if n == 2 else 2))
 
 
+def test_replay_names_an_unknown_kind_and_a_witness_no_trial_matches():
+    w = Witness(kind="commutativity", inputs=((1.0, 2.0),), residual=1.0)
+    with pytest.raises(ValueError, match="^unknown witness kind 'commutativity'$"):
+        w.replay(PRODUCT_LINE)
+    # arity 3 has equation indices 1 and 2, and the two generators of S_3
+    xs = (0.0, 0.0, 2.0, 0.0, 0.0)
+    w = Witness(kind="associativity", inputs=(xs,), residual=2.0, equation_index=3)
+    with pytest.raises(ValueError, match=r"^no associativity trial at \(\(0\.0, 0\.0, 2\.0, "):
+        w.replay(SQUARE_TAIL)
+    w = Witness(kind="symmetry", inputs=((1.0, 2.0, 3.0),), residual=2.0, permutation=(2, 1, 0))
+    with pytest.raises(ValueError, match="^no symmetry trial at .* matches the witness$"):
+        w.replay(builtin_lookup("alternating", 3))
+
+
 def test_alternating_swap_oracle():
     # f(1,2,3) = 2 and f(2,1,3) = 4 under the first-two swap
     alt = builtin_lookup("alternating", 3)
@@ -193,6 +210,114 @@ def test_cancellativity_pass_and_annihilator():
     assert not rep.passed
     a, b = rep.witness.inputs
     assert PRODUCT_LINE.eval(*a) == PRODUCT_LINE.eval(*b)
+
+
+def _reference_check_cancellativity(f, lines=100, seed=0, window=10.0):
+    """check_cancellativity as a plain per-section loop: a tuple per
+    section point, the signs of every section, a witness test after it."""
+    n = f.arity
+    rng = random.Random(seed)
+    j_min, j_max, h = lattice(f.domain, window)
+    size = j_max - j_min + 1
+    draw = lattice_sampler(f.domain, window, rng)
+    getrandbits = rng.getrandbits
+    anchor_j = min(max(0, j_min), j_max)
+    checked = f.checked
+    max_residual = 0.0
+    witness = None
+    sections = 0
+    for coord in range(n):
+        for line in range(lines):
+            frozen = (anchor_j * h,) * (n - 1) if line == 0 else draw(n - 1)
+            if size > axioms._POINTS_PER_LINE:
+                js = [j_min + t for t in axioms._section_offsets(getrandbits, size)]
+            else:
+                js = range(j_min, j_max + 1)
+            tuples = [frozen[:coord] + (j * h,) + frozen[coord:] for j in js]
+            values = [checked(*t) for t in tuples]
+            sections += 1
+            thr = axioms._STRICT_TOL * (1.0 + max(abs(v) for v in values))
+            # each step up (1), down (-1) or flat within thr (0)
+            signs = [(b - a > thr) - (b - a < -thr) for a, b in zip(values, values[1:])]
+            bad = None
+            if 0 in signs:
+                bad = signs.index(0)
+            elif len(set(signs)) > 1:
+                bad = next(t for t, s in enumerate(signs) if s != signs[0])
+            if bad is not None and witness is None:
+                d = values[bad + 1] - values[bad]
+                max_residual = max(max_residual, abs(d))
+                witness = Witness(
+                    kind="cancellativity",
+                    inputs=(tuples[bad], tuples[bad + 1]),
+                    residual=d,
+                    coordinate=coord,
+                )
+    return AxiomReport(
+        axiom="cancellativity",
+        max_residual=max_residual,
+        witness=witness,
+        samples_used=sections,
+        seed=seed,
+        tolerance=axioms._STRICT_TOL,
+        label=f.label,
+    )
+
+
+def _outcome(check, *args):
+    """The report and its repr, or the type and message of the error."""
+    try:
+        report = check(*args)
+    except (ValueError, DomainEscapeError) as exc:
+        return type(exc), str(exc)
+    return report, repr(report)
+
+
+#: sources of cancellativity fixtures at arity n (alternating at the odd
+#: arity n | 1): builtins, expr: ops, sections with flat steps (floor) and
+#: sections that turn (abs, square, kink)
+_CANCELLATIVITY_SOURCES = {
+    "sum": lambda n: builtin_lookup("sum", n),
+    "translated_sum": lambda n: builtin_lookup("translated_sum", n),
+    "product": lambda n: builtin_lookup("product", n),
+    "bounded_product": lambda n: builtin_lookup("bounded_product", n),
+    "alternating": lambda n: builtin_lookup("alternating", n | 1),
+    "expr_weighted": lambda n: load_opspec("expr:2*x1+" + "+".join(f"x{i}" for i in range(2, n + 1)), n),
+    "expr_product": lambda n: load_opspec("expr:" + "*".join(f"x{i}" for i in range(1, n + 1)), n),
+    "expr_abs": lambda n: load_opspec("expr:abs(x1)+" + "+".join(f"x{i}" for i in range(2, n + 1)), n),
+    "floor": lambda n: NaryOp(
+        n, Interval.real_line(), lambda *xs: math.floor(4.0 * xs[0]) + math.fsum(xs[1:]), "floor"
+    ),
+    "square": lambda n: NaryOp(n, Interval.real_line(), lambda *xs: math.fsum(x * x for x in xs), "sq"),
+    # turns between 3h and 4h, h = 2^-40: at a window of 4e-12 only the
+    # last step of the whole-lattice section goes up
+    "kink": lambda n: NaryOp(
+        n, Interval.real_line(), lambda *xs: 1e15 * math.fsum(abs(x - 3.1e-12) for x in xs), "kink"
+    ),
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    source=st.sampled_from(sorted(_CANCELLATIVITY_SOURCES)),
+    n=st.integers(2, 5),
+    seed=st.integers(0, 2**32),
+    lines=st.integers(1, 12),
+    window=st.floats(-12.0, 6.0).map(lambda e: 10.0**e),
+)
+# windows of 3, 5, 9 and one lattice point: each section is the whole
+# lattice, and a one-point lattice raises
+@example(source="sum", n=2, seed=0, lines=3, window=1e-12)
+@example(source="square", n=3, seed=1, lines=3, window=2e-12)
+@example(source="floor", n=4, seed=2, lines=2, window=4e-12)
+@example(source="kink", n=2, seed=5, lines=2, window=4e-12)
+@example(source="alternating", n=3, seed=3, lines=2, window=1e-13)
+@example(source="expr_product", n=2, seed=4, lines=5, window=10.0)
+def test_cancellativity_matches_the_per_section_loop(source, n, seed, lines, window):
+    f = _CANCELLATIVITY_SOURCES[source](n)
+    assert _outcome(check_cancellativity, f, lines, seed, window) == _outcome(
+        _reference_check_cancellativity, f, lines, seed, window
+    )
 
 
 def test_reports_deterministic():

@@ -89,6 +89,28 @@ def test_interval_contains_open_and_closed_ends():
     assert interval_contains(Interval.parse("[0,1)"), 0.0)
 
 
+def _three_test_contains(iv, x):
+    """interval_contains as a NaN test and one test per end."""
+    if x != x:
+        return False
+    if (x <= iv.lo) if iv.lo_open else (x < iv.lo):
+        return False
+    return (x < iv.hi) if iv.hi_open else (x <= iv.hi)
+
+
+@pytest.mark.parametrize(
+    "text", ["(0,1)", "[0,1]", "(0,1]", "[0,1)", "(-inf,inf)", "(-inf,0]", "[0,inf)", "(-1,-0.0)",
+             "[-0.0,0.5)", "(-inf,-2]", "[5e-324,1.7e308]"],
+)
+def test_interval_contains_is_the_three_test_form(text):
+    iv = Interval.parse(text)
+    ends = [iv.lo, iv.hi]
+    near = [math.nextafter(v, d) for v in ends for d in (-math.inf, math.inf)]
+    points = [0.0, -0.0, 0.5, -0.5, math.inf, -math.inf, math.nan, 5e-324, -5e-324, *ends, *near]
+    for x in points:
+        assert interval_contains(iv, x) is _three_test_contains(iv, x), (text, x)
+
+
 def test_interval_parse_rejects_garbage():
     for bad in ("", "0,1", "(0;1)", "(1,0)", "(a,b)", "(0,1", "{0,1}"):
         with pytest.raises(ValueError):

@@ -294,3 +294,15 @@ def test_a_window_without_a_lattice_point_is_named(capsys):
         "naryops: configuration error: "
         "interval (0.0,1.0) inside window [-1e-300, 1e-300] holds no lattice point\n"
     )
+
+
+def test_a_window_of_one_lattice_point_is_named(capsys):
+    # every sampled tuple of a one-point lattice is constant, so every
+    # check passed on it; three points already fail alternating's symmetry
+    argv = ["axioms", "--op", "alternating", "--n", "3", "--samples", "50"]
+    assert main([*argv, "--window", "1e-13"]) == 2
+    assert capsys.readouterr().err == (
+        "naryops: configuration error: "
+        "interval (-inf,+inf) inside window [-1e-13, 1e-13] holds one lattice point, 0.0\n"
+    )
+    assert main([*argv, "--window", "1e-12"]) == 1

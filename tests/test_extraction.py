@@ -6,6 +6,7 @@ import random
 import re
 import time
 from collections import Counter
+from fractions import Fraction
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -944,3 +945,21 @@ def test_draw_cap_matches_the_reference():
         "BracketNotFoundError",
         "could not sample 100 tuples inside the tabulated window [2.0, 1000000.0] in 50000 draws",
     ))
+
+
+def test_lowest_level_is_exact_at_the_boundary_resolutions():
+    # at the resolutions (n-1) n^-k the float estimate of the level is one
+    # too high at 30 of them and one too low at 14; the exact comparisons
+    # move it to the definition, computed here with fractions
+    off = Counter()
+    for n in range(2, 6):
+        for k in range(30):
+            resolution = (n - 1) * n**-k
+            level = extraction._lowest_level(n, resolution)
+            step = (n - 1) * Fraction(n) ** level
+            assert step <= Fraction(resolution) < n * step, (n, k)
+            estimate = math.floor((math.log(resolution) - math.log(n - 1)) / math.log(n))
+            off[estimate - level] += 1
+    assert off == {0: 76, 1: 30, -1: 14}
+    assert extraction._lowest_level(3, 2 / 3) == -2
+    assert extraction._lowest_level(2, 2.0**-29) == -29

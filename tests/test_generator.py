@@ -183,6 +183,29 @@ def test_itp_projection_radius_past_the_float_range():
     assert invert_monotone(lambda x: x, 1.0, bracket, 0.0) == 1.0
 
 
+def test_itp_names_a_refinement_value_outside_its_bracket():
+    # phi keeps the bracket's end values at its ends and leaves them inside
+    phi = lambda x: 10.0 if 0.25 < x < 0.75 else x  # noqa: E731
+    with pytest.raises(
+        InversionError,
+        match=r"^sign pattern violates monotonicity near x=0\.5: phi\(x\)=10\.0 outside \[0\.0, 1\.0\]$",
+    ):
+        generator._itp(phi, 0.5, 0.0, 0.0, 1.0, 1.0, 1e-9)
+
+
+def test_spec_memo_starts_over_at_its_size(monkeypatch):
+    # a memo of three roots clears on the fourth new one; every answer, from
+    # the memo or after a reset, is the one-shot inverse
+    monkeypatch.setattr(generator, "_MEMO_SIZE", 3)
+    phi = lambda x: x**3 + x  # noqa: E731
+    spec = GeneratorSpec(phi=phi)
+    sizes = []
+    for y in (0.0, 1.0, 2.0, 1.0, 3.0, 4.0, 0.0, -0.0, 5.0, 2.0, 6.0, 7.0, 8.0, 9.0, 1.0):
+        assert repr(spec.inverse(y)) == repr(invert_monotone(phi, y, Interval.real_line())), y
+        sizes.append(len(spec._roots))
+    assert sizes == [1, 2, 3, 3, 1, 2, 3, 1, 2, 3, 1, 2, 3, 1, 2]
+
+
 #: closed-form generators without an inverse expression: phi, domain,
 #: preimages to draw, and the magnitude below which accuracy is measured
 #: in ulps of that magnitude instead of the root's (a real-line bracket
