@@ -527,16 +527,18 @@ def roundtrip_trials(f: NaryOp, gen, inputs):
     n-tuple of the inputs ``(tup,)`` whose generator sum lies inside the
     table: the operation rebuilt from the table against f. The rebuilt value
     is the table's inverse at that sum, as the rebuilt operation computes
-    it; where that fails the rebuilt domain test, the rebuilt op raises."""
-    checked = f.checked
+    it; where that fails the rebuilt domain test, the rebuilt op raises.
+    The table's spec is built before the first input is taken, so a table
+    with tied values raises before any draw."""
+    spec = gen.as_generator_spec()
+    checked, interpolate, inverse = f.checked, spec.phi, spec.phi_inverse
     xs, ys = gen.x_values, gen.phi_values
-    interpolate, inverse = partial(piecewise_linear, xs, ys), partial(piecewise_linear, ys, xs)
     for (tup,) in inputs:
         s = generator_sum(interpolate, tup)
         if ys[0] <= s <= ys[-1]:
             x = inverse(s)
             if not xs[0] <= x <= xs[-1]:
-                x = build_aczelian(gen.as_generator_spec(), f.arity).checked(*tup)
+                x = build_aczelian(spec, f.arity).checked(*tup)
             yield x, checked(*tup), {"inputs": (tup,)}
 
 

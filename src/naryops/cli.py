@@ -295,17 +295,13 @@ def _cmd_gallery(cfg: RunConfig) -> tuple[int, dict]:
 
     record("alternating_fold_closed_form", axioms_mod.falsify("fold", fold_trials(), 0.0).passed)
 
-    # exact ops pass the axiom suite with zero residual
+    # exact ops pass the axiom suite with zero residual, run as the axioms command
     for name, n in (("sum", 2), ("sum", 3), ("product", 3), ("translated_sum", 3)):
-        f = builtin_lookup(name, n)
-        rep_a = axioms_mod.check_associativity(f, 200, cfg.seed, window=cfg.window)
-        rep_s = axioms_mod.check_symmetry(f, 200, cfg.seed + 1, window=cfg.window)
-        rep_c = axioms_mod.check_cancellativity(f, 40, cfg.seed + 2, cfg.window)
-        record(
-            f"axioms_{name}_{n}",
-            rep_a.passed and rep_s.passed and rep_c.passed,
-            f"residuals {rep_a.max_residual} {rep_s.max_residual}",
-        )
+        lawful = RunConfig("axioms", name, n=n, samples=200, seed=cfg.seed, window=cfg.window)
+        code, rep = _cmd_axioms(lawful)
+        res = rep["residuals"]
+        detail = f"residuals {res['associativity']} {res['symmetry']}"
+        record(f"axioms_{name}_{n}", code == 0, detail)
 
     # the asymmetric fixture must fail symmetry with a witness that its
     # trial replays bit for bit
@@ -333,24 +329,24 @@ def _cmd_gallery(cfg: RunConfig) -> tuple[int, dict]:
     record("non_associative_rejected", not rep.passed)
 
     # idempotent points sit at the neutral elements
+    sum2, product2 = builtin_lookup("sum", 2), builtin_lookup("product", 2)
     grid = [v * 0.5 for v in range(-4, 5)]
-    sums = axioms_mod.find_idempotents(builtin_lookup("sum", 2), grid)
-    prods = axioms_mod.find_idempotents(builtin_lookup("product", 2), [0.25, 0.5, 1.0, 2.0])
+    sums = axioms_mod.find_idempotents(sum2, grid)
+    prods = axioms_mod.find_idempotents(product2, [0.25, 0.5, 1.0, 2.0])
     ok = len(sums) == 1 and abs(sums[0]) <= 1e-9
     ok &= len(prods) == 1 and abs(prods[0] - 1.0) <= 1e-9
     ok &= axioms_mod.find_idempotents(alt, grid) == grid
     record("idempotents_match_neutrals", ok)
 
     # a small extraction against the additive closed form
-    f = builtin_lookup("sum", 2)
-    gen = extract_generator(f, (-1.0, 0.0, 1.5), base_point=1.0, resolution=1.0 / 16.0)
+    gen = extract_generator(sum2, (-1.0, 0.0, 1.5), base_point=1.0, resolution=1.0 / 16.0)
     ok = gen.direction is BranchDirection.C_BELOW and all(
         abs(v - x) <= 1.0 / 16.0 + 1e-9 for x, v in gen.samples
     )
     record("extraction_additive_oracle", ok)
 
     # generated multiplication from the log generator
-    f = build_aczelian(builtin_lookup("product", 2).generator, 2)
+    f = build_aczelian(product2.generator, 2)
     record("generated_product", abs(f.eval(2.0, 3.0) - 6.0) <= 1e-9)
 
     passed = all(fx["pass"] for fx in fixtures)
@@ -449,7 +445,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--interval", help="domain interval, e.g. '(0,inf)' (default the real line)"
     )
     parser.add_argument("--grid", help="lo:hi:step or comma-separated points")
-    parser.add_argument("--samples", type=int)
+    parser.add_argument("--samples", type=int, help=(
+        "N (default 500): axioms N, and max(10, N//5) sections per coordinate for "
+        "cancellativity; extend, build N; reduce N, and max(50, N//5) for binary "
+        "associativity; roundtrip min(N, 1000); extract always 100; gallery fixed"))
     parser.add_argument("--seed", type=int)
     parser.add_argument("--resolution", type=float)
     parser.add_argument("--tol", type=float)

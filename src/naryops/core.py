@@ -284,19 +284,14 @@ def builtin_lookup(name: str, n: int = 2):
 
     if name not in BUILTIN_NAMES:
         raise ValueError(f"unknown builtin {name!r}; known: {', '.join(BUILTIN_NAMES)}")
-    line = Interval.real_line()
-    half_line = Interval.make(0.0, math.inf)
-    identity = GeneratorSpec(
-        phi=lambda x: x, domain=line, codomain=line, phi_inverse=lambda y: y,
-        label="identity_generator",
-    )
-    log = GeneratorSpec(
-        phi=math.log, domain=half_line, codomain=line, phi_inverse=math.exp,
-        label="log_generator",
-    )
     if n < 2:
         raise ValueError(f"builtin {name!r} needs arity n >= 2, got {n}")
+    line = Interval.real_line()
     if name == "sum":
+        identity = GeneratorSpec(
+            phi=lambda x: x, domain=line, codomain=line, phi_inverse=lambda y: y,
+            label="identity_generator",
+        )
         return NaryOp(n, line, lambda *xs: math.fsum(xs), f"sum/{n}", identity)
     if name == "translated_sum":
         # phi(x) = x + 1/(n-1), so f = sum + 1 and the neutral point is -1/(n-1)
@@ -307,6 +302,11 @@ def builtin_lookup(name: str, n: int = 2):
         )
         return NaryOp(n, line, lambda *xs: math.fsum(xs) + 1.0, f"translated_sum/{n}", shifted)
     if name == "product":
+        half_line = Interval.make(0.0, math.inf)
+        log = GeneratorSpec(
+            phi=math.log, domain=half_line, codomain=line, phi_inverse=math.exp,
+            label="log_generator",
+        )
         return NaryOp(n, half_line, lambda *xs: math.prod(xs), f"product/{n}", log)
     if name == "bounded_product":
         unit = Interval.make(0.0, 1.0)
@@ -315,13 +315,11 @@ def builtin_lookup(name: str, n: int = 2):
             phi_inverse=math.exp, label="ln on (0,1)",
         )
         return NaryOp(n, unit, lambda *xs: math.prod(xs), f"bounded_product/{n}", neg_log)
-    if name == "alternating":
-        if n < 3 or n % 2 == 0:
-            raise ValueError(f"alternating requires an odd arity n >= 3, got {n}")
-        return NaryOp(
-            n,
-            line,
-            lambda *xs: math.fsum(x if i % 2 == 0 else -x for i, x in enumerate(xs)),
-            f"alternating/{n}",
-        )
-    raise AssertionError("unreachable")
+    if n < 3 or n % 2 == 0:  # alternating, the last name
+        raise ValueError(f"alternating requires an odd arity n >= 3, got {n}")
+    return NaryOp(
+        n,
+        line,
+        lambda *xs: math.fsum(x if i % 2 == 0 else -x for i, x in enumerate(xs)),
+        f"alternating/{n}",
+    )

@@ -306,3 +306,22 @@ def test_a_window_of_one_lattice_point_is_named(capsys):
         "interval (-inf,+inf) inside window [-1e-13, 1e-13] holds one lattice point, 0.0\n"
     )
     assert main([*argv, "--window", "1e-12"]) == 1
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["axioms", "--samples", "5"], "an operation source is required (--op)"),
+        (["extend", "--samples", "5"], "an operation source is required (--op)"),
+        (["extract"], "an operation source is required (--op)"),
+        (["roundtrip", "--samples", "5"], "an operation source is required (--op)"),
+        (["build", "--samples", "5"], "build requires a generator expression (--phi)"),
+    ],
+    ids=["axioms", "extend", "extract", "roundtrip", "build"],
+)
+def test_a_missing_source_flag_is_a_configuration_error(argv, message, capsys):
+    # an absent flag is not an empty one: no source is parsed at all
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"naryops: configuration error: {message}\n"
+    assert captured.out == ""

@@ -1,6 +1,7 @@
 import functools
 import inspect
 import io
+import json
 import math
 import random
 import re
@@ -730,6 +731,46 @@ def test_tied_extracted_values_exit_three():
         "numeric failure: extracted values 0.3046875 at 0.3 and 0.3046875 at 0.3001 do not increase"
         in err.getvalue()
     )
+
+
+def test_a_tied_table_raises_before_any_draw_in_the_check_and_its_replay(monkeypatch):
+    # the round trip's trials build the table's spec before they take an
+    # input, so the check and a witness's replay raise alike on a tie,
+    # with no tuple drawn and no evaluation of f
+    gen = extract_generator(SUM2, (-1.0, 0.3, 0.3001), base_point=1.0, resolution=1 / 64)
+    f, calls = _recording(SUM2)
+
+    def untouched(*args):
+        yield pytest.fail("a tuple was drawn")
+
+    monkeypatch.setattr(extraction, "_window_draws", untouched)
+    witness = axioms.Witness("roundtrip", ((0.3, -1.0),), 0.0)
+    message = "extracted values 0.3046875 at 0.3 and 0.3046875 at 0.3001 do not increase"
+    for run in (lambda: verify_roundtrip(gen, f, 10, 0), lambda: witness.replay(f, gen)):
+        with pytest.raises(MonotonicityViolationError, match=f"^{re.escape(message)}$"):
+            run()
+    assert calls == []
+
+
+def test_a_unit_whose_diagonal_rounds_onto_the_unit_above_is_the_next_float():
+    # below U = 1 + 2 ulp(1) the diagonal t*t of the next float down rounds
+    # to U itself, so that float is the unit below U, taken with one
+    # evaluation and no search
+    lowest = extraction._lowest_level(2, 1e-300)
+    f, calls = _recording(PRODUCT2)
+    u = 1.0 + 2.0 * math.ulp(1.0)
+    assert extraction._Units(f, 2.0, BranchDirection.C_BELOW, lowest)._root(u) == 1.0 + math.ulp(1.0)
+    assert calls == [(1.0 + math.ulp(1.0),) * 2]
+    # the extraction that reaches it gives the reference's table, walks and checks
+    argv = ["extract", "--op", "product", "--n", "2", "--resolution", "1e-300", "--c", "2",
+            "--grid", "0.3,3", "--format", "json"]
+    with redirect_stdout(io.StringIO()) as out:
+        assert main(argv) == 0
+    units = extraction_oracle._Units(PRODUCT2, 2.0, BranchDirection.C_BELOW, lowest)
+    table = [[x, extraction_oracle.phi_at(units, x).value] for x in (0.3, 2.0, 3.0)]
+    assert json.loads(out.getvalue())["table"] == table
+    kwargs = {"grid": (0.3, 3.0), "base_point": 2.0, "resolution": 1e-300}
+    _matches_the_reference(PRODUCT2, kwargs, 100, 0)
 
 
 # --- work counts of the sampled checks -------------------------------------------

@@ -193,6 +193,39 @@ def test_itp_names_a_refinement_value_outside_its_bracket():
         generator._itp(phi, 0.5, 0.0, 0.0, 1.0, 1.0, 1e-9)
 
 
+def test_float_space_bisection_returns_a_midpoint_on_the_target():
+    # [1, 1e300] starts at 5e299, so its bracket [1, 5e299] spans about a
+    # thousand binades and is bisected in float space before ITP runs; a
+    # target on the first float-key midpoint is returned from there, after
+    # phi at the start point, the low end and the midpoint
+    bracket = Interval.make(1.0, 1e300, False, False)
+    start = generator._start_point(bracket)
+    y = generator._key_float((generator._float_key(1.0) + generator._float_key(start)) // 2)
+    calls = []
+
+    def identity(x):
+        calls.append(x)
+        return x
+
+    assert invert_monotone(identity, y, bracket) == y
+    assert calls == [start, 1.0, y]
+
+
+def test_itp_returns_the_midpoint_of_a_bracket_within_tol():
+    # a bracket no wider than tol is already final: its midpoint, with no
+    # phi call inside it, however far the midpoint lies from the root
+    calls = []
+
+    def identity(x):
+        calls.append(x)
+        return x
+
+    assert invert_monotone(identity, 0.1, Interval.make(0.0, 1.0, False, False), tol=1.0) == 0.25
+    assert calls == [0.5, 0.0]
+    assert generator._itp(identity, 0.1, 0.0, 0.0, 0.5, 0.5, 0.5) == 0.25
+    assert calls == [0.5, 0.0]
+
+
 def test_spec_memo_starts_over_at_its_size(monkeypatch):
     # a memo of three roots clears on the fourth new one; every answer, from
     # the memo or after a reset, is the one-shot inverse

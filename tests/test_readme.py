@@ -1,10 +1,12 @@
 """The README's examples run as documented: each CLI example exits with
 the code its comment promises, the library sketch prints what it says
-it prints, the API count it states is the package's, and its exit-code
-table names each flag rule that exits 2."""
+it prints, the API count it states is the package's, its exit-code
+table names each flag rule that exits 2, and ``--samples`` means per
+command what it and ``--help`` say."""
 
 import contextlib
 import io
+import json
 import pathlib
 import re
 import shlex
@@ -79,3 +81,36 @@ def test_exit_code_two_names_each_flag_rule(flag, value):
     assert code == 2
     row = re.search(r"^\| 2 +\|(.*)\|$", README, re.M)
     assert row is not None and f"`{flag}`" in row.group(1)
+
+
+@pytest.mark.parametrize(
+    "argv, used",
+    [
+        (["axioms", "--op", "sum", "--n", "2", "--samples", "60"],
+         {"associativity": 60, "symmetry": 60, "cancellativity": 2 * 12}),
+        (["axioms", "--op", "sum", "--n", "3", "--samples", "7"],
+         {"associativity": 7, "symmetry": 7, "cancellativity": 3 * 10}),
+        (["extend", "--op", "sum", "--n", "2", "--samples", "60"],
+         {"nested_identity": 60, "split_identity": 60}),
+        (["build", "--phi", "x", "--samples", "60"], {"associativity": 60, "symmetry": 60}),
+        (["reduce", "--op", "sum", "--samples", "60"],
+         {"reduction": 60, "binary_associativity": 50, "neutrality": 20}),
+        (["reduce", "--op", "sum", "--samples", "300"],
+         {"reduction": 300, "binary_associativity": 60, "neutrality": 20}),
+        (["roundtrip", "--op", "sum", "--c", "1", "--samples", "1500"], {"roundtrip": 1000}),
+        (["extract", "--op", "sum", "--c", "1", "--samples", "7"], {"additivity": 100}),
+    ],
+    ids=["axioms-2", "axioms-3", "extend", "build", "reduce-60", "reduce-300", "roundtrip", "extract"],
+)
+def test_samples_means_what_the_readme_and_help_say(argv, used):
+    # the counts each check reports, against the README's list and --help
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert main([*argv, "--format", "json"]) == 0
+    checks = json.loads(out.getvalue())["checks"]
+    assert {name: r["samples_used"] for name, r in checks.items()} == used
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert main(["--help"]) == 0
+    help_text = " ".join(out.getvalue().split())
+    for rule in ("max(10, N // 5)", "max(50, N // 5)", "min(N, 1000)"):
+        assert rule in README and rule.replace(" // ", "//") in help_text
+    assert "always 100" in README and "extract always 100" in help_text
