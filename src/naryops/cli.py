@@ -27,7 +27,7 @@ from .exprlang import make_callable, parse as parse_expr
 from .extension import ExtendedOp, nested_trials, split_trials
 from .extraction import BranchDirection, extract_generator
 from .extraction import verify_additivity, verify_roundtrip
-from .generator import GeneratorSpec, build_aczelian, estimate_codomain, validate_codomain
+from .generator import GeneratorSpec, build_aczelian, validate_codomain
 from .reducibility import adjoin_neutral, derive_binary, verify_neutrality, verify_reduction
 
 __all__ = ["RunConfig", "run", "write_report", "load_opspec", "load_generator", "main"]
@@ -91,12 +91,11 @@ def load_generator(
     codomain: str | None = None,
 ) -> GeneratorSpec:
     """Build a generator from expressions; the codomain is parsed when
-    given and estimated from the expression otherwise."""
-    iv = _domain(interval)
+    given and estimated by the spec otherwise."""
     phi = _compile(phi_src, 1)
     inv = None if phi_inv_src is None else _compile(phi_inv_src, 1)
-    J = estimate_codomain(phi, iv) if codomain is None else Interval.parse(codomain)
-    return GeneratorSpec(phi=phi, domain=iv, codomain=J, phi_inverse=inv, label=phi_src)
+    J = None if codomain is None else Interval.parse(codomain)
+    return GeneratorSpec(phi, _domain(interval), J, inv, label=phi_src)
 
 
 #: most points a ``lo:hi:step`` grid may have, far above any grid in use

@@ -10,11 +10,9 @@ uses an exact expression when one is supplied and ITP root-finding
 from __future__ import annotations
 
 import bisect as _bisect
-import itertools
 import math
 import struct
 import sys
-import threading
 from functools import partial
 from typing import Callable, Sequence
 
@@ -129,63 +127,85 @@ def _start_point(iv: Interval) -> float:
     return 0.0
 
 
-class _Ladder:
-    """The samples :func:`invert_monotone` brackets with on one interval:
-    phi at the start point, then (x, phi(x)) along :func:`_approach`
-    toward each end, skipping points that do not move past the previous
-    one. ``sides`` holds the samples toward the low and the high end, in
-    the order the approach reaches them. A sample is taken the first time
-    a search needs it and kept, so a :class:`GeneratorSpec` pays for each
-    of its bracketing samples once.
+def _side(phi: Callable[[float], float], interval: Interval, x0: float, f0: float, high: bool):
+    """The samples of a bare interval toward one end, taken as a search
+    asks for them: (x, phi(x)) at each point of :func:`_approach` that
+    moves past the last one sampled."""
+    end, open_end = (interval.hi, interval.hi_open) if high else (interval.lo, interval.lo_open)
+    last, f_last = x0, f0
+    for x in _approach(end, open_end, x0, not high):
+        if x > last if high else x < last:
+            last, f_last = x, _safe_phi(phi, x, f0, f_last)
+            yield x, f_last
 
-    A ladder may be shared between threads: samples are only appended,
-    under a lock, so a reader indexes a growing prefix of ``sides``
-    without one and calls :meth:`extend` past its end. Every phi handed
-    to one ladder must take the same values."""
 
-    __slots__ = ("interval", "x0", "f0", "sides", "_points", "_lock")
+def _walk(phi: Callable[[float], float], domain: Interval) -> tuple:
+    """The samples :func:`invert_monotone` brackets with on a domain, all
+    taken at once: phi at the start point, then (x, phi(x)) along
+    :func:`_approach` toward the low end and the high end, each point past
+    the last one sampled, each side up to its first infinite value, which
+    no finite target lies beyond. Returns ``(x0, phi(x0), lows, highs)``,
+    each side a tuple in the order the approach reaches it. A NaN value,
+    or an escape of phi at any sample, which is named with the interval,
+    raises :class:`DomainEscapeError`."""
 
-    def __init__(self, interval: Interval):
-        self.interval = interval
-        self.x0 = x0 = _start_point(interval)
-        self.f0: float | None = None
-        self.sides: tuple[list, list] = ([], [])
-        self._points = [
-            _approach(interval.lo, interval.lo_open, x0, True),
-            _approach(interval.hi, interval.hi_open, x0, False),
-        ]
-        self._lock = threading.Lock()
+    def escape(what: str, x: float, exc: DomainEscapeError) -> DomainEscapeError:
+        where = f"{what} {x!r} of {domain.render()}"
+        return DomainEscapeError(f"generator fails at {where}: {exc}", exc.value)
 
-    def start(self, phi: Callable[[float], float]) -> tuple[float, float]:
-        """The start point and the value of phi there."""
-        if self.f0 is None:
-            with self._lock:
-                if self.f0 is None:
-                    self.f0 = _safe_phi(phi, self.x0)
-        return self.x0, self.f0
-
-    def extend(self, phi: Callable[[float], float], high: bool, i: int) -> bool:
-        """Take the next sample toward one end unless sample i exists (i
-        is at most the number of samples); False when the approach ends
-        first. An OverflowError reads as the infinity phi is heading
-        toward (:func:`_safe_phi`); any other error leaves the point to be
-        sampled again."""
-        samples, points = self.sides[high], self._points[high]
-        with self._lock:
-            if i < len(samples):  # another thread took it
-                return True
-            last, f_last = samples[-1] if samples else (self.x0, self.f0)
-            for x in points:
-                if x > last if high else x < last:
+    x0 = _start_point(domain)
+    try:
+        f0 = _safe_phi(phi, x0)
+    except DomainEscapeError as exc:
+        raise escape("the start point", x0, exc) from exc
+    inf, sides = math.inf, []
+    ends = (domain.lo, domain.lo_open, False), (domain.hi, domain.hi_open, True)
+    for end, open_end, high in ends:
+        samples, last, fx = [], x0, f0
+        for x in _approach(end, open_end, x0, not high):
+            if x > last if high else x < last:
+                last = x
+                try:  # _safe_phi inline; on an overflow fx is still the last value
+                    fx = phi(x)
+                except OverflowError:
+                    fx = -inf if fx < f0 else inf
+                except DomainEscapeError as exc:
+                    raise escape("the sample" if open_end else "the closed end", x, exc) from exc
+                samples.append((x, fx))
+                if not -inf < fx < inf:
+                    if fx != fx:
+                        raise DomainEscapeError(f"generator value is nan at x={x!r}")
                     break
-            else:
-                return False
-            try:
-                samples.append((x, _safe_phi(phi, x, self.f0, f_last)))
-            except BaseException:
-                self._points[high] = itertools.chain((x,), points)
-                raise
-        return True
+        sides.append(tuple(samples))
+    return x0, f0, *sides
+
+
+def _codomain(domain: Interval, walk: tuple) -> Interval:
+    """The image interval of phi read off a :func:`_walk` of its domain, as
+    :func:`estimate_codomain` describes."""
+    _, f0, lows, highs = walk
+
+    def limit(samples: tuple, open_end: bool) -> tuple[float, bool]:
+        """The limit toward one end, and whether it is an open bound."""
+        values = [f0] + [fx for _, fx in samples[-2:]]
+        last = values[-1]
+        if samples and math.isinf(last):
+            return last, True
+        if not open_end:  # phi at the end itself (x0 when no float lies between)
+            return last, False
+        if samples and abs(last - values[-2]) > 1e-6 * (1.0 + abs(last)):
+            return math.copysign(math.inf, last - values[-2]), True
+        return (0.0 if abs(last) <= 1e-9 else last), True
+
+    ends = limit(lows, domain.lo_open), limit(highs, domain.hi_open)
+    (v_lo, lo_open), (v_hi, hi_open) = sorted(ends)  # a decreasing phi swaps them
+    if math.isinf(f0) and v_lo == v_hi == f0:  # no finite value to span
+        raise DomainEscapeError(f"generator value is {f0!r} at every sample of {domain.render()}")
+    if v_lo == v_hi:
+        raise MonotonicityViolationError(
+            f"generator is not monotone on {domain.render()}: it tends to {v_lo!r} at both ends"
+        )
+    return Interval.make(v_lo, v_hi, lo_open, hi_open)
 
 
 def estimate_codomain(phi: Callable[[float], float], domain: Interval) -> Interval:
@@ -199,47 +219,7 @@ def estimate_codomain(phi: Callable[[float], float], domain: Interval) -> Interv
     any sample, which is named with the interval, raises
     :class:`DomainEscapeError`; one limit at both ends, which no monotone
     phi has, raises :class:`MonotonicityViolationError`."""
-
-    def escape(what: str, x: float, exc: DomainEscapeError) -> DomainEscapeError:
-        where = f"{what} {x!r} of {domain.render()}"
-        return DomainEscapeError(f"generator fails at {where}: {exc}", exc.value)
-
-    x0 = _start_point(domain)
-    try:
-        f0 = _safe_phi(phi, x0)
-    except DomainEscapeError as exc:
-        raise escape("the start point", x0, exc) from exc
-
-    def chase(end, open_end, high):
-        """The limit toward one end, and whether it is an open bound."""
-        prev, last, x_last = None, f0, x0
-        for x in _approach(end, open_end, x0, not high):
-            if x > x_last if high else x < x_last:
-                x_last = x
-                try:
-                    prev, last = last, _safe_phi(phi, x, f0, last)
-                except DomainEscapeError as exc:
-                    what = "the sample" if open_end else "the closed end"
-                    raise escape(what, x, exc) from exc
-                if math.isnan(last):
-                    raise DomainEscapeError(f"generator value is nan at x={x!r}")
-                if math.isinf(last):
-                    return last, True
-        if not open_end:  # phi at the end itself (x0 when no float lies between)
-            return last, False
-        if prev is not None and abs(last - prev) > 1e-6 * (1.0 + abs(last)):
-            return math.copysign(math.inf, last - prev), True
-        return (0.0 if abs(last) <= 1e-9 else last), True
-
-    ends = chase(domain.lo, domain.lo_open, False), chase(domain.hi, domain.hi_open, True)
-    (v_lo, lo_open), (v_hi, hi_open) = sorted(ends)  # a decreasing phi swaps them
-    if math.isinf(f0) and v_lo == v_hi == f0:  # no finite value to span
-        raise DomainEscapeError(f"generator value is {f0!r} at every sample of {domain.render()}")
-    if v_lo == v_hi:
-        raise MonotonicityViolationError(
-            f"generator is not monotone on {domain.render()}: it tends to {v_lo!r} at both ends"
-        )
-    return Interval.make(v_lo, v_hi, lo_open, hi_open)
+    return _codomain(domain, _walk(phi, domain))
 
 
 #: ITP constants (Oliveira & Takahashi, ACM TOMS 47(1), 2021). In a
@@ -265,7 +245,7 @@ def _check_monotone(x: float, fx: float, fa: float, fb: float, slack: float) -> 
 def invert_monotone(
     phi: Callable[[float], float],
     y: float,
-    bracket: Interval,
+    bracket: Interval | GeneratorSpec,
     tol: float | None = None,
 ) -> float:
     """Solve phi(x) = y for strictly monotone phi by ITP root-finding.
@@ -273,13 +253,13 @@ def invert_monotone(
     Bracketing starts at the start point of ``bracket`` and takes one step
     toward each end along :func:`_approach`, as :func:`estimate_codomain`
     does. Once these steps show on which side y lies, only that side
-    grows, and the bracket narrows to the last two samples. The samples
-    come from a ladder: :meth:`GeneratorSpec.inverse` passes the one it
-    keeps for its domain in place of ``bracket``, so it takes each
-    sample once for all its targets, and a plain interval gets a fresh
-    ladder. The same points in the same order give the same bracket
-    either way. ITP then refines it: regula falsi, truncated toward the
-    midpoint and projected so that it takes at most
+    grows, and the bracket narrows to the last two samples. On an
+    interval the samples are taken as the search needs them; a
+    :class:`GeneratorSpec` passed in its place brackets on its domain from
+    the samples it took when it was built, so it takes each of them once
+    for all its targets. The same points in the same order give the same
+    bracket either way. ITP then refines it: regula falsi, truncated
+    toward the midpoint and projected so that it takes at most
     ceil(log2(width / tol)) + 1 steps. The result is the midpoint of a
     final bracket no wider than tol, an absolute width in x. The default
     tol is four ulps of the bracket end nearer zero, or of the farther
@@ -287,21 +267,27 @@ def invert_monotone(
     range, or a phi value outside the values at the bracket ends, raises
     :class:`InversionError`.
     """
-    ladder = bracket if isinstance(bracket, _Ladder) else _Ladder(bracket)
-    x0, f0 = ladder.x0, ladder.f0
-    if f0 is None:
-        x0, f0 = ladder.start(phi)
+    if isinstance(bracket, Interval):
+        x0 = _start_point(bracket)
+        f0 = _safe_phi(phi, x0)
+        lows, highs = _side(phi, bracket, x0, f0, False), _side(phi, bracket, x0, f0, True)
+    else:
+        x0, f0, lows, highs = bracket._walk
     if f0 == y:
         return x0
-    # the range tests below read "y lies between u and v", False for NaN
-    lows, highs = ladder.sides
-    a, fa = lows[0] if lows or ladder.extend(phi, False, 0) else (x0, f0)
+    # the range tests below read "y lies between u and v", False for NaN;
+    # a side is read by for loops, which restart a spec's tuple at its
+    # first sample and go on where they left a bare interval's generator
+    for a, fa in lows:
+        break
+    else:
+        a, fa = x0, f0
     if fa == y:
         return a
     b, fb = x0, f0
     if not (fa <= y <= f0 or f0 <= y <= fa):
-        if highs or ladder.extend(phi, True, 0):
-            b, fb = highs[0]
+        for b, fb in highs:
+            break
         if fb == y:
             return b
         _check_monotone(x0, f0, fa, fb, 1e-12 * (1.0 + min(abs(fa), abs(fb))))
@@ -310,19 +296,17 @@ def invert_monotone(
         else:
             up = (fb > fa) == (y > fb)
             side, near, f_near, f_far = (highs, b, fb, fa) if up else (lows, a, fa, fb)
-            i = 1
-            while i < len(side) or ladder.extend(phi, up, i):
-                x, fx = side[i]
+            for x, fx in side:  # on a tuple, the first sample is near itself
                 if fx == y:
                     return x
                 if f_near <= y <= fx or fx <= y <= f_near:
                     break
                 near, f_near = x, fx
-                i += 1
             else:
+                interval = bracket if isinstance(bracket, Interval) else bracket.domain
                 raise InversionError(
                     f"target {y!r} outside the sampled range [{min(f_far, f_near)!r}, "
-                    f"{max(f_far, f_near)!r}] of {ladder.interval.render()}"
+                    f"{max(f_far, f_near)!r}] of {interval.render()}"
                 )
             (a, fa), (b, fb) = ((near, f_near), (x, fx)) if up else ((x, fx), (near, f_near))
     # a gallop can leave a bracket across many binades, or one whose width
@@ -432,35 +416,41 @@ class GeneratorSpec(Record):
 
     ``phi_inverse`` may be an exact callable; when absent, inversion falls
     back to ITP root-finding over the domain (:func:`invert_monotone`).
-    Such a spec then keeps a ladder of the bracketing samples on its
-    domain, so each sample of phi is taken once, the first time a target
-    needs it, and a memo of the roots it has found, so a y it has solved
-    before (bit for bit: 0.0 is not -0.0) costs no phi call. The memo
-    starts over after _MEMO_SIZE roots. The results are those of
-    ``invert_monotone(phi, y, domain)``. A spec may be shared between
-    threads; its ladder takes new samples under a lock.
+    ``codomain`` defaults to the one :func:`estimate_codomain` gives.
+    A spec without an inverse or without a codomain walks its domain once,
+    when it is built: phi at every sample that inversion brackets with
+    and the estimate reads, so a NaN or an escape of phi on the way
+    raises there, with the estimate's message. A spec without an inverse
+    brackets every target from those samples and keeps a memo of the
+    roots it has found, so a y it has solved before (bit for bit: 0.0 is
+    not -0.0) costs no phi call. The memo starts over after _MEMO_SIZE
+    roots; it is all a spec changes after it is built. The results are
+    those of ``invert_monotone(phi, y, domain)``.
     ``kind`` distinguishes closed-form generators from tabulated ones
     reconstructed by extraction. Neither ``phi`` nor ``phi_inverse`` is
     compared.
     """
 
-    __slots__ = ("phi", "domain", "codomain", "phi_inverse", "kind", "label", "_ladder", "_roots")
+    __slots__ = ("phi", "domain", "codomain", "phi_inverse", "kind", "label", "_walk", "_roots")
     _fields = ("phi", "domain", "codomain", "phi_inverse", "kind", "label")
     _compared = ("domain", "codomain", "kind", "label")
 
     def __init__(
         self, phi: Callable[[float], float], domain: Interval = Interval.real_line(),
-        codomain: Interval = Interval.real_line(),
+        codomain: Interval | None = None,
         phi_inverse: Callable[[float], float] | None = None, kind: str = "closed_form",
         label: str = "",
     ):
         if kind not in ("closed_form", "tabulated"):
             raise ValueError(f"unknown generator kind {kind!r}")
-        numeric = phi_inverse is None  # inverted by root-finding
-        super().__init__(
-            phi, domain, codomain, phi_inverse, kind, label,
-            _Ladder(domain) if numeric else None, {} if numeric else None,
-        )
+        walk = roots = None
+        if phi_inverse is None or codomain is None:
+            walk = _walk(phi, domain)
+            if codomain is None:
+                codomain = _codomain(domain, walk)
+            if phi_inverse is None:  # inverted by root-finding
+                roots = {}
+        super().__init__(phi, domain, codomain, phi_inverse, kind, label, walk, roots)
 
     def inverse(self, y: float) -> float:
         """The point whose generator value is y: the one place a sum of
@@ -478,7 +468,7 @@ class GeneratorSpec(Record):
         key = y if y or math.copysign(1.0, y) > 0.0 else _NEGATIVE_ZERO
         x = roots.get(key)
         if x is None:
-            x = invert_monotone(self.phi, y, self._ladder, None)
+            x = invert_monotone(self.phi, y, self, None)
             if len(roots) >= _MEMO_SIZE:
                 roots.clear()
             roots[key] = x

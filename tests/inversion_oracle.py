@@ -1,12 +1,13 @@
 """A reference for numeric inversion: the straightforward form of
 :func:`naryops.generator.invert_monotone` and its ITP refinement, and of
-:func:`naryops.generator.estimate_codomain`, with the bracketing ladder
-walked by generators and every helper a call.
+:func:`naryops.generator.estimate_codomain`, with the bracketing samples
+kept on a ladder walked by generators and every helper a call.
 
-The package's version reads the ladder's lists in place, runs a flat
-ITP loop and chases the codomain in a plain loop; both must find the
-same roots and codomains, raise the same errors and call phi at the
-same points in the same order as this one.
+The package's version walks a spec's domain once, when the spec is
+built, and a bare interval lazily, runs a flat ITP loop and reads the
+codomain off the walk; both must find the same roots and codomains,
+raise the same errors and call phi at the same points in the same order
+as this one.
 """
 
 from __future__ import annotations
@@ -115,6 +116,21 @@ class Ladder:
             self._points[high] = itertools.chain((x,), points)
             raise
         return True
+
+
+def walked(phi, domain: Interval) -> Ladder:
+    """A ladder holding the samples a spec takes when it is built: phi at
+    the start point, then each side walked up to its first infinite
+    value; a NaN value raises."""
+    ladder = Ladder(domain)
+    ladder.start(phi)
+    for high in (False, True):
+        for x, fx in ladder.walk(phi, high):
+            if math.isnan(fx):
+                raise DomainEscapeError(f"generator value is nan at x={x!r}")
+            if math.isinf(fx):
+                break
+    return ladder
 
 
 def estimate_codomain(phi, domain: Interval) -> Interval:

@@ -54,17 +54,18 @@ def test_tracer_patches_existing_names_and_counts_the_reference(monkeypatch):
 
 
 def test_tracer_counts_the_inversion_reference(monkeypatch):
-    # ITP's step sequence and the spec's bracketing ladder fix the phi
-    # calls, the spec's memo of roots the inversions, and every call of a
-    # compiled expression counts only while cli.make_callable is the name
-    # it is looked up by; the second run compiles on a warm cache, and
+    # ITP's step sequence fixes the phi calls (the spec took its
+    # bracketing samples when it was built, outside invert_monotone), the
+    # spec's memo of roots the inversions, and every call of a compiled
+    # expression counts only while cli.make_callable is the name it is
+    # looked up by; the second run compiles on a warm cache, and
     # make_callable still returns a new function for the tracer to wrap
     for _ in range(2):
         code, tracer, _ = _traced_reference(monkeypatch, "build_cubic2")
         assert code == 0
         assert tracer.calls["generator.invert_monotone"] == 913
-        assert tracer.calls["generator.phi"] == 7_856
-        assert tracer.calls["exprlang.call"] == 10_391
+        assert tracer.calls["generator.phi"] == 7_847
+        assert tracer.calls["exprlang.call"] == 10_382
 
 
 def test_tracer_counts_the_falsify_layers(monkeypatch):

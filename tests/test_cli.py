@@ -177,6 +177,21 @@ def test_csv_requires_table():
         run(cfg)
 
 
+def test_run_names_an_unknown_format_and_command():
+    # the parser admits neither, so only a RunConfig built by hand meets them
+    with pytest.raises(ValueError, match="^unknown format 'yaml'$"):
+        run(RunConfig("axioms", op="sum", samples=10, fmt="yaml"))
+    with pytest.raises(ValueError, match="^unknown command 'frobnicate'$"):
+        run(RunConfig("frobnicate"))
+
+
+def test_builtin_below_arity_two_exits_two(capsys):
+    assert main(["axioms", "--op", "sum", "--n", "1"]) == 2
+    assert capsys.readouterr().err == (
+        "naryops: configuration error: builtin 'sum' needs arity n >= 2, got 1\n"
+    )
+
+
 def test_unwritable_path_exits_two(tmp_path):
     bad = tmp_path / "missing_dir" / "x.json"
     code = main(

@@ -68,7 +68,7 @@ def test_generated_operations_exit_zero_one_or_three(
     command, generator, interval, n, window, samples
 ):
     # a generator inverted numerically also runs on a random interval, which
-    # its inversion ladder walks out to the ends; an interval the generator
+    # its bracketing walk samples out to the ends; an interval the generator
     # or the window cannot use is a configuration error, named as one
     if interval is not None and "--phi-inv" not in " ".join(generator):
         generator = (generator[0], interval)

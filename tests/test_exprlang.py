@@ -316,3 +316,15 @@ def test_errors_repeat_on_a_warm_cache():
             fn(1.0)
         with pytest.raises(TypeError, match=r"^fn\(\) takes 2 positional arguments but 3 were given$"):
             fn(1.0, 2.0, 3.0)
+
+
+def test_parse_and_compile_guards():
+    # blanks after the last token end the input; an arity below 1, a
+    # variable outside 1..n and a node of no known kind are each named
+    assert parse("x1 + x2   ", 2) == BinOp("+", Var(1), Var(2))
+    with pytest.raises(ValueError, match="^arity must be >= 1$"):
+        parse("1", 0)
+    with pytest.raises(ValueError, match=r"^variable index 3 outside 1\.\.2$"):
+        make_callable(BinOp("+", Var(1), Var(3)), 2)
+    with pytest.raises(TypeError, match="^not an expression node: 'x1'$"):
+        make_callable(Neg("x1"), 1)

@@ -432,6 +432,32 @@ def test_verify_additivity_product():
     assert rep.passed, rep
 
 
+def _extract_product_from_2(grid_flag: str) -> dict:
+    """The json report of extract on product/2 from c = 2 over a grid."""
+    argv = ["extract", "--op", "product", "--n", "2", "--c", "2", "--grid", grid_flag]
+    with redirect_stdout(io.StringIO()) as out:
+        code = main([*argv, "--format", "json"])
+    return {"code": code, **json.loads(out.getvalue())}
+
+
+def test_a_three_knot_table_of_log2_passes_additivity():
+    # an interior knot at 1 gives a chord slack of 0.333, so the check's
+    # tolerance is 1.0 and log2's worst miss of 0.138 passes
+    report = _extract_product_from_2("0.5,1")
+    assert report["code"] == 0 and abs(report["interp_slack"] - 1.0 / 3.0) <= 1e-15
+    assert report["checks"]["additivity"]["tolerance"] == 1.0
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="FOUND: a two-knot table has no interior knot for _chord_slack to measure, so "
+    "interp_slack and the additivity tolerance are 0.0 while linear interpolation of log2 "
+    "over [0.5, 2] misses by up to 0.495 (ROADMAP item 7)",
+)
+def test_a_two_knot_table_of_log2_passes_additivity():
+    assert _extract_product_from_2("0.5")["code"] == 0
+
+
 def test_verify_additivity_rejects_corruption():
     kwargs = {"grid": grid(-2.0, 2.0, 0.5), "base_point": 1.0, "resolution": 1 / 64}
     gen = extract_generator(SUM2, **kwargs)
@@ -750,6 +776,49 @@ def test_a_tied_table_raises_before_any_draw_in_the_check_and_its_replay(monkeyp
         with pytest.raises(MonotonicityViolationError, match=f"^{re.escape(message)}$"):
             run()
     assert calls == []
+
+
+def test_an_up_unit_past_the_float_range_ends_the_table():
+    # the walk from 1e-320 up to c = 2 climbs to U_9 = 2^512, whose
+    # diagonal 2^1024 overflows past it: the table ends at U_9 and the
+    # climb repeats that level; the value lies within its half-width of
+    # log2(1e-320) = -1063.017
+    gen = extract_generator(PRODUCT2, (1e-320,), base_point=2.0)
+    assert gen.samples[0] == (1e-320, -1063.0234375)
+    assert gen.estimates[0].half_width == 0.0078125
+    assert abs(gen.samples[0][1] - math.log2(1e-320)) <= 0.0078125
+    lowest = extraction._lowest_level(2, 1 / 64)
+    units = extraction._Units(PRODUCT2, 2.0, BranchDirection.C_BELOW, lowest)
+    extraction.phi_at(units, 1e-320)
+    assert (units.top, units(10), units(9)) == (9, None, 2.0**512)
+
+
+def test_a_climb_past_the_top_step_cap_raises():
+    # on (-inf, 10) the diagonal of U_3 = 8 escapes the domain past it, so
+    # the table ends at U_3; from -1000 the walk to c = 1 would need about
+    # 123 steps of 8 at that level, past the cap of _MAX_LEVEL_STEPS = 64
+    capped = NaryOp(2, core.Interval.make(-math.inf, 10.0), lambda a, b: a + b, "capped sum")
+    message = r"^U_3 steps do not reach 1\.0 from x=-1000\.0$"
+    with pytest.raises(BracketNotFoundError, match=message):
+        extract_generator(capped, (-1000.0,), base_point=1.0)
+    # 50 steps of 8 from -400 stay under the cap and pin c exactly
+    gen = extract_generator(capped, (-400.0,), base_point=1.0)
+    assert gen.samples == ((-400.0, -400.0), (1.0, 1.0))
+
+
+def test_the_table_ends_where_no_float_lies_between_a_root_and_its_unit():
+    # at resolution 1e-300 the lowest level is -997, but the units below
+    # c = 1.5 reach U_-51 = 1 + ulp(1), whose root 1 + ulp(1)/2 is not a
+    # float: the table's bottom, where the walk to 1.75 descends into a
+    # level with no unit and stops
+    lowest = extraction._lowest_level(2, 1e-300)
+    units = extraction._Units(PRODUCT2, 1.5, BranchDirection.C_BELOW, lowest)
+    est = extraction.phi_at(units, 1.75)
+    assert (lowest, units.bottom, units.table[-51]) == (-997, -51, 1.0 + math.ulp(1.0))
+    assert units(-52) is None
+    assert est.half_width == math.ulp(1.0) and not est.pinned
+    floor = FLOOR_ULPS * (est.evaluations + 1) * math.ulp(1.0)
+    assert abs(est.value - math.log(1.75) / math.log(1.5)) <= est.half_width + floor
 
 
 def test_a_unit_whose_diagonal_rounds_onto_the_unit_above_is_the_next_float():

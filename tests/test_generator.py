@@ -2,6 +2,7 @@ import io
 import json
 import math
 import random
+import re
 import sys
 import threading
 from collections import Counter
@@ -53,6 +54,13 @@ def test_codomain_rejections():
     bounded = r"^codomain \(1\.0,2\.0\) is bounded on both ends; sums of 2 elements escape$"
     with pytest.raises(ValueError, match=bounded):
         validate_codomain(Interval.parse("(1,2)"), 2)
+
+
+def test_codomain_arity_and_spec_kind_are_checked():
+    with pytest.raises(ValueError, match="^n must be >= 2$"):
+        validate_codomain(Interval.real_line(), 1)
+    with pytest.raises(ValueError, match="^unknown generator kind 'other'$"):
+        GeneratorSpec(lambda x: x, kind="other")
 
 
 def test_build_identity_generator_is_sum():
@@ -305,10 +313,11 @@ def _outcome(invert, *args):
 @settings(max_examples=120, deadline=None)
 @given(name=st.sampled_from(sorted(CLOSED_FORMS)), data=st.data())
 def test_spec_ladder_matches_the_one_shot_inverse(name, data):
-    # one spec inverts a drawn sequence of targets twice over; each answer
-    # is that of invert_monotone on a fresh interval, and the second time
-    # through every bracketing sample is already on the spec's ladder and
-    # every root in its memo
+    # one spec on the real line as its codomain inverts a drawn sequence of
+    # targets twice over; each answer is that of invert_monotone on a fresh
+    # interval. The spec took every bracketing sample when it was built, at
+    # the points the codomain estimate walks, so each target then costs
+    # only its refinement, and a target it has solved none
     phi, domain, preimages, _ = CLOSED_FORMS[name]
     fresh = preimages.map(phi) | st.sampled_from([0.0, -0.0, 1e300, -1e300])
     targets = [data.draw(fresh)]
@@ -320,20 +329,23 @@ def test_spec_ladder_matches_the_one_shot_inverse(name, data):
         calls.append(x)
         return phi(x)
 
-    spec = GeneratorSpec(phi=counting, domain=domain)
+    generator.estimate_codomain(counting, domain)
+    walk = calls[:]
+    calls.clear()
+    spec = GeneratorSpec(phi=counting, domain=domain, codomain=Interval.real_line())
+    assert calls == walk
     solved = set()
-    for second_pass in (False, True):
+    for _ in range(2):
         for y in targets:
             calls.clear()
             expected = _outcome(invert_monotone, counting, y, domain)
             one_shot = calls[:]
             calls.clear()
             assert _outcome(spec.inverse, y) == expected, y
-            if second_pass:
-                # a solved y costs no call, 0.0 and -0.0 apart; an error is
-                # not kept, and only its refinement is taken again
-                repeat = repr(y) in solved
-                assert calls == ([] if repeat else one_shot[_refinement_start(one_shot):])
+            # a solved y costs no call, 0.0 and -0.0 apart; an error is not
+            # kept, and only its refinement is taken again
+            repeat = repr(y) in solved
+            assert calls == ([] if repeat else one_shot[_refinement_start(one_shot):])
             if isinstance(expected, str):
                 solved.add(repr(y))
 
@@ -386,9 +398,11 @@ def test_inversion_matches_the_reference(data, tol):
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_spec_inverse_matches_the_reference(data):
-    # a spec answers a sequence of targets as the reference does on one
-    # shared ladder, calling phi at the same points except for a target it
-    # has solved before, 0.0 and -0.0 apart, which costs no call
+    # a spec on the real line as its codomain takes the reference's walk
+    # when it is built, and then answers a sequence of targets as the
+    # reference does on that walked ladder, calling phi at the same points
+    # except for a target it has solved before, 0.0 and -0.0 apart, which
+    # costs no call
     phi, interval, targets = _oracle_case(data)
     ys = data.draw(st.lists(targets, min_size=1, max_size=12))
     ys += data.draw(st.lists(st.sampled_from(ys), max_size=12))
@@ -398,8 +412,21 @@ def test_spec_inverse_matches_the_reference(data):
         calls.append(x)
         return phi(x)
 
-    spec = GeneratorSpec(phi=counting, domain=interval)
-    ladder = inversion_oracle.Ladder(interval)
+    try:
+        ladder, failure = inversion_oracle.walked(counting, interval), None
+    except Exception as exc:  # such as ln on the real line
+        failure = type(exc), str(exc)
+    walk = calls[:]
+    calls.clear()
+    try:
+        spec = GeneratorSpec(phi=counting, domain=interval, codomain=Interval.real_line())
+    except Exception as exc:
+        assert (type(exc), str(exc)) == failure
+    else:
+        assert failure is None
+    assert calls == walk
+    if failure is not None:
+        return
     solved = {}
     for y in ys:
         calls.clear()
@@ -415,8 +442,12 @@ def test_spec_inverse_matches_the_reference(data):
         assert calls == expected_calls, y
 
 
-def test_spec_samples_again_a_point_whose_phi_raised():
-    # a phi error is not a sample: the next inverse takes that point again
+def test_spec_whose_phi_raises_on_its_walk_is_not_built():
+    # the spec takes all its bracketing samples when it is built, so a phi
+    # error on the walk, here at the first sample above the start point,
+    # raises from the constructor and leaves no spec behind; a spec built
+    # again walks from the start, at the points the codomain estimate
+    # walks, and its inverses take only their refinement
     failures, calls = [2.0], []
 
     def phi(x):
@@ -426,19 +457,121 @@ def test_spec_samples_again_a_point_whose_phi_raised():
             raise ValueError("transient")
         return x**3 + x
 
-    spec = GeneratorSpec(phi=phi)
-    with pytest.raises(ValueError):
-        spec.inverse(5.0)
+    with pytest.raises(ValueError, match="^transient$"):
+        GeneratorSpec(phi=phi)
+    assert calls[0] == 0.0 and calls[-1] == 2.0 and all(x < 0.0 for x in calls[1:-1])
     calls.clear()
-    assert spec.inverse(5.0) == invert_monotone(lambda x: x**3 + x, 5.0, Interval.real_line())
-    assert calls[0] == 2.0
+    generator.estimate_codomain(phi, Interval.real_line())
+    walk = calls[:]
+    calls.clear()
+    spec = GeneratorSpec(phi=phi)
+    assert calls == walk
+    calls.clear()
+    root = spec.inverse(5.0)
+    refinement = calls[:]
+    calls.clear()
+    assert root == invert_monotone(phi, 5.0, Interval.real_line())
+    assert refinement == calls[_refinement_start(calls):]
+
+
+def test_spec_without_a_codomain_reads_it_off_its_walk():
+    # the default codomain is the estimate, not the real line, and a spec
+    # with an inverse but no codomain walks for it too; one given both
+    # calls no phi when it is built
+    assert GeneratorSpec(phi=math.exp).codomain.render() == "(0.0,+inf)"
+    assert GeneratorSpec(phi=math.exp, phi_inverse=math.log).codomain.render() == "(0.0,+inf)"
+    half_line = Interval.parse("(0,inf)")
+    assert GeneratorSpec(math.sqrt, half_line).codomain == generator.estimate_codomain(
+        math.sqrt, half_line
+    )
+    # a target below the estimate escapes it instead of missing a bracket
+    with pytest.raises(DomainEscapeError, match=r"^generator sum -1\.0 escapes codomain"):
+        GeneratorSpec(phi=math.exp).inverse(-1.0)
+    calls = []
+    GeneratorSpec(calls.append, Interval.real_line(), Interval.real_line(), lambda y: y)
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "phi,interval,count",
+    [
+        # 68 steps each way, and atan is never infinite
+        (math.atan, "(-inf,inf)", 1 + 68 + 68),
+        # each side stops at the overflow at -2^512 and 2^512
+        (lambda x: x**3 + x, "(-inf,inf)", 1 + 67 + 67),
+        # float-space gallops from 0.5 toward 0 and 1, at most 64 each
+        (math.log, "(0,1)", 1 + 61 + 52),
+        (lambda x: x, "[0,1]", 3),
+    ],
+)
+def test_spec_without_an_inverse_takes_its_walk_when_built(phi, interval, count):
+    # one sample at the start point, plus up to 68 per infinite end and 64
+    # per open finite end, all taken by the constructor; an inverse then
+    # calls phi only inside a bracket between its samples
+    calls = []
+
+    def counting(x):
+        calls.append(x)
+        return phi(x)
+
+    spec = GeneratorSpec(counting, Interval.parse(interval), Interval.real_line())
+    assert len(calls) == count
+    calls.clear()
+    assert abs(spec.inverse(phi(0.7)) - 0.7) <= 1e-15
+    assert calls and all(0.0 < x < 2.0 for x in calls)
+
+
+def test_spec_walk_stops_at_the_first_infinite_value():
+    # no finite target of a monotone phi lies past an infinite sample, so
+    # a spec's walk ends there; a phi that comes back from -inf, which no
+    # monotone phi does, is still searched past it on a bare interval
+    def phi(x):
+        return -math.inf if 100.0 <= x < 1000.0 else x
+
+    spec = GeneratorSpec(phi, codomain=Interval.real_line())
+    assert spec._walk[3][-1] == (128.0, -math.inf)
+    assert invert_monotone(phi, 5000.0, Interval.real_line()) == 5000.0
+    with pytest.raises(InversionError, match=r"^target 5000\.0 outside the sampled range"):
+        spec.inverse(5000.0)
+
+
+def test_spec_with_a_codomain_fails_on_its_walk_when_built():
+    # without an inverse the walk runs whether or not a codomain is given,
+    # so a NaN or an escape anywhere on it fails the constructor with the
+    # estimate's message, even where no check would reach the sample; on
+    # the command line that is --codomain without --phi-inv
+    nan_src = "x+(exp(x)-exp(x))"
+    nan = r"^generator value is nan at x=1024\.0$"
+    with pytest.raises(DomainEscapeError, match=nan):
+        GeneratorSpec(make_callable(parse_expr(nan_src, 1), 1), codomain=Interval.real_line())
+    closed_end = (
+        "generator fails at the closed end 0.0 of [0.0,1.0]: ln of non-positive 0.0"
+    )
+    with pytest.raises(DomainEscapeError, match=f"^{re.escape(closed_end)}$"):
+        GeneratorSpec(
+            make_callable(parse_expr("ln(x)", 1), 1), Interval.parse("[0,1]"),
+            Interval.parse("(-inf,0]"),
+        )
+    for argv, message in (
+        (["--phi", nan_src, "--codomain", "(-inf,inf)"], "generator value is nan at x=1024.0"),
+        (["--phi", "ln(x)", "--interval", "[0,1]", "--codomain", "(-inf,0]"], closed_end),
+    ):
+        err = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            code = main(["build", *argv, "--n", "2", "--samples", "20"])
+        assert (code, err.getvalue()) == (3, f"naryops: numeric failure: {message}\n")
+    # given an inverse and a codomain, a spec takes no walk
+    GeneratorSpec(make_callable(parse_expr(nan_src, 1), 1), codomain=Interval.real_line(),
+                  phi_inverse=lambda y: y)
 
 
 def test_spec_ladder_stress_across_threads():
-    # more threads than cores, switching every microsecond, race to fill
-    # fresh specs' ladders from -128 to 512; afterwards each spec answers
-    # probes in that range with exactly the one-shot refinement calls,
-    # which a sample taken twice or out of order would change
+    # more threads than cores, switching every microsecond, race to invert
+    # on fresh specs from -128 to 512, sharing each spec's bracketing
+    # samples and its memo of roots, the one thing a spec changes after it
+    # is built; afterwards each spec answers probes in that range with
+    # exactly the one-shot refinement calls, which a corrupted sample
+    # would change
     calls = []
 
     def phi(x):
@@ -481,10 +614,11 @@ def test_quintic_build_passes():
 
 def test_cubic_build_phi_calls_are_pinned(monkeypatch):
     # counted from outside the package, by wrapping the phi handed to
-    # generator.invert_monotone; the spec takes each bracketing sample once
-    # and answers every sum it has solved before from its memo (a memo of
-    # the last inverse alone took 999 inversions and 8,587 calls, a fresh
-    # bracket per inverse 1,200 and 16,525, bisection 51,343)
+    # generator.invert_monotone; the spec took its bracketing samples when
+    # it was built, and answers every sum it has solved before from its
+    # memo (samples taken lazily inside invert_monotone counted 7,856
+    # calls, a memo of the last inverse alone 999 inversions and 8,587
+    # calls, a fresh bracket per inverse 1,200 and 16,525, bisection 51,343)
     counts = Counter()
     invert = generator.invert_monotone
 
@@ -502,7 +636,7 @@ def test_cubic_build_phi_calls_are_pinned(monkeypatch):
         code = main(["build", "--phi", "x^3+x", "--n", "2", "--samples", "200"])
     assert code == 0
     assert counts["inversions"] == 913
-    assert counts["phi"] == 7856
+    assert counts["phi"] == 7847
 
 
 def test_generator_inverse_fallback_round_trip():

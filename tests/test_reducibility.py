@@ -203,3 +203,18 @@ def test_undefined_generator_sum_is_a_domain_escape():
         build_aczelian(spec, 2).checked(800.0, -800.0)
     with pytest.raises(DomainEscapeError, match=r"at \[800\.0, -800\.0\] have no sum"):
         adjoin_neutral(spec, 2).eval([800.0, -800.0])
+
+
+def test_reduction_and_adjoined_structure_guards():
+    with pytest.raises(ValueError, match="^the reduction candidate must be binary$"):
+        verify_reduction(builtin_lookup("sum", 3), builtin_lookup("sum", 3))
+    with pytest.raises(ValueError, match="^n must be >= 2$"):
+        adjoin_neutral(EXP_SPEC, 1)
+    adjoined = adjoin_neutral(EXP_SPEC, 2)
+    with pytest.raises(ValueError, match="^expected 2 points$"):
+        adjoined.eval([1.0])
+    # exp(-800) underflows to 0.0, the adjoined point's generator value, so
+    # the neutrality evaluation there returns the adjoined point itself
+    collapsed = r"^neutrality evaluation collapsed to the adjoined point at x=-800\.0$"
+    with pytest.raises(DomainEscapeError, match=collapsed):
+        adjoined.max_neutrality_residual([0.5, -800.0])
