@@ -367,7 +367,10 @@ _COMMANDS = {
 def write_report(report: dict, fmt: str, path: str) -> None:
     """Serialize a report. JSON is sorted and stable apart from timing_ms;
     CSV needs a tabulated generator result and renders x,phi rows."""
-    table = ["x,phi", *(f"{x!r},{v!r}" for x, v in report["table"])] if "table" in report else []
+    # only csv and text print the x,phi rows
+    table = []
+    if fmt != "json" and "table" in report:
+        table = ["x,phi", *(f"{x!r},{v!r}" for x, v in report["table"])]
     if fmt == "json":
         import json  # only here: a text or CSV report runs without it
 

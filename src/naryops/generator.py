@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import bisect as _bisect
 import math
+import operator
 import struct
 import sys
 from functools import partial
@@ -180,6 +181,21 @@ def _walk(phi: Callable[[float], float], domain: Interval) -> tuple:
     return x0, f0, *sides
 
 
+def _table(walk: tuple) -> tuple:
+    """A :func:`_walk`'s samples sorted for bisection: ``(sign, keys, xs,
+    brackets)``, the xs in increasing order, their values times sign (-1.0
+    for a decreasing phi) as the increasing keys, and ``brackets[i]`` the
+    ``(x, phi(x))`` pairs of samples i and i + 1, flattened; every tuple
+    empty unless the values are strictly monotone."""
+    x0, f0, lows, highs = walk
+    xs, fs = zip(*lows[::-1], (x0, f0), *highs)
+    for sign in (1.0, -1.0):
+        keys = tuple(map(sign.__mul__, fs))
+        if all(map(operator.lt, keys, keys[1:])):
+            return sign, keys, xs, tuple(zip(xs, fs, xs[1:], fs[1:]))
+    return 1.0, (), (), ()
+
+
 def _codomain(domain: Interval, walk: tuple) -> Interval:
     """The image interval of phi read off a :func:`_walk` of its domain, as
     :func:`estimate_codomain` describes."""
@@ -254,12 +270,16 @@ def invert_monotone(
     toward each end along :func:`_approach`, as :func:`estimate_codomain`
     does. Once these steps show on which side y lies, only that side
     grows, and the bracket narrows to the last two samples. On an
-    interval the samples are taken as the search needs them; a
+    interval this gallop takes the samples as the search needs them. A
     :class:`GeneratorSpec` passed in its place brackets on its domain from
     the samples it took when it was built, so it takes each of them once
-    for all its targets. The same points in the same order give the same
-    bracket either way. ITP then refines it: regula falsi, truncated
-    toward the midpoint and projected so that it takes at most
+    for all its targets. When their values are strictly monotone it keeps
+    them sorted, and one bisection finds the sample on y or the two
+    samples around it, the bracket the gallop reaches; a NaN or
+    out-of-range target, or tied samples, still gallop. A bracket across
+    many binades, or wider than the largest float, is then bisected in
+    float space. ITP refines it: regula falsi, truncated toward the
+    midpoint and projected so that it takes at most
     ceil(log2(width / tol)) + 1 steps. The result is the midpoint of a
     final bracket no wider than tol, an absolute width in x. The default
     tol is four ulps of the bracket end nearer zero, or of the farther
@@ -271,63 +291,82 @@ def invert_monotone(
         x0 = _start_point(bracket)
         f0 = _safe_phi(phi, x0)
         lows, highs = _side(phi, bracket, x0, f0, False), _side(phi, bracket, x0, f0, True)
+        i = n = 0
     else:
         x0, f0, lows, highs = bracket._walk
-    if f0 == y:
-        return x0
-    # the range tests below read "y lies between u and v", False for NaN;
-    # a side is read by for loops, which restart a spec's tuple at its
-    # first sample and go on where they left a bare interval's generator
-    for a, fa in lows:
-        break
-    else:
-        a, fa = x0, f0
-    if fa == y:
-        return a
-    b, fb = x0, f0
-    if not (fa <= y <= f0 or f0 <= y <= fa):
-        for b, fb in highs:
+        sign, keys, xs, brackets = bracket._table
+        k = sign * y
+        i, n = _bisect.bisect_left(keys, k), len(keys)
+        if i < n and keys[i] == k:
+            return xs[i]
+    if 0 < i < n:  # a spec's target strictly inside its sorted samples
+        a, fa, b, fb = brackets[i - 1]
+    else:  # a bare interval, tied samples, or a NaN or outside target
+        if f0 == y:
+            return x0
+        # the range tests below read "y lies between u and v", False for NaN;
+        # a side is read by for loops, which restart a spec's tuple at its
+        # first sample and go on where they left a bare interval's generator
+        for a, fa in lows:
             break
-        if fb == y:
-            return b
-        _check_monotone(x0, f0, fa, fb, 1e-12 * (1.0 + min(abs(fa), abs(fb))))
-        if f0 <= y <= fb or fb <= y <= f0:
-            a, fa = x0, f0
         else:
-            up = (fb > fa) == (y > fb)
-            side, near, f_near, f_far = (highs, b, fb, fa) if up else (lows, a, fa, fb)
-            for x, fx in side:  # on a tuple, the first sample is near itself
-                if fx == y:
-                    return x
-                if f_near <= y <= fx or fx <= y <= f_near:
-                    break
-                near, f_near = x, fx
+            a, fa = x0, f0
+        if fa == y:
+            return a
+        b, fb = x0, f0
+        if not (fa <= y <= f0 or f0 <= y <= fa):
+            for b, fb in highs:
+                break
+            if fb == y:
+                return b
+            _check_monotone(x0, f0, fa, fb, 1e-12 * (1.0 + min(abs(fa), abs(fb))))
+            if f0 <= y <= fb or fb <= y <= f0:
+                a, fa = x0, f0
             else:
-                interval = bracket if isinstance(bracket, Interval) else bracket.domain
-                raise InversionError(
-                    f"target {y!r} outside the sampled range [{min(f_far, f_near)!r}, "
-                    f"{max(f_far, f_near)!r}] of {interval.render()}"
-                )
-            (a, fa), (b, fb) = ((near, f_near), (x, fx)) if up else ((x, fx), (near, f_near))
-    # a gallop can leave a bracket across many binades, or one whose width
-    # overflows; ITP steps in real space, so bisect it in float space until
-    # its width is finite and its ends, unless they straddle zero, are
-    # within a factor of two
+                up = (fb > fa) == (y > fb)
+                side, near, f_near, f_far = (highs, b, fb, fa) if up else (lows, a, fa, fb)
+                for x, fx in side:  # on a tuple, the first sample is near itself
+                    if fx == y:
+                        return x
+                    if f_near <= y <= fx or fx <= y <= f_near:
+                        break
+                    near, f_near = x, fx
+                else:
+                    interval = bracket if isinstance(bracket, Interval) else bracket.domain
+                    raise InversionError(
+                        f"target {y!r} outside the sampled range [{min(f_far, f_near)!r}, "
+                        f"{max(f_far, f_near)!r}] of {interval.render()}"
+                    )
+                (a, fa), (b, fb) = ((near, f_near), (x, fx)) if up else ((x, fx), (near, f_near))
+    # a bracket can span many binades, or have a width that overflows; ITP
+    # steps in real space, so such a bracket is bisected in float space first
+    if not b - a < math.inf or (a > 0.0 and b > 2.0 * a) or (b < 0.0 and a < 2.0 * b):
+        a, fa, b, fb = _float_bisection(phi, y, a, fa, b, fb)
+    if tol is None:  # a <= b, so a is the end nearer zero when positive, b when negative
+        tol = 4.0 * math.ulp(a if a > 0.0 else b if b < 0.0 else max(-a, b))
+    return _itp(phi, y, a, fa, b, fb, tol)
+
+
+def _float_bisection(
+    phi: Callable[[float], float], y: float, a: float, fa: float, b: float, fb: float
+) -> tuple[float, float, float, float]:
+    """``(a, fa, b, fb)`` of [a, b] bisected in float space until its width
+    is finite and its ends, unless they straddle zero, are within a factor
+    of two; a midpoint on y comes back as the bracket [x, x], which
+    :func:`_itp` returns as it is."""
     slack = 1e-12 * (1.0 + min(abs(fa), abs(fb)))
     f_end = fb if math.isinf(fb) else fa
     while not b - a < math.inf or (a > 0.0 and b > 2.0 * a) or (b < 0.0 and a < 2.0 * b):
         x = _key_float((_float_key(a) + _float_key(b)) // 2)
         fx = _safe_phi(phi, x, 0.0, f_end)
         if fx == y:
-            return x
+            return x, fx, x, fx
         _check_monotone(x, fx, fa, fb, slack)
         if fa <= y <= fx or fx <= y <= fa:
             b, fb = x, fx
         else:
             a, fa = x, fx
-    if tol is None:
-        tol = 4.0 * math.ulp(min(abs(a), abs(b)) if a > 0.0 or b < 0.0 else max(abs(a), abs(b)))
-    return _itp(phi, y, a, fa, b, fb, tol)
+    return a, fa, b, fb
 
 
 def _midpoint(a: float, b: float) -> float:
@@ -340,14 +379,14 @@ def _itp(
     phi: Callable[[float], float], y: float, a: float, fa: float, b: float, fb: float, tol: float
 ) -> float:
     """Midpoint of a bracket no wider than tol, shrunk from [a, b] whose
-    end values fa, fb lie on either side of y."""
+    end values fa, fb lie on either side of y; [a, b] is the bracket
+    :func:`invert_monotone` found by bisecting a spec's sorted samples or
+    by a gallop, narrowed in float space when wide."""
     if not tol > 0.0:
         tol = math.ulp(0.0)  # no width is narrower; the loop ends when the bracket collapses
     w0 = b - a
     if w0 <= tol:
         return _midpoint(a, b)
-    increasing = fb > fa
-    slack = 1e-12 * (1.0 + min(abs(fa), abs(fb)))
     # a monotone phi overflows inside the bracket only next to an end whose
     # value is infinite, so an overflow reads as that infinity (with two
     # finite ends, as an infinity that fails the monotonicity check)
@@ -356,51 +395,64 @@ def _itp(
     halvings = math.log2(ratio) if ratio < math.inf else math.log2(w0) - math.log2(tol)
     n_max = math.ceil(halvings) + _N0
     # each step below is _midpoint, the truncation max(_KAPPA1 * w0 *
-    # (w / w0) ** _KAPPA2, 0.5 * tol) and the projection test
-    # abs(x_t - mid) <= r, written out as the same float operations
+    # (w / w0) ** _KAPPA2, 0.5 * tol) toward the midpoint and the projection
+    # test abs(x_t - mid) <= r, written out as the same float operations,
+    # with tol * 2^e for e = n_max - 1 down to 0 as the projection's reach
     inf, k1w0, half_tol = math.inf, _KAPPA1 * w0, 0.5 * tol
-    for j in range(n_max):
+    kappa2, ldexp = _KAPPA2, math.ldexp
+    # values times sign rise from a to b; negation is exact, so the steps
+    # compute the same floats as on phi itself
+    sign = 1.0 if fb > fa else -1.0
+    y, fa, fb, f_over = sign * y, sign * fa, sign * fb, sign * f_over
+    # 1e-12 * (1 + min(|fa|, |fb|)), with fa < fb
+    slack = 1e-12 * (1.0 + (fa if fa > 0.0 else -fb if fb < 0.0 else min(-fa, fb)))
+    # a + b lies between 2a and 2b, so it can overflow only when they do
+    wide = not (-inf < 2.0 * a and 2.0 * b < inf)
+    for e in range(n_max - 1, -1, -1):
         w = b - a
         if w <= tol:
             break
         mid = 0.5 * (a + b)
-        if not -inf < mid < inf:
+        if wide and not -inf < mid < inf:
             mid = 0.5 * a + 0.5 * b
         x_f = a + (y - fa) * w / (fb - fa)
         if not a < x_f < b:  # an infinite end value, or rounding onto an end
             x_f = mid
-        if mid >= x_f:
-            sigma, gap = 1.0, mid - x_f
-        else:
-            sigma, gap = -1.0, x_f - mid
         # never below half of tol, so a point already on the root lands
         # across it and closes the bracket
-        delta = k1w0 * (w / w0) ** _KAPPA2
+        delta = k1w0 * (w / w0) ** kappa2
         if half_tol > delta:
             delta = half_tol
-        x_t = x_f + sigma * delta if delta <= gap else mid
         try:
-            r = math.ldexp(tol, n_max - j - 1) - 0.5 * w
+            r = ldexp(tol, e) - 0.5 * w
         except OverflowError:  # a bracket wider than 2^1023: no projection yet
             r = inf
-        x = x_t if -r <= x_t - mid <= r else mid - sigma * r
+        if mid >= x_f:
+            x_t = x_f + delta if delta <= mid - x_f else mid
+            x = x_t if -r <= x_t - mid <= r else mid - r
+        else:
+            x_t = x_f - delta if delta <= x_f - mid else mid
+            x = x_t if -r <= x_t - mid <= r else mid + r
         if not a < x < b:
             x = mid
             if not a < x < b:
                 break
-        # _safe_phi inline, and _check_monotone's test for either order of
-        # fa and fb, with the call left to build the error
+        # _safe_phi inline, and _check_monotone's test one side at a time:
+        # with fa < y < fb, a value below y can only fall below fa, and a
+        # value above y, or a NaN, can only fail against fb
         try:
-            fx = phi(x)
+            fx = sign * phi(x)
         except OverflowError:
             fx = f_over
         if fx == y:
             return x
-        if not (fa - slack <= fx <= fb + slack or fb - slack <= fx <= fa + slack):
-            _check_monotone(x, fx, fa, fb, slack)
-        if (fx < y) == increasing:
+        if fx < y:
+            if fa - slack > fx:
+                _check_monotone(x, sign * fx, sign * fa, sign * fb, slack)
             a, fa = x, fx
         else:
+            if not fx <= fb + slack:
+                _check_monotone(x, sign * fx, sign * fa, sign * fb, slack)
             b, fb = x, fx
     return _midpoint(a, b)
 
@@ -421,7 +473,8 @@ class GeneratorSpec(Record):
     when it is built: phi at every sample that inversion brackets with
     and the estimate reads, so a NaN or an escape of phi on the way
     raises there, with the estimate's message. A spec without an inverse
-    brackets every target from those samples and keeps a memo of the
+    brackets every target from those samples, sorted once for bisection
+    when their values are strictly monotone, and keeps a memo of the
     roots it has found, so a y it has solved before (bit for bit: 0.0 is
     not -0.0) costs no phi call. The memo starts over after _MEMO_SIZE
     roots; it is all a spec changes after it is built. The results are
@@ -431,7 +484,9 @@ class GeneratorSpec(Record):
     compared.
     """
 
-    __slots__ = ("phi", "domain", "codomain", "phi_inverse", "kind", "label", "_walk", "_roots")
+    __slots__ = (
+        "phi", "domain", "codomain", "phi_inverse", "kind", "label", "_walk", "_table", "_roots"
+    )
     _fields = ("phi", "domain", "codomain", "phi_inverse", "kind", "label")
     _compared = ("domain", "codomain", "kind", "label")
 
@@ -443,14 +498,14 @@ class GeneratorSpec(Record):
     ):
         if kind not in ("closed_form", "tabulated"):
             raise ValueError(f"unknown generator kind {kind!r}")
-        walk = roots = None
+        walk = table = roots = None
         if phi_inverse is None or codomain is None:
             walk = _walk(phi, domain)
             if codomain is None:
                 codomain = _codomain(domain, walk)
             if phi_inverse is None:  # inverted by root-finding
-                roots = {}
-        super().__init__(phi, domain, codomain, phi_inverse, kind, label, walk, roots)
+                table, roots = _table(walk), {}
+        super().__init__(phi, domain, codomain, phi_inverse, kind, label, walk, table, roots)
 
     def inverse(self, y: float) -> float:
         """The point whose generator value is y: the one place a sum of
@@ -516,13 +571,13 @@ def piecewise_linear(xs: Sequence[float], ys: Sequence[float], t: float) -> floa
     strictly increasing; ValueError outside [xs[0], xs[-1]] (no
     extrapolation). With the roles of xs and ys swapped it inverts an
     increasing polyline."""
-    if not xs[0] <= t <= xs[-1]:
-        raise ValueError(f"{t!r} outside tabulated range [{xs[0]}, {xs[-1]}]")
-    i = _bisect.bisect_right(xs, t) - 1
-    if i == len(xs) - 1:
+    i = _bisect.bisect_right(xs, t)
+    if 0 < i < len(xs):
+        x, y = xs[i - 1], ys[i - 1]
+        return y + (t - x) / (xs[i] - x) * (ys[i] - y)
+    if t == xs[-1]:
         return ys[-1]
-    w = (t - xs[i]) / (xs[i + 1] - xs[i])
-    return ys[i] + w * (ys[i + 1] - ys[i])
+    raise ValueError(f"{t!r} outside tabulated range [{xs[0]}, {xs[-1]}]")
 
 
 def tabulated_generator(

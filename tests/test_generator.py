@@ -192,13 +192,17 @@ def test_itp_projection_radius_past_the_float_range():
 
 
 def test_itp_names_a_refinement_value_outside_its_bracket():
-    # phi keeps the bracket's end values at its ends and leaves them inside
-    phi = lambda x: 10.0 if 0.25 < x < 0.75 else x  # noqa: E731
-    with pytest.raises(
-        InversionError,
-        match=r"^sign pattern violates monotonicity near x=0\.5: phi\(x\)=10\.0 outside \[0\.0, 1\.0\]$",
-    ):
-        generator._itp(phi, 0.5, 0.0, 0.0, 1.0, 1.0, 1e-9)
+    # phi keeps the bracket's end values at its ends and leaves them inside,
+    # above or below both, rising or falling; the reference names the same
+    for inside, sign in ((10.0, 1.0), (-10.0, 1.0), (10.0, -1.0), (-10.0, -1.0)):
+        phi = lambda x: inside if 0.25 < x < 0.75 else sign * x  # noqa: E731
+        fb = sign * 1.0
+        message = (
+            f"sign pattern violates monotonicity near x=0.5: phi(x)={inside!r} outside [0.0, {fb!r}]"
+        )
+        for itp in (generator._itp, inversion_oracle._itp):
+            with pytest.raises(InversionError, match=f"^{re.escape(message)}$"):
+                itp(phi, sign * 0.5, 0.0, 0.0, 1.0, fb, 1e-9)
 
 
 def test_float_space_bisection_returns_a_midpoint_on_the_target():
@@ -350,18 +354,21 @@ def test_spec_ladder_matches_the_one_shot_inverse(name, data):
                 solved.add(repr(y))
 
 
-#: the closed forms and a decreasing one with an open end, for the
-#: differential tests against the reference inversion
+#: the closed forms and two decreasing ones, for the differential tests
+#: against the reference inversion: 1-ln with an open end, and exp(-x),
+#: whose samples on the real line tie at 0.0 where it underflows
 ORACLE_FORMS = {name: form[:3] for name, form in CLOSED_FORMS.items()}
 ORACLE_FORMS["1-ln"] = (
     lambda x: 1.0 - math.log(x), Interval.parse("(0,inf)"), st.floats(1e-11, 1e12)
 )
+ORACLE_FORMS["exp(-x)"] = (lambda x: math.exp(-x), Interval.real_line(), st.floats(-30.0, 30.0))
 
 
 def _oracle_case(data):
     """A phi, an interval (the real line, (0,inf), or a finite one between
     two preimages with either kind of end) and a strategy of targets:
-    images of preimages, signed zeros, +-1e300 and phi at finite ends."""
+    images of preimages, signed zeros, +-1e300, NaN and phi at finite
+    ends."""
     phi, _, preimages = ORACLE_FORMS[data.draw(st.sampled_from(sorted(ORACLE_FORMS)))]
     lo, hi = sorted(data.draw(st.lists(preimages, min_size=2, max_size=2, unique=True)))
     finite = st.builds(Interval.make, st.just(lo), st.just(hi), st.booleans(), st.booleans())
@@ -373,7 +380,7 @@ def _oracle_case(data):
             ends.append(phi(end))
         except (ValueError, OverflowError):
             pass
-    targets = preimages.map(phi) | st.sampled_from([0.0, -0.0, 1e300, -1e300, *ends])
+    targets = preimages.map(phi) | st.sampled_from([0.0, -0.0, 1e300, -1e300, math.nan, *ends])
     return phi, interval, targets
 
 
@@ -400,12 +407,12 @@ def test_inversion_matches_the_reference(data, tol):
 def test_spec_inverse_matches_the_reference(data):
     # a spec on the real line as its codomain takes the reference's walk
     # when it is built, and then answers a sequence of targets as the
-    # reference does on that walked ladder, calling phi at the same points
-    # except for a target it has solved before, 0.0 and -0.0 apart, which
-    # costs no call
+    # reference does on that walked ladder, calling phi at the same points,
+    # whether it bisects its sorted samples or gallops over tied ones: a
+    # target on a sample's value costs no call, and one outside the samples
+    # or a NaN raises the same error. Through its memo, a finite target it
+    # has solved before, 0.0 and -0.0 apart, costs no call
     phi, interval, targets = _oracle_case(data)
-    ys = data.draw(st.lists(targets, min_size=1, max_size=12))
-    ys += data.draw(st.lists(st.sampled_from(ys), max_size=12))
     calls = []
 
     def counting(x):
@@ -427,19 +434,102 @@ def test_spec_inverse_matches_the_reference(data):
     assert calls == walk
     if failure is not None:
         return
-    solved = {}
+    samples = [ladder.f0, *(fx for side in ladder._sides for _, fx in side)]
+    targets |= st.sampled_from(samples)
+    ys = data.draw(st.lists(targets, min_size=1, max_size=12))
+    ys += data.draw(st.lists(st.sampled_from(ys), max_size=12))
+    solved = set()
     for y in ys:
         calls.clear()
-        if repr(y) in solved:
-            expected, expected_calls = solved[repr(y)], []
-        else:
-            expected = _outcome(inversion_oracle.invert_monotone, counting, y, ladder)
-            expected_calls = calls[:]
-            if isinstance(expected, str):
-                solved[repr(y)] = expected
+        expected = _outcome(inversion_oracle.invert_monotone, counting, y, ladder)
+        # a NaN lies on no side, so the reference walks both to their ends,
+        # and its ladder goes on past an infinite sample, where the spec's
+        # walk stopped; the spec has taken every sample it brackets with
+        expected_calls = calls[:] if y == y else []
+        calls.clear()
+        assert _outcome(invert_monotone, counting, y, spec) == expected, y
+        assert calls == expected_calls, y
+        if not math.isfinite(y):  # escapes the real line before any inversion
+            continue
         calls.clear()
         assert _outcome(spec.inverse, y) == expected, y
-        assert calls == expected_calls, y
+        assert calls == ([] if repr(y) in solved else expected_calls), y
+        if isinstance(expected, str):
+            solved.add(repr(y))
+
+
+@pytest.mark.parametrize(
+    "phi, interval, sign",
+    [
+        (lambda x: x**3 + x, "(-inf,inf)", 1.0),
+        (lambda x: x + math.exp(x), "(-inf,inf)", 1.0),
+        (lambda x: 1.0 - math.log(x), "(0,inf)", -1.0),
+        (lambda x: math.exp(-x), "[-5,5]", -1.0),
+        # tied samples: exp(-x) underflows to 0.0 and atan rounds to pi/2
+        (lambda x: math.exp(-x), "(-inf,inf)", None),
+        (math.atan, "(-inf,inf)", None),
+    ],
+)
+def test_spec_bisects_only_strictly_monotone_samples(phi, interval, sign):
+    # the spec keeps its samples sorted by x, their values times sign as
+    # increasing keys, and brackets by bisecting those; with tied samples it
+    # keeps none and gallops. Either way a target on a sample's value
+    # returns that sample with no call, and every root is the bare interval's
+    calls = []
+
+    def counting(x):
+        calls.append(x)
+        return phi(x)
+
+    domain = Interval.parse(interval)
+    spec = GeneratorSpec(counting, domain, Interval.real_line())
+    x0, f0, lows, highs = spec._walk
+    samples = (*lows, (x0, f0), *highs)
+    table_sign, keys, xs, brackets = spec._table
+    if sign is None:
+        assert (keys, xs, brackets) == ((), (), ())
+    else:
+        assert table_sign == sign and list(xs) == sorted(x for x, _ in (*lows, (x0, f0), *highs))
+        assert len(keys) == len(xs) == len(brackets) + 1
+    for x, fx in (*lows[:3], (x0, f0), *highs[:3], *lows[-2:], *highs[-2:]):
+        calls.clear()
+        root = invert_monotone(counting, fx, spec)
+        assert calls == [] and (root == x if sign else (root, fx) in samples)
+    for x in (-3.0, -0.25, 0.0, 0.7, 4.5):
+        if domain.lo < x < domain.hi:
+            assert repr(spec.inverse(phi(x))) == repr(invert_monotone(phi, phi(x), domain))
+
+
+def test_a_spec_bracket_past_an_overflow_is_still_bisected_in_float_space(monkeypatch):
+    # x+exp(x) overflows past 709.78, so the walk's high side ends at 1024
+    # with +inf, and its low side steps from -2^64 to -2^128, -2^256 and
+    # -2^512; a target between those is bisected in float space before ITP,
+    # one past the last finite sample is refined against the infinite end,
+    # and both match the reference on the walked ladder, call for call
+    calls = []
+
+    def phi(x):
+        calls.append(x)
+        return x + math.exp(x)
+
+    spec = GeneratorSpec(phi)
+    assert spec._walk[3][-2:] == ((512.0, 512.0 + math.exp(512.0)), (1024.0, math.inf))
+    assert spec._table[1]  # strictly increasing: the sorted path
+    ladder = inversion_oracle.walked(phi, Interval.real_line())
+    bisected, float_bisection = [], generator._float_bisection
+
+    def counted(*args):
+        bisected.append(args)
+        return float_bisection(*args)
+
+    monkeypatch.setattr(generator, "_float_bisection", counted)
+    for y, bisects in ((-1e50, True), (-1e300, True), (1e300, False), (700.0, False)):
+        calls.clear()
+        expected = repr(inversion_oracle.invert_monotone(phi, y, ladder)), calls[:]
+        calls.clear()
+        bisected.clear()
+        assert (repr(invert_monotone(phi, y, spec)), calls) == expected, y
+        assert bool(bisected) == bisects, y
 
 
 def test_spec_whose_phi_raises_on_its_walk_is_not_built():
@@ -707,6 +797,37 @@ def test_tabulated_generator_round_trip():
     assert spec.phi_inverse(0.5) == 1.5
     for x in (0.5, 0.8, 1.0, 3.0, 4.0):
         assert abs(spec.phi_inverse(spec.phi(x)) - x) <= 1e-12
+
+
+def _interpolate(xs, ys, t):
+    """The polyline's value as the package computed it before its
+    interpolation read each knot once."""
+    if not xs[0] <= t <= xs[-1]:
+        raise ValueError(f"{t!r} outside tabulated range [{xs[0]}, {xs[-1]}]")
+    i = max(j for j in range(len(xs)) if xs[j] <= t)
+    if i == len(xs) - 1:
+        return ys[-1]
+    w = (t - xs[i]) / (xs[i + 1] - xs[i])
+    return ys[i] + w * (ys[i + 1] - ys[i])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    knots=st.lists(
+        st.tuples(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6)), min_size=1, max_size=8,
+        unique_by=lambda k: k[0],
+    ),
+    data=st.data(),
+)
+def test_piecewise_linear_matches_the_knot_by_knot_form(knots, data):
+    # the same float at every t, knots, signed zeros and points outside
+    # included, and the same error past either end or at NaN
+    knots.sort()
+    xs, ys = [x for x, _ in knots], [y for _, y in knots]
+    t = data.draw(
+        st.floats(-2e6, 2e6) | st.sampled_from([*xs, 0.0, -0.0, math.nan, -math.inf, math.inf])
+    )
+    assert _outcome(generator.piecewise_linear, xs, ys, t) == _outcome(_interpolate, xs, ys, t)
 
 
 def test_tabulated_generator_validation():
