@@ -23,12 +23,12 @@ from __future__ import annotations
 
 import math
 import random
-from itertools import islice
+from itertools import chain, islice
 from typing import Sequence
 
 from . import generator
 from .axioms import AxiomReport, additivity_trials, falsify, roundtrip_trials
-from .core import Interval, NaryOp, Record, window_point
+from .core import NaryOp, Record, window_point
 from .errors import (
     AllIdempotentError,
     BracketNotFoundError,
@@ -215,31 +215,41 @@ class _Units:
         return self.table.get(j)
 
     def _root(self, u: float) -> float | None:
-        """The unit below u, by :func:`naryops.generator.invert_monotone`
-        run to the last float, or None when no float lies strictly between
-        the root and u. The bracket [far, nxt] has the root in its middle
-        for a near-linear generator; when it misses, the bracket reaches
-        out to the domain end."""
-        dom = self.f.domain
+        """The unit below u: the root of the diagonal at u, refined by
+        :func:`naryops.generator._itp` to the last float, or None when no
+        float lies strictly between the root and u. The search walks away
+        from u, from the next float nxt: first to far, which puts the root
+        in the middle of [far, nxt] for a near-linear generator, then along
+        :func:`naryops.generator._approach` toward the domain end, and to
+        an open end itself, until the diagonal crosses u."""
+        dom, before = self.f.domain, self.before
         nxt = math.nextafter(u, -math.inf if self.ahead else math.inf)
-        if not dom.contains(nxt) or self.before(d := self.diagonal(nxt), u):
+        if not dom.contains(nxt) or before(d := self.diagonal(nxt), u):
             return None  # the root lies between nxt and u
         if d == u:
             return nxt
+        end, open_end = (dom.lo, dom.lo_open) if self.ahead else (dom.hi, dom.hi_open)
+        points = generator._approach(end, open_end, nxt, self.ahead)
         if self.low < self.high:
             far = u - 2.0 * (self.table[self.low + 1] - u) / self.n
-            if dom.contains(far) and self.before(far, nxt):
-                bracket = Interval.make(min(far, nxt), max(far, nxt), False, False)
-                try:
-                    return generator.invert_monotone(self._search_diagonal, u, bracket, 0.0)
-                except InversionError:  # the diagonal bends away beyond far
-                    pass
-        if self.ahead:
-            return generator.invert_monotone(
-                self._search_diagonal, u, Interval.make(dom.lo, nxt, dom.lo_open, False), 0.0
-            )
-        return generator.invert_monotone(
-            self._search_diagonal, u, Interval.make(nxt, dom.hi, False, dom.hi_open), 0.0
+            if dom.contains(far) and before(far, nxt):
+                points = chain((far,), points)
+        if open_end and math.isfinite(end):
+            points = chain(points, (end,))
+        diagonal, last, f_last = self._search_diagonal, nxt, d
+        for x in points:
+            if before(x, last):
+                fx = generator._safe_phi(diagonal, x, d, u)
+                if not before(u, fx):  # the diagonal crossed u between last and x
+                    if fx == u:
+                        return x
+                    if self.ahead:
+                        return generator._itp(diagonal, u, x, fx, last, f_last, 0.0)
+                    return generator._itp(diagonal, u, last, f_last, x, fx, 0.0)
+                last, f_last = x, fx
+        raise InversionError(
+            f"target {u!r} outside the sampled range [{min(d, f_last)!r}, {max(d, f_last)!r}] "
+            f"of the diagonal from {nxt!r} to {last!r}"
         )
 
 

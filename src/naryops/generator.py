@@ -10,6 +10,7 @@ uses an exact expression when one is supplied and ITP root-finding
 from __future__ import annotations
 
 import bisect as _bisect
+import itertools
 import math
 import operator
 import struct
@@ -128,18 +129,6 @@ def _start_point(iv: Interval) -> float:
     return 0.0
 
 
-def _side(phi: Callable[[float], float], interval: Interval, x0: float, f0: float, high: bool):
-    """The samples of a bare interval toward one end, taken as a search
-    asks for them: (x, phi(x)) at each point of :func:`_approach` that
-    moves past the last one sampled."""
-    end, open_end = (interval.hi, interval.hi_open) if high else (interval.lo, interval.lo_open)
-    last, f_last = x0, f0
-    for x in _approach(end, open_end, x0, not high):
-        if x > last if high else x < last:
-            last, f_last = x, _safe_phi(phi, x, f0, f_last)
-            yield x, f_last
-
-
 def _walk(phi: Callable[[float], float], domain: Interval) -> tuple:
     """The samples :func:`invert_monotone` brackets with on a domain, all
     taken at once: phi at the start point, then (x, phi(x)) along
@@ -182,18 +171,28 @@ def _walk(phi: Callable[[float], float], domain: Interval) -> tuple:
 
 
 def _table(walk: tuple) -> tuple:
-    """A :func:`_walk`'s samples sorted for bisection: ``(sign, keys, xs,
-    brackets)``, the xs in increasing order, their values times sign (-1.0
-    for a decreasing phi) as the increasing keys, and ``brackets[i]`` the
-    ``(x, phi(x))`` pairs of samples i and i + 1, flattened; every tuple
-    empty unless the values are strictly monotone."""
+    """A :func:`_walk`'s samples ordered for bisection: ``(sign, keys,
+    hits, brackets)``. Ordered by x, the samples fall into runs of equal
+    values. ``keys`` holds each run's value times sign (-1.0 for a
+    decreasing phi), in increasing order, ``hits`` the x of its sample
+    nearest the start point, and ``brackets[i]`` the ``(x, phi(x))`` pairs
+    of the last sample of run i and the first of run i + 1, flattened.
+    Values that are not monotone raise :class:`InversionError` at the
+    first run whose value lies outside those of its neighbours."""
     x0, f0, lows, highs = walk
-    xs, fs = zip(*lows[::-1], (x0, f0), *highs)
-    for sign in (1.0, -1.0):
+    samples = (*lows[::-1], (x0, f0), *highs)
+    xs, fs = zip(*samples)
+    for sign in (1.0, -1.0):  # strictly monotone: every run one sample
         keys = tuple(map(sign.__mul__, fs))
         if all(map(operator.lt, keys, keys[1:])):
             return sign, keys, xs, tuple(zip(xs, fs, xs[1:], fs[1:]))
-    return 1.0, (), (), ()
+    runs = [tuple(run) for _, run in itertools.groupby(samples, operator.itemgetter(1))]
+    for before, run, after in zip(runs, runs[1:], runs[2:]):
+        _check_monotone(*run[0], before[0][1], after[0][1], 0.0)
+    sign = -1.0 if fs[-1] < fs[0] else 1.0
+    keys = tuple(sign * run[0][1] for run in runs)
+    hits = tuple(min(max(x0, run[0][0]), run[-1][0]) for run in runs)
+    return sign, keys, hits, tuple((*run[-1], *after[0]) for run, after in zip(runs, runs[1:]))
 
 
 def _codomain(domain: Interval, walk: tuple) -> Interval:
@@ -264,87 +263,40 @@ def invert_monotone(
     bracket: Interval | GeneratorSpec,
     tol: float | None = None,
 ) -> float:
-    """Solve phi(x) = y for strictly monotone phi by ITP root-finding.
+    """Solve phi(x) = y for monotone phi by ITP root-finding.
 
-    Bracketing starts at the start point of ``bracket`` and takes one step
-    toward each end along :func:`_approach`, as :func:`estimate_codomain`
-    does. Once these steps show on which side y lies, only that side
-    grows, and the bracket narrows to the last two samples. On an
-    interval this gallop takes the samples as the search needs them. A
-    :class:`GeneratorSpec` passed in its place brackets on its domain from
-    the samples it took when it was built, so it takes each of them once
-    for all its targets. When their values are strictly monotone it keeps
-    them sorted, and one bisection finds the sample on y or the two
-    samples around it, the bracket the gallop reaches; a NaN or
-    out-of-range target, or tied samples, still gallop. A bracket across
-    many binades, or wider than the largest float, is then bisected in
-    float space. ITP refines it: regula falsi, truncated toward the
-    midpoint and projected so that it takes at most
-    ceil(log2(width / tol)) + 1 steps. The result is the midpoint of a
-    final bracket no wider than tol, an absolute width in x. The default
-    tol is four ulps of the bracket end nearer zero, or of the farther
-    end when the bracket reaches zero. A target outside the sampled
-    range, or a phi value outside the values at the bracket ends, raises
-    :class:`InversionError`.
+    A :class:`GeneratorSpec` brackets on its domain from the samples it
+    took when it was built, so it takes each of them once for all its
+    targets; an interval is walked at once, as a spec on it with the real
+    line as its codomain. The samples, ordered by x, fall into runs of
+    equal values, and one bisection of the runs finds the run on y, whose
+    sample nearest the start point is returned, or the two neighbouring
+    samples around it. A target past the samples, or a NaN, which
+    searches the low side for a rising phi and the high side for a falling
+    one, raises :class:`InversionError` naming the last value on the side
+    searched and the first on the other side of the start point. Values
+    that are not monotone raise it when the spec is built. :func:`_itp`
+    refines the bracket to within tol.
     """
     if isinstance(bracket, Interval):
-        x0 = _start_point(bracket)
-        f0 = _safe_phi(phi, x0)
-        lows, highs = _side(phi, bracket, x0, f0, False), _side(phi, bracket, x0, f0, True)
-        i = n = 0
-    else:
-        x0, f0, lows, highs = bracket._walk
-        sign, keys, xs, brackets = bracket._table
-        k = sign * y
-        i, n = _bisect.bisect_left(keys, k), len(keys)
-        if i < n and keys[i] == k:
-            return xs[i]
-    if 0 < i < n:  # a spec's target strictly inside its sorted samples
+        bracket = GeneratorSpec(phi, bracket, Interval.real_line())
+    sign, keys, hits, brackets = bracket._table
+    k = sign * y
+    i, n = _bisect.bisect_left(keys, k), len(keys)
+    if i < n and keys[i] == k:
+        return hits[i]
+    if 0 < i < n:
         a, fa, b, fb = brackets[i - 1]
-    else:  # a bare interval, tied samples, or a NaN or outside target
-        if f0 == y:
-            return x0
-        # the range tests below read "y lies between u and v", False for NaN;
-        # a side is read by for loops, which restart a spec's tuple at its
-        # first sample and go on where they left a bare interval's generator
-        for a, fa in lows:
-            break
-        else:
-            a, fa = x0, f0
-        if fa == y:
-            return a
-        b, fb = x0, f0
-        if not (fa <= y <= f0 or f0 <= y <= fa):
-            for b, fb in highs:
-                break
-            if fb == y:
-                return b
-            _check_monotone(x0, f0, fa, fb, 1e-12 * (1.0 + min(abs(fa), abs(fb))))
-            if f0 <= y <= fb or fb <= y <= f0:
-                a, fa = x0, f0
-            else:
-                up = (fb > fa) == (y > fb)
-                side, near, f_near, f_far = (highs, b, fb, fa) if up else (lows, a, fa, fb)
-                for x, fx in side:  # on a tuple, the first sample is near itself
-                    if fx == y:
-                        return x
-                    if f_near <= y <= fx or fx <= y <= f_near:
-                        break
-                    near, f_near = x, fx
-                else:
-                    interval = bracket if isinstance(bracket, Interval) else bracket.domain
-                    raise InversionError(
-                        f"target {y!r} outside the sampled range [{min(f_far, f_near)!r}, "
-                        f"{max(f_far, f_near)!r}] of {interval.render()}"
-                    )
-                (a, fa), (b, fb) = ((near, f_near), (x, fx)) if up else ((x, fx), (near, f_near))
-    # a bracket can span many binades, or have a width that overflows; ITP
-    # steps in real space, so such a bracket is bisected in float space first
-    if not b - a < math.inf or (a > 0.0 and b > 2.0 * a) or (b < 0.0 and a < 2.0 * b):
-        a, fa, b, fb = _float_bisection(phi, y, a, fa, b, fb)
-    if tol is None:  # a <= b, so a is the end nearer zero when positive, b when negative
-        tol = 4.0 * math.ulp(a if a > 0.0 else b if b < 0.0 else max(-a, b))
-    return _itp(phi, y, a, fa, b, fb, tol)
+        return _itp(phi, y, a, fa, b, fb, tol)
+    # keys rise with x; bisect_left puts a NaN below them all, where it
+    # searches the low side of a rising phi, and the high side of a falling one
+    x0, f0, lows, highs = bracket._walk
+    near, far = (lows, highs) if i == 0 and (sign > 0.0 or y == y) else (highs, lows)
+    f_near, f_far = near[-1][1] if near else f0, far[0][1] if far else f0
+    raise InversionError(
+        f"target {y!r} outside the sampled range [{min(f_far, f_near)!r}, "
+        f"{max(f_far, f_near)!r}] of {bracket.domain.render()}"
+    )
 
 
 def _float_bisection(
@@ -376,13 +328,25 @@ def _midpoint(a: float, b: float) -> float:
 
 
 def _itp(
-    phi: Callable[[float], float], y: float, a: float, fa: float, b: float, fb: float, tol: float
+    phi: Callable[[float], float], y: float, a: float, fa: float, b: float, fb: float,
+    tol: float | None = None,
 ) -> float:
-    """Midpoint of a bracket no wider than tol, shrunk from [a, b] whose
-    end values fa, fb lie on either side of y; [a, b] is the bracket
-    :func:`invert_monotone` found by bisecting a spec's sorted samples or
-    by a gallop, narrowed in float space when wide."""
-    if not tol > 0.0:
+    """Midpoint of a bracket no wider than tol, shrunk from [a, b], a <= b,
+    whose end values fa, fb lie on either side of y. A bracket across many
+    binades, or wider than the largest float, is first bisected in float
+    space. ITP then refines it: regula falsi, truncated toward the
+    midpoint and projected so that it takes at most
+    ceil(log2(width / tol)) + 1 steps. tol is an absolute width in x; by
+    default four ulps of the bracket end nearer zero, or of the farther
+    end when the bracket reaches zero. A phi value outside the values at
+    the bracket ends raises :class:`InversionError`."""
+    # ITP steps in real space, so a bracket that spans many binades, or has
+    # a width that overflows, is bisected in float space first
+    if not b - a < math.inf or (a > 0.0 and b > 2.0 * a) or (b < 0.0 and a < 2.0 * b):
+        a, fa, b, fb = _float_bisection(phi, y, a, fa, b, fb)
+    if tol is None:  # a is the end nearer zero when positive, b when negative
+        tol = 4.0 * math.ulp(a if a > 0.0 else b if b < 0.0 else max(-a, b))
+    elif not tol > 0.0:
         tol = math.ulp(0.0)  # no width is narrower; the loop ends when the bracket collapses
     w0 = b - a
     if w0 <= tol:
@@ -474,7 +438,8 @@ class GeneratorSpec(Record):
     and the estimate reads, so a NaN or an escape of phi on the way
     raises there, with the estimate's message. A spec without an inverse
     brackets every target from those samples, sorted once for bisection
-    when their values are strictly monotone, and keeps a memo of the
+    into runs of equal values (values that are not monotone raise
+    :class:`InversionError` there), and keeps a memo of the
     roots it has found, so a y it has solved before (bit for bit: 0.0 is
     not -0.0) costs no phi call. The memo starts over after _MEMO_SIZE
     roots; it is all a spec changes after it is built. The results are

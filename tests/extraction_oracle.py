@@ -20,9 +20,11 @@ from __future__ import annotations
 import math
 import random
 
+import inversion_oracle
+
 from naryops import generator
 from naryops.axioms import AxiomReport, falsify
-from naryops.core import Interval, NaryOp, window_point
+from naryops.core import NaryOp, window_point
 from naryops.errors import (
     BracketNotFoundError,
     DomainEscapeError,
@@ -104,31 +106,41 @@ class _Units:
         return self.table.get(j)
 
     def _root(self, u: float) -> float | None:
-        """The unit below u, by :func:`naryops.generator.invert_monotone`
-        run to the last float, or None when no float lies strictly between
-        the root and u. The bracket [far, nxt] has the root in its middle
-        for a near-linear generator; when it misses, the bracket reaches
-        out to the domain end."""
+        """The unit below u, or None when no float lies strictly between the
+        root and u: the points far (when it lies in the domain, past the
+        next float nxt), then the approach from nxt toward the domain end,
+        then an open finite end itself, listed first and sampled in turn
+        past the last one sampled, until the diagonal reaches u; the
+        reference inversion refines the last step to the last float."""
         dom = self.f.domain
         nxt = math.nextafter(u, -math.inf if self.ahead else math.inf)
         if not dom.contains(nxt) or self.before(d := self.diagonal(nxt), u):
             return None  # the root lies between nxt and u
         if d == u:
             return nxt
+        end, open_end = (dom.lo, dom.lo_open) if self.ahead else (dom.hi, dom.hi_open)
+        points = []
         if self.low < self.high:
             far = u - 2.0 * (self.table[self.low + 1] - u) / self.n
             if dom.contains(far) and self.before(far, nxt):
-                bracket = Interval.make(min(far, nxt), max(far, nxt), False, False)
-                try:
-                    return generator.invert_monotone(self._search_diagonal, u, bracket, 0.0)
-                except InversionError:  # the diagonal bends away beyond far
-                    pass
-        if self.ahead:
-            return generator.invert_monotone(
-                self._search_diagonal, u, Interval.make(dom.lo, nxt, dom.lo_open, False), 0.0
-            )
-        return generator.invert_monotone(
-            self._search_diagonal, u, Interval.make(nxt, dom.hi, False, dom.hi_open), 0.0
+                points.append(far)
+        points += inversion_oracle._approach(end, open_end, nxt, self.ahead)
+        if open_end and math.isfinite(end):
+            points.append(end)
+        last, f_last = nxt, d
+        for x in points:
+            if not self.before(x, last):
+                continue
+            fx = inversion_oracle._safe_phi(self._search_diagonal, x, d, u)
+            if f_last <= u <= fx or fx <= u <= f_last:  # the diagonal reached u
+                if fx == u:
+                    return x
+                (a, fa), (b, fb) = sorted([(x, fx), (last, f_last)])
+                return inversion_oracle.refine(self._search_diagonal, u, a, fa, b, fb, 0.0)
+            last, f_last = x, fx
+        raise InversionError(
+            f"target {u!r} outside the sampled range [{min(d, f_last)!r}, {max(d, f_last)!r}] "
+            f"of the diagonal from {nxt!r} to {last!r}"
         )
 
 

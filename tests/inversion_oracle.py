@@ -3,9 +3,10 @@
 :func:`naryops.generator.estimate_codomain`, with the bracketing samples
 kept on a ladder walked by generators and every helper a call.
 
-The package's version walks a spec's domain once, when the spec is
-built, and a bare interval lazily, runs a flat ITP loop and reads the
-codomain off the walk; both must find the same roots and codomains,
+The package's version walks a spec's domain, or a bare interval, once,
+and brackets every target by bisecting those samples; it runs a flat
+ITP loop and reads the codomain off the walk. On a ladder :func:`walked`
+as the package walks, both must find the same roots and codomains,
 raise the same errors and call phi at the same points in the same order
 as this one.
 """
@@ -121,14 +122,15 @@ class Ladder:
 def walked(phi, domain: Interval) -> Ladder:
     """A ladder holding the samples a spec takes when it is built: phi at
     the start point, then each side walked up to its first infinite
-    value; a NaN value raises."""
+    value, where the side ends; a NaN value raises."""
     ladder = Ladder(domain)
     ladder.start(phi)
     for high in (False, True):
         for x, fx in ladder.walk(phi, high):
             if math.isnan(fx):
                 raise DomainEscapeError(f"generator value is nan at x={x!r}")
-            if math.isinf(fx):
+            if math.isinf(fx):  # the side ends here, as a spec's walk does
+                ladder._points[high] = iter(())
                 break
     return ladder
 
@@ -222,6 +224,14 @@ def invert_monotone(phi, y: float, bracket, tol: float | None = None) -> float:
                     f"{max(f_far, f_near)!r}] of {ladder.interval.render()}"
                 )
             (a, fa), (b, fb) = ((near, f_near), (x, fx)) if up else ((x, fx), (near, f_near))
+    return refine(phi, y, a, fa, b, fb, tol)
+
+
+def refine(phi, y: float, a: float, fa: float, b: float, fb: float, tol: float | None = None):
+    """The root in a bracket [a, b] whose end values lie on either side of
+    y: bisected in float space while it spans binades or has an infinite
+    width, then refined by ITP to tol, by default four ulps of the end
+    nearer zero, or of the farther end when the bracket reaches zero."""
     slack = 1e-12 * (1.0 + min(abs(fa), abs(fb)))
     f_end = fb if math.isinf(fb) else fa
     while not b - a < math.inf or (

@@ -41,6 +41,7 @@ from string_oracle import class_ceil, phi_at as string_phi_at, rational_grid
 SUM2 = builtin_lookup("sum", 2)
 SUM3 = builtin_lookup("sum", 3)
 PRODUCT2 = builtin_lookup("product", 2)
+BOUNDED3 = builtin_lookup("bounded_product", 3)
 PRODUCT3 = builtin_lookup("product", 3)
 
 
@@ -458,6 +459,35 @@ def test_a_two_knot_table_of_log2_passes_additivity():
     assert _extract_product_from_2("0.5")["code"] == 0
 
 
+#: the cube-root conjugate of the sum, lawful on (0, inf), over a grid of
+#: seven points
+CUBIC_SUM = ["--op", "expr:(x1^3+x2^3)^(1/3)", "--interval", "(0,inf)", "--grid", "0.5:2:0.25"]
+
+
+def _exit_codes(*extra: str) -> tuple:
+    """The exit codes of extract and roundtrip on CUBIC_SUM."""
+    codes = []
+    for command in ("extract", "roundtrip"):
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            codes.append(main([command, *CUBIC_SUM, *extra]))
+    return tuple(codes)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="FOUND: the default base point scan puts c at the window edge 10, where "
+    "phi(c) is 1000 times phi(1), so every grid point gets the half step 0.0078125: "
+    "extract exits 1 and roundtrip exits 3 (ROADMAP item 8)",
+)
+def test_a_cubic_conjugate_sum_extracts_at_the_default_base_point():
+    assert _exit_codes() == (0, 0)
+
+
+def test_a_cubic_conjugate_sum_extracts_from_c_1():
+    # the control: with the base point inside the grid both commands pass
+    assert _exit_codes("--c", "1") == (0, 0)
+
+
 def test_verify_additivity_rejects_corruption():
     kwargs = {"grid": grid(-2.0, 2.0, 0.5), "base_point": 1.0, "resolution": 1 / 64}
     gen = extract_generator(SUM2, **kwargs)
@@ -619,13 +649,16 @@ REFERENCE = ["extract", "--op", "sum", "--n", "2", "--c", "1", "--grid=-2:2:0.25
 
 def test_reference_extraction_work_is_pinned(monkeypatch):
     # the string search made 366 comparisons of power strings here, and
-    # 2,077 op evaluations per point; every point of this grid is pinned
+    # 2,077 op evaluations per point; every point of this grid is pinned.
+    # The units cost 15 evaluations: each root search takes the diagonal at
+    # the float next to its unit once and walks on from there (19 when a
+    # bracket around the root sampled its middle and that float again)
     walks, units = _count_evaluations(monkeypatch, REFERENCE + ["--resolution", "0.0009765625"])
     assert walks == [2, 5, 4, 5, 3, 5, 4, 5, 1, 3, 2, 3, 0, 3, 2, 3, 1]
-    assert units == 19
+    assert units == 15
 
 
-@pytest.mark.parametrize("n, walked, most, units", [("2", 51, 5, 19), ("3", 855, 70, 297)])
+@pytest.mark.parametrize("n, walked, most, units", [("2", 51, 5, 15), ("3", 855, 70, 231)])
 def test_extraction_at_1e_300_is_bounded(monkeypatch, n, walked, most, units):
     # below float precision a walk stops where a step no longer moves y,
     # so 1e-300 costs what 1e-16 costs
@@ -840,6 +873,53 @@ def test_a_unit_whose_diagonal_rounds_onto_the_unit_above_is_the_next_float():
     assert json.loads(out.getvalue())["table"] == table
     kwargs = {"grid": (0.3, 3.0), "base_point": 2.0, "resolution": 1e-300}
     _matches_the_reference(PRODUCT2, kwargs, 100, 0)
+
+
+def test_a_root_search_whose_far_point_misses_walks_on_toward_the_domain_end():
+    # bounded_product/3 from c = 0.5: far = 0.5 + 2 (0.5 - 0.125) / 3 =
+    # 0.75, whose diagonal 0.421875 is still below 0.5, so the search walks
+    # on from the next float above 0.5 toward the open end 1; the first
+    # point of that approach, 0.75, is not past far, the second, 0.875,
+    # crosses, and the root is refined inside [0.75, 0.875]
+    f, calls = _recording(BOUNDED3)
+    lowest = extraction._lowest_level(3, 1e-16)
+    units = extraction._Units(f, 0.5, BranchDirection.C_ABOVE, lowest)
+    assert units(1) == 0.125
+    calls.clear()
+    assert units(-1) == 0.7937005259840997
+    assert [xs[0] for xs in calls[:3]] == [0.5 + math.ulp(0.5), 0.75, 0.875]
+    assert len(calls) == 11 and all(0.75 < xs[0] < 0.875 for xs in calls[3:])
+
+
+def test_a_root_on_a_closed_domain_end_is_that_end():
+    # on [0.5, inf) the diagonal of the sum is 1 at the closed end 0.5, so
+    # the unit below c = 1 is the end itself, returned where the search
+    # samples it, after the float next to 1 and with no refinement
+    f, calls = _recording(
+        NaryOp(2, core.Interval.make(0.5, math.inf, False, True), lambda a, b: a + b, "sum")
+    )
+    units = extraction._Units(f, 1.0, BranchDirection.C_BELOW, -10)
+    assert (units(-1), units(-2), units.bottom) == (0.5, None, -1)
+    assert calls == [(1.0 - math.ulp(0.5),) * 2, (0.5, 0.5)]
+
+
+def test_a_root_past_the_last_float_below_an_open_end_is_that_end():
+    # from c = 0.5 at resolution 1e-16 the units of bounded_product/3 climb
+    # toward its open end 1. Below U_-33 = 1 - 2^-52 the next float is
+    # 1 - 2^-53, and no float lies between it and 1, so no point of the
+    # approach is left: the search reads the diagonal at the end itself,
+    # 1.0, and the bracket [1 - 2^-53, 1] refines to its rounded midpoint,
+    # 1.0, the unit that a search over [1 - 2^-53, 1) found before. Past it
+    # the table ends, and every walk agrees with the reference
+    lowest = extraction._lowest_level(3, 1e-16)
+    units = extraction._Units(BOUNDED3, 0.5, BranchDirection.C_ABOVE, lowest)
+    est = extraction.phi_at(units, 0.8125)
+    assert (est.value, est.half_width, est.levels, est.evaluations) == (
+        0.29956028185890704, 1.79886509245143e-16, 35, 55
+    )
+    assert (units.table[-34], units.table[-33]) == (1.0, 1.0 - 2.0**-52)
+    assert (lowest, units(-35), units.bottom) == (-35, None, -34)
+    _matches_the_reference(BOUNDED3, {"grid": (0.8125,), "base_point": 0.5, "resolution": 1e-16}, 1, 0)
 
 
 # --- work counts of the sampled checks -------------------------------------------

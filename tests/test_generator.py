@@ -1,6 +1,8 @@
 import io
+import itertools
 import json
 import math
+import operator
 import random
 import re
 import sys
@@ -145,9 +147,11 @@ def test_overflow_reads_as_the_infinity_phi_heads_toward():
 
 
 def test_invert_monotone_open_end_reach_is_bounded():
-    # the gallop into an open end halves the floats left before it, so it
-    # reaches the float next to the end within 64 samples; the start point,
-    # one step each way and the gallop bound the calls on a miss
+    # the approach to an open end halves the floats left before it, so it
+    # reaches the float next to the end within 64 samples; an interval is
+    # walked at once, here the start point 1, 61 samples down to the
+    # smallest positive float and 68 up to the largest, and a root then
+    # costs only its refinement
     calls = []
 
     def counting(x):
@@ -156,13 +160,14 @@ def test_invert_monotone_open_end_reach_is_bounded():
 
     root = invert_monotone(counting, -40.0, Interval.parse("(0,inf)"), tol=1e-30)
     assert root == math.exp(-40.0)
-    assert len(calls) <= 30
+    assert len(calls) == 1 + 61 + 68 + 18
     calls.clear()
     # the root exp(-800) lies below the smallest positive float
-    with pytest.raises(InversionError):
+    message = r"^target -800\.0 outside the sampled range \[-744\.44007192138\d*, 1\.09861228866\d*\]"
+    with pytest.raises(InversionError, match=message):
         invert_monotone(counting, -800.0, Interval.parse("(0,inf)"))
-    assert calls[-1] == math.ulp(0.0)
-    assert len(calls) <= 3 + 64
+    assert calls[61] == math.ulp(0.0)
+    assert len(calls) == 1 + 61 + 68
     assert invert_monotone(lambda t: t * t, 0.9999999999993695, Interval.make(0.0, 1.0)) == (
         0.9999999999996847
     )
@@ -209,7 +214,7 @@ def test_float_space_bisection_returns_a_midpoint_on_the_target():
     # [1, 1e300] starts at 5e299, so its bracket [1, 5e299] spans about a
     # thousand binades and is bisected in float space before ITP runs; a
     # target on the first float-key midpoint is returned from there, after
-    # phi at the start point, the low end and the midpoint
+    # phi at the start point, the two ends and the midpoint
     bracket = Interval.make(1.0, 1e300, False, False)
     start = generator._start_point(bracket)
     y = generator._key_float((generator._float_key(1.0) + generator._float_key(start)) // 2)
@@ -220,7 +225,7 @@ def test_float_space_bisection_returns_a_midpoint_on_the_target():
         return x
 
     assert invert_monotone(identity, y, bracket) == y
-    assert calls == [start, 1.0, y]
+    assert calls == [start, 1.0, 1e300, y]
 
 
 def test_itp_returns_the_midpoint_of_a_bracket_within_tol():
@@ -233,9 +238,9 @@ def test_itp_returns_the_midpoint_of_a_bracket_within_tol():
         return x
 
     assert invert_monotone(identity, 0.1, Interval.make(0.0, 1.0, False, False), tol=1.0) == 0.25
-    assert calls == [0.5, 0.0]
+    assert calls == [0.5, 0.0, 1.0]
     assert generator._itp(identity, 0.1, 0.0, 0.0, 0.5, 0.5, 0.5) == 0.25
-    assert calls == [0.5, 0.0]
+    assert calls == [0.5, 0.0, 1.0]
 
 
 def test_spec_memo_starts_over_at_its_size(monkeypatch):
@@ -387,11 +392,19 @@ def _oracle_case(data):
 @settings(max_examples=400, deadline=None)
 @given(data=st.data(), tol=st.sampled_from([None, 0.0]))
 def test_inversion_matches_the_reference(data, tol):
-    # the same root or error, from phi at the same points in the same order
+    # a bare interval is walked at once, as a spec's domain is: the same
+    # root or error as the reference on its walked ladder, from phi at the
+    # same points in the same order, the walk's first
     phi, interval, targets = _oracle_case(data)
     y = data.draw(targets)
+
+    def reference(phi, y, interval, tol):
+        return inversion_oracle.invert_monotone(
+            phi, y, inversion_oracle.walked(phi, interval), tol
+        )
+
     runs = []
-    for invert in (inversion_oracle.invert_monotone, invert_monotone):
+    for invert in (reference, invert_monotone):
         calls = []
 
         def counting(x):
@@ -408,10 +421,10 @@ def test_spec_inverse_matches_the_reference(data):
     # a spec on the real line as its codomain takes the reference's walk
     # when it is built, and then answers a sequence of targets as the
     # reference does on that walked ladder, calling phi at the same points,
-    # whether it bisects its sorted samples or gallops over tied ones: a
-    # target on a sample's value costs no call, and one outside the samples
-    # or a NaN raises the same error. Through its memo, a finite target it
-    # has solved before, 0.0 and -0.0 apart, costs no call
+    # whether its samples tie or not: a target on a sample's value costs no
+    # call, and one outside the samples or a NaN raises the same error, with
+    # no call either. Through its memo, a finite target it has solved
+    # before, 0.0 and -0.0 apart, costs no call
     phi, interval, targets = _oracle_case(data)
     calls = []
 
@@ -442,10 +455,7 @@ def test_spec_inverse_matches_the_reference(data):
     for y in ys:
         calls.clear()
         expected = _outcome(inversion_oracle.invert_monotone, counting, y, ladder)
-        # a NaN lies on no side, so the reference walks both to their ends,
-        # and its ladder goes on past an infinite sample, where the spec's
-        # walk stopped; the spec has taken every sample it brackets with
-        expected_calls = calls[:] if y == y else []
+        expected_calls = calls[:]
         calls.clear()
         assert _outcome(invert_monotone, counting, y, spec) == expected, y
         assert calls == expected_calls, y
@@ -471,10 +481,12 @@ def test_spec_inverse_matches_the_reference(data):
     ],
 )
 def test_spec_bisects_only_strictly_monotone_samples(phi, interval, sign):
-    # the spec keeps its samples sorted by x, their values times sign as
-    # increasing keys, and brackets by bisecting those; with tied samples it
-    # keeps none and gallops. Either way a target on a sample's value
-    # returns that sample with no call, and every root is the bare interval's
+    # the spec sorts its samples by x into runs of equal values and bisects
+    # one key per run, the value times the sign that makes the keys rise
+    # strictly; without ties (sign given) every run is one sample. A target
+    # on a sample's value returns, with no call, the sample of its run
+    # nearest the start point, the one the reference's gallop returns, and
+    # every root is the bare interval's
     calls = []
 
     def counting(x):
@@ -484,20 +496,63 @@ def test_spec_bisects_only_strictly_monotone_samples(phi, interval, sign):
     domain = Interval.parse(interval)
     spec = GeneratorSpec(counting, domain, Interval.real_line())
     x0, f0, lows, highs = spec._walk
-    samples = (*lows, (x0, f0), *highs)
-    table_sign, keys, xs, brackets = spec._table
-    if sign is None:
-        assert (keys, xs, brackets) == ((), (), ())
-    else:
-        assert table_sign == sign and list(xs) == sorted(x for x, _ in (*lows, (x0, f0), *highs))
-        assert len(keys) == len(xs) == len(brackets) + 1
-    for x, fx in (*lows[:3], (x0, f0), *highs[:3], *lows[-2:], *highs[-2:]):
+    samples = sorted((*lows, (x0, f0), *highs))
+    runs = [list(run) for _, run in itertools.groupby(samples, lambda s: s[1])]
+    table_sign, keys, hits, brackets = spec._table
+    assert table_sign * (samples[-1][1] - samples[0][1]) > 0.0
+    assert keys == tuple(table_sign * run[0][1] for run in runs)
+    assert all(map(operator.lt, keys, keys[1:])) and len(keys) == len(brackets) + 1
+    assert hits == tuple(min((x for x, _ in run), key=lambda x: abs(x - x0)) for run in runs)
+    assert (table_sign, len(runs) == len(samples)) == ((sign, True) if sign else (table_sign, False))
+    ladder = inversion_oracle.walked(phi, domain)
+    for x, fx in samples:
         calls.clear()
         root = invert_monotone(counting, fx, spec)
-        assert calls == [] and (root == x if sign else (root, fx) in samples)
+        assert calls == [] and root == inversion_oracle.invert_monotone(phi, fx, ladder), x
+    # a target between two runs is bracketed by the last sample of the one
+    # and the first of the other, as the gallop brackets it, call for call
+    for run, after in zip(runs, runs[1:]):
+        y = 0.5 * run[-1][1] + 0.5 * after[0][1]
+        calls.clear()
+        expected = _outcome(inversion_oracle.invert_monotone, counting, y, ladder), calls[:]
+        calls.clear()
+        assert (_outcome(invert_monotone, counting, y, spec), calls) == expected, y
     for x in (-3.0, -0.25, 0.0, 0.7, 4.5):
         if domain.lo < x < domain.hi:
             assert repr(spec.inverse(phi(x))) == repr(invert_monotone(phi, phi(x), domain))
+
+
+def test_a_phi_tied_across_its_start_point_is_inverted_on_both_sides():
+    # phi ties at 0.0 from -2 to 2, so the start point and the first sample
+    # on each side share one run; the keys still rise with x, and a target on
+    # either side gets its bracket (the reference's gallop reads that tie
+    # as a falling phi, so it searches the wrong side of this rising one)
+    def phi(x):
+        return x if abs(x) > 3.0 else 0.0
+
+    spec = GeneratorSpec(phi, codomain=Interval.real_line())
+    assert spec._table[0] == 1.0 and spec._table[2][len(spec._walk[2]) - 1] == 0.0
+    for y in (-10.0, 10.0, 1e300, -1e300):
+        assert invert_monotone(phi, y, spec) == y
+    assert invert_monotone(phi, 0.0, spec) == 0.0
+    with pytest.raises(InversionError, match=r"^target nan outside the sampled range \[-1\.79"):
+        invert_monotone(phi, math.nan, spec)
+    # its falling mirror, which the gallop brackets right, matches the
+    # reference on its walked ladder call for call: a target between the
+    # tied run and the next sample is bracketed from the run's last sample
+    calls = []
+
+    def falling(x):
+        calls.append(x)
+        return -phi(x)
+
+    spec = GeneratorSpec(falling, codomain=Interval.real_line())
+    ladder = inversion_oracle.walked(falling, Interval.real_line())
+    for y in (-10.0, -3.5, 0.0, 3.5, 10.0, 1e300, math.nan):
+        calls.clear()
+        expected = _outcome(inversion_oracle.invert_monotone, falling, y, ladder), calls[:]
+        calls.clear()
+        assert (_outcome(invert_monotone, falling, y, spec), calls) == expected, y
 
 
 def test_a_spec_bracket_past_an_overflow_is_still_bisected_in_float_space(monkeypatch):
@@ -613,16 +668,18 @@ def test_spec_without_an_inverse_takes_its_walk_when_built(phi, interval, count)
 
 def test_spec_walk_stops_at_the_first_infinite_value():
     # no finite target of a monotone phi lies past an infinite sample, so
-    # a spec's walk ends there; a phi that comes back from -inf, which no
-    # monotone phi does, is still searched past it on a bare interval
+    # a walk ends there; a phi that comes back from -inf, which no monotone
+    # phi does, fails at its first sample outside its neighbours' values,
+    # when its spec is built and when a bare interval is walked
     def phi(x):
         return -math.inf if 100.0 <= x < 1000.0 else x
 
-    spec = GeneratorSpec(phi, codomain=Interval.real_line())
-    assert spec._walk[3][-1] == (128.0, -math.inf)
-    assert invert_monotone(phi, 5000.0, Interval.real_line()) == 5000.0
-    with pytest.raises(InversionError, match=r"^target 5000\.0 outside the sampled range"):
-        spec.inverse(5000.0)
+    assert generator._walk(phi, Interval.real_line())[3][-1] == (128.0, -math.inf)
+    message = "sign pattern violates monotonicity near x=64.0: phi(x)=64.0 outside [32.0, -inf]"
+    with pytest.raises(InversionError, match=f"^{re.escape(message)}$"):
+        GeneratorSpec(phi, codomain=Interval.real_line())
+    with pytest.raises(InversionError, match=f"^{re.escape(message)}$"):
+        invert_monotone(phi, 5000.0, Interval.real_line())
 
 
 def test_spec_with_a_codomain_fails_on_its_walk_when_built():
