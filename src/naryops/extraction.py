@@ -170,26 +170,18 @@ class _Units:
 
     def diagonal(self, t: float) -> float:
         """f(t, ..., t), or the value with which it escapes the floats or the
-        domain; an overflow, which has no value, or a NaN raises."""
+        domain. An overflow, an escape with no value and an OverflowError
+        as its cause, reads as the infinity behind the walk's order: -inf
+        when it is increasing, +inf when it is decreasing. A NaN, or another
+        escape without a value, such as a division by zero, raises."""
         try:
             return self.f.checked(*(t,) * self.n)
         except DomainEscapeError as exc:
+            if exc.value is None and isinstance(exc.__cause__, OverflowError):
+                return -math.inf if self.ahead else math.inf
             if exc.value is None or exc.value != exc.value:
                 raise
             return exc.value
-
-    def _search_diagonal(self, t: float) -> float:
-        """The diagonal as :meth:`_root`'s search calls it: an overflow,
-        which escapes with no value and an OverflowError as its cause,
-        raises OverflowError again, and the search reads it as the infinity
-        the diagonal heads toward. Other escapes without a value, such as
-        an expression's division by zero, propagate."""
-        try:
-            return self.diagonal(t)
-        except DomainEscapeError as exc:
-            if isinstance(exc.__cause__, OverflowError):
-                raise OverflowError(str(exc)) from None
-            raise
 
     def __call__(self, j: int) -> float | None:
         """U_j, or None beyond either end of the table."""
@@ -216,12 +208,15 @@ class _Units:
 
     def _root(self, u: float) -> float | None:
         """The unit below u: the root of the diagonal at u, refined by
-        :func:`naryops.generator._itp` to the last float, or None when no
-        float lies strictly between the root and u. The search walks away
-        from u, from the next float nxt: first to far, which puts the root
-        in the middle of [far, nxt] for a near-linear generator, then along
-        :func:`naryops.generator._approach` toward the domain end, and to
-        an open end itself, until the diagonal crosses u."""
+        :func:`naryops.generator.itp` to the last float, or None when no
+        float lies strictly between the root and u, or when the diagonal
+        overflows at the next float nxt. The search walks away from u,
+        from nxt: first to far, which puts the root in the middle of
+        [far, nxt] for a near-linear generator, then along
+        :func:`naryops.generator.approach` toward the domain end, and to an
+        open end itself, until the diagonal crosses u. It starts only when
+        the diagonal at nxt lies strictly past u, so the infinity that
+        :meth:`diagonal` reads an overflow as is the one it heads toward."""
         dom, before = self.f.domain, self.before
         nxt = math.nextafter(u, -math.inf if self.ahead else math.inf)
         if not dom.contains(nxt) or before(d := self.diagonal(nxt), u):
@@ -229,23 +224,23 @@ class _Units:
         if d == u:
             return nxt
         end, open_end = (dom.lo, dom.lo_open) if self.ahead else (dom.hi, dom.hi_open)
-        points = generator._approach(end, open_end, nxt, self.ahead)
+        points = generator.approach(end, open_end, nxt, self.ahead)
         if self.low < self.high:
             far = u - 2.0 * (self.table[self.low + 1] - u) / self.n
             if dom.contains(far) and before(far, nxt):
                 points = chain((far,), points)
         if open_end and math.isfinite(end):
             points = chain(points, (end,))
-        diagonal, last, f_last = self._search_diagonal, nxt, d
+        diagonal, last, f_last = self.diagonal, nxt, d
         for x in points:
             if before(x, last):
-                fx = generator._safe_phi(diagonal, x, d, u)
+                fx = diagonal(x)
                 if not before(u, fx):  # the diagonal crossed u between last and x
                     if fx == u:
                         return x
                     if self.ahead:
-                        return generator._itp(diagonal, u, x, fx, last, f_last, 0.0)
-                    return generator._itp(diagonal, u, last, f_last, x, fx, 0.0)
+                        return generator.itp(diagonal, u, x, fx, last, f_last, 0.0)
+                    return generator.itp(diagonal, u, last, f_last, x, fx, 0.0)
                 last, f_last = x, fx
         raise InversionError(
             f"target {u!r} outside the sampled range [{min(d, f_last)!r}, {max(d, f_last)!r}] "

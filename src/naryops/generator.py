@@ -29,6 +29,8 @@ __all__ = [
     "generator_sum",
     "invert_monotone",
     "estimate_codomain",
+    "approach",
+    "itp",
     "piecewise_linear",
     "tabulated_generator",
 ]
@@ -85,7 +87,7 @@ def _key_float(key: int) -> float:
     return struct.unpack("<d", struct.pack("<Q", -key | 1 << 63))[0]
 
 
-def _approach(endpoint: float, open_end: bool, x0: float, toward_low: bool):
+def approach(endpoint: float, open_end: bool, x0: float, toward_low: bool):
     """Points marching from x0 toward an endpoint: the endpoint itself when
     closed; toward an infinite end, steps 2, 4, ..., 2^64 from x0, then
     steps squared while they stay finite, then the largest float, 68
@@ -106,17 +108,6 @@ def _approach(endpoint: float, open_end: bool, x0: float, toward_low: bool):
             yield _key_float(key)
 
 
-def _safe_phi(
-    phi: Callable[[float], float], x: float, f_from: float = 0.0, f_to: float = 0.0
-) -> float:
-    """phi(x), with an OverflowError read as the infinity phi is heading
-    toward: -inf when phi moved down from f_from to f_to, +inf otherwise."""
-    try:
-        return phi(x)
-    except OverflowError:
-        return -math.inf if f_to < f_from else math.inf
-
-
 def _start_point(iv: Interval) -> float:
     """Where searches over an interval start: the midpoint when bounded,
     one unit inside a single finite end, zero on the whole line."""
@@ -132,12 +123,15 @@ def _start_point(iv: Interval) -> float:
 def _walk(phi: Callable[[float], float], domain: Interval) -> tuple:
     """The samples :func:`invert_monotone` brackets with on a domain, all
     taken at once: phi at the start point, then (x, phi(x)) along
-    :func:`_approach` toward the low end and the high end, each point past
+    :func:`approach` toward the low end and the high end, each point past
     the last one sampled, each side up to its first infinite value, which
-    no finite target lies beyond. Returns ``(x0, phi(x0), lows, highs)``,
-    each side a tuple in the order the approach reaches it. A NaN value,
-    or an escape of phi at any sample, which is named with the interval,
-    raises :class:`DomainEscapeError`."""
+    no finite target lies beyond. An overflow reads as +inf at the start
+    point, as the infinity away from phi(x0) past a side's first sample,
+    and at that first sample as -inf when the other side's first value is
+    finite and above phi(x0), else +inf. Returns ``(x0, phi(x0), lows,
+    highs)``, each side a tuple in the order the approach reaches it. A
+    NaN value, or an escape of phi at any sample, which is named with the
+    interval, raises :class:`DomainEscapeError`."""
 
     def escape(what: str, x: float, exc: DomainEscapeError) -> DomainEscapeError:
         where = f"{what} {x!r} of {domain.render()}"
@@ -145,20 +139,24 @@ def _walk(phi: Callable[[float], float], domain: Interval) -> tuple:
 
     x0 = _start_point(domain)
     try:
-        f0 = _safe_phi(phi, x0)
+        f0 = phi(x0)
+    except OverflowError:
+        f0 = math.inf
     except DomainEscapeError as exc:
         raise escape("the start point", x0, exc) from exc
-    inf, sides = math.inf, []
+    inf, sides, first_over = math.inf, [], None
     ends = (domain.lo, domain.lo_open, False), (domain.hi, domain.hi_open, True)
     for end, open_end, high in ends:
         samples, last, fx = [], x0, f0
-        for x in _approach(end, open_end, x0, not high):
+        for x in approach(end, open_end, x0, not high):
             if x > last if high else x < last:
                 last = x
-                try:  # _safe_phi inline; on an overflow fx is still the last value
+                try:  # on an overflow fx is still the last value
                     fx = phi(x)
                 except OverflowError:
                     fx = -inf if fx < f0 else inf
+                    if not samples:  # +inf for now: see below
+                        first_over = high
                 except DomainEscapeError as exc:
                     raise escape("the sample" if open_end else "the closed end", x, exc) from exc
                 samples.append((x, fx))
@@ -167,6 +165,10 @@ def _walk(phi: Callable[[float], float], domain: Interval) -> tuple:
                         raise DomainEscapeError(f"generator value is nan at x={x!r}")
                     break
         sides.append(tuple(samples))
+    # a side's first overflow heads away from the other side's first value
+    if first_over is not None and sides[not first_over]:
+        if f0 < sides[not first_over][0][1] < inf:
+            sides[first_over] = ((sides[first_over][0][0], -inf),)
     return x0, f0, *sides
 
 
@@ -226,7 +228,7 @@ def _codomain(domain: Interval, walk: tuple) -> Interval:
 def estimate_codomain(phi: Callable[[float], float], domain: Interval) -> Interval:
     """Heuristic image interval of a monotone map, from phi at the points
     :func:`invert_monotone` brackets with, in its order: the start point,
-    then along :func:`_approach` toward the low end and the high end, each
+    then along :func:`approach` toward the low end and the high end, each
     point past the last one sampled. A closed finite end is a closed bound
     at phi(end). Toward an open end, a limit still moving between the last
     two samples is infinite, a settled one an open bound (zero when tiny).
@@ -275,7 +277,7 @@ def invert_monotone(
     searches the low side for a rising phi and the high side for a falling
     one, raises :class:`InversionError` naming the last value on the side
     searched and the first on the other side of the start point. Values
-    that are not monotone raise it when the spec is built. :func:`_itp`
+    that are not monotone raise it when the spec is built. :func:`itp`
     refines the bracket to within tol.
     """
     if isinstance(bracket, Interval):
@@ -287,7 +289,7 @@ def invert_monotone(
         return hits[i]
     if 0 < i < n:
         a, fa, b, fb = brackets[i - 1]
-        return _itp(phi, y, a, fa, b, fb, tol)
+        return itp(phi, y, a, fa, b, fb, tol)
     # keys rise with x; bisect_left puts a NaN below them all, where it
     # searches the low side of a rising phi, and the high side of a falling one
     x0, f0, lows, highs = bracket._walk
@@ -299,51 +301,47 @@ def invert_monotone(
     )
 
 
-def _float_bisection(
-    phi: Callable[[float], float], y: float, a: float, fa: float, b: float, fb: float
-) -> tuple[float, float, float, float]:
-    """``(a, fa, b, fb)`` of [a, b] bisected in float space until its width
-    is finite and its ends, unless they straddle zero, are within a factor
-    of two; a midpoint on y comes back as the bracket [x, x], which
-    :func:`_itp` returns as it is."""
-    slack = 1e-12 * (1.0 + min(abs(fa), abs(fb)))
-    f_end = fb if math.isinf(fb) else fa
-    while not b - a < math.inf or (a > 0.0 and b > 2.0 * a) or (b < 0.0 and a < 2.0 * b):
-        x = _key_float((_float_key(a) + _float_key(b)) // 2)
-        fx = _safe_phi(phi, x, 0.0, f_end)
-        if fx == y:
-            return x, fx, x, fx
-        _check_monotone(x, fx, fa, fb, slack)
-        if fa <= y <= fx or fx <= y <= fa:
-            b, fb = x, fx
-        else:
-            a, fa = x, fx
-    return a, fa, b, fb
-
-
 def _midpoint(a: float, b: float) -> float:
     """(a + b) / 2, from halves where the sum overflows."""
     mid = 0.5 * (a + b)
     return mid if abs(mid) < math.inf else 0.5 * a + 0.5 * b
 
 
-def _itp(
+def itp(
     phi: Callable[[float], float], y: float, a: float, fa: float, b: float, fb: float,
     tol: float | None = None,
 ) -> float:
     """Midpoint of a bracket no wider than tol, shrunk from [a, b], a <= b,
     whose end values fa, fb lie on either side of y. A bracket across many
     binades, or wider than the largest float, is first bisected in float
-    space. ITP then refines it: regula falsi, truncated toward the
-    midpoint and projected so that it takes at most
-    ceil(log2(width / tol)) + 1 steps. tol is an absolute width in x; by
-    default four ulps of the bracket end nearer zero, or of the farther
-    end when the bracket reaches zero. A phi value outside the values at
-    the bracket ends raises :class:`InversionError`."""
+    space, with the slack and the overflow reading of its original ends;
+    a midpoint on y is returned at once. ITP then refines it: regula
+    falsi, truncated toward the midpoint and projected so that it takes at
+    most ceil(log2(width / tol)) + 1 steps. tol is an absolute width in x;
+    by default four ulps of the bracket end nearer zero, or of the farther
+    end when the bracket reaches zero. A monotone phi overflows inside a
+    bracket only next to an end whose value is infinite, so an overflow
+    reads as that infinity (with two finite ends, as an infinity that
+    fails the monotonicity check). A phi value outside the values at the
+    bracket ends raises :class:`InversionError`."""
     # ITP steps in real space, so a bracket that spans many binades, or has
     # a width that overflows, is bisected in float space first
     if not b - a < math.inf or (a > 0.0 and b > 2.0 * a) or (b < 0.0 and a < 2.0 * b):
-        a, fa, b, fb = _float_bisection(phi, y, a, fa, b, fb)
+        slack = 1e-12 * (1.0 + min(abs(fa), abs(fb)))
+        f_over = -math.inf if (fb if math.isinf(fb) else fa) < 0.0 else math.inf
+        while not b - a < math.inf or (a > 0.0 and b > 2.0 * a) or (b < 0.0 and a < 2.0 * b):
+            x = _key_float((_float_key(a) + _float_key(b)) // 2)
+            try:
+                fx = phi(x)
+            except OverflowError:
+                fx = f_over
+            if fx == y:
+                return x
+            _check_monotone(x, fx, fa, fb, slack)
+            if fa <= y <= fx or fx <= y <= fa:
+                b, fb = x, fx
+            else:
+                a, fa = x, fx
     if tol is None:  # a is the end nearer zero when positive, b when negative
         tol = 4.0 * math.ulp(a if a > 0.0 else b if b < 0.0 else max(-a, b))
     elif not tol > 0.0:
@@ -351,9 +349,6 @@ def _itp(
     w0 = b - a
     if w0 <= tol:
         return _midpoint(a, b)
-    # a monotone phi overflows inside the bracket only next to an end whose
-    # value is infinite, so an overflow reads as that infinity (with two
-    # finite ends, as an infinity that fails the monotonicity check)
     f_over = -math.inf if (fb if math.isinf(fb) else fa) < 0.0 else math.inf
     ratio = w0 / tol
     halvings = math.log2(ratio) if ratio < math.inf else math.log2(w0) - math.log2(tol)
@@ -401,9 +396,9 @@ def _itp(
             x = mid
             if not a < x < b:
                 break
-        # _safe_phi inline, and _check_monotone's test one side at a time:
-        # with fa < y < fb, a value below y can only fall below fa, and a
-        # value above y, or a NaN, can only fail against fb
+        # an overflow reads as f_over, and _check_monotone's test runs one side
+        # at a time: with fa < y < fb, a value below y can only fall below
+        # fa, and a value above y, or a NaN, can only fail against fb
         try:
             fx = sign * phi(x)
         except OverflowError:

@@ -10,9 +10,9 @@ value from the generator sum the trial has range-tested, and call the
 operation's ``checked`` straight from the walk; they must give the same
 estimates and reports, raise the same errors and evaluate the operation
 on the same tuples in the same order as this one. Its
-``_search_diagonal`` follows the package's in reading only an escape
-caused by an ``OverflowError`` as an overflow, so a division by zero on
-the diagonal propagates in both.
+``_search_diagonal`` reads, as the package's ``diagonal`` does, only an
+escape caused by an ``OverflowError`` as an overflow, so a division by
+zero on the diagonal propagates in both.
 """
 
 from __future__ import annotations

@@ -112,11 +112,29 @@ class Ladder:
         else:
             return False
         try:
-            samples.append((x, _safe_phi(phi, x, self.f0, f_last)))
+            samples.append((x, self._value(phi, x, high, f_last)))
         except BaseException:
             self._points[high] = itertools.chain((x,), points)
             raise
         return True
+
+    def _value(self, phi, x: float, high: bool, f_last: float) -> float:
+        """phi(x), with an OverflowError read as the infinity phi heads
+        toward: away from f0, and at a side's first sample -inf when the
+        other side's first value is finite and above f0, else +inf. The low
+        side is sampled first, so its first overflow samples the high
+        side's first point; the high side's first overflow reads the low
+        side as it stands."""
+        try:
+            return phi(x)
+        except OverflowError:
+            pass
+        if self._sides[high]:
+            return -math.inf if f_last < self.f0 else math.inf
+        other = self._sides[not high]
+        if not high and not other:
+            self._extend(phi, True, 0)
+        return -math.inf if other and self.f0 < other[0][1] < math.inf else math.inf
 
 
 def walked(phi, domain: Interval) -> Ladder:
@@ -191,9 +209,9 @@ def _check_monotone(x: float, fx: float, fa: float, fb: float, slack: float) -> 
 
 
 def invert_monotone(phi, y: float, bracket, tol: float | None = None) -> float:
-    """Solve phi(x) = y on an interval, or on the samples of a
-    :class:`Ladder` kept across targets."""
-    ladder = bracket if isinstance(bracket, Ladder) else Ladder(bracket)
+    """Solve phi(x) = y on an interval, walked as :func:`walked` walks it,
+    or on the samples of a walked :class:`Ladder` kept across targets."""
+    ladder = bracket if isinstance(bracket, Ladder) else walked(phi, bracket)
     x0, f0 = ladder.start(phi)
     if f0 == y:
         return x0
@@ -210,7 +228,11 @@ def invert_monotone(phi, y: float, bracket, tol: float | None = None) -> float:
         if _between(y, f0, fb):
             a, fa = x0, f0
         else:
-            up = (fb > fa) == (y > fb)
+            # phi rises unless the ladder's last value on the high side lies
+            # below that on the low side; a NaN searches the low side of a
+            # rising phi, the high side of a falling one
+            ends = [side[-1][1] if side else f0 for side in ladder._sides]
+            up = (not ends[1] < ends[0]) == (y > fb)
             side, near, f_near, f_far = (highs, b, fb, fa) if up else (lows, a, fa, fb)
             for x, fx in side:
                 if fx == y:

@@ -323,15 +323,51 @@ def test_replay_raises_where_the_check_raises(witness, check):
         witness.replay(NAN_ABOVE_DIAGONAL)
 
 
-def _sibling_private_imports(path: Path):
+def _sibling_private_names(path: Path):
+    """Private names a module takes from a sibling: imported by name, or
+    read as an attribute of a sibling module it imported, such as
+    ``generator._walk`` after ``from . import generator``."""
     tree = ast.parse(path.read_text(encoding="utf-8"))
+    siblings = {p.stem for p in SRC.glob("*.py")}
+    modules = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("naryops")):
             for alias in node.names:
                 if alias.name.startswith("_"):
                     yield f"{path.name}:{node.lineno} imports {alias.name}"
+                if node.module in (None, "naryops") and alias.name in siblings:
+                    modules.add(alias.asname or alias.name)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                package, _, name = alias.name.partition(".")
+                if package == "naryops" and name in siblings:
+                    modules.add(alias.asname or alias.name)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr.startswith("_"):
+            if ast.unparse(node.value) in modules:
+                yield f"{path.name}:{node.lineno} reads {ast.unparse(node)}"
 
 
 def test_no_module_imports_a_private_name_from_a_sibling():
-    found = [line for path in sorted(SRC.glob("*.py")) for line in _sibling_private_imports(path)]
+    # private names stay inside their module, whether imported or read off
+    # an imported sibling module
+    found = [line for path in sorted(SRC.glob("*.py")) for line in _sibling_private_names(path)]
     assert found == []
+
+
+def test_a_private_read_off_a_sibling_module_is_found(tmp_path):
+    # each form of the check fires on a module that breaks it
+    source = (
+        "from . import generator, core as c\n"
+        "import naryops.axioms\n"
+        "from .extension import _string\n"
+        "generator._walk, c._x, naryops.axioms._y, generator.itp\n"
+    )
+    path = tmp_path / "sample.py"
+    path.write_text(source, encoding="utf-8")
+    assert list(_sibling_private_names(path)) == [
+        "sample.py:3 imports _string",
+        "sample.py:4 reads generator._walk",
+        "sample.py:4 reads c._x",
+        "sample.py:4 reads naryops.axioms._y",
+    ]

@@ -146,6 +146,39 @@ def test_overflow_reads_as_the_infinity_phi_heads_toward():
     assert J.render() == "(-inf,0.0)"
 
 
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+@pytest.mark.parametrize("rate", [400.0, -400.0])
+def test_an_overflow_at_a_sides_first_sample_heads_away_from_the_other_side(sign, rate):
+    # +-exp(+-400x) overflows at the first sample on one side of 0 and
+    # underflows to +-0.0 at the first on the other; the overflow reads as
+    # the infinity opposite that value, -inf past -1 < -0.0 and +inf past
+    # 1 > 0.0, whichever side is walked first, so all four orientations
+    # build, and -phi inverts as phi does, bit for bit. The reference walks
+    # the same samples and inverts as the spec does, call for call
+    calls = []
+
+    def phi(x):
+        calls.append(x)
+        return sign * math.exp(rate * x)
+
+    spec = GeneratorSpec(phi)
+    walk = calls[:]
+    calls.clear()
+    ladder = inversion_oracle.walked(phi, Interval.real_line())
+    assert (calls, (ladder.f0, *map(tuple, ladder._sides))) == (walk, spec._walk[1:])
+    assert spec.codomain.render() == ("(0.0,+inf)" if sign > 0.0 else "(-inf,0.0)")
+    assert spec.codomain == inversion_oracle.estimate_codomain(phi, Interval.real_line())
+    assert spec._walk[3 if rate > 0.0 else 2] == ((math.copysign(2.0, rate), sign * math.inf),)
+    for y in (3.0 * sign, 1e300 * sign, -sign):
+        calls.clear()
+        expected = _outcome(inversion_oracle.invert_monotone, phi, y, ladder), calls[:]
+        calls.clear()
+        assert (_outcome(invert_monotone, phi, y, spec), calls) == expected, y
+    root = spec.inverse(3.0 * sign)
+    assert abs(root - math.copysign(math.log(3.0) / 400.0, rate)) <= 4.0 * math.ulp(2.0)
+    assert repr(root) == repr(GeneratorSpec(lambda x: math.exp(rate * x)).inverse(3.0))
+
+
 def test_invert_monotone_open_end_reach_is_bounded():
     # the approach to an open end halves the floats left before it, so it
     # reaches the float next to the end within 64 samples; an interval is
@@ -205,7 +238,7 @@ def test_itp_names_a_refinement_value_outside_its_bracket():
         message = (
             f"sign pattern violates monotonicity near x=0.5: phi(x)={inside!r} outside [0.0, {fb!r}]"
         )
-        for itp in (generator._itp, inversion_oracle._itp):
+        for itp in (generator.itp, inversion_oracle._itp):
             with pytest.raises(InversionError, match=f"^{re.escape(message)}$"):
                 itp(phi, sign * 0.5, 0.0, 0.0, 1.0, fb, 1e-9)
 
@@ -239,7 +272,7 @@ def test_itp_returns_the_midpoint_of_a_bracket_within_tol():
 
     assert invert_monotone(identity, 0.1, Interval.make(0.0, 1.0, False, False), tol=1.0) == 0.25
     assert calls == [0.5, 0.0, 1.0]
-    assert generator._itp(identity, 0.1, 0.0, 0.0, 0.5, 0.5, 0.5) == 0.25
+    assert generator.itp(identity, 0.1, 0.0, 0.0, 0.5, 0.5, 0.5) == 0.25
     assert calls == [0.5, 0.0, 1.0]
 
 
@@ -525,9 +558,15 @@ def test_spec_bisects_only_strictly_monotone_samples(phi, interval, sign):
 def test_a_phi_tied_across_its_start_point_is_inverted_on_both_sides():
     # phi ties at 0.0 from -2 to 2, so the start point and the first sample
     # on each side share one run; the keys still rise with x, and a target on
-    # either side gets its bracket (the reference's gallop reads that tie
-    # as a falling phi, so it searches the wrong side of this rising one)
+    # either side gets its bracket. The reference takes the direction from
+    # its ladder's ends, as the spec does, so this rising phi and its falling
+    # mirror both match it on their walked ladders call for call: a target
+    # between the tied run and the next sample is bracketed from the run's
+    # last sample
+    calls = []
+
     def phi(x):
+        calls.append(x)
         return x if abs(x) > 3.0 else 0.0
 
     spec = GeneratorSpec(phi, codomain=Interval.real_line())
@@ -537,30 +576,59 @@ def test_a_phi_tied_across_its_start_point_is_inverted_on_both_sides():
     assert invert_monotone(phi, 0.0, spec) == 0.0
     with pytest.raises(InversionError, match=r"^target nan outside the sampled range \[-1\.79"):
         invert_monotone(phi, math.nan, spec)
-    # its falling mirror, which the gallop brackets right, matches the
-    # reference on its walked ladder call for call: a target between the
-    # tied run and the next sample is bracketed from the run's last sample
-    calls = []
 
     def falling(x):
-        calls.append(x)
         return -phi(x)
 
-    spec = GeneratorSpec(falling, codomain=Interval.real_line())
-    ladder = inversion_oracle.walked(falling, Interval.real_line())
-    for y in (-10.0, -3.5, 0.0, 3.5, 10.0, 1e300, math.nan):
-        calls.clear()
-        expected = _outcome(inversion_oracle.invert_monotone, falling, y, ladder), calls[:]
-        calls.clear()
-        assert (_outcome(invert_monotone, falling, y, spec), calls) == expected, y
+    for f in (phi, falling):
+        spec = GeneratorSpec(f, codomain=Interval.real_line())
+        ladder = inversion_oracle.walked(f, Interval.real_line())
+        for y in (-10.0, -3.5, 0.0, 3.5, 10.0, 1e300, math.nan):
+            calls.clear()
+            expected = _outcome(inversion_oracle.invert_monotone, f, y, ladder), calls[:]
+            calls.clear()
+            assert (_outcome(invert_monotone, f, y, spec), calls) == expected, (f, y)
 
 
-def test_a_spec_bracket_past_an_overflow_is_still_bisected_in_float_space(monkeypatch):
+def test_a_start_point_tied_with_both_first_samples_is_inverted_as_the_reference():
+    # x+exp(x) is 1.0 at the start point 0 and at the first gallop sample
+    # on each side of this narrow interval, so the first neighbours tie; the
+    # reference once read that tie as a falling phi and searched the wrong
+    # side. Both now invert each side, and name the same sampled range for a
+    # target past it, from phi at the same points in the same order
+    interval = Interval.parse("(-6.103515625e-05,6.103515625e-05)")
+    calls = []
+
+    def phi(x):
+        calls.append(x)
+        return x + math.exp(x)
+
+    ladder = inversion_oracle.walked(phi, interval)
+    assert ladder._sides[0][0][1] == ladder.f0 == ladder._sides[1][0][1] == 1.0
+    for y in (1.0001, 0.9999, 3.718281828459045):
+        runs = []
+        for invert in (inversion_oracle.invert_monotone, invert_monotone):
+            calls.clear()
+            runs.append((_outcome(invert, phi, y, interval), calls[:]))
+        assert runs[1] == runs[0], y
+        if y < 2.0:  # about +-5e-05
+            root = float(runs[1][0])
+            assert abs(abs(root) - 5e-05) < 1e-9 and abs(phi(root) - y) <= math.ulp(y), y
+    assert runs[1][0] == (
+        InversionError,
+        "target 3.718281828459045 outside the sampled range [1.0, 1.0001220721751831] "
+        "of (-6.103515625e-05,6.103515625e-05)",
+    )
+
+
+def test_a_spec_bracket_past_an_overflow_is_still_bisected_in_float_space():
     # x+exp(x) overflows past 709.78, so the walk's high side ends at 1024
     # with +inf, and its low side steps from -2^64 to -2^128, -2^256 and
     # -2^512; a target between those is bisected in float space before ITP,
     # one past the last finite sample is refined against the infinite end,
-    # and both match the reference on the walked ladder, call for call
+    # and both match the reference on the walked ladder, call for call. A
+    # bisected bracket's first call is the float-key midpoint of its ends,
+    # far from their real midpoint, where ITP would start
     calls = []
 
     def phi(x):
@@ -571,20 +639,14 @@ def test_a_spec_bracket_past_an_overflow_is_still_bisected_in_float_space(monkey
     assert spec._walk[3][-2:] == ((512.0, 512.0 + math.exp(512.0)), (1024.0, math.inf))
     assert spec._table[1]  # strictly increasing: the sorted path
     ladder = inversion_oracle.walked(phi, Interval.real_line())
-    bisected, float_bisection = [], generator._float_bisection
-
-    def counted(*args):
-        bisected.append(args)
-        return float_bisection(*args)
-
-    monkeypatch.setattr(generator, "_float_bisection", counted)
     for y, bisects in ((-1e50, True), (-1e300, True), (1e300, False), (700.0, False)):
         calls.clear()
         expected = repr(inversion_oracle.invert_monotone(phi, y, ladder)), calls[:]
         calls.clear()
-        bisected.clear()
         assert (repr(invert_monotone(phi, y, spec)), calls) == expected, y
-        assert bool(bisected) == bisects, y
+        a, b = next((a, b) for a, fa, b, fb in spec._table[3] if fa < y < fb)
+        float_mid = generator._key_float((generator._float_key(a) + generator._float_key(b)) // 2)
+        assert (calls[0] == float_mid != 0.5 * a + 0.5 * b) == bisects, y
 
 
 def test_spec_whose_phi_raises_on_its_walk_is_not_built():
