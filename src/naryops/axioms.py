@@ -16,13 +16,12 @@ from __future__ import annotations
 
 import math
 import random
-from functools import partial
 from operator import itemgetter, sub
 from typing import Callable, Sequence
 
 from .core import Interval, NaryOp, Record, lattice
 from .extension import ExtendedOp, nested_trials, split_trials
-from .generator import build_aczelian, generator_sum, piecewise_linear
+from .generator import build_aczelian, generator_sum
 
 __all__ = [
     "Witness",
@@ -514,8 +513,7 @@ def additivity_trials(f: NaryOp, gen, inputs):
     the inputs ``(xs,)`` whose value f(xs) lies inside the table (no
     extrapolation): gen(f(xs)) against the sum of gen(xi)."""
     checked = f.checked
-    lo, hi = gen.x_values[0], gen.x_values[-1]
-    interpolate = partial(piecewise_linear, gen.x_values, gen.phi_values)
+    lo, hi, interpolate = gen.x_values[0], gen.x_values[-1], gen.interpolate
     for (xs,) in inputs:
         y = checked(*xs)
         if lo <= y <= hi:

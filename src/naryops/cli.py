@@ -16,6 +16,7 @@ import argparse
 import functools
 import math
 import random
+import re
 import sys
 import time
 from typing import Sequence
@@ -438,36 +439,71 @@ def build_parser() -> argparse.ArgumentParser:
         argument_default=argparse.SUPPRESS,
     )
     parser.add_argument("command", choices=_COMMANDS, metavar="command", help="see below")
-    parser.add_argument("--op", help="builtin name or expr:<expression>")
-    parser.add_argument("--phi", help="generator expression in x")
-    parser.add_argument("--phi-inv", dest="phi_inv", help="explicit inverse expression")
-    parser.add_argument("--codomain", help="generator codomain interval, e.g. '(-inf,0)'")
-    parser.add_argument("--n", type=int, help=f"arity (default 2, at most {_MAX_ARITY})")
-    parser.add_argument(
-        "--interval", help="domain interval, e.g. '(0,inf)' (default the real line)"
+    flags = (
+        parser.add_argument("--op", help="builtin name or expr:<expression>"),
+        parser.add_argument("--phi", help="generator expression in x"),
+        parser.add_argument("--phi-inv", dest="phi_inv", help="explicit inverse expression"),
+        parser.add_argument("--codomain", help="generator codomain interval, e.g. '(-inf,0)'"),
+        parser.add_argument("--n", type=int, help=f"arity (default 2, at most {_MAX_ARITY})"),
+        parser.add_argument(
+            "--interval", help="domain interval, e.g. '(0,inf)' (default the real line)"
+        ),
+        parser.add_argument("--grid", help="lo:hi:step or comma-separated points"),
+        parser.add_argument("--samples", type=int, help=(
+            "N (default 500): axioms N, and max(10, N//5) sections per coordinate for "
+            "cancellativity; extend, build N; reduce N, and max(50, N//5) for binary "
+            "associativity; roundtrip min(N, 1000); extract always 100; gallery fixed")),
+        parser.add_argument("--seed", type=int),
+        parser.add_argument("--resolution", type=float),
+        parser.add_argument("--tol", type=float),
+        parser.add_argument("--c", type=float, help="explicit base point"),
+        parser.add_argument("--window", type=float),
+        parser.add_argument("--format", dest="fmt", choices=("json", "csv", "text")),
+        parser.add_argument("--out", help="output path, '-' for stdout"),
     )
-    parser.add_argument("--grid", help="lo:hi:step or comma-separated points")
-    parser.add_argument("--samples", type=int, help=(
-        "N (default 500): axioms N, and max(10, N//5) sections per coordinate for "
-        "cancellativity; extend, build N; reduce N, and max(50, N//5) for binary "
-        "associativity; roundtrip min(N, 1000); extract always 100; gallery fixed"))
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--resolution", type=float)
-    parser.add_argument("--tol", type=float)
-    parser.add_argument("--c", type=float, help="explicit base point")
-    parser.add_argument("--window", type=float)
-    parser.add_argument("--format", dest="fmt", choices=("json", "csv", "text"))
-    parser.add_argument("--out", help="output path, '-' for stdout")
+    for a in flags:  # a flag of one value, under each of its exact option strings
+        if a.nargs is None:
+            _FLAGS.update(dict.fromkeys(a.option_strings, (a.dest, a.type or str, a.choices)))
     return parser
+
+
+#: each exact flag's destination, type and choices, read off its action, and
+#: argparse's test for a separate value that starts with "-"
+_FLAGS: dict = {}
+_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
+
+
+def _plain(argv: Sequence[str]) -> dict | None:
+    """The names ``parse_args`` gives a plain argv: one command and exact
+    flags, each with one value, after ``=`` or separate. None for any other
+    argv, which argparse parses, with its help, usage and errors."""
+    names, tokens = {}, iter(argv)
+    for token in tokens:
+        if token in _COMMANDS and "command" not in names:
+            names["command"] = token
+            continue
+        flag, eq, value = token.partition("=")
+        if not eq:  # a missing value reads as "-", which argparse would not take
+            value = next(tokens, "-")
+            if value[:1] == "-" and not _NEGATIVE_NUMBER.match(value):
+                return None
+        try:
+            dest, convert, choices = _FLAGS[flag]
+            names[dest] = value = convert(value)
+        except (KeyError, ValueError):  # an abbreviation, "--" or a value its type rejects
+            return None
+        if choices is not None and value not in choices:
+            return None
+    return names if "command" in names else None
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        names = _plain(sys.argv[1:] if argv is None else argv) or vars(parser.parse_args(argv))
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    cfg = RunConfig(**vars(args))  # each parser destination is a field of the same name
+    cfg = RunConfig(**names)  # each parser destination is a field of the same name
     try:
         code, _ = run(cfg)
         return code

@@ -263,7 +263,7 @@ def phi_at(units: _Units, x: float) -> PhiEstimate:
     :class:`BracketNotFoundError` when the top level of a table that the
     float range ends needs more than _MAX_LEVEL_STEPS steps.
     """
-    n, c, checked, order = units.n, units(0), units.f.checked, units.ahead
+    n, c, checked, order, table = units.n, units(0), units.f.checked, units.ahead, units.table
     ahead = units.before(c, x)
     y, target = (c, x) if ahead else (x, c)
     digits: dict[int, int] = {}
@@ -272,7 +272,7 @@ def phi_at(units: _Units, x: float) -> PhiEstimate:
     def walk(level: int, steps: int, climbing: bool = False) -> str:
         """Up to ``steps`` steps at one level; why the walk stopped."""
         nonlocal y, evaluations, levels
-        if (u := units(level)) is None:
+        if (u := table[level] if level in table else units(level)) is None:
             return "table"
         levels += 1
         tail = (u,) * (n - 1)
@@ -296,7 +296,7 @@ def phi_at(units: _Units, x: float) -> PhiEstimate:
 
     level, repeats, why = 0, 0, "pinned" if x == c else walk(0, 1, True)
     while why == "steps":  # climb; past the float range, repeat the top level
-        if units(level + 1) is not None:
+        if level + 1 in table or units(level + 1) is not None:
             level += 1
         elif (repeats := repeats + 1) > _MAX_LEVEL_STEPS:
             raise BracketNotFoundError(f"U_{level} steps do not reach {target!r} from x={x!r}")
@@ -327,14 +327,14 @@ class ExtractedGenerator(Record):
     within its half-width of the true branch value. ``interp_slack`` is an
     engineering estimate of the piecewise-linear interpolation error: the
     largest deviation of an interior knot from the chord of its neighbors.
-    ``x_values`` and ``phi_values``, the two coordinates of the samples,
-    are computed at construction: every check of the table reads them.
-    Its repr leaves out ``estimates`` and the coordinates.
+    ``x_values``, ``phi_values`` and their polyline ``interpolate`` are
+    computed at construction, as every check of the table reads them;
+    the repr leaves them and ``estimates`` out.
     """
 
     __slots__ = (
         "samples", "c", "direction", "resolution_bound", "realized_resolution", "interp_slack",
-        "estimates", "x_values", "phi_values",
+        "estimates", "x_values", "phi_values", "interpolate",
     )
     _fields = (
         "samples", "c", "direction", "resolution_bound", "normalization",
@@ -350,9 +350,10 @@ class ExtractedGenerator(Record):
         resolution_bound: float, realized_resolution: float, interp_slack: float,
         estimates: tuple[PhiEstimate, ...] = (),
     ):
+        xs, ys = tuple(x for x, _ in samples), tuple(v for _, v in samples)
         super().__init__(
             samples, c, direction, resolution_bound, realized_resolution, interp_slack, estimates,
-            tuple(x for x, _ in samples), tuple(v for _, v in samples),
+            xs, ys, piecewise_linear(xs, ys),
         )
 
     @property
@@ -360,9 +361,6 @@ class ExtractedGenerator(Record):
         """The value at the base point: 1.0 when c lies below the
         increasing branch, -1.0 otherwise."""
         return 1.0 if self.direction is BranchDirection.C_BELOW else -1.0
-
-    def interpolate(self, t: float) -> float:
-        return piecewise_linear(self.x_values, self.phi_values, t)
 
     @property
     def knot_error(self) -> float:
@@ -472,19 +470,23 @@ def extract_generator(
 
 
 def _window_draws(gen: ExtractedGenerator, n: int, samples: int, seed: int):
-    """Witness inputs ``(xs,)`` of n-tuples drawn uniformly over the
-    tabulated window, each coordinate as ``window_point`` draws it, for a
-    check's trials to filter; :class:`BracketNotFoundError` on the draw
-    after 500 per sample."""
+    """A lazy iterator of witness inputs ``(xs,)``, n-tuples drawn uniformly
+    over the tabulated window, each coordinate as ``window_point`` draws
+    it, for a check's trials to filter; :class:`BracketNotFoundError` on
+    the draw after 500 per sample, and at once on a window of zero width."""
     lo, hi = gen.window()
-    half_lo, half_span = lo / 2.0, hi / 2.0 - lo / 2.0
-    rand = random.Random(seed).random
-    for _ in range(500 * samples):
-        yield (tuple([2.0 * (half_lo + half_span * rand()) for _ in range(n)]),)
-    raise BracketNotFoundError(
-        f"could not sample {samples} tuples inside the tabulated window "
-        f"[{lo!r}, {hi!r}] in {500 * samples} draws"
-    )
+    half_lo, half_span, rand = lo / 2.0, hi / 2.0 - lo / 2.0, random.Random(seed).random
+    # window_point's operations as bound methods (IEEE + and * commute): no frame per draw
+    points = map((2.0).__mul__, map(half_lo.__add__, map(half_span.__mul__, iter(rand, None))))
+
+    def exhausted():
+        yield from ()
+        raise BracketNotFoundError(
+            f"could not sample {samples} tuples inside the tabulated window "
+            f"[{lo!r}, {hi!r}] in {500 * samples} draws"
+        )
+
+    return chain(islice(zip(zip(*[points] * n)), 500 * samples), exhausted())
 
 
 def verify_additivity(

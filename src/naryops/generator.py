@@ -128,10 +128,12 @@ def _walk(phi: Callable[[float], float], domain: Interval) -> tuple:
     no finite target lies beyond. An overflow reads as +inf at the start
     point, as the infinity away from phi(x0) past a side's first sample,
     and at that first sample as -inf when the other side's first value is
-    finite and above phi(x0), else +inf. Returns ``(x0, phi(x0), lows,
-    highs)``, each side a tuple in the order the approach reaches it. A
-    NaN value, or an escape of phi at any sample, which is named with the
-    interval, raises :class:`DomainEscapeError`."""
+    finite and above phi(x0), else +inf. When both first samples overflow,
+    phi at the high one, halved toward x0 until finite, gives the direction.
+    Returns ``(x0, phi(x0), lows, highs)``, each side a tuple in the order
+    the approach reaches it. A NaN value, or an escape of phi at any
+    sample, which is named with the interval, raises
+    :class:`DomainEscapeError`."""
 
     def escape(what: str, x: float, exc: DomainEscapeError) -> DomainEscapeError:
         where = f"{what} {x!r} of {domain.render()}"
@@ -144,7 +146,7 @@ def _walk(phi: Callable[[float], float], domain: Interval) -> tuple:
         f0 = math.inf
     except DomainEscapeError as exc:
         raise escape("the start point", x0, exc) from exc
-    inf, sides, first_over = math.inf, [], None
+    inf, sides, first_over = math.inf, [], []
     ends = (domain.lo, domain.lo_open, False), (domain.hi, domain.hi_open, True)
     for end, open_end, high in ends:
         samples, last, fx = [], x0, f0
@@ -156,7 +158,7 @@ def _walk(phi: Callable[[float], float], domain: Interval) -> tuple:
                 except OverflowError:
                     fx = -inf if fx < f0 else inf
                     if not samples:  # +inf for now: see below
-                        first_over = high
+                        first_over.append(high)
                 except DomainEscapeError as exc:
                     raise escape("the sample" if open_end else "the closed end", x, exc) from exc
                 samples.append((x, fx))
@@ -165,10 +167,18 @@ def _walk(phi: Callable[[float], float], domain: Interval) -> tuple:
                         raise DomainEscapeError(f"generator value is nan at x={x!r}")
                     break
         sides.append(tuple(samples))
-    # a side's first overflow heads away from the other side's first value
-    if first_over is not None and sides[not first_over]:
-        if f0 < sides[not first_over][0][1] < inf:
-            sides[first_over] = ((sides[first_over][0][0], -inf),)
+    # a first overflow heads away from the other side's first value, or from phi halfway back
+    if len(first_over) == 2:
+        x, fx = sides[1][0]
+        while fx == inf and x != (x := _midpoint(x0, x)):
+            try:
+                fx = phi(x)
+            except OverflowError:
+                pass
+        if fx != f0 and -inf < fx < inf:
+            sides[fx < f0] = ((sides[fx < f0][0][0], -inf),)
+    elif first_over and (other := sides[not first_over[0]]) and f0 < other[0][1] < inf:
+        sides[first_over[0]] = ((sides[first_over[0]][0][0], -inf),)
     return x0, f0, *sides
 
 
@@ -526,17 +536,22 @@ def build_aczelian(spec: GeneratorSpec, n: int) -> NaryOp:
     return NaryOp(n, spec.domain, eval_fn, label)
 
 
-def piecewise_linear(xs: Sequence[float], ys: Sequence[float], t: float) -> float:
-    """Value at t of the polyline through the knots (xs[i], ys[i]), xs
-    strictly increasing; ValueError outside [xs[0], xs[-1]] (no
-    extrapolation). With the roles of xs and ys swapped it inverts an
-    increasing polyline."""
-    i = _bisect.bisect_right(xs, t)
-    if 0 < i < len(xs):
-        x, y = xs[i - 1], ys[i - 1]
-        return y + (t - x) / (xs[i] - x) * (ys[i] - y)
+def piecewise_linear(xs: Sequence[float], ys: Sequence[float]) -> partial:
+    """The polyline through the knots (xs[i], ys[i]), xs strictly
+    increasing, as a function of t, each segment's differences taken here
+    once; ValueError outside [xs[0], xs[-1]] (no extrapolation). With xs
+    and ys swapped it inverts an increasing polyline."""
+    deltas = zip(xs, ys, map(operator.sub, xs[1:], xs), map(operator.sub, ys[1:], ys))
+    return partial(_polyline, xs, (None, *deltas, None), ys[-1])
+
+
+def _polyline(xs: Sequence[float], segments: tuple, last: float, t: float) -> float:
+    # segments[i]: (x, y, dx, dy) of the segment that ends at knot i, None past either end
+    if (segment := segments[_bisect.bisect_right(xs, t)]) is not None:
+        x, y, dx, dy = segment
+        return y + (t - x) / dx * dy
     if t == xs[-1]:
-        return ys[-1]
+        return last
     raise ValueError(f"{t!r} outside tabulated range [{xs[0]}, {xs[-1]}]")
 
 
@@ -548,18 +563,17 @@ def tabulated_generator(
     Evaluation and inversion solve the covering segment directly; both
     raise ValueError outside the tabulated window (no extrapolation).
     """
-    xs = [float(v) for v in xs]
-    ys = [float(v) for v in ys]
+    xs, ys = [float(v) for v in xs], [float(v) for v in ys]
     if len(xs) != len(ys) or len(xs) < 2:
         raise ValueError("need at least two knots with matching lengths")
     for knots, what in ((xs, "abscissae"), (ys, "values")):
         if not all(a < b for a, b in zip(knots, knots[1:])):
             raise ValueError(f"knot {what} must be strictly increasing")
     return GeneratorSpec(
-        phi=partial(piecewise_linear, xs, ys),
+        phi=piecewise_linear(xs, ys),
         domain=Interval.make(xs[0], xs[-1], False, False),
         codomain=Interval.make(ys[0], ys[-1], False, False),
-        phi_inverse=partial(piecewise_linear, ys, xs),
+        phi_inverse=piecewise_linear(ys, xs),
         kind="tabulated",
         label=label,
     )

@@ -6,10 +6,15 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 import tracemalloc
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from naryops import cli, errors
 from naryops.axioms import Witness
@@ -581,6 +586,131 @@ def test_every_error_class_is_a_numeric_failure():
     # configuration problems are ValueErrors, so naryops.errors keeps none
     assert ERROR_CLASSES and all(issubclass(cls, NaryError) for cls in ERROR_CLASSES)
     assert not any(issubclass(cls, ValueError) for cls in ERROR_CLASSES)
+
+
+# --- the parse of a plain argv, without argparse --------------------------------
+
+_FLAG_NAMES = (
+    "--op", "--phi", "--phi-inv", "--codomain", "--n", "--interval", "--grid", "--samples",
+    "--seed", "--resolution", "--tol", "--c", "--window", "--format", "--out",
+)
+#: abbreviations (one ambiguous), help and the end of the flags
+_OTHER_FLAGS = ("--res", "--s", "--co", "--phi-i", "-h", "--help", "--", "-n")
+#: values that some flag takes, and values that none takes as a separate token
+_VALUES = (
+    "-1", "-1.5", "-.5", "", "nan", "1_000", "a b", " 3", "2", "0.5", "1e-3", "sum",
+    "product", "json", "text", "csv", "x^3+x", "(0,inf)", "extract",
+)
+_ODD_VALUES = ("-", "-inf", "-1e-3", "0x10", "xml", "--n", "-1 2")
+
+
+def _same_names(fast: dict, slow: dict) -> bool:
+    """The same keys, and values of the same type and value, NaN matching NaN."""
+    return fast.keys() == slow.keys() and all(
+        type(v) is type(slow[k]) and (v == slow[k] or v != v and slow[k] != slow[k])
+        for k, v in fast.items()
+    )
+
+
+def _outcome(argv) -> tuple:
+    """main's exit code, standard output without timing_ms, and standard
+    error, run in an empty working directory (``--out`` may name a file)."""
+    out, err, cwd = StringIO(), StringIO(), os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp, redirect_stdout(out), redirect_stderr(err):
+        os.chdir(tmp)
+        try:
+            code = main(argv)
+        finally:
+            os.chdir(cwd)
+    return code, re.sub(r'"timing_ms": [^,\n]*', "", out.getvalue()), err.getvalue()
+
+
+_FLAG = st.sampled_from(_FLAG_NAMES) | st.sampled_from(_OTHER_FLAGS)
+_VALUE = st.sampled_from(_VALUES) | st.sampled_from(_ODD_VALUES)
+_TOKENS = st.one_of(
+    st.tuples(_FLAG, _VALUE),
+    st.builds(lambda flag, value: (f"{flag}={value}",), _FLAG, _VALUE),
+    st.tuples(st.sampled_from((*cli._COMMANDS, "nosuch", "Axioms"))),
+    st.tuples(_FLAG | _VALUE),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    chunks=st.lists(_TOKENS, max_size=6),
+    command=st.sampled_from((*cli._COMMANDS, None)),
+    at=st.integers(0, 6),
+)
+def test_the_plain_parse_agrees_with_argparse(chunks, command, at):
+    # whatever argv the fast path takes, it names what parse_args does, and
+    # main runs it to the same exit code, report and error as through argparse
+    chunks[at:at] = [(command,)] if command else []
+    argv = [token for chunk in chunks for token in chunk]
+    names = cli._plain(argv)
+    if names is None:
+        return
+    with redirect_stderr(StringIO()):
+        assert _same_names(names, vars(build_parser().parse_args(argv)))
+    fast = _outcome(argv)
+    with mock.patch.object(cli, "_plain", lambda argv: None):
+        assert _outcome(argv) == fast
+
+
+def test_the_plain_parse_reads_every_flag_off_the_parser():
+    build_parser()
+    assert set(cli._FLAGS) == set(_FLAG_NAMES)
+    assert cli._FLAGS["--phi-inv"] == ("phi_inv", str, None)
+    assert cli._FLAGS["--format"] == ("fmt", str, ("json", "csv", "text"))
+    assert cli._FLAGS["--n"][1:] == (int, None) and cli._FLAGS["--c"][1:] == (float, None)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["extract", "--op", "sum", "--n", "3", "--c", "1", "--grid=-2:2:0.5"],
+        ["--seed", "-1", "axioms", "--c", "-1.5", "--window=-.5", "--op=expr:x1+x2"],
+        ["build", "--phi", "x^3+x", "--samples", "1_000", "--n", " 3", "--format", "json"],
+        ["axioms", "--op", "sum", "--op", "product", "--tol", "nan", "--out", ""],
+    ],
+)
+def test_plain_argvs_skip_argparse(argv):
+    build_parser()
+    with mock.patch.object(argparse.ArgumentParser, "parse_args", side_effect=AssertionError):
+        names = cli._plain(argv)
+    assert names is not None and _same_names(names, vars(build_parser().parse_args(argv)))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["--op", "sum"],
+        ["extract", "--res", "0.5"],
+        ["extract", "--res=0.5"],
+        ["extract", "-h"],
+        ["extract", "--help"],
+        ["extract", "--", "--op"],
+        ["extract", "--op", "-"],
+        ["extract", "--c", "-1e-3"],
+        ["extract", "--c", "-inf"],
+        ["extract", "--op", "--n"],
+        ["extract", "--op"],
+        ["extract", "axioms"],
+        ["extract", "--n", "0x10"],
+        ["extract", "--format", "xml"],
+        ["extract", "--n", "2", "--n", "two"],
+    ],
+)
+def test_other_argvs_go_to_argparse(argv, capsys):
+    # help, usage and every error stay argparse's, as do the abbreviations
+    # it takes and a lone "-" as a value
+    parse_args = argparse.ArgumentParser.parse_args
+    build_parser()
+    assert cli._plain(argv) is None
+    with mock.patch.object(argparse.ArgumentParser, "parse_args", autospec=True) as spy:
+        spy.side_effect = parse_args
+        main(argv)
+    assert spy.call_count == 1
 
 
 def test_run_config_is_a_frozen_record_of_the_flags():

@@ -449,4 +449,6 @@ def test_records_are_frozen_and_copy():
     assert gen.x_values == (0.0, 1.0) and gen.phi_values == (0.0, 1.0)
     for twin in (copy.copy(gen), copy.deepcopy(gen), pickle.loads(pickle.dumps(gen))):
         assert (twin.x_values, twin.phi_values) == (gen.x_values, gen.phi_values)
+        assert twin.interpolate(0.25) == gen.interpolate(0.25) == 0.25
     assert "x_values" not in repr(gen) and "phi_values" not in repr(gen)
+    assert "interpolate" not in repr(gen)

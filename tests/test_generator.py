@@ -1,8 +1,10 @@
+import copy
 import io
 import itertools
 import json
 import math
 import operator
+import pickle
 import random
 import re
 import sys
@@ -177,6 +179,18 @@ def test_an_overflow_at_a_sides_first_sample_heads_away_from_the_other_side(sign
     root = spec.inverse(3.0 * sign)
     assert abs(root - math.copysign(math.log(3.0) / 400.0, rate)) <= 4.0 * math.ulp(2.0)
     assert repr(root) == repr(GeneratorSpec(lambda x: math.exp(rate * x)).inverse(3.0))
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_a_generator_that_overflows_at_both_first_samples_builds(sign):
+    # +-sinh(400x) overflows at -2 and at 2, so neither side has a finite
+    # first value; phi at 2 halved toward 0 tells the direction, and the
+    # low side's overflow reads as -inf for the rising one
+    spec = GeneratorSpec(lambda x: sign * math.sinh(400.0 * x))
+    assert spec.codomain.render() == "(-inf,+inf)"
+    assert spec._walk[2:] == (((-2.0, -sign * math.inf),), ((2.0, sign * math.inf),))
+    for y in (3.0, -3.0):
+        assert spec.inverse(y) == pytest.approx(sign * math.asinh(y) / 400.0, rel=1e-12)
 
 
 def test_invert_monotone_open_end_reach_is_bounded():
@@ -946,7 +960,33 @@ def test_piecewise_linear_matches_the_knot_by_knot_form(knots, data):
     t = data.draw(
         st.floats(-2e6, 2e6) | st.sampled_from([*xs, 0.0, -0.0, math.nan, -math.inf, math.inf])
     )
-    assert _outcome(generator.piecewise_linear, xs, ys, t) == _outcome(_interpolate, xs, ys, t)
+    polyline = generator.piecewise_linear(xs, ys)
+    assert _outcome(polyline, t) == _outcome(_interpolate, xs, ys, t)
+
+
+def test_a_tabulated_spec_pickles_and_copies_with_its_polylines():
+    spec = tabulated_generator([0.5, 1.0, 2.0, 4.0], [-1.0, 0.0, 1.0, 2.0])
+    for clone in (pickle.loads(pickle.dumps(spec)), copy.copy(spec), copy.deepcopy(spec)):
+        assert clone == spec
+        for x, y in ((0.5, -1.0), (0.75, -0.5), (3.0, 1.5), (4.0, 2.0)):
+            assert (clone.phi(x), clone.phi_inverse(y)) == (spec.phi(x), spec.phi_inverse(y))
+
+
+def test_the_last_knot_is_its_own_value_not_the_segment_sum():
+    # -0.1 + (1e-17 - -0.1) is 0.0: the last knot's value is ys[-1]
+    # itself, not ys[-2] plus the segment's rise, and so in reverse
+    xs, ys = [-0.1, 1e-17], [-0.1, 1e-17]
+    assert ys[-2] + (ys[-1] - ys[-2]) != ys[-1]
+    spec = tabulated_generator(xs, ys)
+    assert (spec.phi(1e-17), spec.phi_inverse(1e-17)) == (1e-17, 1e-17)
+    assert generator.piecewise_linear(ys, xs)(1e-17) == 1e-17
+
+
+@pytest.mark.parametrize("t", [-0.5, 4.5, math.nan, math.inf])
+def test_a_point_outside_the_table_names_the_range(t):
+    spec = tabulated_generator([0.5, 1.0, 2.0, 4.0], [-1.0, 0.0, 1.0, 2.0])
+    with pytest.raises(ValueError, match=rf"^{re.escape(repr(t))} outside tabulated range \[0.5, 4.0\]$"):
+        spec.phi(t)
 
 
 def test_tabulated_generator_validation():
