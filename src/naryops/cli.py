@@ -467,8 +467,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-#: each exact flag's destination, type and choices, read off its action, and
-#: argparse's test for a separate value that starts with "-"
+#: each exact flag's (dest, type, choices), off its action; argparse's test of a "-" value
 _FLAGS: dict = {}
 _NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
 
@@ -477,6 +476,7 @@ def _plain(argv: Sequence[str]) -> dict | None:
     """The names ``parse_args`` gives a plain argv: one command and exact
     flags, each with one value, after ``=`` or separate. None for any other
     argv, which argparse parses, with its help, usage and errors."""
+    build_parser()  # fills _FLAGS
     names, tokens = {}, iter(argv)
     for token in tokens:
         if token in _COMMANDS and "command" not in names:
@@ -487,6 +487,8 @@ def _plain(argv: Sequence[str]) -> dict | None:
             value = next(tokens, "-")
             if value[:1] == "-" and not _NEGATIVE_NUMBER.match(value):
                 return None
+        elif value == "--":  # which some argparse releases drop after "=" as well
+            return None
         try:
             dest, convert, choices = _FLAGS[flag]
             names[dest] = value = convert(value)

@@ -470,23 +470,19 @@ def extract_generator(
 
 
 def _window_draws(gen: ExtractedGenerator, n: int, samples: int, seed: int):
-    """A lazy iterator of witness inputs ``(xs,)``, n-tuples drawn uniformly
-    over the tabulated window, each coordinate as ``window_point`` draws
-    it, for a check's trials to filter; :class:`BracketNotFoundError` on
-    the draw after 500 per sample, and at once on a window of zero width."""
+    """Witness inputs ``(xs,)`` of n-tuples drawn uniformly over the
+    tabulated window, each coordinate as ``window_point`` draws it, for a
+    check's trials to filter; :class:`BracketNotFoundError` on the draw
+    after 500 per sample."""
     lo, hi = gen.window()
-    half_lo, half_span, rand = lo / 2.0, hi / 2.0 - lo / 2.0, random.Random(seed).random
-    # window_point's operations as bound methods (IEEE + and * commute): no frame per draw
-    points = map((2.0).__mul__, map(half_lo.__add__, map(half_span.__mul__, iter(rand, None))))
-
-    def exhausted():
-        yield from ()
-        raise BracketNotFoundError(
-            f"could not sample {samples} tuples inside the tabulated window "
-            f"[{lo!r}, {hi!r}] in {500 * samples} draws"
-        )
-
-    return chain(islice(zip(zip(*[points] * n)), 500 * samples), exhausted())
+    half_lo, half_span = lo / 2.0, hi / 2.0 - lo / 2.0
+    rand = random.Random(seed).random
+    for _ in range(500 * samples):
+        yield (tuple([2.0 * (half_lo + half_span * rand()) for _ in range(n)]),)
+    raise BracketNotFoundError(
+        f"could not sample {samples} tuples inside the tabulated window "
+        f"[{lo!r}, {hi!r}] in {500 * samples} draws"
+    )
 
 
 def verify_additivity(

@@ -129,11 +129,11 @@ def _walk(phi: Callable[[float], float], domain: Interval) -> tuple:
     point, as the infinity away from phi(x0) past a side's first sample,
     and at that first sample as -inf when the other side's first value is
     finite and above phi(x0), else +inf. When both first samples overflow,
-    phi at the high one, halved toward x0 until finite, gives the direction.
-    Returns ``(x0, phi(x0), lows, highs)``, each side a tuple in the order
-    the approach reaches it. A NaN value, or an escape of phi at any
-    sample, which is named with the interval, raises
-    :class:`DomainEscapeError`."""
+    phi halved back toward x0 until finite on each side gives the direction
+    if the two lie on opposite sides of phi(x0). Returns ``(x0, phi(x0),
+    lows, highs)``, each side a tuple in the order the approach reaches it.
+    A NaN value, or an escape of phi at any sample, which is named with
+    the interval, raises :class:`DomainEscapeError`."""
 
     def escape(what: str, x: float, exc: DomainEscapeError) -> DomainEscapeError:
         where = f"{what} {x!r} of {domain.render()}"
@@ -169,14 +169,16 @@ def _walk(phi: Callable[[float], float], domain: Interval) -> tuple:
         sides.append(tuple(samples))
     # a first overflow heads away from the other side's first value, or from phi halfway back
     if len(first_over) == 2:
-        x, fx = sides[1][0]
-        while fx == inf and x != (x := _midpoint(x0, x)):
-            try:
-                fx = phi(x)
-            except OverflowError:
-                pass
-        if fx != f0 and -inf < fx < inf:
-            sides[fx < f0] = ((sides[fx < f0][0][0], -inf),)
+        backs = []
+        for x, fx in (side[0] for side in sides):
+            while fx == inf and x != (x := _midpoint(x0, x)):
+                try:
+                    fx = phi(x)
+                except OverflowError:
+                    pass
+            backs.append(fx)
+        if min(backs) < f0 < max(backs):  # on opposite sides of phi(x0)
+            sides[backs[1] < f0] = ((sides[backs[1] < f0][0][0], -inf),)
     elif first_over and (other := sides[not first_over[0]]) and f0 < other[0][1] < inf:
         sides[first_over[0]] = ((sides[first_over[0]][0][0], -inf),)
     return x0, f0, *sides

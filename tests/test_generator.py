@@ -21,7 +21,7 @@ from naryops import generator
 from naryops.axioms import check_associativity, check_symmetry, lattice_sampler
 from naryops.cli import main
 from naryops.core import Interval, builtin_lookup
-from naryops.errors import DomainEscapeError, InversionError
+from naryops.errors import DomainEscapeError, InversionError, MonotonicityViolationError
 from naryops.exprlang import make_callable, parse as parse_expr
 from naryops.generator import (
     GeneratorSpec,
@@ -184,13 +184,29 @@ def test_an_overflow_at_a_sides_first_sample_heads_away_from_the_other_side(sign
 @pytest.mark.parametrize("sign", [1.0, -1.0])
 def test_a_generator_that_overflows_at_both_first_samples_builds(sign):
     # +-sinh(400x) overflows at -2 and at 2, so neither side has a finite
-    # first value; phi at 2 halved toward 0 tells the direction, and the
-    # low side's overflow reads as -inf for the rising one
+    # first value; halved toward 0 until finite, phi lies on either side of
+    # phi(0), which tells the direction, and the low side's overflow reads
+    # as -inf for the rising one
     spec = GeneratorSpec(lambda x: sign * math.sinh(400.0 * x))
     assert spec.codomain.render() == "(-inf,+inf)"
     assert spec._walk[2:] == (((-2.0, -sign * math.inf),), ((2.0, sign * math.inf),))
     for y in (3.0, -3.0):
         assert spec.inverse(y) == pytest.approx(sign * math.asinh(y) / 400.0, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "phi",
+    [
+        lambda x: math.cosh(400.0 * x),
+        lambda x: -math.cosh(400.0 * x),
+        lambda x: math.exp((400.0 * x) ** 2),
+    ],
+)
+def test_an_even_generator_that_overflows_at_both_first_samples_is_not_monotone(phi):
+    # halved back toward 0, phi is on the same side of phi(0) at both ends:
+    # no direction, so both overflows stay +inf, one limit at both ends
+    with pytest.raises(MonotonicityViolationError, match="tends to inf at both ends$"):
+        GeneratorSpec(phi)
 
 
 def test_invert_monotone_open_end_reach_is_bounded():
