@@ -288,9 +288,8 @@ def _witness_kinds():
 
 
 def test_every_witness_kind_replays_from_a_report():
-    # a check that reports a new kind of witness needs an entry in REPLAYS;
-    # "fold" is the gallery's, which reports no witness
-    assert set(REPLAYS) == _witness_kinds() - {"fold"}
+    # a check that reports a new kind of witness needs an entry in REPLAYS
+    assert set(REPLAYS) == _witness_kinds()
 
 
 #: real line, x below y gives x, anything else NaN

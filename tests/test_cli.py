@@ -176,10 +176,18 @@ def test_extract_csv_table(tmp_path):
     assert xs == sorted(xs)
 
 
-def test_csv_requires_table():
-    cfg = RunConfig(command="axioms", op="sum", n=2, samples=10, fmt="csv", out="-")
-    with pytest.raises(ValueError):
-        run(cfg)
+def test_csv_requires_table(monkeypatch, capsys):
+    # both format errors are flag errors: they come before any work
+    work = mock.Mock(side_effect=AssertionError("the work ran"))
+    monkeypatch.setattr(cli.axioms_mod, "check_associativity", work)
+    message = "csv output requires a command with a tabulated result"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        run(RunConfig(command="axioms", op="sum", n=2, samples=10, fmt="csv", out="-"))
+    with pytest.raises(ValueError, match="^unknown format 'yaml'$"):
+        run(RunConfig("axioms", op="sum", fmt="yaml"))
+    assert main(["axioms", "--op", "sum", "--n", "3", "--format", "csv"]) == 2
+    assert capsys.readouterr().err == f"naryops: configuration error: {message}\n"
+    assert not work.called
 
 
 def test_run_names_an_unknown_format_and_command():
@@ -368,6 +376,8 @@ def test_deep_expressions_end_in_a_report_or_a_parse_error(capsys):
 
 
 def test_main_builds_its_parser_once(monkeypatch, capsys):
+    # a plain argv builds no parser; the first argv that the plain parse
+    # declines builds it, and every later one reuses it
     built = []
     real_init = argparse.ArgumentParser.__init__
 
@@ -378,17 +388,19 @@ def test_main_builds_its_parser_once(monkeypatch, capsys):
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
     build_parser.cache_clear()
     assert main(["axioms", "--op", "sum", "--samples", "5"]) == 0
-    assert built, "the first call builds the parser"
-    built.clear()
+    assert main(["extend", "--op", "sum", "--n", "3", "--samples", "5"]) == 0
+    assert built == [], "a plain argv builds no parser"
+    assert main(["axioms", "--op", "sum", "--sam", "5"]) == 0
+    assert built == ["naryops"], "the first declined argv builds it"
     for argv in (
         ["axioms", "--op", "sum", "--samples", "5"],
-        ["extend", "--op", "sum", "--n", "3", "--samples", "5"],
         ["axioms", "--op", "nosuch"],
         ["nosuchcommand"],
         ["build", "--help"],
+        ["extract", "--res", "0.5", "--op", "sum", "--c", "1"],
     ):
         main(argv)
-    assert built == []
+    assert built == ["naryops"]
 
 
 def test_flags_do_not_leak_between_calls(capsys):
@@ -656,15 +668,19 @@ def test_the_plain_parse_agrees_with_argparse(chunks, command, at):
         assert _outcome(argv) == fast
 
 
-def test_the_plain_parse_reads_every_flag_off_the_parser():
-    # it builds the parser it reads, so it holds before main has run
-    build_parser.cache_clear()
-    cli._FLAGS.clear()
+def test_both_parses_read_every_flag_off_one_table():
+    # the parser adds each flag from its row, the row that _plain looks up
+    rows = {
+        a.option_strings[0]: (a.dest, a.type or str, a.choices, a.help)
+        for a in build_parser()._actions
+        if a.option_strings and a.dest != "help"
+    }
+    assert set(rows) == set(_FLAG_NAMES) == set(cli._FLAGS)
+    assert rows == cli._FLAGS
+    assert cli._FLAGS["--phi-inv"][:3] == ("phi_inv", str, None)
+    assert cli._FLAGS["--format"][:3] == ("fmt", str, ("json", "csv", "text"))
+    assert cli._FLAGS["--n"][1:3] == (int, None) and cli._FLAGS["--c"][1:3] == (float, None)
     assert cli._plain(["axioms", "--n", "3"]) == {"command": "axioms", "n": 3}
-    assert set(cli._FLAGS) == set(_FLAG_NAMES)
-    assert cli._FLAGS["--phi-inv"] == ("phi_inv", str, None)
-    assert cli._FLAGS["--format"] == ("fmt", str, ("json", "csv", "text"))
-    assert cli._FLAGS["--n"][1:] == (int, None) and cli._FLAGS["--c"][1:] == (float, None)
 
 
 @pytest.mark.parametrize(
@@ -741,6 +757,27 @@ def test_cold_import_of_the_cli_loads_no_heavy_module():
         [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == ""
+
+
+def test_a_plain_main_runs_without_argparse():
+    # the parser, and argparse with it, is loaded only for an argv that
+    # the plain parse declines, and then once per process
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = """
+import sys
+from naryops import cli
+loaded = lambda: ("argparse" in sys.modules, "gettext" in sys.modules)
+cli.main(["axioms", "--op", "sum", "--samples", "5"])
+plain = loaded()
+cli.main(["axioms", "--op", "sum", "--sam", "5"])
+cli.main(["axioms", "--op", "sum", "--sam", "5"])
+print(*plain, *loaded(), cli.build_parser.cache_info().misses, file=sys.stderr)
+"""
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stderr.split() == ["False", "False", "True", "True", "1"]
 
 
 def test_a_reimport_frees_the_previous_package():
